@@ -10,6 +10,7 @@ dominant dimension of A^(m) is at least m.
 from .algebra import AlgebraData
 from .errors import (
     AmbientTooSmall,
+    CapTooSmall,
     CopyOutOfRange,
     CyclicQuiver,
     DuplicateLabel,

@@ -39,7 +39,7 @@ class AlgebraData:
 
     __slots__ = (
         "labels", "dim", "mult", "unit", "idempotents",
-        "grading", "_radical", "_opposite", "_split_basic",
+        "grading", "_radical", "_corner_codims", "_opposite", "_split_basic",
         "_simple_cache", "_proj_cache", "_inj_cache",
     )
 
@@ -61,7 +61,8 @@ class AlgebraData:
             (lab, tuple(x if type(x) is Fraction else Fraction(x) for x in coords))
             for lab, coords in idempotents
         )
-        self._radical = None
+        self._radical: Optional[list[SparseVec]] = None
+        self._corner_codims: Optional[list[int]] = None
         self._opposite = None
         self._split_basic: Optional[bool] = None
         self._simple_cache = {}
@@ -106,14 +107,6 @@ class AlgebraData:
         cols = []
         for j in range(self.dim):
             cols.append(self.dense(self.mult_sparse(sx, ((j, _ONE),))))
-        return RatMatrix.from_columns(cols, nrows=self.dim)
-
-    def right_mult_matrix(self, x: Sequence[Fraction]) -> RatMatrix:
-        """Matrix of y -> y*x on coordinate columns."""
-        sx = _sparse_of_dense(x)
-        cols = []
-        for j in range(self.dim):
-            cols.append(self.dense(self.mult_sparse(((j, _ONE),), sx)))
         return RatMatrix.from_columns(cols, nrows=self.dim)
 
     # -- construction checks ---------------------------------------------
@@ -211,13 +204,60 @@ class AlgebraData:
     # -- radical ---------------------------------------------------------
 
     def radical_basis(self) -> list[list[Fraction]]:
-        """Basis of the Jacobson radical (char-0 trace-form criterion).
+        """Basis of the Jacobson radical: Peirce blocks when certified, else the trace form."""
+        if self._radical is None:
+            if self.grading is not None and len(self.idempotents) > 1:
+                self._radical = self._structural_radical()
+            if self._radical is None:
+                self._radical = [_sparse_of_dense(v) for v in self._trace_form_radical()]
+        return [self.dense(r) for r in self._radical]
 
-        rad = { x : trace(L_{x y}) = 0 for all basis y }, then verified to be
-        a nilpotent two-sided ideal with semisimple quotient.
+    def radical_sparse(self) -> list[SparseVec]:
+        """The radical basis as sparse vectors; a unit vector is ((i, 1),)."""
+        return self._radical if self._radical is not None else list(map(_sparse_of_dense, self.radical_basis()))
+
+    def _structural_radical(self) -> Optional[list[SparseVec]]:
+        """rad A from the grading, or None if A is not basic for its idempotents.
+
+        R is spanned by the off-diagonal basis elements (grading (u, v),
+        u != v) and each corner's verified trace-form radical.  Lemma: as
+        products are homogeneous and corner radicals are corner ideals, R is
+        a two-sided ideal once each off-diagonal (u, v) times (v, u) basis
+        product lies in the corner radical of u.  Then R lies in rad A: a
+        nonzero image of R in A/rad A holds a central idempotent f with some
+        e_u f e_u != 0, yet e_u R e_u = rad(e_u A e_u) = e_u rad(A) e_u maps
+        to 0.  A/R is the product of the semisimple corner quotients, so rad A
+        lies in R.  A failed check (matrix units in M_2(Q), say) gives None.
+        The corner codimensions are kept for :meth:`ensure_split_basic`.
         """
-        if self._radical is not None:
-            return self._radical
+        blocks: dict[tuple[int, int], list[int]] = {}
+        for b, uv in enumerate(self.grading):
+            blocks.setdefault(uv, []).append(b)
+        corners, codims, rad = [], [], []
+        for u, (lab, coords) in enumerate(self.idempotents):
+            idx = blocks.get((u, u), [])
+            local = {b: s for s, b in enumerate(idx)}
+            unit = [coords[b] for b in idx]
+            cmult = [[[(local[k], c) for k, c in self.mult[i][j]] for j in idx] for i in idx]
+            corner = AlgebraData([self.labels[b] for b in idx], cmult, unit, [(lab, unit)], check=False)
+            span = EchelonSpace(len(idx))
+            for w in corner.radical_basis():
+                span.add(w)
+                rad.append(tuple((b, c) for b, c in zip(idx, w) if c))
+            corners.append((local, span, corner))
+            codims.append(len(idx) - span.rank)
+        for i, (u, v) in enumerate(self.grading):
+            if u != v:
+                local, span, corner = corners[u]
+                for j in blocks.get((v, u), []):
+                    if not span.contains(corner.dense([(local[k], c) for k, c in self.mult[i][j]])):
+                        return None
+                rad.append(((i, _ONE),))
+        self._corner_codims = codims
+        return rad
+
+    def _trace_form_radical(self) -> list[list[Fraction]]:
+        """{x : trace(L_{x y}) = 0 for all y} (char 0), verified to be the radical."""
         dim = self.dim
         # trace of left multiplication by each basis element
         trL = []
@@ -235,7 +275,6 @@ class AlgebraData:
         ])
         rad = [gram.kernel_basis().column_vec(j) for j in range(dim - gram.rank())]
         self._verify_radical(rad)
-        self._radical = rad
         return rad
 
     def _verify_radical(self, rad: list[list[Fraction]]) -> None:
@@ -277,14 +316,12 @@ class AlgebraData:
         comp = [j for j in range(dim) if j not in pivset]
         if not comp:
             return
-        def reduce(vec):
-            return radspan._reduce(vec)
         # quotient structure constants in the complement coordinates
         qdim = len(comp)
         qmult = [[None] * qdim for _ in range(qdim)]
         for a, i in enumerate(comp):
             for b, j in enumerate(comp):
-                prod = reduce(self.dense(self.mult[i][j]))
+                prod = radspan._reduce(self.dense(self.mult[i][j]))
                 qmult[a][b] = [prod[c] for c in comp]
         trL = []
         for k in range(qdim):
@@ -312,17 +349,21 @@ class AlgebraData:
         """
         if self._split_basic:
             return
-        radspan = self.radical_span()
-        for lab, coords in self.idempotents:
-            se = _sparse_of_dense(coords)
-            corner = EchelonSpace(self.dim)
-            for j in range(self.dim):
-                v = self.mult_sparse(se, self.mult_sparse(((j, _ONE),), se))
-                corner.add(radspan._reduce(self.dense(v)))
-            if corner.rank != 1:
-                raise NonSplitSimple(
-                    f"e({lab}) (A/rad) e({lab}) has dimension {corner.rank}, not 1"
-                )
+        self.radical_sparse()
+        codims = self._corner_codims
+        if codims is None:
+            radspan = self.radical_span()
+            codims = []
+            for _lab, coords in self.idempotents:
+                se = _sparse_of_dense(coords)
+                corner = EchelonSpace(self.dim)
+                for j in range(self.dim):
+                    v = self.mult_sparse(se, self.mult_sparse(((j, _ONE),), se))
+                    corner.add(radspan._reduce(self.dense(v)))
+                codims.append(corner.rank)
+        for (lab, _coords), c in zip(self.idempotents, codims):
+            if c != 1:
+                raise NonSplitSimple(f"e({lab}) (A/rad) e({lab}) has dimension {c}, not 1")
         self._split_basic = True
 
     # -- opposite ----------------------------------------------------------
@@ -341,12 +382,6 @@ class AlgebraData:
         op._opposite = self
         self._opposite = op
         return op
-
-    def idempotent_index(self, label: str) -> int:
-        for i, (lab, _) in enumerate(self.idempotents):
-            if lab == label:
-                return i
-        raise KeyError(label)
 
     def __repr__(self) -> str:
         return f"AlgebraData(dim={self.dim}, idempotents={len(self.idempotents)})"

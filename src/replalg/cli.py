@@ -171,7 +171,7 @@ def run(args) -> tuple[dict, Optional[list], int]:
         report_bundle = bundle
     elif args.command == "extcheck":
         q, m = _load_quiver(args), args.m
-        certs = [verify_ext_stablehom(q, m, samples=args.samples, seed=args.seed, cap=args.cap)]
+        certs = [verify_ext_stablehom(q, m, samples=args.samples, seed=args.seed)]
         report_bundle = None
     elif args.command == "inventory":
         q, m = _load_quiver(args), args.m
@@ -209,8 +209,9 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--quiver", help="path to a JSON quiver file")
         p.add_argument("--m", type=int, default=1, help="number of replications (default 1)")
-        p.add_argument("--cap", type=int, default=None,
-                       help="resolution length cap (default 4m+4)")
+        if name != "extcheck":
+            p.add_argument("--cap", type=int, default=None,
+                           help="resolution length cap (default 4m+4)")
         p.add_argument("--seed", type=int, default=0, help="seed for the randomized searches")
         p.add_argument("--report", choices=["json", "text"], default="text")
         p.add_argument("--out", default=None, help="write the report to this path")

@@ -48,3 +48,7 @@ class UndecidableDecomposition(ReplalgError):
 
 class AmbientTooSmall(ReplalgError):
     """A cosyzygy ladder touched the top copy of the ambient truncation."""
+
+
+class CapTooSmall(ReplalgError):
+    """The resolution cap ends before gl.dim A^(m) is determined."""

@@ -690,7 +690,8 @@ def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep) -> ModuleMap:
         return True
 
     active = list(range(len(copies)))
-    assert is_approx(active), "universal map failed the approximation property"
+    if not is_approx(active):
+        raise AssertionError("universal map failed the approximation property")
     changed = True
     while changed:
         changed = False

@@ -739,16 +739,29 @@ def _cokernel_dense(f: ModuleMap):
 # -- radical, top, socle -------------------------------------------------------
 
 
+def _radical_actions(x: ModuleRep) -> list[RatMatrix]:
+    """Action on x of each radical basis vector; unit vectors read the stored matrix."""
+    acts = (x.action_or_none(r[0][0]) if len(r) == 1 and r[0][1] == 1 else x.act_coords(x.algebra.dense(r))
+            for r in x.algebra.radical_sparse())
+    return [m for m in acts if m is not None]
+
+
+def _radical_span(x: ModuleRep) -> EchelonSpace:
+    """x * rad(A) in the coordinates of x."""
+    span = EchelonSpace(x.dim)
+    for m in _radical_actions(x):
+        span.add_matrix_columns(m)
+    return span
+
+
 def _radical_vertex_spans(x: ModuleRep) -> list[EchelonSpace]:
     """Per-vertex spans of x * rad(A); needs adapted coordinates."""
     if x.vertex_of is None:
         raise ValueError("module must be in adapted coordinates")
-    a = x.algebra
-    nv = len(a.idempotents)
+    nv = len(x.algebra.idempotents)
     xi = [x.coords_at(v) for v in range(nv)]
     spans = [EchelonSpace(len(xi[v])) for v in range(nv)]
-    for r in a.radical_basis():
-        m = x.act_coords(r)
+    for m in _radical_actions(x):
         for j in range(x.dim):
             col = m.column_vec(j)
             if any(col):
@@ -762,14 +775,7 @@ def _radical_vertex_spans(x: ModuleRep) -> list[EchelonSpace]:
 def radical_submodule(x: ModuleRep):
     """(x * rad(A), inclusion)."""
     if x.algebra.grading is None:
-        span = EchelonSpace(x.dim)
-        for r in x.algebra.radical_basis():
-            m = x.act_coords(r)
-            for j in range(x.dim):
-                col = m.column_vec(j)
-                if any(col):
-                    span.add(col)
-        return _submodule_dense(x, span.basis_matrix())
+        return _submodule_dense(x, _radical_span(x).basis_matrix())
     if x.vertex_of is None:
         ad, iso = adapt_module(x)
         rad, incl = radical_submodule(ad)
@@ -788,10 +794,9 @@ def top(x: ModuleRep):
 def socle(x: ModuleRep):
     """(annihilator of rad(A) in x, inclusion)."""
     a = x.algebra
-    rad = a.radical_basis()
-    if not rad:
+    if not a.radical_sparse():
         return x, identity_map(x)
-    stacked = vstack([x.act_coords(r) for r in rad])
+    stacked = vstack(_radical_actions(x) or [RatMatrix.zeros(0, x.dim)])
     if a.grading is None:
         return _submodule_dense(x, stacked.kernel_basis())
     if x.vertex_of is None:
@@ -853,13 +858,7 @@ def projective_cover(x: ModuleRep):
                 if any(local) and not pspans[v].contains(local):
                     raise ValueError("projective cover kernel is not superfluous")
     else:
-        span = EchelonSpace(p.dim)
-        for r in a.radical_basis():
-            m = p.act_coords(r)
-            for j in range(p.dim):
-                col = m.column_vec(j)
-                if any(col):
-                    span.add(col)
+        span = _radical_span(p)
         for j in range(kmod.dim):
             if not span.contains(kincl.matrix.column_vec(j)):
                 raise ValueError("projective cover kernel is not superfluous")

@@ -180,7 +180,6 @@ def build_hereditary(q: Quiver) -> AlgebraData:
         idems.append((q.vertices[v], coords))
     labels = [path_label(q, p) for p in paths]
     alg = AlgebraData(labels, mult, unit, idems)
-    alg._split_basic = True  # trivial-path corners are 1-dimensional by construction
     from .homology import global_dimension  # deferred; homology sits above this layer
 
     if not global_dimension(alg, cap=2).at_most(1):

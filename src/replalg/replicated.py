@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import AlgebraData
-from .errors import AmbientTooSmall, CopyOutOfRange
+from .errors import AmbientTooSmall, CapTooSmall, CopyOutOfRange
 from .homology import (
     DimBound,
     decompose_with_maps,
@@ -103,7 +103,6 @@ class ReplicatedAlgebra:
         self.algebra = AlgebraData(labels, mult, unit, idems, check=True)
         if self.algebra.dim != (2 * m + 1) * self.base.dim:
             raise AssertionError("replicated algebra has the wrong dimension")
-        self.algebra._split_basic = True  # corners are spanned by trivial paths
 
     def _product(self, ka: tuple, kb: tuple) -> Optional[tuple]:
         q = self.quiver
@@ -319,7 +318,7 @@ def auslander_generator(quiver: Quiver, m: int, cap: Optional[int] = None,
     r = build_replicated(quiver, m)
     t_bound = global_dimension(r.algebra, cap)
     if not t_bound.exact:
-        raise AssertionError("resolution cap too small to determine gl.dim A^(m)")
+        raise CapTooSmall(f"resolution cap {cap} too small to determine gl.dim A^(m)")
     t = t_bound.value
     nv = len(quiver.vertices)
     labelled: list[tuple[str, ModuleRep]] = []
@@ -351,7 +350,7 @@ def minimal_cogenerator(quiver: Quiver, m: int, cap: Optional[int] = None,
     r = build_replicated(quiver, m)
     t_bound = global_dimension(r.algebra, cap)
     if not t_bound.exact:
-        raise AssertionError("resolution cap too small to determine gl.dim A^(m)")
+        raise CapTooSmall(f"resolution cap {cap} too small to determine gl.dim A^(m)")
     nv = len(quiver.vertices)
     labelled: list[tuple[str, ModuleRep]] = []
     for v in range(nv):

@@ -257,8 +257,7 @@ def verify_lemma_2_4_inventory(bundle: GeneratorBundle, seed: int = 0):
     ]
 
 
-def verify_ext_stablehom(q: Quiver, m: int, samples: int = 0, seed: int = 0,
-                         cap: Optional[int] = None) -> Certificate:
+def verify_ext_stablehom(q: Quiver, m: int, samples: int = 0, seed: int = 0) -> Certificate:
     """dim Ext^1(Y, X) = dim StHom(Y, Omega^{-1} X) over the ambient algebra,
     for all built (Y, X) with X having projective-injective envelope, plus
     the vanishing of stable maps Omega^{-i}(projective) -> Omega^{-j}(A-module)

@@ -4,6 +4,8 @@ import pytest
 
 from replalg.algebra import AlgebraData
 from replalg.errors import CyclicQuiver, DuplicateLabel, NonSplitSimple
+from replalg.linalg import EchelonSpace
+from replalg.modules import regular_module, socle, top
 from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
 
 F = Fraction
@@ -109,3 +111,66 @@ def test_non_split_simple_detected():
     a = AlgebraData(["1", "s"], mult, [1, 0], [("pt", [1, 0])])
     with pytest.raises(NonSplitSimple):
         a.ensure_split_basic()
+
+
+def matrix_units():
+    # M_2(Q) with basis e11, e12, e21, e22: graded by e11, e22 but not basic
+    n = 2
+    idx = {(i, j): n * i + j for i in range(n) for j in range(n)}
+    mult = [[() for _ in range(4)] for _ in range(4)]
+    for (i, j), x in idx.items():
+        for (k, l), y in idx.items():
+            if j == k:
+                mult[x][y] = ((idx[(i, l)], 1),)
+    labels = [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+    return AlgebraData(labels, mult, [1, 0, 0, 1], [("1", [1, 0, 0, 0]), ("2", [0, 0, 0, 1])])
+
+
+def test_structural_radical_refuses_non_basic_algebra():
+    a = matrix_units()
+    assert a.grading is not None
+    # e12 * e21 = e11 leaves the (zero) corner radical: the ideal check fails
+    assert a._structural_radical() is None
+    assert a.radical_basis() == []
+    assert a._corner_codims is None
+
+
+def test_non_split_corner_detected_on_structural_path():
+    # [[K, K], [0, Q]] with K = Q(sqrt 2) = span{e1, s}, s^2 = 2 e1, and the
+    # off-diagonal K spanned by a, b = s a
+    e1, s, e2, x, y = range(5)
+    mult = [[() for _ in range(5)] for _ in range(5)]
+    mult[e1][e1], mult[e1][s], mult[s][e1], mult[s][s] = ((e1, 1),), ((s, 1),), ((s, 1),), ((e1, 2),)
+    mult[e1][x], mult[e1][y], mult[s][x], mult[s][y] = ((x, 1),), ((y, 1),), ((y, 1),), ((x, 2),)
+    mult[x][e2], mult[y][e2], mult[e2][e2] = ((x, 1),), ((y, 1),), ((e2, 1),)
+    a = AlgebraData(["e1", "s", "e2", "a", "b"], mult, [1, 0, 1, 0, 0],
+                    [("1", [1, 0, 0, 0, 0]), ("2", [0, 0, 1, 0, 0])])
+    assert a.radical_sparse() == [((x, 1),), ((y, 1),)]
+    assert a._corner_codims == [2, 1]
+    with pytest.raises(NonSplitSimple):
+        a.ensure_split_basic()
+
+
+def test_structural_radical_with_a_local_corner():
+    # two-cycle a: 1 -> 2, b: 2 -> 1 with b*a = 0, in the basis e1, e2, a, b,
+    # d = e1 + a*b: the corner at 1 is span{e1, d}, dual numbers, with radical
+    # spanned by the non-unit vector d - e1 = a*b
+    e1, e2, x, y, d = range(5)
+    mult = [[() for _ in range(5)] for _ in range(5)]
+    mult[e1][e1], mult[e1][x], mult[e1][d], mult[d][e1] = ((e1, 1),), ((x, 1),), ((d, 1),), ((d, 1),)
+    mult[d][d], mult[d][x], mult[y][d] = ((e1, -1), (d, 2)), ((x, 1),), ((y, 1),)
+    mult[x][e2], mult[x][y], mult[e2][e2] = ((x, 1),), ((e1, -1), (d, 1)), ((e2, 1),)
+    mult[e2][y], mult[y][e1] = ((y, 1),), ((y, 1),)
+    a = AlgebraData(["e1", "e2", "a", "b", "e1+ab"], mult, [1, 1, 0, 0, 0],
+                    [("1", [1, 0, 0, 0, 0]), ("2", [0, 1, 0, 0, 0])])
+    span = EchelonSpace(5)
+    for v in a._trace_form_radical():
+        span.add(v)
+    assert span.rows == a.radical_span().rows and span.rank == 3
+    assert ((e1, -1), (d, 1)) in a.radical_sparse()
+    assert a._corner_codims == [1, 1]
+    a.ensure_split_basic()
+    # the non-unit radical vector acts through act_coords in the module layer
+    reg = regular_module(a)
+    assert top(reg)[0].vertex_dims() == [1, 1]
+    assert socle(reg)[0].vertex_dims() == [2, 0]  # span{a*b, b}, both in A e1

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import replalg
 from replalg.cli import main, parse_quiver, serialize_quiver
-from replalg.errors import CyclicQuiver, DuplicateLabel, ParseError
-from replalg.quiver import Quiver, kronecker
+from replalg.errors import CapTooSmall, CyclicQuiver, DuplicateLabel, ParseError
+from replalg.quiver import Quiver, kronecker, linear_quiver
+from replalg.replicated import minimal_cogenerator
 
 KRONECKER_JSON = json.dumps({
     "vertices": ["1", "2"],
@@ -167,3 +172,29 @@ def test_extcheck_command(kronecker_file, tmp_path):
     report = json.loads(out.read_text())
     values = report["results"][0]["values"]
     assert values["identity_holds"] and values["lemma_3_2_vanishing"]
+
+
+def _run_cli(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    src = os.path.dirname(os.path.dirname(replalg.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "replalg", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_cap_too_small_is_a_typed_error(kronecker_file):
+    proc = _run_cli("repdim", "--quiver", kronecker_file, "--m", "1", "--cap", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: resolution cap 1 too small")
+    assert proc.stderr.count("\n") == 1
+    with pytest.raises(CapTooSmall):
+        minimal_cogenerator(linear_quiver(2), 1, cap=1)
+
+
+def test_extcheck_rejects_cap(kronecker_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["extcheck", "--quiver", kronecker_file, "--m", "1", "--cap", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 3" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from replalg.homology import (
     decompose_with_maps,
     dominant_dimension,
+    end_algebra,
     ext1_dim,
     global_dimension,
     injective_dimension,
@@ -35,7 +36,7 @@ from replalg.modules import (
     socle,
     top,
 )
-from replalg.quiver import Quiver, build_hereditary, linear_quiver, one_vertex
+from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, build_replicated, embed, sigma_layers
 
 
@@ -116,8 +117,23 @@ def test_pd_id_duality(a):
         assert projective_dimension(x, 10) == injective_dimension(dual_module(x), 10)
 
 
+def assert_radical_matches_trace_form(a):
+    """The radical equals the dense trace-form radical, kept as the oracle."""
+    def span(vecs):
+        sp = EchelonSpace(a.dim)
+        for v in vecs:
+            sp.add(v)
+        return sp.rows
+
+    assert span(a.radical_basis()) == span(a._trace_form_radical())
+    # several idempotents take the structural path, one the trace form
+    assert (a._corner_codims is not None) == (len(a.idempotents) > 1)
+
+
 @pytest.mark.parametrize("a", ALGEBRAS)
 def test_radical_nilpotent_and_quotient_semisimple(a):
+    assert_radical_matches_trace_form(a)
+    assert_radical_matches_trace_form(a.opposite())
     rad = a.radical_basis()
     # nilpotency, re-derived: iterate span products until zero
     current = [list(v) for v in rad]
@@ -135,6 +151,22 @@ def test_radical_nilpotent_and_quotient_semisimple(a):
     span = a.radical_span()
     for v in rad:
         assert span.contains(v)
+
+
+@pytest.mark.parametrize("q, m", [
+    (linear_quiver(3), 1), (linear_quiver(3), 2), (kronecker(), 1), (kronecker(), 2),
+], ids=["A3-m1", "A3-m2", "kronecker-m1", "kronecker-m2"])
+def test_structural_radical_matches_trace_form_on_replicated(q, m):
+    a = build_replicated(q, m).algebra
+    assert_radical_matches_trace_form(a)
+    assert_radical_matches_trace_form(a.opposite())
+
+
+def test_structural_radical_matches_trace_form_on_end_algebra():
+    bundle = auslander_generator(kronecker(), 1)
+    e = end_algebra(bundle.module, summands=bundle.end_summands())
+    assert_radical_matches_trace_form(e)
+    assert e._corner_codims == [1] * len(e.idempotents)
 
 
 @pytest.mark.parametrize("a", ALGEBRAS)
@@ -337,6 +369,7 @@ def acyclic_quivers(draw):
 def test_path_algebra_invariants(q):
     a = build_hereditary(q)
     assert global_dimension(a, 2).at_most(1)
+    assert_radical_matches_trace_form(a)
     rad = a.radical_basis()
     # radical = span of the nontrivial paths
     trivial = {a.labels.index(f"e({v})") for v in q.vertices}
@@ -352,6 +385,7 @@ def test_path_algebra_invariants(q):
 def test_replicated_dimension_formula(q, m):
     r = build_replicated(q, m)
     assert r.algebra.dim == (2 * m + 1) * r.base.dim
+    assert_radical_matches_trace_form(r.algebra)
     assert len(r.algebra.idempotents) == (m + 1) * len(q.vertices)
 
 

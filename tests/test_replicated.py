@@ -45,6 +45,15 @@ def test_dimensions_and_idempotents(kr1):
     assert len(rv.algebra.idempotents) == 3
 
 
+def test_split_basic_is_proven_not_assumed():
+    # a fresh A^(m) carries no split-basic verdict until the certificate runs
+    a = build_replicated(kronecker(), 2).algebra
+    assert a._split_basic is None
+    a.ensure_split_basic()
+    assert a._split_basic is True
+    assert a._corner_codims == [1] * len(a.idempotents)
+
+
 def test_regular_module_of_replicated(kr1):
     reg = regular_module(kr1.algebra)
     assert reg.dim == 12
