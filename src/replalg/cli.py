@@ -53,12 +53,16 @@ def parse_quiver(text: str) -> Quiver:
     arrows = data.get("arrows", [])
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise ParseError('"vertices" must be a list of strings')
+    if not vertices:
+        raise ParseError('"vertices" must name at least one vertex')
     if not isinstance(arrows, list):
         raise ParseError('"arrows" must be a list')
     triples = []
     for a in arrows:
         if not isinstance(a, dict) or not {"name", "from", "to"} <= set(a):
             raise ParseError('each arrow needs "name", "from" and "to"')
+        if not all(isinstance(a[k], str) for k in ("name", "from", "to")):
+            raise ParseError('arrow "name", "from" and "to" must be strings')
         triples.append((a["name"], a["from"], a["to"]))
     return Quiver(vertices, triples)
 

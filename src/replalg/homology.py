@@ -22,6 +22,7 @@ from .linalg import EchelonSpace, RatMatrix, hstack
 from .modules import (
     ModuleMap,
     ModuleRep,
+    _memo,
     direct_sum,
     dual_module,
     hom_basis,
@@ -150,9 +151,7 @@ def cosyzygy(x: ModuleRep) -> ModuleRep:
     """Cokernel of the injective envelope; zero for injective modules."""
     if x.dim == 0:
         return x
-    _, env = injective_envelope(x)
-    c, _ = cokernel(env)
-    return c
+    return _memo(x, "cosyzygy", lambda: cokernel(injective_envelope(x)[1])[0])
 
 
 def minimal_injective_coresolution(x: ModuleRep, cap: int) -> Resolution:
@@ -221,24 +220,35 @@ def _flatten(m: RatMatrix) -> list[Fraction]:
     return [x for row in m.data for x in row]
 
 
+def _ext1_prefix(y: ModuleRep):
+    """(p0, d1, p1, p2, d2) of a minimal projective resolution of y; None
+    when y is projective, p2 and d2 None when the first syzygy is."""
+    p0, f0 = projective_cover(y)
+    k0, k0i = kernel(f0)
+    if k0.dim == 0:
+        return None
+    p1, f1 = projective_cover(k0)
+    d1 = f1.then(k0i)
+    k1, k1i = kernel(f1)
+    if k1.dim == 0:
+        return p0, d1, p1, None, None
+    p2, f2 = projective_cover(k1)
+    return p0, d1, p1, p2, f2.then(k1i)
+
+
 def ext1_dim(y: ModuleRep, x: ModuleRep) -> int:
     """dim Ext^1(y, x) from the start of a minimal projective resolution of y."""
     if y.dim == 0 or x.dim == 0:
         return 0
-    p0, f0 = projective_cover(y)
-    k0, k0i = kernel(f0)
-    if k0.dim == 0:
+    prefix = _memo(y, "ext1_prefix", lambda: _ext1_prefix(y))
+    if prefix is None:
         return 0
-    p1, f1 = projective_cover(k0)
-    d1 = f1.then(k0i)
-    k1, k1i = kernel(f1)
+    p0, d1, p1, p2, d2 = prefix
     h1 = hom_basis(p1, x)
     if not h1:
         return 0
     rank_d2 = 0
-    if k1.dim:
-        p2, f2 = projective_cover(k1)
-        d2 = f2.then(k1i)
+    if p2 is not None:
         sp = EchelonSpace(x.dim * p2.dim)
         for phi in h1:
             if sp.add(_flatten(phi.matrix @ d2.matrix)):

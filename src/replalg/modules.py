@@ -29,8 +29,24 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _memo(x: ModuleRep, key: str, compute):
+    """x's fact ``key``: compute() in full on first use, then the stored value."""
+    if key not in x._extras:
+        x._extras[key] = compute()
+    return x._extras[key]
+
+
 class ModuleRep:
-    """A finite-dimensional right module, given by its action matrices."""
+    """A finite-dimensional right module, given by its action matrices.
+
+    A module is immutable once constructed: nothing writes to its action
+    matrices or ``vertex_of`` afterwards.  So a fact certified about it once
+    stays true while it lives, and ``_extras`` keeps such facts on the
+    object (the cache dies with it).  Keys: ``algebra_embedding`` and
+    ``idempotent`` (projective e_v A), ``approximation_summands`` (source of
+    a right approximation), ``is_projective`` and ``is_injective``,
+    ``cosyzygy`` and ``ext1_prefix`` (the resolution start of ``ext1_dim``).
+    """
 
     __slots__ = ("algebra", "dim", "_actions", "vertex_of", "_coords", "_extras")
 
@@ -893,12 +909,10 @@ def injective_envelope(x: ModuleRep):
 def is_projective_module(x: ModuleRep) -> bool:
     if x.dim == 0:
         return True
-    _, f = projective_cover(x)
-    return f.is_isomorphism()
+    return _memo(x, "is_projective", lambda: projective_cover(x)[1].is_isomorphism())
 
 
 def is_injective_module(x: ModuleRep) -> bool:
     if x.dim == 0:
         return True
-    _, f = injective_envelope(x)
-    return f.is_isomorphism()
+    return _memo(x, "is_injective", lambda: injective_envelope(x)[1].is_isomorphism())

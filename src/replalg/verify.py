@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import ReplalgError
 from .homology import (
     _flatten,
     cosyzygy,
@@ -27,6 +28,8 @@ from .linalg import EchelonSpace
 from .modules import (
     ModuleRep,
     hom_basis,
+    injective_envelope,
+    is_projective_module,
     kernel,
     projective_module,
     radical_submodule,
@@ -262,6 +265,8 @@ def verify_ext_stablehom(q: Quiver, m: int, samples: int = 0, seed: int = 0) -> 
     for all built (Y, X) with X having projective-injective envelope, plus
     the vanishing of stable maps Omega^{-i}(projective) -> Omega^{-j}(A-module)
     for i < j."""
+    if samples < 0:
+        raise ReplalgError(f"samples must be nonnegative, got {samples}")
     amb = build_replicated(q, 2 * m + 1)
     pis = [mod for _, mod in projective_injectives(amb)]
     nv = len(q.vertices)
@@ -292,8 +297,6 @@ def verify_ext_stablehom(q: Quiver, m: int, samples: int = 0, seed: int = 0) -> 
     inventory.extend(pis)
 
     def envelope_is_pi(x: ModuleRep) -> bool:
-        from .modules import injective_envelope, is_projective_module
-
         if x.dim == 0:
             return False
         i, _ = injective_envelope(x)

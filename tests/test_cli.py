@@ -7,9 +7,10 @@ import pytest
 
 import replalg
 from replalg.cli import main, parse_quiver, serialize_quiver
-from replalg.errors import CapTooSmall, CyclicQuiver, DuplicateLabel, ParseError
+from replalg.errors import CapTooSmall, CyclicQuiver, DuplicateLabel, ParseError, ReplalgError
 from replalg.quiver import Quiver, kronecker, linear_quiver
 from replalg.replicated import minimal_cogenerator
+from replalg.verify import verify_ext_stablehom
 
 KRONECKER_JSON = json.dumps({
     "vertices": ["1", "2"],
@@ -65,6 +66,26 @@ def test_parse_rejects_cycles_and_duplicates():
                 {"name": "a", "from": "2", "to": "1"},
             ],
         }))
+
+
+@pytest.mark.parametrize("field", ["name", "from", "to"])
+def test_parse_rejects_non_string_arrow_fields(field):
+    arrow = {"name": "a", "from": "1", "to": "2", field: 1}
+    with pytest.raises(ParseError, match="must be strings"):
+        parse_quiver(json.dumps({"vertices": ["1", "2"], "arrows": [arrow]}))
+
+
+QUIVER_COMMANDS = ["repdim", "domdim", "bounds", "lemma24", "extcheck", "inventory"]
+
+
+@pytest.mark.parametrize("command", QUIVER_COMMANDS)
+def test_empty_quiver_is_a_parse_error(command, tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"vertices": [], "arrows": []}')
+    assert main([command, "--quiver", str(path), "--m", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == 'error: "vertices" must name at least one vertex\n'
 
 
 def test_repdim_command(kronecker_file, tmp_path, capsys):
@@ -198,3 +219,13 @@ def test_extcheck_rejects_cap(kronecker_file, capsys):
         main(["extcheck", "--quiver", kronecker_file, "--m", "1", "--cap", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --cap 3" in capsys.readouterr().err
+
+
+def test_extcheck_rejects_negative_samples(kronecker_file, capsys):
+    code = main(["extcheck", "--quiver", kronecker_file, "--m", "1", "--samples", "-3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: samples must be nonnegative, got -3\n"
+    with pytest.raises(ReplalgError):
+        verify_ext_stablehom(kronecker(), 1, samples=-1)

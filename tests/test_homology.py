@@ -1,8 +1,11 @@
 import pytest
 
+import replalg.homology
+import replalg.modules
 from replalg.errors import NotBasic, NotProjInjective
 from replalg.homology import (
     DimBound,
+    cosyzygy,
     decompose,
     dominant_dimension,
     end_algebra,
@@ -17,17 +20,21 @@ from replalg.homology import (
     stable_hom_dim,
 )
 from replalg.modules import (
+    ModuleRep,
     direct_sum,
     dual_module,
     hom_dim,
     injective_module,
+    is_injective_module,
+    is_projective_module,
     kernel,
     projective_cover,
     projective_module,
     regular_module,
     simple_module,
 )
-from replalg.quiver import build_hereditary, kronecker, one_vertex
+from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
+from replalg.replicated import build_replicated, embed, projective_injectives
 from replalg.algebra import AlgebraData
 
 
@@ -271,3 +278,98 @@ def test_right_approximation_empty_homs(kr):
     s2 = simple_module(kr, 1)
     g = right_approximation([s1], s2)
     assert g.source.dim == 0 and g.matrix.cols == 0
+
+
+# -- facts kept on the module object ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def a2_ext_inventory():
+    """The extcheck inventory of A2, m=1, inside the ambient A^(3): cosyzygy
+    chains of the embedded projectives and simples, and the
+    projective-injectives."""
+    amb = build_replicated(linear_quiver(2), 3)
+    pis = [mod for _, mod in projective_injectives(amb)]
+    inventory = []
+    for make in (projective_module, simple_module):
+        for v in range(2):
+            chain = [embed(make(amb.base, v), 0, amb)]
+            for _ in range(2):
+                nxt = cosyzygy(chain[-1])
+                if nxt.dim == 0:
+                    break
+                chain.append(nxt)
+            inventory.extend(chain)
+    return inventory + pis, pis
+
+
+def _fresh(x):
+    """An uncached module with the same action matrices as x."""
+    actions = {i: x.action_or_none(i) for i in range(x.algebra.dim)}
+    return ModuleRep(x.algebra, x.dim, actions, vertex_of=x.vertex_of)
+
+
+def _snapshot(x):
+    return (x.dim, list(x.vertex_of), [
+        None if m is None else [list(row) for row in m.data]
+        for m in (x.action_or_none(i) for i in range(x.algebra.dim))
+    ])
+
+
+def test_memoised_facts_match_fresh_modules(a2_ext_inventory):
+    inventory, _ = a2_ext_inventory
+    assert len(inventory) > 10 and all(x.dim for x in inventory)
+    for x in inventory:
+        for _ in range(2):  # the second round reads the stored facts
+            assert is_projective_module(x) == is_projective_module(_fresh(x))
+            assert is_injective_module(x) == is_injective_module(_fresh(x))
+            assert cosyzygy(x).vertex_dims() == cosyzygy(_fresh(x)).vertex_dims()
+        assert {"is_projective", "is_injective", "cosyzygy"} <= set(x.extras)
+    assert any(is_projective_module(x) for x in inventory)
+    assert not all(is_injective_module(x) for x in inventory)
+    values = set()
+    for y in inventory:
+        for x in inventory:
+            got = ext1_dim(y, x)
+            assert got == ext1_dim(_fresh(y), _fresh(x))
+            values.add(got)
+        assert "ext1_prefix" in y.extras
+    assert len(values) > 1
+
+
+def test_homological_functions_leave_inputs_unchanged(a2_ext_inventory):
+    inventory, pis = a2_ext_inventory
+    mods = [_fresh(x) for x in inventory]
+    fresh_pis = [_fresh(w) for w in pis]
+    before = [_snapshot(x) for x in mods + fresh_pis]
+    for _ in range(2):
+        for y in mods:
+            for x in mods:
+                ext1_dim(y, x)
+                stable_hom_dim(y, cosyzygy(x), fresh_pis)
+    assert [_snapshot(x) for x in mods + fresh_pis] == before
+
+
+def test_repeat_stable_hom_builds_no_envelope(a2_ext_inventory, monkeypatch):
+    inventory, pis = a2_ext_inventory
+    built = {"envelopes": 0, "covers": 0}
+
+    def counting(key, fn):
+        def wrapped(x):
+            built[key] += 1
+            return fn(x)
+        return wrapped
+
+    envelope = counting("envelopes", replalg.modules.injective_envelope)
+    cover = counting("covers", replalg.modules.projective_cover)
+    for mod in (replalg.modules, replalg.homology):
+        monkeypatch.setattr(mod, "injective_envelope", envelope)
+        monkeypatch.setattr(mod, "projective_cover", cover)
+    fresh_pis = [_fresh(w) for w in pis]
+    y, z = inventory[0], cosyzygy(inventory[1])
+    first = stable_hom_dim(y, z, fresh_pis)
+    # the first call proves each listed module injective and projective
+    assert built["envelopes"] == len(pis) and built["covers"] >= len(pis)
+    after_first = dict(built)
+    assert stable_hom_dim(y, z, fresh_pis) == first
+    assert built == after_first
