@@ -14,6 +14,7 @@ from .errors import (
     CopyOutOfRange,
     CyclicQuiver,
     DuplicateLabel,
+    EmptyQuiver,
     NonSplitSimple,
     NotBasic,
     NotProjInjective,

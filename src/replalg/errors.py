@@ -9,6 +9,10 @@ class ReplalgError(Exception):
     """Base class for all package errors."""
 
 
+class EmptyQuiver(ReplalgError):
+    """The quiver has no vertices, so its path algebra is zero."""
+
+
 class CyclicQuiver(ReplalgError):
     """The quiver has an oriented cycle; path algebras here must be finite."""
 

@@ -26,6 +26,7 @@ from .modules import (
     direct_sum,
     dual_module,
     hom_basis,
+    hom_dim,
     identity_map,
     injective_envelope,
     is_injective_module,
@@ -267,8 +268,8 @@ def stable_hom_dim(y: ModuleRep, z: ModuleRep, through: Sequence[ModuleRep]) -> 
     for w in through:
         if not (is_projective_module(w) and is_injective_module(w)):
             raise NotProjInjective("a listed module is not projective-injective")
-    homs = hom_basis(y, z)
-    if not homs:
+    dim_hom = hom_dim(y, z)
+    if not dim_hom:
         return 0
     sp = EchelonSpace(y.dim * z.dim)
     for w in through:
@@ -277,7 +278,7 @@ def stable_hom_dim(y: ModuleRep, z: ModuleRep, through: Sequence[ModuleRep]) -> 
         for a in into:
             for b in outof:
                 sp.add(_flatten(b.matrix @ a.matrix))
-    return len(homs) - sp.rank
+    return dim_hom - sp.rank
 
 
 # -- decomposition into indecomposables ----------------------------------------

@@ -1,9 +1,11 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything runs on ``fractions.Fraction``; no rounding ever happens.  The
 matrices here are the substrate for all Hom/solve computations in the rest
 of the package, so the inner loops skip zero entries aggressively (the
-matrices we meet are mostly zeros and ones).
+matrices we meet are mostly zeros and ones).  Systems that are sparse from
+the start (the Hom equations) are solved by :func:`sparse_kernel` on rows
+stored as ``{column: value}`` dicts.
 
 Matrices are immutable by convention: no method mutates ``self`` and
 callers must not modify ``data`` after construction.
@@ -216,7 +218,8 @@ class RatMatrix:
     def kernel_basis(self) -> "RatMatrix":
         """Basis of the right null space, one basis vector per column."""
         red, rank, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in set(pivots)]
+        pivset = set(pivots)
+        free = [c for c in range(self.cols) if c not in pivset]
         cols = []
         for f in free:
             v = [_ZERO] * self.cols
@@ -303,6 +306,76 @@ def block_diag(mats: Sequence[RatMatrix]) -> RatMatrix:
         r += m.rows
         c += m.cols
     return out
+
+
+def _sub_scaled(r: dict[int, Fraction], a: Fraction, row: dict[int, Fraction], p: int) -> None:
+    """r -= a * row in place, over the columns of row other than p."""
+    for j, x in row.items():
+        if j != p:
+            y = r.get(j, _ZERO) - a * x
+            if y:
+                r[j] = y
+            else:
+                del r[j]
+
+
+def _sparse_rref(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Fully reduced row echelon form of sparse rows, keyed by pivot column.
+
+    Each pivot row has a 1 at its pivot and no entry at any other pivot
+    column.  Rows are inserted one at a time, as in ``EchelonSpace.add``.
+    """
+    piv: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        r = {j: x for j, x in row.items() if x}
+        # pivot rows hold no other pivot column, so one pass clears them all
+        for p in [c for c in r if c in piv]:
+            _sub_scaled(r, r.pop(p), piv[p], p)
+        if not r:
+            continue
+        p = min(r)
+        a = r[p]
+        if a != 1:
+            inv = _ONE / a
+            r = {j: x * inv for j, x in r.items()}
+        # back-substitute into existing rows to stay fully reduced
+        for qrow in piv.values():
+            b = qrow.pop(p, None)
+            if b is not None:
+                _sub_scaled(qrow, b, r, p)
+        piv[p] = r
+    return piv
+
+
+def sparse_kernel(rows: Sequence[dict[int, Fraction]], n: int) -> list[dict[int, Fraction]]:
+    """Basis of the solutions of the sparse system ``rows`` in n unknowns.
+
+    Each row maps a column to a nonzero coefficient.  The basis is read off
+    as ``RatMatrix.kernel_basis`` reads it: one vector per free column in
+    ascending order, 1 at that column and minus the pivot-row entries at the
+    pivots.  The reduced row echelon form of a row space is unique, so the
+    vectors equal the dense ones entry for entry.  Each vector is returned
+    as ``{column: value}`` and is checked against every row first (work
+    nonzeros x nullity); a nonzero residual raises ``ValueError``.
+    """
+    piv = _sparse_rref(rows)
+    kernel = {f: {f: _ONE} for f in range(n) if f not in piv}
+    for p, prow in piv.items():
+        for j, a in prow.items():
+            if j != p:
+                kernel[j][p] = -a
+    basis = list(kernel.values())
+    for row in rows:
+        items = row.items()
+        for vec in basis:
+            acc = _ZERO
+            for j, a in items:
+                x = vec.get(j)
+                if x is not None:
+                    acc += a * x
+            if acc:
+                raise ValueError("sparse kernel vector does not solve its system")
+    return basis
 
 
 class EchelonSpace:

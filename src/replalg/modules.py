@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .algebra import AlgebraData
 from .errors import NonSplitSimple
-from .linalg import EchelonSpace, RatMatrix, vstack
+from .linalg import EchelonSpace, RatMatrix, sparse_kernel, vstack
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -410,25 +410,40 @@ def hom_basis(x: ModuleRep, y: ModuleRep) -> list[ModuleMap]:
     _same_algebra(x, y)
     if x.dim == 0 or y.dim == 0:
         return []
-    a = x.algebra
-    if a.grading is not None and x.vertex_of is not None and y.vertex_of is not None:
-        return _hom_basis_graded(x, y)
-    return _hom_basis_dense(x, y)
+    if not _graded_pair(x, y):
+        return _hom_basis_dense(x, y)
+    rows, where = _hom_equations(x, y)
+    maps = []
+    for vec in sparse_kernel(rows, len(where)):
+        m = RatMatrix.zeros(y.dim, x.dim)
+        for k, val in vec.items():
+            i, j = where[k]
+            m.data[i][j] = val
+        maps.append(ModuleMap(x, y, m))
+    return maps
 
 
-def _hom_basis_graded(x: ModuleRep, y: ModuleRep) -> list[ModuleMap]:
+def _graded_pair(x: ModuleRep, y: ModuleRep) -> bool:
+    return x.algebra.grading is not None and x.vertex_of is not None and y.vertex_of is not None
+
+
+def _hom_equations(x: ModuleRep, y: ModuleRep) -> tuple[list[dict[int, Fraction]], list[tuple[int, int]]]:
+    """The equations F_v @ X_b = Y_b @ F_u, for b of degree (u, v), on the
+    vertex blocks F_v of a map x -> y, as sparse rows.
+
+    Unknown k is the matrix entry ``where[k]`` of the map.  Rows that cancel
+    to zero (the idempotent equations F_v - F_v = 0) are dropped.
+    """
     a = x.algebra
     nv = len(a.idempotents)
     xi = [x.coords_at(v) for v in range(nv)]
     yi = [y.coords_at(v) for v in range(nv)]
     offs = []
-    n = 0
+    where = []
     for v in range(nv):
-        offs.append(n)
-        n += len(xi[v]) * len(yi[v])
-    if n == 0:
-        return []
-    rows: list[list[Fraction]] = []
+        offs.append(len(where))
+        where.extend((r, c) for r in yi[v] for c in xi[v])
+    rows: list[dict[int, Fraction]] = []
     for b in range(a.dim):
         u, v = a.grading[b]
         xb = x.action_or_none(b)
@@ -439,47 +454,25 @@ def _hom_basis_graded(x: ModuleRep, y: ModuleRep) -> list[ModuleMap]:
         dyu, dyv = len(yi[u]), len(yi[v])
         if dyv * dxu == 0:
             continue
-        # F_v @ X_b = Y_b @ F_u as equations on the blocks F_u, F_v
-        xblock = [[xb.data[r][c] for c in xi[u]] for r in xi[v]] if xb is not None else None
-        yblock = [[yb.data[r][c] for c in yi[u]] for r in yi[v]] if yb is not None else None
+        # nonzero entries of the (v, u) blocks: X_b by column, Y_b by row
+        xcols = [[(s, xb.data[r][c]) for s, r in enumerate(xi[v]) if xb.data[r][c]]
+                 for c in xi[u]] if xb is not None else [[]] * dxu
+        yrows = [[(s, yb.data[r][c]) for s, c in enumerate(yi[u]) if yb.data[r][c]]
+                 for r in yi[v]] if yb is not None else [[]] * dyv
         for r in range(dyv):
+            base = offs[v] + r * dxv
             for c in range(dxu):
-                row = [_ZERO] * n
-                hit = False
-                if xblock is not None:
-                    base = offs[v] + r * dxv
-                    for s in range(dxv):
-                        val = xblock[s][c]
-                        if val:
-                            row[base + s] += val
-                            hit = True
-                if yblock is not None:
-                    yrow = yblock[r]
-                    base = offs[u]
-                    for s in range(dyu):
-                        val = yrow[s]
-                        if val:
-                            row[base + s * dxu + c] -= val
-                            hit = True
-                if hit:
+                row = {base + s: val for s, val in xcols[c]}
+                for s, val in yrows[r]:
+                    k = offs[u] + s * dxu + c
+                    w = row.get(k, _ZERO) - val
+                    if w:
+                        row[k] = w
+                    else:
+                        del row[k]
+                if row:
                     rows.append(row)
-    if rows:
-        sol = RatMatrix(len(rows), n, rows).kernel_basis()
-    else:
-        sol = RatMatrix.identity(n)
-    maps = []
-    for j in range(sol.cols):
-        m = RatMatrix.zeros(y.dim, x.dim)
-        col = sol.column_vec(j)
-        for v in range(nv):
-            dxv, dyv = len(xi[v]), len(yi[v])
-            for r in range(dyv):
-                for c in range(dxv):
-                    val = col[offs[v] + r * dxv + c]
-                    if val:
-                        m.data[yi[v][r]][xi[v][c]] = val
-        maps.append(ModuleMap(x, y, m))
-    return maps
+    return rows, where
 
 
 def _hom_basis_dense(x: ModuleRep, y: ModuleRep) -> list[ModuleMap]:
@@ -519,7 +512,15 @@ def _hom_basis_dense(x: ModuleRep, y: ModuleRep) -> list[ModuleMap]:
 
 
 def hom_dim(x: ModuleRep, y: ModuleRep) -> int:
-    return len(hom_basis(x, y))
+    """dim Hom(x, y); on graded modules the nullity of the equations, with
+    no maps assembled."""
+    _same_algebra(x, y)
+    if x.dim == 0 or y.dim == 0:
+        return 0
+    if not _graded_pair(x, y):
+        return len(_hom_basis_dense(x, y))
+    rows, where = _hom_equations(x, y)
+    return len(sparse_kernel(rows, len(where)))
 
 
 # -- sub/quotient machinery --------------------------------------------------

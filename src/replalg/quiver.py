@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .algebra import AlgebraData
-from .errors import CyclicQuiver, DuplicateLabel
+from .errors import CyclicQuiver, DuplicateLabel, EmptyQuiver
 
 
 class Arrow(NamedTuple):
@@ -19,6 +19,8 @@ class Quiver:
 
     def __init__(self, vertices: Sequence[str], arrows: Sequence[tuple[str, str, str]]):
         self.vertices = tuple(str(v) for v in vertices)
+        if not self.vertices:
+            raise EmptyQuiver("a quiver needs at least one vertex")
         if len(set(self.vertices)) != len(self.vertices):
             raise DuplicateLabel("duplicate vertex name")
         if any(not v for v in self.vertices):
@@ -57,8 +59,6 @@ class Quiver:
 
     @property
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
         adj = {v: set() for v in self.vertices}
         for a in self.arrows:
             adj[a.source].add(a.target)

@@ -28,6 +28,7 @@ from .linalg import EchelonSpace
 from .modules import (
     ModuleRep,
     hom_basis,
+    hom_dim,
     injective_envelope,
     is_projective_module,
     kernel,
@@ -181,9 +182,9 @@ def verify_lemma_2_4(bundle: GeneratorBundle, x: ModuleRep, x_label: str,
                 in_add = False
     hom_exact = True
     for l in mods:
-        dk = len(hom_basis(l, kmod))
+        dk = hom_dim(l, kmod)
         hm = hom_basis(l, g.source)
-        dx = len(hom_basis(l, x))
+        dx = hom_dim(l, x)
         # rank of Hom(L, M1) -> Hom(L, x); exactness in the middle is the
         # dimension count, surjectivity on the right is the rank
         sp = EchelonSpace(x.dim * l.dim)

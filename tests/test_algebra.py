@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from replalg.algebra import AlgebraData
-from replalg.errors import CyclicQuiver, DuplicateLabel, NonSplitSimple
+from replalg.errors import CyclicQuiver, DuplicateLabel, EmptyQuiver, NonSplitSimple, ReplalgError
 from replalg.linalg import EchelonSpace
 from replalg.modules import regular_module, socle, top
 from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
@@ -27,6 +27,14 @@ def test_quiver_rejects_cycles_and_duplicates():
         Quiver(["1", "1"], [])
     with pytest.raises(DuplicateLabel):
         Quiver(["1", "2"], [("a", "1", "2"), ("a", "1", "2")])
+
+
+def test_empty_quiver_is_a_typed_error():
+    # an empty quiver used to reach verify_gl_dim_bounds and give a FAIL verdict
+    with pytest.raises(EmptyQuiver):
+        Quiver([], [])
+    with pytest.raises(ReplalgError):
+        linear_quiver(0)
 
 
 def test_quiver_connectivity_reported():

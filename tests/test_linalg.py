@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from replalg.linalg import EchelonSpace, RatMatrix, block_diag, hstack, vstack
+from replalg import linalg
+from replalg.linalg import EchelonSpace, RatMatrix, block_diag, hstack, sparse_kernel, vstack
 
 F = Fraction
 
@@ -156,3 +158,55 @@ def test_echelon_space_membership():
     assert not sp.add([F(2), F(3), F(4)])
     assert sp.contains([F(1), F(1), F(2)])
     assert not sp.contains([F(0), F(0), F(1)])
+
+
+@st.composite
+def sparse_systems(draw, max_dim=6):
+    """Rows as {column: value} dicts, with zero rows and repeated rows."""
+    n = draw(st.integers(0, max_dim))
+    entries = st.one_of(st.just(F(0)), small_entries)
+    dense = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=max_dim + 1))
+    dense.append([F(0)] * n)
+    if draw(st.booleans()):
+        dense += dense[: draw(st.integers(0, len(dense)))]
+    if draw(st.booleans()):
+        dense = []
+    return n, dense
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_systems())
+def test_sparse_kernel_matches_dense_kernel(system):
+    n, dense = system
+    rows = [{j: x for j, x in enumerate(r) if x} for r in dense]
+    got = sparse_kernel(rows, n)
+    want = RatMatrix(len(dense), n, dense).kernel_basis()
+    assert [[vec.get(j, 0) for j in range(n)] for vec in got] == want.columns()
+
+
+def test_sparse_kernel_edge_cases():
+    assert sparse_kernel([], 0) == []
+    assert sparse_kernel([{}, {}], 0) == []
+    assert sparse_kernel([], 2) == [{0: 1}, {1: 1}]
+    # an explicit zero coefficient is no equation
+    assert sparse_kernel([{0: F(0)}, {}], 1) == [{0: 1}]
+    # x0 + x1 = 0 and x1 - x2 = 0: reduced rows x0 + x2, x1 - x2
+    assert sparse_kernel([{0: F(1), 1: F(1)}, {1: F(1), 2: F(-1)}], 3) == [{2: 1, 0: -1, 1: 1}]
+
+
+def test_sparse_kernel_certificate_catches_a_corrupted_solve(monkeypatch):
+    rows = [{0: F(1), 1: F(1)}, {1: F(1), 2: F(-1)}]
+    solve = linalg._sparse_rref
+
+    def dropped(rows):
+        return solve(list(rows)[1:])
+
+    def flipped(rows):
+        piv = solve(rows)
+        piv[0][2] = -piv[0][2]
+        return piv
+
+    for corrupt in (dropped, flipped):
+        monkeypatch.setattr(linalg, "_sparse_rref", corrupt)
+        with pytest.raises(ValueError, match="does not solve"):
+            sparse_kernel(rows, 3)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import replalg.linalg
+import replalg.modules
 from replalg.linalg import RatMatrix
 from replalg.modules import (
     ModuleMap,
@@ -28,6 +30,7 @@ from replalg.modules import (
     zero_module,
 )
 from replalg.quiver import build_hereditary, kronecker, one_vertex
+from replalg.replicated import auslander_generator
 
 F = Fraction
 
@@ -271,3 +274,69 @@ def test_image_factorisation(kr):
     incl.validate()
     fac.validate()
     assert fac.then(incl).matrix == f.matrix
+
+
+# -- the sparse Hom solve ----------------------------------------------------
+
+
+def _dense_hom_oracle(x, y):
+    """Hom(x, y) from the same graded equations, solved by dense elimination."""
+    rows, where = replalg.modules._hom_equations(x, y)
+    n = len(where)
+    sol = RatMatrix(len(rows), n, [[row.get(k, 0) for k in range(n)] for row in rows]).kernel_basis()
+    mats = []
+    for col in sol.columns():
+        m = RatMatrix.zeros(y.dim, x.dim)
+        for k, val in enumerate(col):
+            if val:
+                i, j = where[k]
+                m.data[i][j] = val
+        mats.append(m)
+    return mats
+
+
+@pytest.fixture(scope="module")
+def kronecker_m1_summands():
+    return [s.module for s in auslander_generator(kronecker(), 1).summands]
+
+
+@pytest.mark.parametrize("inventory", ["a2_ext_inventory", "kronecker_m1_summands"])
+def test_sparse_hom_basis_matches_dense_oracle(inventory, request):
+    mods = request.getfixturevalue(inventory)
+    if inventory == "a2_ext_inventory":
+        mods = mods[0]
+    assert len(mods) >= 10 and all(x.is_adapted() for x in mods)
+    dims = set()
+    for x in mods:
+        for y in mods:
+            basis = hom_basis(x, y)
+            assert [f.matrix for f in basis] == _dense_hom_oracle(x, y)
+            for f in basis:
+                f.validate()
+            assert hom_dim(x, y) == len(basis)
+            dims.add(len(basis))
+    assert {0, 1} <= dims
+
+
+def test_corrupted_hom_solve_is_caught(kr, monkeypatch):
+    x = y = regular_module(kr)
+    rows, _ = replalg.modules._hom_equations(x, y)
+    assert len(hom_basis(x, y)) == 4 and all(rows)
+    solve = replalg.linalg._sparse_rref
+
+    def dropped(rows):
+        return solve(list(rows)[1:])
+
+    def flipped(rows):
+        piv = solve(rows)
+        p, prow = next((p, r) for p, r in piv.items() if len(r) > 1)
+        j = next(j for j in prow if j != p)
+        prow[j] = -prow[j]
+        return piv
+
+    for corrupt in (dropped, flipped):
+        monkeypatch.setattr(replalg.linalg, "_sparse_rref", corrupt)
+        with pytest.raises(ValueError, match="does not solve"):
+            hom_basis(x, y)
+        with pytest.raises(ValueError, match="does not solve"):
+            hom_dim(x, y)
