@@ -6,9 +6,10 @@ idempotents.  Associativity, the unit law and the idempotent axioms are
 checked exhaustively at construction; primitivity of the idempotents is
 checked lazily because it needs the radical.
 
-Most algebras built here are *graded*: every basis element b satisfies
-e_u b e_v = b for a unique pair of idempotents.  The grading table drives
-the block decompositions used throughout the module layer.
+The basis must be a Peirce basis: every basis element b satisfies
+e_u b e_v = b for a unique pair of idempotents, or construction raises
+ValueError.  The grading table drives the radical and the block
+decompositions used throughout the module layer.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import NonSplitSimple
+from .errors import NonSplitSimple, NotBasic
 from .linalg import EchelonSpace, RatMatrix
 
 _ZERO = Fraction(0)
@@ -30,7 +31,7 @@ def _to_sparse(pairs) -> SparseVec:
     return tuple((int(k), c if type(c) is Fraction else Fraction(c)) for k, c in pairs if c)
 
 
-def _sparse_of_dense(vec: Sequence[Fraction]) -> SparseVec:
+def _sparse_coords(vec: Sequence[Fraction]) -> SparseVec:
     return tuple((i, c) for i, c in enumerate(vec) if c)
 
 
@@ -91,7 +92,7 @@ class AlgebraData:
 
     def mult_coords(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
         out = [_ZERO] * self.dim
-        for k, c in self.mult_sparse(_sparse_of_dense(x), _sparse_of_dense(y)):
+        for k, c in self.mult_sparse(_sparse_coords(x), _sparse_coords(y)):
             out[k] = c
         return out
 
@@ -101,47 +102,30 @@ class AlgebraData:
             out[k] = c
         return out
 
-    def left_mult_matrix(self, x: Sequence[Fraction]) -> RatMatrix:
-        """Matrix of y -> x*y on coordinate columns."""
-        sx = _sparse_of_dense(x)
-        cols = []
-        for j in range(self.dim):
-            cols.append(self.dense(self.mult_sparse(sx, ((j, _ONE),))))
-        return RatMatrix.from_columns(cols, nrows=self.dim)
-
     # -- construction checks ---------------------------------------------
 
-    def _compute_grading(self) -> Optional[list[tuple[int, int]]]:
-        """(u, v) per basis element with e_u b e_v = b, or None if not graded."""
+    def _compute_grading(self) -> list[tuple[int, int]]:
+        """(u, v) per basis element with e_u b e_v = b; ValueError if there is none."""
+        idem_sparse = [_sparse_coords(coords) for _, coords in self.idempotents]
         table = []
-        idem_sparse = [_sparse_of_dense(coords) for _, coords in self.idempotents]
         for b in range(self.dim):
             sb: SparseVec = ((b, _ONE),)
-            left = right = -1
-            for u, e in enumerate(idem_sparse):
-                if self.mult_sparse(e, sb) == sb:
-                    if left >= 0:
-                        return None
-                    left = u
-            for v, e in enumerate(idem_sparse):
-                if self.mult_sparse(sb, e) == sb:
-                    if right >= 0:
-                        return None
-                    right = v
-            if left < 0 or right < 0:
-                return None
-            table.append((left, right))
+            left = [u for u, e in enumerate(idem_sparse) if self.mult_sparse(e, sb) == sb]
+            right = [v for v, e in enumerate(idem_sparse) if self.mult_sparse(sb, e) == sb]
+            if len(left) != 1 or len(right) != 1:
+                raise ValueError(f"basis element {self.labels[b]} is not in one Peirce block")
+            table.append((left[0], right[0]))
         return table
 
     def _check_axioms(self) -> None:
         dim = self.dim
-        unit_sparse = _sparse_of_dense(self.unit)
+        unit_sparse = _sparse_coords(self.unit)
         for j in range(dim):
             sj: SparseVec = ((j, _ONE),)
             if self.mult_sparse(unit_sparse, sj) != sj or self.mult_sparse(sj, unit_sparse) != sj:
                 raise ValueError(f"unit law fails on basis element {self.labels[j]}")
         # idempotent system
-        idem = [_sparse_of_dense(coords) for _, coords in self.idempotents]
+        idem = [_sparse_coords(coords) for _, coords in self.idempotents]
         total = [_ZERO] * dim
         for (lab, coords), e in zip(self.idempotents, idem):
             if self.mult_sparse(e, e) != e:
@@ -159,62 +143,55 @@ class AlgebraData:
     def _check_associativity(self) -> None:
         dim = self.dim
         mult = self.mult
-        if self.grading is not None:
-            # soundness of the triple pruning below needs homogeneous products
-            for i in range(dim):
-                for j in range(dim):
-                    expected = (self.grading[i][0], self.grading[j][1])
-                    for k, _c in mult[i][j]:
-                        if self.grading[k] != expected:
-                            raise ValueError("product expansion is not grading-homogeneous")
-            # only grading-composable triples can be nonzero on either side
-            by_left: dict[int, list[int]] = {}
-            for j, (u, _v) in enumerate(self.grading):
-                by_left.setdefault(u, []).append(j)
-            for i in range(dim):
-                iv = self.grading[i][1]
-                js = by_left.get(iv, [])
-                for j in js:
-                    pij = mult[i][j]
-                    jv = self.grading[j][1]
-                    for k in by_left.get(jv, []):
-                        if self.mult_sparse(pij, ((k, _ONE),)) != self.mult_sparse(((i, _ONE),), mult[j][k]):
-                            raise ValueError(
-                                f"associativity fails on ({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
-                            )
-            # cross-grading products must vanish identically
-            for i in range(dim):
-                iv = self.grading[i][1]
-                for j in range(dim):
-                    if self.grading[j][0] != iv and mult[i][j]:
-                        raise ValueError("graded product does not vanish across idempotents")
-            return
+        # soundness of the triple pruning below needs homogeneous products
         for i in range(dim):
             for j in range(dim):
+                expected = (self.grading[i][0], self.grading[j][1])
+                for k, _c in mult[i][j]:
+                    if self.grading[k] != expected:
+                        raise ValueError("product expansion is not grading-homogeneous")
+        # only grading-composable triples can be nonzero on either side
+        by_left: dict[int, list[int]] = {}
+        for j, (u, _v) in enumerate(self.grading):
+            by_left.setdefault(u, []).append(j)
+        for i in range(dim):
+            iv = self.grading[i][1]
+            js = by_left.get(iv, [])
+            for j in js:
                 pij = mult[i][j]
-                for k in range(dim):
-                    pjk = mult[j][k]
-                    if not pij and not pjk:
-                        continue
-                    if self.mult_sparse(pij, ((k, _ONE),)) != self.mult_sparse(((i, _ONE),), pjk):
+                jv = self.grading[j][1]
+                for k in by_left.get(jv, []):
+                    if self.mult_sparse(pij, ((k, _ONE),)) != self.mult_sparse(((i, _ONE),), mult[j][k]):
                         raise ValueError(
                             f"associativity fails on ({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
                         )
+        # cross-grading products must vanish identically
+        for i in range(dim):
+            iv = self.grading[i][1]
+            for j in range(dim):
+                if self.grading[j][0] != iv and mult[i][j]:
+                    raise ValueError("graded product does not vanish across idempotents")
 
     # -- radical ---------------------------------------------------------
 
     def radical_basis(self) -> list[list[Fraction]]:
-        """Basis of the Jacobson radical: Peirce blocks when certified, else the trace form."""
-        if self._radical is None:
-            if self.grading is not None and len(self.idempotents) > 1:
-                self._radical = self._structural_radical()
-            if self._radical is None:
-                self._radical = [_sparse_of_dense(v) for v in self._trace_form_radical()]
-        return [self.dense(r) for r in self._radical]
+        """Basis of the Jacobson radical, as dense coordinate vectors."""
+        return [self.dense(r) for r in self.radical_sparse()]
 
     def radical_sparse(self) -> list[SparseVec]:
-        """The radical basis as sparse vectors; a unit vector is ((i, 1),)."""
-        return self._radical if self._radical is not None else list(map(_sparse_of_dense, self.radical_basis()))
+        """The radical basis as sparse vectors; a unit vector is ((i, 1),).
+
+        Read off the Peirce blocks when there are several idempotents; one
+        idempotent, or a failed ideal check, takes the trace form.
+        """
+        if self._radical is None:
+            if len(self.idempotents) > 1:
+                self._radical = self._structural_radical()
+            if self._radical is None:
+                self._radical = [_sparse_coords(v) for v in self._trace_form_radical()]
+                if len(self.idempotents) == 1:
+                    self._corner_codims = [self.dim - len(self._radical)]
+        return self._radical
 
     def _structural_radical(self) -> Optional[list[SparseVec]]:
         """rad A from the grading, or None if A is not basic for its idempotents.
@@ -227,8 +204,9 @@ class AlgebraData:
         nonzero image of R in A/rad A holds a central idempotent f with some
         e_u f e_u != 0, yet e_u R e_u = rad(e_u A e_u) = e_u rad(A) e_u maps
         to 0.  A/R is the product of the semisimple corner quotients, so rad A
-        lies in R.  A failed check (matrix units in M_2(Q), say) gives None.
-        The corner codimensions are kept for :meth:`ensure_split_basic`.
+        lies in R.  A failed check (matrix units in M_2(Q), say) gives None:
+        a basic algebra always passes it.  The corner codimensions are kept
+        for :meth:`ensure_split_basic`.
         """
         blocks: dict[tuple[int, int], list[int]] = {}
         for b, uv in enumerate(self.grading):
@@ -284,7 +262,7 @@ class AlgebraData:
             span.add(v)
         # two-sided ideal
         for v in rad:
-            sv = _sparse_of_dense(v)
+            sv = _sparse_coords(v)
             for j in range(dim):
                 sj: SparseVec = ((j, _ONE),)
                 if not span.contains(self.dense(self.mult_sparse(sv, sj))):
@@ -298,9 +276,9 @@ class AlgebraData:
                 break
             nxt = EchelonSpace(dim)
             for v in current:
-                sv = _sparse_of_dense(v)
+                sv = _sparse_coords(v)
                 for w in rad:
-                    prod = self.dense(self.mult_sparse(sv, _sparse_of_dense(w)))
+                    prod = self.dense(self.mult_sparse(sv, _sparse_coords(w)))
                     nxt.add(prod)
             current = [list(r) for r in nxt.rows]
         else:
@@ -333,34 +311,21 @@ class AlgebraData:
         if gram.rank() != qdim:
             raise ValueError("quotient by radical candidate is not semisimple")
 
-    def radical_span(self) -> EchelonSpace:
-        span = EchelonSpace(self.dim)
-        for v in self.radical_basis():
-            span.add(v)
-        return span
-
     # -- split-basic certificate ------------------------------------------
 
     def ensure_split_basic(self) -> None:
         """Check every e_i (A/rad) e_i is one-dimensional; raise NonSplitSimple.
 
         Over Q this is what makes tops sums of the chosen simples, covers
-        correct, and the idempotents primitive.
+        correct, and the idempotents primitive.  An algebra that fails the
+        Peirce ideal check of the radical is not basic: NotBasic.
         """
         if self._split_basic:
             return
         self.radical_sparse()
         codims = self._corner_codims
         if codims is None:
-            radspan = self.radical_span()
-            codims = []
-            for _lab, coords in self.idempotents:
-                se = _sparse_of_dense(coords)
-                corner = EchelonSpace(self.dim)
-                for j in range(self.dim):
-                    v = self.mult_sparse(se, self.mult_sparse(((j, _ONE),), se))
-                    corner.add(radspan._reduce(self.dense(v)))
-                codims.append(corner.rank)
+            raise NotBasic("the off-diagonal Peirce blocks leave the corner radicals: not basic")
         for (lab, _coords), c in zip(self.idempotents, codims):
             if c != 1:
                 raise NonSplitSimple(f"e({lab}) (A/rad) e({lab}) has dimension {c}, not 1")

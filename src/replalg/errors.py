@@ -39,7 +39,8 @@ class NonSplitSimple(ReplalgError):
 
 
 class NotBasic(ReplalgError):
-    """Two summands of the module are isomorphic; End would not be basic."""
+    """An algebra is not basic for its idempotents: M_2(Q) with matrix units,
+    or End of a module with two isomorphic summands."""
 
 
 class NotProjInjective(ReplalgError):

@@ -9,12 +9,11 @@ backed by a deterministic certificate.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import sympy
 
 from .algebra import AlgebraData
 from .errors import NotBasic, NotProjInjective, UndecidableDecomposition
@@ -284,9 +283,6 @@ def stable_hom_dim(y: ModuleRep, z: ModuleRep, through: Sequence[ModuleRep]) -> 
 # -- decomposition into indecomposables ----------------------------------------
 
 
-_X = sympy.Symbol("x")
-
-
 def _minimal_polynomial(a: RatMatrix) -> list[Fraction]:
     """Monic minimal polynomial, ascending coefficients."""
     n = a.rows
@@ -305,14 +301,51 @@ def _minimal_polynomial(a: RatMatrix) -> list[Fraction]:
         powers.append(nxt)
 
 
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small]
+
+
+def _primitive(cs: list[Fraction]) -> list[Fraction]:
+    """The positive multiple of cs with coprime integer entries."""
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    g = math.gcd(*ints)
+    return [Fraction(c // g) for c in ints]
+
+
 def _coprime_factors(coeffs: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    poly = sympy.Poly(list(reversed(coeffs)), _X, domain="QQ")
-    _, factors = poly.factor_list()
-    out = []
-    for fac, e in factors:
-        cs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
-        out.append((cs, int(e)))
-    return out
+    """Pairwise coprime factors (f, e) of a monic polynomial, ascending
+    coefficients.
+
+    Each rational root r gives (x - r)^e; r = p/q has p | a_0 and q | a_n
+    once the polynomial is scaled to integers and x is taken out.  A
+    root-free cofactor stays one factor.  Factors are primitive integer
+    polynomials in the usual order of a factor list: by degree, then
+    multiplicity, then coefficients from the leading one.
+    """
+    ints = _primitive(coeffs)
+    low = next(k for k, c in enumerate(ints) if c)
+    factors = [([_ZERO, _ONE], low)] if low else []
+    rest = list(coeffs[low:])
+    roots = {Fraction(s * p, q) for p in _divisors(abs(int(ints[low])))
+             for q in _divisors(int(ints[-1])) for s in (1, -1)}
+    for r in roots:
+        e = 0
+        while len(rest) > 1:
+            # synthetic division by x - r, top coefficient first
+            quot = [rest[-1]]
+            for c in reversed(rest[1:-1]):
+                quot.append(c + r * quot[-1])
+            if rest[0] + r * quot[-1]:
+                break
+            rest, e = quot[::-1], e + 1
+        if e:
+            factors.append((_primitive([-r, _ONE]), e))
+    if len(rest) > 1:
+        factors.append((_primitive(rest), 1))
+    return sorted(factors, key=lambda f: (len(f[0]), f[1], f[0][::-1]))
 
 
 def _matrix_poly(a: RatMatrix, coeffs: Sequence[Fraction]) -> RatMatrix:
@@ -480,7 +513,7 @@ def is_isomorphic(x: ModuleRep, y: ModuleRep, seed: int = 0) -> Optional[ModuleM
         raise ValueError("modules live over different algebras")
     if x.dim != y.dim:
         return None
-    if x.vertex_of is not None and y.vertex_of is not None and x.vertex_dims() != y.vertex_dims():
+    if x.vertex_dims() != y.vertex_dims():
         return None
     if x.dim == 0:
         return ModuleMap(x, y, RatMatrix.zeros(0, 0))
@@ -578,7 +611,6 @@ def end_algebra(x: ModuleRep, summands=None, seed: int = 0) -> AlgebraData:
             blocks[(i, j)] = basis
     index: dict[tuple[int, int, int], int] = {}
     labels: list[str] = []
-    grading_pairs: list[tuple[int, int]] = []
     for i in range(n):
         for j in range(n):
             for a in range(len(blocks[(i, j)])):
@@ -587,7 +619,6 @@ def end_algebra(x: ModuleRep, summands=None, seed: int = 0) -> AlgebraData:
                     labels.append(f"e({summands[i][0]})")
                 else:
                     labels.append(f"{summands[i][0]}>{summands[j][0]}.{a}")
-                grading_pairs.append((i, j))
     dim = len(labels)
     # express all composable products in the block bases, one solve per target block
     solvers: dict[tuple[int, int], RatMatrix] = {}

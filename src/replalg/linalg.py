@@ -438,10 +438,6 @@ class EchelonSpace:
         self.pivots.insert(where, p)
         return True
 
-    def add_matrix_columns(self, m: RatMatrix) -> None:
-        for j in range(m.cols):
-            self.add(m.column_vec(j))
-
     def basis_matrix(self) -> RatMatrix:
         """Basis as columns of an n x rank matrix."""
         return RatMatrix.from_columns(self.rows, nrows=self.n)

@@ -8,12 +8,13 @@ so composing actions reverses order: act(a*b) = act(b) @ act(a).
 A :class:`ModuleMap` f: X -> Y is a (dim Y x dim X) matrix with
 f @ act_X(b) = act_Y(b) @ f for every basis element b.
 
-Modules are kept in idempotent-adapted coordinates whenever possible:
-``vertex_of[i]`` names the idempotent whose action fixes coordinate i, and
-act(e_v) is then a 0/1 diagonal projector.  All constructors preserve this,
-which lets Hom spaces, kernels, covers and envelopes be computed block by
-block.  Modules that lose the adapted form (or algebras whose basis is not
-graded) fall back to dense computations.
+Modules live in idempotent-adapted coordinates, always: ``vertex_of[i]``
+names the idempotent whose action fixes coordinate i, and act(e_v) is then a
+0/1 diagonal projector.  Together with the Peirce basis of the algebra this
+makes a module a quiver representation: a basis element of degree (u, v)
+maps the coordinates at u to those at v.  Every constructor builds its
+result in these coordinates, so Hom spaces, kernels, covers and envelopes
+are computed block by block.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class ModuleRep:
 
     __slots__ = ("algebra", "dim", "_actions", "vertex_of", "_coords", "_extras")
 
-    def __init__(self, algebra: AlgebraData, dim: int, actions, vertex_of=None):
+    def __init__(self, algebra: AlgebraData, dim: int, actions, vertex_of: Sequence[int]):
         self.algebra = algebra
         self.dim = dim
         acts: list[Optional[RatMatrix]] = [None] * algebra.dim
@@ -66,8 +67,8 @@ class ModuleRep:
             if not m.is_zero():
                 acts[i] = m
         self._actions = acts
-        self.vertex_of = list(vertex_of) if vertex_of is not None else None
-        if self.vertex_of is not None and len(self.vertex_of) != dim:
+        self.vertex_of = list(vertex_of)
+        if len(self.vertex_of) != dim:
             raise ValueError("vertex_of has wrong length")
         self._coords = None
         self._extras = {}
@@ -113,7 +114,7 @@ class ModuleRep:
     def coords_at(self, v: int) -> list[int]:
         if self._coords is None:
             byv = {}
-            for i, v0 in enumerate(self.vertex_of or []):
+            for i, v0 in enumerate(self.vertex_of):
                 byv.setdefault(v0, []).append(i)
             self._coords = byv
         return self._coords.get(v, [])
@@ -126,13 +127,8 @@ class ModuleRep:
     def extras(self) -> dict:
         return self._extras
 
-    def is_adapted(self) -> bool:
-        return self.vertex_of is not None
-
     def __repr__(self) -> str:
-        if self.vertex_of is not None:
-            return f"ModuleRep(dim={self.dim}, dims={self.vertex_dims()})"
-        return f"ModuleRep(dim={self.dim})"
+        return f"ModuleRep(dim={self.dim}, dims={self.vertex_dims()})"
 
     # -- verification -------------------------------------------------------
 
@@ -159,15 +155,14 @@ class ModuleRep:
                     raise ValueError(
                         f"action violates structure constants on ({a.labels[i]}, {a.labels[j]})"
                     )
-        if self.vertex_of is not None:
-            for v, (_lab, coords) in enumerate(a.idempotents):
-                ev = self.act_coords(coords)
-                want = RatMatrix.zeros(self.dim, self.dim)
-                for i, v0 in enumerate(self.vertex_of):
-                    if v0 == v:
-                        want.data[i][i] = _ONE
-                if ev != want:
-                    raise ValueError(f"idempotent {v} is not the marked coordinate projector")
+        for v, (_lab, coords) in enumerate(a.idempotents):
+            ev = self.act_coords(coords)
+            want = RatMatrix.zeros(self.dim, self.dim)
+            for i, v0 in enumerate(self.vertex_of):
+                if v0 == v:
+                    want.data[i][i] = _ONE
+            if ev != want:
+                raise ValueError(f"idempotent {v} is not the marked coordinate projector")
 
 
 class ModuleMap:
@@ -246,40 +241,32 @@ def regular_module(a: AlgebraData) -> ModuleRep:
         m = RatMatrix.from_columns(cols, nrows=a.dim)
         if not m.is_zero():
             actions[b] = m
-    vertex_of = [g[1] for g in a.grading] if a.grading is not None else None
-    return ModuleRep(a, a.dim, actions, vertex_of=vertex_of)
+    return ModuleRep(a, a.dim, actions, vertex_of=[g[1] for g in a.grading])
 
 
 def projective_module(a: AlgebraData, v: int) -> ModuleRep:
     """The indecomposable projective e_v * A."""
     if v in a._proj_cache:
         return a._proj_cache[v]
-    if a.grading is not None:
-        basis = [j for j in range(a.dim) if a.grading[j][0] == v]
-        index = {j: r for r, j in enumerate(basis)}
-        d = len(basis)
-        actions = {}
-        for b in range(a.dim):
-            m = RatMatrix.zeros(d, d)
-            hit = False
-            for c, j in enumerate(basis):
-                for k, coeff in a.mult[j][b]:
-                    m.data[index[k]][c] = coeff
-                    hit = True
-            if hit:
-                actions[b] = m
-        mod = ModuleRep(a, d, actions, vertex_of=[a.grading[j][1] for j in basis])
-        emb = RatMatrix.zeros(a.dim, d)
+    basis = [j for j in range(a.dim) if a.grading[j][0] == v]
+    index = {j: r for r, j in enumerate(basis)}
+    d = len(basis)
+    actions = {}
+    for b in range(a.dim):
+        m = RatMatrix.zeros(d, d)
+        hit = False
         for c, j in enumerate(basis):
-            emb.data[j][c] = _ONE
-        mod.extras["algebra_embedding"] = emb
-        mod.extras["idempotent"] = v
-    else:
-        reg = regular_module(a)
-        le = a.left_mult_matrix(a.idempotents[v][1])
-        mod, incl, _ = image(ModuleMap(reg, reg, le))
-        mod.extras["algebra_embedding"] = incl.matrix
-        mod.extras["idempotent"] = v
+            for k, coeff in a.mult[j][b]:
+                m.data[index[k]][c] = coeff
+                hit = True
+        if hit:
+            actions[b] = m
+    mod = ModuleRep(a, d, actions, vertex_of=[a.grading[j][1] for j in basis])
+    emb = RatMatrix.zeros(a.dim, d)
+    for c, j in enumerate(basis):
+        emb.data[j][c] = _ONE
+    mod.extras["algebra_embedding"] = emb
+    mod.extras["idempotent"] = v
     a._proj_cache[v] = mod
     return mod
 
@@ -354,11 +341,7 @@ def direct_sum(xs: Sequence[ModuleRep], algebra: Optional[AlgebraData] = None):
                         if val:
                             mrow[off + c] = val
         actions[b] = m
-    if all(x.vertex_of is not None for x in xs):
-        vertex_of = [v for x in xs for v in x.vertex_of]
-    else:
-        vertex_of = None
-    total = ModuleRep(a, dim, actions, vertex_of=vertex_of)
+    total = ModuleRep(a, dim, actions, vertex_of=[v for x in xs for v in x.vertex_of])
     injections, projections = [], []
     for x, off in zip(xs, offs):
         inj = RatMatrix.zeros(dim, x.dim)
@@ -371,37 +354,6 @@ def direct_sum(xs: Sequence[ModuleRep], algebra: Optional[AlgebraData] = None):
     return total, injections, projections
 
 
-def adapt_module(x: ModuleRep):
-    """Conjugate a module into idempotent-adapted coordinates.
-
-    Returns (adapted, to_original) where to_original: adapted -> x is an
-    isomorphism.  No-op when x is already adapted.
-    """
-    if x.vertex_of is not None:
-        return x, identity_map(x)
-    a = x.algebra
-    cols: list[list[Fraction]] = []
-    vertex_of: list[int] = []
-    for v, (_lab, coords) in enumerate(a.idempotents):
-        pv = x.act_coords(coords)
-        basis, _ = pv.column_space_basis()
-        for j in range(basis.cols):
-            cols.append(basis.column_vec(j))
-            vertex_of.append(v)
-    c = RatMatrix.from_columns(cols, nrows=x.dim)
-    if c.cols != x.dim:
-        raise ValueError("idempotent projectors do not decompose the module")
-    cinv = c.inverse()
-    if cinv is None:
-        raise ValueError("idempotent projectors do not decompose the module")
-    actions = {}
-    for i, m in enumerate(x._actions):
-        if m is not None:
-            actions[i] = cinv @ (m @ c)
-    ad = ModuleRep(a, x.dim, actions, vertex_of=vertex_of)
-    return ad, ModuleMap(ad, x, c)
-
-
 # -- Hom spaces -------------------------------------------------------------
 
 
@@ -410,8 +362,6 @@ def hom_basis(x: ModuleRep, y: ModuleRep) -> list[ModuleMap]:
     _same_algebra(x, y)
     if x.dim == 0 or y.dim == 0:
         return []
-    if not _graded_pair(x, y):
-        return _hom_basis_dense(x, y)
     rows, where = _hom_equations(x, y)
     maps = []
     for vec in sparse_kernel(rows, len(where)):
@@ -421,10 +371,6 @@ def hom_basis(x: ModuleRep, y: ModuleRep) -> list[ModuleMap]:
             m.data[i][j] = val
         maps.append(ModuleMap(x, y, m))
     return maps
-
-
-def _graded_pair(x: ModuleRep, y: ModuleRep) -> bool:
-    return x.algebra.grading is not None and x.vertex_of is not None and y.vertex_of is not None
 
 
 def _hom_equations(x: ModuleRep, y: ModuleRep) -> tuple[list[dict[int, Fraction]], list[tuple[int, int]]]:
@@ -475,50 +421,11 @@ def _hom_equations(x: ModuleRep, y: ModuleRep) -> tuple[list[dict[int, Fraction]
     return rows, where
 
 
-def _hom_basis_dense(x: ModuleRep, y: ModuleRep) -> list[ModuleMap]:
-    a = x.algebra
-    n = x.dim * y.dim
-    rows: list[list[Fraction]] = []
-    for b in range(a.dim):
-        xb = x.action_or_none(b)
-        yb = y.action_or_none(b)
-        if xb is None and yb is None:
-            continue
-        for r in range(y.dim):
-            for c in range(x.dim):
-                row = [_ZERO] * n
-                hit = False
-                if xb is not None:
-                    for s in range(x.dim):
-                        val = xb.data[s][c]
-                        if val:
-                            row[r * x.dim + s] += val
-                            hit = True
-                if yb is not None:
-                    for s in range(y.dim):
-                        val = yb.data[r][s]
-                        if val:
-                            row[s * x.dim + c] -= val
-                            hit = True
-                if hit:
-                    rows.append(row)
-    sol = RatMatrix(len(rows), n, rows).kernel_basis() if rows else RatMatrix.identity(n)
-    maps = []
-    for j in range(sol.cols):
-        col = sol.column_vec(j)
-        m = RatMatrix(y.dim, x.dim, [col[r * x.dim:(r + 1) * x.dim] for r in range(y.dim)])
-        maps.append(ModuleMap(x, y, m))
-    return maps
-
-
 def hom_dim(x: ModuleRep, y: ModuleRep) -> int:
-    """dim Hom(x, y); on graded modules the nullity of the equations, with
-    no maps assembled."""
+    """dim Hom(x, y): the nullity of the equations, with no maps assembled."""
     _same_algebra(x, y)
     if x.dim == 0 or y.dim == 0:
         return 0
-    if not _graded_pair(x, y):
-        return len(_hom_basis_dense(x, y))
     rows, where = _hom_equations(x, y)
     return len(sparse_kernel(rows, len(where)))
 
@@ -531,11 +438,8 @@ def submodule_from_vertex_bases(x: ModuleRep, bases: dict[int, RatMatrix]):
 
     ``bases[v]`` has len(coords_at(v)) rows; its columns are vectors in the
     v-component of x, assumed module-closed as a whole.  Returns (K, incl).
-    Needs a graded algebra basis for the blockwise action transport.
     """
     a = x.algebra
-    if a.grading is None:
-        raise ValueError("blockwise submodules need a graded algebra basis")
     nv = len(a.idempotents)
     xi = [x.coords_at(v) for v in range(nv)]
     kdims = [bases[v].cols if v in bases else 0 for v in range(nv)]
@@ -602,42 +506,14 @@ def _blocks_of_map(f: ModuleMap) -> dict[int, RatMatrix]:
 def kernel(f: ModuleMap):
     """(kernel module, inclusion)."""
     x = f.source
-    if x.vertex_of is None or f.target.vertex_of is None or x.algebra.grading is None:
-        return _kernel_dense(f)
     blocks = _blocks_of_map(f)
     bases = {v: m.kernel_basis() for v, m in blocks.items()}
     return submodule_from_vertex_bases(x, bases)
 
 
-def _kernel_dense(f: ModuleMap):
-    x = f.source
-    b = f.matrix.kernel_basis()
-    return _submodule_dense(x, b)
-
-
-def _submodule_dense(x: ModuleRep, b: RatMatrix):
-    a = x.algebra
-    actions = {}
-    for i, m in enumerate(x._actions):
-        if m is None:
-            continue
-        z = b.solve(m @ b)
-        if z is None:
-            raise ValueError("span is not module-closed")
-        if not z.is_zero():
-            actions[i] = z
-    k = ModuleRep(a, b.cols, actions, vertex_of=None)
-    return k, ModuleMap(k, x, b)
-
-
 def image(f: ModuleMap):
     """(image module, inclusion into target, factorisation of f through it)."""
     x, y = f.source, f.target
-    if x.vertex_of is None or y.vertex_of is None or x.algebra.grading is None:
-        c, _ = f.matrix.column_space_basis()
-        img, incl = _submodule_dense(y, c)
-        fac = c.solve(f.matrix)
-        return img, incl, ModuleMap(x, img, fac)
     blocks = _blocks_of_map(f)
     bases = {}
     facs = {}
@@ -665,8 +541,6 @@ def image(f: ModuleMap):
 def cokernel(f: ModuleMap):
     """(cokernel module, projection from target)."""
     y = f.target
-    if f.source.vertex_of is None or y.vertex_of is None or y.algebra.grading is None:
-        return _cokernel_dense(f)
     a = y.algebra
     nv = len(a.idempotents)
     yi = [y.coords_at(v) for v in range(nv)]
@@ -728,31 +602,6 @@ def cokernel(f: ModuleMap):
     return cok, pm
 
 
-def _cokernel_dense(f: ModuleMap):
-    y = f.target
-    red, _, pivots = f.matrix.transpose().rref()
-    pivset = set(pivots)
-    free = [c for c in range(y.dim) if c not in pivset]
-    q = RatMatrix.zeros(len(free), y.dim)
-    for l, fc in enumerate(free):
-        q.data[l][fc] = _ONE
-        for i, p in enumerate(pivots):
-            val = red.data[i][fc]
-            if val:
-                q.data[l][p] = -val
-    s = RatMatrix.zeros(y.dim, len(free))
-    for l, fc in enumerate(free):
-        s.data[fc][l] = _ONE
-    actions = {}
-    for i, m in enumerate(y._actions):
-        if m is not None:
-            z = q @ (m @ s)
-            if not z.is_zero():
-                actions[i] = z
-    cok = ModuleRep(y.algebra, len(free), actions, vertex_of=None)
-    return cok, ModuleMap(y, cok, q)
-
-
 # -- radical, top, socle -------------------------------------------------------
 
 
@@ -763,18 +612,8 @@ def _radical_actions(x: ModuleRep) -> list[RatMatrix]:
     return [m for m in acts if m is not None]
 
 
-def _radical_span(x: ModuleRep) -> EchelonSpace:
-    """x * rad(A) in the coordinates of x."""
-    span = EchelonSpace(x.dim)
-    for m in _radical_actions(x):
-        span.add_matrix_columns(m)
-    return span
-
-
 def _radical_vertex_spans(x: ModuleRep) -> list[EchelonSpace]:
-    """Per-vertex spans of x * rad(A); needs adapted coordinates."""
-    if x.vertex_of is None:
-        raise ValueError("module must be in adapted coordinates")
+    """Per-vertex spans of x * rad(A)."""
     nv = len(x.algebra.idempotents)
     xi = [x.coords_at(v) for v in range(nv)]
     spans = [EchelonSpace(len(xi[v])) for v in range(nv)]
@@ -791,12 +630,6 @@ def _radical_vertex_spans(x: ModuleRep) -> list[EchelonSpace]:
 
 def radical_submodule(x: ModuleRep):
     """(x * rad(A), inclusion)."""
-    if x.algebra.grading is None:
-        return _submodule_dense(x, _radical_span(x).basis_matrix())
-    if x.vertex_of is None:
-        ad, iso = adapt_module(x)
-        rad, incl = radical_submodule(ad)
-        return rad, incl.then(iso)
     spans = _radical_vertex_spans(x)
     bases = {v: sp.basis_matrix() for v, sp in enumerate(spans)}
     return submodule_from_vertex_bases(x, bases)
@@ -814,12 +647,6 @@ def socle(x: ModuleRep):
     if not a.radical_sparse():
         return x, identity_map(x)
     stacked = vstack(_radical_actions(x) or [RatMatrix.zeros(0, x.dim)])
-    if a.grading is None:
-        return _submodule_dense(x, stacked.kernel_basis())
-    if x.vertex_of is None:
-        ad, iso = adapt_module(x)
-        soc, incl = socle(ad)
-        return soc, incl.then(iso)
     nv = len(a.idempotents)
     bases = {}
     for v in range(nv):
@@ -838,10 +665,6 @@ def projective_cover(x: ModuleRep):
         raise ValueError("projective cover of the zero module is not defined here")
     a = x.algebra
     a.ensure_split_basic()
-    if x.vertex_of is None:
-        ad, iso = adapt_module(x)
-        p, f = projective_cover(ad)
-        return p, f.then(iso)
     spans = _radical_vertex_spans(x)
     nv = len(a.idempotents)
     summands: list[ModuleRep] = []
@@ -866,18 +689,12 @@ def projective_cover(x: ModuleRep):
     if not cover.is_surjective():
         raise ValueError("projective cover construction failed to be surjective")
     kmod, kincl = kernel(cover)
-    if p.vertex_of is not None:
-        pspans = _radical_vertex_spans(p)
-        for j in range(kmod.dim):
-            col = kincl.matrix.column_vec(j)
-            for v in range(nv):
-                local = [col[g] for g in p.coords_at(v)]
-                if any(local) and not pspans[v].contains(local):
-                    raise ValueError("projective cover kernel is not superfluous")
-    else:
-        span = _radical_span(p)
-        for j in range(kmod.dim):
-            if not span.contains(kincl.matrix.column_vec(j)):
+    pspans = _radical_vertex_spans(p)
+    for j in range(kmod.dim):
+        col = kincl.matrix.column_vec(j)
+        for v in range(nv):
+            local = [col[g] for g in p.coords_at(v)]
+            if any(local) and not pspans[v].contains(local):
                 raise ValueError("projective cover kernel is not superfluous")
     return p, cover
 

@@ -167,9 +167,7 @@ def embed(x: ModuleRep, copy: int, into: ReplicatedAlgebra) -> ModuleRep:
         act = x.action_or_none(pi)
         if act is not None:
             actions[into.key_index[("p", p, copy)]] = act
-    vertex_of = None
-    if x.vertex_of is not None:
-        vertex_of = [copy * into.num_vertices + v for v in x.vertex_of]
+    vertex_of = [copy * into.num_vertices + v for v in x.vertex_of]
     return ModuleRep(into.algebra, x.dim, actions, vertex_of=vertex_of)
 
 

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from replalg.algebra import AlgebraData
-from replalg.errors import CyclicQuiver, DuplicateLabel, EmptyQuiver, NonSplitSimple, ReplalgError
+from replalg.errors import CyclicQuiver, DuplicateLabel, EmptyQuiver, NonSplitSimple, NotBasic, ReplalgError
 from replalg.linalg import EchelonSpace
-from replalg.modules import regular_module, socle, top
+from replalg.modules import projective_cover, projective_module, regular_module, socle, top
 from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
 
 F = Fraction
@@ -143,6 +143,16 @@ def test_structural_radical_refuses_non_basic_algebra():
     assert a._corner_codims is None
 
 
+def test_split_basic_refuses_non_basic_algebra():
+    # M_2(Q) fails the Peirce ideal check, so it is not basic: the check must
+    # say so instead of letting a cover fail later with an untyped error
+    with pytest.raises(NotBasic):
+        matrix_units().ensure_split_basic()
+    a = matrix_units()
+    with pytest.raises(NotBasic):
+        projective_cover(projective_module(a, 0))
+
+
 def test_non_split_corner_detected_on_structural_path():
     # [[K, K], [0, Q]] with K = Q(sqrt 2) = span{e1, s}, s^2 = 2 e1, and the
     # off-diagonal K spanned by a, b = s a
@@ -171,10 +181,12 @@ def test_structural_radical_with_a_local_corner():
     mult[e2][y], mult[y][e1] = ((y, 1),), ((y, 1),)
     a = AlgebraData(["e1", "e2", "a", "b", "e1+ab"], mult, [1, 1, 0, 0, 0],
                     [("1", [1, 0, 0, 0, 0]), ("2", [0, 1, 0, 0, 0])])
-    span = EchelonSpace(5)
+    span, rad = EchelonSpace(5), EchelonSpace(5)
     for v in a._trace_form_radical():
         span.add(v)
-    assert span.rows == a.radical_span().rows and span.rank == 3
+    for v in a.radical_basis():
+        rad.add(v)
+    assert span.rows == rad.rows and span.rank == 3
     assert ((e1, -1), (d, 1)) in a.radical_sparse()
     assert a._corner_codims == [1, 1]
     a.ensure_split_basic()

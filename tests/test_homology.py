@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import replalg.homology
 import replalg.modules
@@ -158,6 +161,50 @@ def test_undecidable_decomposition_surfaces():
     a = AlgebraData(["1", "s"], mult, [1, 0], [("pt", [1, 0])])
     with pytest.raises(UndecidableDecomposition):
         decompose(regular_module(a))
+
+
+def _poly_mul(f, g):
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _monic(f):
+    return [c / f[-1] for c in f]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.dictionaries(
+        st.fractions(min_value=-4, max_value=4, max_denominator=3),
+        st.integers(min_value=1, max_value=3),
+        min_size=1, max_size=4,
+    ),
+    st.sampled_from([None, [1, 0, 1], [-2, 0, 1]]),
+)
+def test_coprime_factors_match_sympy(roots, extra):
+    # sympy (a test dependency only) is the oracle for the rational-root splitter
+    import sympy
+
+    poly = [Fraction(1)]
+    for r, e in roots.items():
+        for _ in range(e):
+            poly = _poly_mul(poly, [-r, Fraction(1)])
+    if extra is not None:
+        poly = _poly_mul(poly, [Fraction(c) for c in extra])
+    factors = replalg.homology._coprime_factors(poly)
+    x = sympy.Symbol("x")
+    _, ref = sympy.Poly(list(reversed(poly)), x, domain="QQ").factor_list()
+    assert [(_monic(f), e) for f, e in factors] == [
+        (_monic([Fraction(c.p, c.q) for c in reversed(g.all_coeffs())]), int(e)) for g, e in ref
+    ]
+    back = [Fraction(1)]
+    for f, e in factors:
+        for _ in range(e):
+            back = _poly_mul(back, _monic(f))
+    assert back == poly
 
 
 def test_decompose_simple_and_powers(kr):

@@ -145,7 +145,8 @@ def test_solve_cross_check(m, vec):
 @given(matrices(max_dim=5))
 def test_echelon_space_matches_rank(m):
     sp = EchelonSpace(m.rows)
-    sp.add_matrix_columns(m)
+    for col in m.columns():
+        sp.add(col)
     assert sp.rank == m.rank()
     for j in range(m.cols):
         assert sp.contains(m.column_vec(j))

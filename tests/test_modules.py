@@ -7,7 +7,7 @@ import replalg.modules
 from replalg.linalg import RatMatrix
 from replalg.modules import (
     ModuleMap,
-    adapt_module,
+    ModuleRep,
     cokernel,
     direct_sum,
     dual_module,
@@ -219,42 +219,42 @@ def test_cover_verifies_surjective_and_superfluous(kr):
     f.validate()
 
 
-def test_dense_fallback_matches_graded(kr):
-    # conjugate a module out of adapted coordinates and check hom dims agree
+def test_vertex_block_base_change_keeps_invariants(kr):
+    # twist P2 by a base change inside each vertex block: still adapted, and
+    # every invariant must survive it
     p2 = projective_module(kr, 1)
-    c = RatMatrix.from_rows([[1, 1, 0], [0, 1, 0], [1, 0, 1]])
+    at0, at1 = p2.coords_at(0), p2.coords_at(1)
+    c = RatMatrix.identity(3)
+    c.data[at0[0]][at0[1]] = F(1)
+    c.data[at0[1]][at0[0]] = F(-2)
+    c.data[at1[0]][at1[0]] = F(3)
     cinv = c.inverse()
-    twisted = type(p2)(
-        kr, 3,
-        {i: cinv @ (p2.action(i) @ c) for i in range(kr.dim) if p2.action_or_none(i) is not None},
-        vertex_of=None,
-    )
+    acts = {i: cinv @ (p2.action(i) @ c) for i in range(kr.dim) if p2.action_or_none(i) is not None}
+    twisted = ModuleRep(kr, 3, acts, vertex_of=p2.vertex_of)
     twisted.validate()
-    s1 = simple_module(kr, 0)
-    assert hom_dim(twisted, s1) == hom_dim(p2, s1)
-    assert hom_dim(s1, twisted) == hom_dim(s1, p2)
-    ad, iso = adapt_module(twisted)
-    ad.validate()
-    iso.validate()
-    assert ad.vertex_dims() == p2.vertex_dims()
+    assert twisted.vertex_dims() == p2.vertex_dims() == [2, 1]
+    s1, s2 = simple_module(kr, 0), simple_module(kr, 1)
+    for s in (s1, s2, p2):
+        assert hom_dim(twisted, s) == hom_dim(p2, s)
+        assert hom_dim(s, twisted) == hom_dim(s, p2)
     p, f = projective_cover(twisted)
-    assert f.is_surjective() and p.vertex_dims() == [2, 1]
+    assert f.is_isomorphism() and p.vertex_dims() == [2, 1]
+    # a module without vertex labels is not a module here
+    with pytest.raises(TypeError):
+        ModuleRep(kr, 3, acts, vertex_of=None)
+    with pytest.raises(TypeError):
+        ModuleRep(kr, 3, acts)
 
 
-def test_ungraded_algebra_fallback_paths():
-    # k x k in the basis {1, u} with u^2 = 1 is not idempotent-graded
+def test_product_algebra_in_peirce_basis():
+    # Q x Q in its Peirce basis {p, q}; the basis {1, u} with u^2 = 1 has no
+    # Peirce grading and is refused
     from replalg.algebra import AlgebraData
     from replalg.homology import decompose, global_dimension
 
-    mult = [
-        [((0, 1),), ((1, 1),)],
-        [((1, 1),), ((0, 1),)],
-    ]
-    idems = [("p", [F(1, 2), F(1, 2)]), ("q", [F(1, 2), F(-1, 2)])]
-    a = AlgebraData(["1", "u"], mult, [1, 0], idems)
-    assert a.grading is None
+    a = AlgebraData(["p", "q"], [[((0, 1),), ()], [(), ((1, 1),)]], [1, 1],
+                    [("p", [1, 0]), ("q", [0, 1])])
     reg = regular_module(a)
-    assert reg.vertex_of is None
     assert hom_dim(reg, reg) == 2
     p, f = projective_cover(reg)
     assert f.is_isomorphism()
@@ -263,6 +263,13 @@ def test_ungraded_algebra_fallback_paths():
     pieces = decompose(reg)
     assert sorted(c for _, c in pieces) in ([1, 1], [2])
     assert sum(m.dim * c for m, c in pieces) == 2
+    mult = [
+        [((0, 1),), ((1, 1),)],
+        [((1, 1),), ((0, 1),)],
+    ]
+    idems = [("p", [F(1, 2), F(1, 2)]), ("q", [F(1, 2), F(-1, 2)])]
+    with pytest.raises(ValueError, match="Peirce"):
+        AlgebraData(["1", "u"], mult, [1, 0], idems)
 
 
 def test_image_factorisation(kr):
@@ -305,7 +312,7 @@ def test_sparse_hom_basis_matches_dense_oracle(inventory, request):
     mods = request.getfixturevalue(inventory)
     if inventory == "a2_ext_inventory":
         mods = mods[0]
-    assert len(mods) >= 10 and all(x.is_adapted() for x in mods)
+    assert len(mods) >= 10
     dims = set()
     for x in mods:
         for y in mods:

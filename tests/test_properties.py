@@ -126,8 +126,9 @@ def assert_radical_matches_trace_form(a):
         return sp.rows
 
     assert span(a.radical_basis()) == span(a._trace_form_radical())
-    # several idempotents take the structural path, one the trace form
-    assert (a._corner_codims is not None) == (len(a.idempotents) > 1)
+    # several idempotents take the structural path, one the trace form; both
+    # keep one corner codimension per idempotent
+    assert len(a._corner_codims) == len(a.idempotents)
 
 
 @pytest.mark.parametrize("a", ALGEBRAS)
@@ -148,7 +149,8 @@ def test_radical_nilpotent_and_quotient_semisimple(a):
     assert not current
     # the quotient has zero radical: radical of the quotient trace form
     # is checked at construction; here we check idempotence of the operator
-    span = a.radical_span()
+    span = EchelonSpace(a.dim)
+    assert all(span.add(v) for v in rad)  # independent: a basis
     for v in rad:
         assert span.contains(v)
 

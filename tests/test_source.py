@@ -1,7 +1,10 @@
 """Rules on the package source itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import replalg
 
@@ -16,3 +19,11 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_cli_imports_without_sympy():
+    # sympy is a test oracle only; the engine must not load it
+    code = "import sys, replalg.cli; print('sympy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
