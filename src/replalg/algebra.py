@@ -40,7 +40,7 @@ class AlgebraData:
 
     __slots__ = (
         "labels", "dim", "mult", "unit", "idempotents",
-        "grading", "_radical", "_corner_codims", "_opposite", "_split_basic",
+        "grading", "_radical", "_radical_pieces", "_corner_codims", "_opposite", "_split_basic",
         "_simple_cache", "_proj_cache", "_inj_cache",
     )
 
@@ -63,6 +63,7 @@ class AlgebraData:
             for lab, coords in idempotents
         )
         self._radical: Optional[list[SparseVec]] = None
+        self._radical_pieces = None
         self._corner_codims: Optional[list[int]] = None
         self._opposite = None
         self._split_basic: Optional[bool] = None
@@ -192,6 +193,25 @@ class AlgebraData:
                 if len(self.idempotents) == 1:
                     self._corner_codims = [self.dim - len(self._radical)]
         return self._radical
+
+    def radical_pieces(self) -> tuple[frozenset[int], list[tuple[int, int, SparseVec]]]:
+        """The radical basis split into Peirce pieces: the basis elements that
+        are radical basis vectors themselves, and (u, v, piece of degree (u, v))
+        for every other vector.  rad A is the sum of its pieces e_u rad(A) e_v,
+        so the pieces span it.
+        """
+        if self._radical_pieces is None:
+            units, rest = set(), []
+            for r in self.radical_sparse():
+                if len(r) == 1 and r[0][1] == 1:
+                    units.add(r[0][0])
+                    continue
+                pieces: dict[tuple[int, int], list] = {}
+                for b, c in r:
+                    pieces.setdefault(self.grading[b], []).append((b, c))
+                rest.extend((u, v, tuple(vec)) for (u, v), vec in pieces.items())
+            self._radical_pieces = (frozenset(units), rest)
+        return self._radical_pieces
 
     def _structural_radical(self) -> Optional[list[SparseVec]]:
         """rad A from the grading, or None if A is not basic for its idempotents.

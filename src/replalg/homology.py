@@ -434,10 +434,6 @@ def _end_top_dimension(m: ModuleRep) -> int:
     return gram.rank()
 
 
-def is_indecomposable_certified(m: ModuleRep) -> bool:
-    return m.dim > 0 and _end_top_dimension(m) == 1
-
-
 def _indecomposable_pieces(x: ModuleRep, seed: int = 0):
     """Split x into certified indecomposables; returns (piece, incl, proj) triples."""
     if x.dim == 0:

@@ -42,6 +42,13 @@ class RatMatrix:
                 raise ValueError("data shape does not match (rows, cols)")
 
     @classmethod
+    def _of(cls, rows: int, cols: int, data: list[list[Fraction]]) -> "RatMatrix":
+        """Wrap rows of Fractions already of shape (rows, cols): no coercion, no check."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.data = rows, cols, data
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
         return cls(rows, cols)
 
@@ -89,10 +96,10 @@ class RatMatrix:
         return all(not x for row in self.data for x in row)
 
     def copy(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, [row[:] for row in self.data])
+        return RatMatrix._of(self.rows, self.cols, [row[:] for row in self.data])
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows, [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return RatMatrix._of(self.cols, self.rows, [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def column_vec(self, j: int) -> list[Fraction]:
         return [row[j] for row in self.data]
@@ -101,7 +108,7 @@ class RatMatrix:
         return [self.column_vec(j) for j in range(self.cols)]
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMatrix":
-        return RatMatrix(
+        return RatMatrix._of(
             len(row_idx), len(col_idx),
             [[self.data[i][j] for j in col_idx] for i in row_idx],
         )
@@ -111,23 +118,23 @@ class RatMatrix:
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return RatMatrix(self.rows, self.cols,
-                         [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        return RatMatrix._of(self.rows, self.cols,
+                             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in subtraction")
-        return RatMatrix(self.rows, self.cols,
-                         [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        return RatMatrix._of(self.rows, self.cols,
+                             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, [[-a for a in row] for row in self.data])
+        return RatMatrix._of(self.rows, self.cols, [[-a for a in row] for row in self.data])
 
     def scaled(self, c) -> "RatMatrix":
         c = c if type(c) is Fraction else Fraction(c)
         if not c:
             return RatMatrix.zeros(self.rows, self.cols)
-        return RatMatrix(self.rows, self.cols, [[c * a for a in row] for row in self.data])
+        return RatMatrix._of(self.rows, self.cols, [[c * a for a in row] for row in self.data])
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -147,7 +154,7 @@ class RatMatrix:
                         for j, b in enumerate(brow):
                             if b:
                                 orow[j] = orow[j] + a * b
-        return RatMatrix(self.rows, other.cols, out)
+        return RatMatrix._of(self.rows, other.cols, out)
 
     def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
         """Matrix times column vector, as plain lists."""
@@ -210,7 +217,7 @@ class RatMatrix:
     def rref(self) -> tuple["RatMatrix", int, list[int]]:
         """Reduced row echelon form, rank, and pivot columns."""
         m, pivots = self._gauss_jordan()
-        return RatMatrix(self.rows, self.cols, m), len(pivots), pivots
+        return RatMatrix._of(self.rows, self.cols, m), len(pivots), pivots
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -243,8 +250,8 @@ class RatMatrix:
         """
         if self.rows != rhs.rows:
             raise ValueError("shape mismatch in solve")
-        aug = RatMatrix(self.rows, self.cols + rhs.cols,
-                        [a + b for a, b in zip(self.data, rhs.data)])
+        aug = RatMatrix._of(self.rows, self.cols + rhs.cols,
+                            [a + b for a, b in zip(self.data, rhs.data)])
         red, pivots = aug._gauss_jordan(aug=rhs.cols)
         nc = self.cols
         for i in range(len(pivots), self.rows):
@@ -253,7 +260,7 @@ class RatMatrix:
         x = [[_ZERO] * rhs.cols for _ in range(nc)]
         for i, p in enumerate(pivots):
             x[p] = red[i][nc:]
-        return RatMatrix(nc, rhs.cols, x)
+        return RatMatrix._of(nc, rhs.cols, x)
 
     def inverse(self) -> Optional["RatMatrix"]:
         if self.rows != self.cols:
@@ -289,7 +296,7 @@ def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
     if any(m.cols != cols for m in mats):
         raise ValueError("vstack column mismatch")
     data = [row[:] for m in mats for row in m.data]
-    return RatMatrix(sum(m.rows for m in mats), cols, data)
+    return RatMatrix._of(sum(m.rows for m in mats), cols, data)
 
 
 def block_diag(mats: Sequence[RatMatrix]) -> RatMatrix:

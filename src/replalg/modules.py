@@ -2,19 +2,24 @@
 
 Conventions
 -----------
-A :class:`ModuleRep` stores one action matrix per algebra basis element.
-Matrices act on column coordinate vectors: coords(x * b) = act(b) @ coords(x),
-so composing actions reverses order: act(a*b) = act(b) @ act(a).
-A :class:`ModuleMap` f: X -> Y is a (dim Y x dim X) matrix with
+A module is a quiver representation over the Peirce basis of its algebra.
+``vertex_of[i]`` names the idempotent that fixes coordinate i, and
+``coords_at(v)`` lists the coordinates at v in order.  A basis element b of
+degree (u, v), that is e_u b e_v = b, maps the coordinates at u to those at
+v, so a :class:`ModuleRep` stores only that block of its action:
+``blocks[b]`` is a len(coords_at(v)) x len(coords_at(u)) matrix, absent
+when it is zero.  Blocks act on column vectors, coords(x * b) =
+blocks[b] @ coords(x) on the coordinates at u, so composing actions reverses
+order: act(a*b) = act(b) @ act(a).  The dense dim x dim ``action(b)`` is a
+read-only view for the checks and the tests.
+
+A :class:`ModuleMap` f: X -> Y is a dense (dim Y x dim X) matrix with
 f @ act_X(b) = act_Y(b) @ f for every basis element b.
 
-Modules live in idempotent-adapted coordinates, always: ``vertex_of[i]``
-names the idempotent whose action fixes coordinate i, and act(e_v) is then a
-0/1 diagonal projector.  Together with the Peirce basis of the algebra this
-makes a module a quiver representation: a basis element of degree (u, v)
-maps the coordinates at u to those at v.  Every constructor builds its
-result in these coordinates, so Hom spaces, kernels, covers and envelopes
-are computed block by block.
+Every constructor builds blocks directly, and Hom spaces, kernels, covers,
+envelopes, radicals and socles are computed block by block.  Constructors
+trust their own blocks; :meth:`ModuleRep.from_actions` is the checked entry
+for dense action matrices.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Optional, Sequence
 
 from .algebra import AlgebraData
 from .errors import NonSplitSimple
-from .linalg import EchelonSpace, RatMatrix, sparse_kernel, vstack
+from .linalg import EchelonSpace, RatMatrix, block_diag, sparse_kernel, vstack
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -38,85 +43,84 @@ def _memo(x: ModuleRep, key: str, compute):
 
 
 class ModuleRep:
-    """A finite-dimensional right module, given by its action matrices.
+    """A finite-dimensional right module, given by the Peirce blocks of its action.
 
-    A module is immutable once constructed: nothing writes to its action
-    matrices or ``vertex_of`` afterwards.  So a fact certified about it once
-    stays true while it lives, and ``_extras`` keeps such facts on the
-    object (the cache dies with it).  Keys: ``algebra_embedding`` and
-    ``idempotent`` (projective e_v A), ``approximation_summands`` (source of
-    a right approximation), ``is_projective`` and ``is_injective``,
+    ``blocks`` maps each basis element b of degree (u, v) whose action is
+    nonzero to its (v, u) block.  The constructor checks only the block
+    shapes and trusts ``vertex_of``; dense action matrices enter through
+    :meth:`from_actions`, which checks them against the labels.
+
+    A module is immutable once constructed: nothing writes to its blocks or
+    ``vertex_of`` afterwards.  So a fact certified about it once stays true
+    while it lives, and ``_extras`` keeps such facts on the object (the cache
+    dies with it).  Keys: ``algebra_basis`` (e_v A and A itself: the basis
+    element at each coordinate), ``approximation_summands`` (source of a
+    right approximation), ``is_projective`` and ``is_injective``,
     ``cosyzygy`` and ``ext1_prefix`` (the resolution start of ``ext1_dim``).
     """
 
-    __slots__ = ("algebra", "dim", "_actions", "vertex_of", "_coords", "_extras")
+    __slots__ = ("algebra", "dim", "blocks", "vertex_of", "_coords", "_extras")
 
-    def __init__(self, algebra: AlgebraData, dim: int, actions, vertex_of: Sequence[int]):
+    def __init__(self, algebra: AlgebraData, dim: int, blocks: dict[int, RatMatrix],
+                 vertex_of: Sequence[int]):
         self.algebra = algebra
         self.dim = dim
-        acts: list[Optional[RatMatrix]] = [None] * algebra.dim
-        if isinstance(actions, dict):
-            items = actions.items()
-        else:
-            items = enumerate(actions)
-        for i, m in items:
-            if m is None:
-                continue
-            if m.rows != dim or m.cols != dim:
-                raise ValueError("action matrix has wrong shape")
-            if not m.is_zero():
-                acts[i] = m
-        self._actions = acts
         self.vertex_of = list(vertex_of)
         if len(self.vertex_of) != dim:
             raise ValueError("vertex_of has wrong length")
-        self._coords = None
+        byv: dict[int, list[int]] = {}
+        for i, v in enumerate(self.vertex_of):
+            byv.setdefault(v, []).append(i)
+        self._coords = byv
+        for b, m in blocks.items():
+            u, v = algebra.grading[b]
+            if m.rows != len(byv.get(v, ())) or m.cols != len(byv.get(u, ())):
+                raise ValueError("action block has wrong shape")
+        self.blocks = blocks
         self._extras = {}
+
+    @classmethod
+    def from_actions(cls, algebra: AlgebraData, actions, vertex_of: Sequence[int]) -> "ModuleRep":
+        """The module with dense action matrices ``actions`` ({b: matrix}),
+        each sliced to its Peirce block.
+
+        Raises ValueError if a nonzero entry of the action of b, of degree
+        (u, v), lies outside the rows at v and the columns at u, or if an
+        idempotent e_v does not act as the identity on the coordinates at v.
+        """
+        x = cls(algebra, len(vertex_of), {}, vertex_of)  # blocks sliced to shape below
+        for b, m in actions.items():
+            if m.rows != x.dim or m.cols != x.dim:
+                raise ValueError("action matrix has wrong shape")
+            u, v = algebra.grading[b]
+            block = m.submatrix(x.coords_at(v), x.coords_at(u))
+            if sum(1 for row in m.data for c in row if c) != sum(1 for row in block.data for c in row if c):
+                raise ValueError(f"action of {algebra.labels[b]} leaves its Peirce block")
+            if not block.is_zero():
+                x.blocks[b] = block
+        for v, (lab, coords) in enumerate(algebra.idempotents):
+            d = len(x.coords_at(v))
+            ev = _block_of(x, [(b, c) for b, c in enumerate(coords) if c]) or RatMatrix.zeros(d, d)
+            if ev != RatMatrix.identity(d):
+                raise ValueError(f"idempotent {lab} does not act as the identity at its vertex")
+        return x
 
     # -- access -----------------------------------------------------------
 
-    def action(self, i: int) -> RatMatrix:
-        m = self._actions[i]
-        return m if m is not None else RatMatrix.zeros(self.dim, self.dim)
-
-    def action_or_none(self, i: int) -> Optional[RatMatrix]:
-        return self._actions[i]
-
-    def act_coords(self, coords: Sequence[Fraction]) -> RatMatrix:
-        """Action matrix of an arbitrary algebra element."""
+    def action(self, b: int) -> RatMatrix:
+        """Dense dim x dim view of the action of basis element b (checks and tests only)."""
         out = RatMatrix.zeros(self.dim, self.dim)
-        for i, c in enumerate(coords):
-            if c:
-                m = self._actions[i]
-                if m is not None:
-                    for r in range(self.dim):
-                        mrow = m.data[r]
-                        orow = out.data[r]
-                        for j in range(self.dim):
-                            x = mrow[j]
-                            if x:
-                                orow[j] = orow[j] + c * x
-        return out
-
-    def act_column(self, coords: Sequence[Fraction], g: int) -> list[Fraction]:
-        """Column g of act_coords(coords), without building the matrix."""
-        out = [_ZERO] * self.dim
-        for i, c in enumerate(coords):
-            if c:
-                m = self._actions[i]
-                if m is not None:
-                    for r in range(self.dim):
-                        x = m.data[r][g]
-                        if x:
-                            out[r] = out[r] + c * x
+        m = self.blocks.get(b)
+        if m is not None:
+            u, v = self.algebra.grading[b]
+            cols = self.coords_at(u)
+            for g, row in zip(self.coords_at(v), m.data):
+                orow = out.data[g]
+                for c, val in zip(cols, row):
+                    orow[c] = val
         return out
 
     def coords_at(self, v: int) -> list[int]:
-        if self._coords is None:
-            byv = {}
-            for i, v0 in enumerate(self.vertex_of):
-                byv.setdefault(v0, []).append(i)
-            self._coords = byv
         return self._coords.get(v, [])
 
     def vertex_dims(self) -> list[int]:
@@ -133,36 +137,45 @@ class ModuleRep:
     # -- verification -------------------------------------------------------
 
     def validate(self) -> None:
-        """Check the module axioms exactly; used by the test-suite."""
+        """Check the module axioms exactly on the dense view; used by the test-suite."""
         a = self.algebra
-        unit = self.act_coords(a.unit)
-        if unit != RatMatrix.identity(self.dim):
+        acts = {b: self.action(b) for b in self.blocks}
+        zero = RatMatrix.zeros(self.dim, self.dim)
+
+        def act(pairs) -> RatMatrix:
+            out = zero
+            for k, c in pairs:
+                if c and k in acts:
+                    out = out + acts[k].scaled(c)
+            return out
+
+        if act(enumerate(a.unit)) != RatMatrix.identity(self.dim):
             raise ValueError("unit does not act as the identity")
         for i in range(a.dim):
-            ai = self.action_or_none(i)
             for j in range(a.dim):
-                aj = self.action_or_none(j)
-                lhs = RatMatrix.zeros(self.dim, self.dim)
-                for k, c in a.mult[i][j]:
-                    ak = self.action_or_none(k)
-                    if ak is not None:
-                        lhs = lhs + ak.scaled(c)
-                if ai is None or aj is None:
-                    rhs = RatMatrix.zeros(self.dim, self.dim)
-                else:
-                    rhs = aj @ ai
-                if lhs != rhs:
+                rhs = acts[j] @ acts[i] if i in acts and j in acts else zero
+                if act(a.mult[i][j]) != rhs:
                     raise ValueError(
                         f"action violates structure constants on ({a.labels[i]}, {a.labels[j]})"
                     )
         for v, (_lab, coords) in enumerate(a.idempotents):
-            ev = self.act_coords(coords)
             want = RatMatrix.zeros(self.dim, self.dim)
-            for i, v0 in enumerate(self.vertex_of):
-                if v0 == v:
-                    want.data[i][i] = _ONE
-            if ev != want:
+            for i in self.coords_at(v):
+                want.data[i][i] = _ONE
+            if act(enumerate(coords)) != want:
                 raise ValueError(f"idempotent {v} is not the marked coordinate projector")
+
+
+def _block_of(x: ModuleRep, vec) -> Optional[RatMatrix]:
+    """The block on x of a homogeneous algebra element given as (basis index,
+    coefficient) pairs; None when none of its basis elements acts."""
+    out = None
+    for b, c in vec:
+        m = x.blocks.get(b)
+        if m is not None:
+            m = m if c == 1 else m.scaled(c)
+            out = m if out is None else out + m
+    return out
 
 
 class ModuleMap:
@@ -201,12 +214,9 @@ class ModuleMap:
         return self.matrix.is_zero()
 
     def validate(self) -> None:
-        for i in range(self.source.algebra.dim):
-            xs = self.source.action_or_none(i)
-            ys = self.target.action_or_none(i)
-            lhs = (self.matrix @ xs) if xs is not None else RatMatrix.zeros(self.target.dim, self.source.dim)
-            rhs = (ys @ self.matrix) if ys is not None else RatMatrix.zeros(self.target.dim, self.source.dim)
-            if lhs != rhs:
+        x, y = self.source, self.target
+        for i in sorted(x.blocks.keys() | y.blocks.keys()):
+            if self.matrix @ x.action(i) != y.action(i) @ self.matrix:
                 raise ValueError(f"map does not intertwine basis element {i}")
 
     def __repr__(self) -> str:
@@ -233,42 +243,42 @@ def zero_module(a: AlgebraData) -> ModuleRep:
     return ModuleRep(a, 0, {}, vertex_of=[])
 
 
+def _right_ideal(a: AlgebraData, basis: list[int]) -> ModuleRep:
+    """The span of the basis elements ``basis`` (closed under right
+    multiplication), with coordinate i at basis[i]."""
+    vertex_of = [a.grading[j][1] for j in basis]
+    at: dict[int, list[int]] = {}
+    for j, w in zip(basis, vertex_of):
+        at.setdefault(w, []).append(j)
+    pos = {j: s for js in at.values() for s, j in enumerate(js)}
+    blocks = {}
+    for b, (u, v) in enumerate(a.grading):
+        cols, rows = at.get(u), at.get(v)
+        if not cols or not rows:
+            continue
+        m = RatMatrix.zeros(len(rows), len(cols))
+        hit = False
+        for c, j in enumerate(cols):
+            for k, coeff in a.mult[j][b]:
+                m.data[pos[k]][c] = coeff
+                hit = True
+        if hit:
+            blocks[b] = m
+    mod = ModuleRep(a, len(basis), blocks, vertex_of)
+    mod.extras["algebra_basis"] = basis
+    return mod
+
+
 def regular_module(a: AlgebraData) -> ModuleRep:
     """The algebra as a right module over itself, in its own basis."""
-    actions = {}
-    for b in range(a.dim):
-        cols = [a.dense(a.mult[j][b]) for j in range(a.dim)]
-        m = RatMatrix.from_columns(cols, nrows=a.dim)
-        if not m.is_zero():
-            actions[b] = m
-    return ModuleRep(a, a.dim, actions, vertex_of=[g[1] for g in a.grading])
+    return _right_ideal(a, list(range(a.dim)))
 
 
 def projective_module(a: AlgebraData, v: int) -> ModuleRep:
     """The indecomposable projective e_v * A."""
-    if v in a._proj_cache:
-        return a._proj_cache[v]
-    basis = [j for j in range(a.dim) if a.grading[j][0] == v]
-    index = {j: r for r, j in enumerate(basis)}
-    d = len(basis)
-    actions = {}
-    for b in range(a.dim):
-        m = RatMatrix.zeros(d, d)
-        hit = False
-        for c, j in enumerate(basis):
-            for k, coeff in a.mult[j][b]:
-                m.data[index[k]][c] = coeff
-                hit = True
-        if hit:
-            actions[b] = m
-    mod = ModuleRep(a, d, actions, vertex_of=[a.grading[j][1] for j in basis])
-    emb = RatMatrix.zeros(a.dim, d)
-    for c, j in enumerate(basis):
-        emb.data[j][c] = _ONE
-    mod.extras["algebra_embedding"] = emb
-    mod.extras["idempotent"] = v
-    a._proj_cache[v] = mod
-    return mod
+    if v not in a._proj_cache:
+        a._proj_cache[v] = _right_ideal(a, [j for j in range(a.dim) if a.grading[j][0] == v])
+    return a._proj_cache[v]
 
 
 def injective_module(a: AlgebraData, v: int) -> ModuleRep:
@@ -294,11 +304,9 @@ def simple_module(a: AlgebraData, v: int) -> ModuleRep:
 
 def dual_module(x: ModuleRep) -> ModuleRep:
     """Standard duality D = Hom_Q(-, Q): a module over the opposite algebra."""
-    actions = {}
-    for i, m in enumerate(x._actions):
-        if m is not None:
-            actions[i] = m.transpose()
-    return ModuleRep(x.algebra.opposite(), x.dim, actions, vertex_of=x.vertex_of)
+    # b of degree (u, v) has degree (v, u) in the opposite algebra
+    blocks = {b: m.transpose() for b, m in x.blocks.items()}
+    return ModuleRep(x.algebra.opposite(), x.dim, blocks, x.vertex_of)
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
@@ -325,23 +333,13 @@ def direct_sum(xs: Sequence[ModuleRep], algebra: Optional[AlgebraData] = None):
     for x in xs:
         offs.append(o)
         o += x.dim
-    actions = {}
-    for b in range(a.dim):
-        parts = [x.action_or_none(b) for x in xs]
-        if all(p is None for p in parts):
-            continue
-        m = RatMatrix.zeros(dim, dim)
-        for x, off, p in zip(xs, offs, parts):
-            if p is not None:
-                for r in range(x.dim):
-                    prow = p.data[r]
-                    mrow = m.data[off + r]
-                    for c in range(x.dim):
-                        val = prow[c]
-                        if val:
-                            mrow[off + c] = val
-        actions[b] = m
-    total = ModuleRep(a, dim, actions, vertex_of=[v for x in xs for v in x.vertex_of])
+    # the coordinates at each vertex are those of xs[0], then of xs[1], ...
+    blocks = {}
+    for b in sorted(set().union(*(x.blocks for x in xs))):
+        u, v = a.grading[b]
+        blocks[b] = block_diag([x.blocks[b] if b in x.blocks
+                                else RatMatrix.zeros(len(x.coords_at(v)), len(x.coords_at(u))) for x in xs])
+    total = ModuleRep(a, dim, blocks, [v for x in xs for v in x.vertex_of])
     injections, projections = [], []
     for x, off in zip(xs, offs):
         inj = RatMatrix.zeros(dim, x.dim)
@@ -390,21 +388,19 @@ def _hom_equations(x: ModuleRep, y: ModuleRep) -> tuple[list[dict[int, Fraction]
         offs.append(len(where))
         where.extend((r, c) for r in yi[v] for c in xi[v])
     rows: list[dict[int, Fraction]] = []
-    for b in range(a.dim):
+    for b in sorted(x.blocks.keys() | y.blocks.keys()):
         u, v = a.grading[b]
-        xb = x.action_or_none(b)
-        yb = y.action_or_none(b)
-        if xb is None and yb is None:
-            continue
+        xb = x.blocks.get(b)
+        yb = y.blocks.get(b)
         dxu, dxv = len(xi[u]), len(xi[v])
-        dyu, dyv = len(yi[u]), len(yi[v])
+        dyv = len(yi[v])
         if dyv * dxu == 0:
             continue
-        # nonzero entries of the (v, u) blocks: X_b by column, Y_b by row
-        xcols = [[(s, xb.data[r][c]) for s, r in enumerate(xi[v]) if xb.data[r][c]]
-                 for c in xi[u]] if xb is not None else [[]] * dxu
-        yrows = [[(s, yb.data[r][c]) for s, c in enumerate(yi[u]) if yb.data[r][c]]
-                 for r in yi[v]] if yb is not None else [[]] * dyv
+        # nonzero entries of the blocks: X_b by column, Y_b by row
+        xcols = [[(s, row[c]) for s, row in enumerate(xb.data) if row[c]]
+                 for c in range(dxu)] if xb is not None else [[]] * dxu
+        yrows = [[(s, val) for s, val in enumerate(row) if val]
+                 for row in yb.data] if yb is not None else [[]] * dyv
         for r in range(dyv):
             base = offs[v] + r * dxv
             for c in range(dxu):
@@ -457,20 +453,12 @@ def submodule_from_vertex_bases(x: ModuleRep, bases: dict[int, RatMatrix]):
                     val = bv.data[r][c]
                     if val:
                         incl.data[g][offs[v] + c] = val
-    actions = {}
-    for b in range(a.dim):
-        xb = x.action_or_none(b)
-        if xb is None:
-            continue
+    blocks = {}
+    for b, xb in x.blocks.items():
         u, v = a.grading[b]
-        if kdims[u] == 0 or len(xi[v]) == 0:
+        if kdims[u] == 0:
             continue
-        rhs = RatMatrix(
-            len(xi[v]), kdims[u],
-            [[sum((xb.data[g][xi[u][s]] * bases[u].data[s][c] for s in range(len(xi[u]))
-                   if bases[u].data[s][c] and xb.data[g][xi[u][s]]), _ZERO)
-              for c in range(kdims[u])] for g in xi[v]],
-        )
+        rhs = xb @ bases[u]
         if kdims[v] == 0:
             if not rhs.is_zero():
                 raise ValueError("given spans are not module-closed")
@@ -479,15 +467,8 @@ def submodule_from_vertex_bases(x: ModuleRep, bases: dict[int, RatMatrix]):
         if z is None:
             raise ValueError("given spans are not module-closed")
         if not z.is_zero():
-            m = RatMatrix.zeros(n, n)
-            for r in range(kdims[v]):
-                for c in range(kdims[u]):
-                    val = z.data[r][c]
-                    if val:
-                        m.data[offs[v] + r][offs[u] + c] = val
-            actions[b] = m
-    vertex_of = [v for v in range(nv) for _ in range(kdims[v])]
-    k = ModuleRep(a, n, actions, vertex_of=vertex_of)
+            blocks[b] = z
+    k = ModuleRep(a, n, blocks, [v for v in range(nv) for _ in range(kdims[v])])
     return k, ModuleMap(k, x, incl)
 
 
@@ -544,13 +525,12 @@ def cokernel(f: ModuleMap):
     a = y.algebra
     nv = len(a.idempotents)
     yi = [y.coords_at(v) for v in range(nv)]
-    blocks = _blocks_of_map(f)
+    fblocks = _blocks_of_map(f)
     projs = {}   # local projection rows per vertex
-    sects = {}   # local section: unit columns at the free coordinates
+    frees = {}   # local coordinates that the projection keeps as a basis
     qdims = []
     for v in range(nv):
-        m = blocks[v]
-        red, _, pivots = m.transpose().rref()
+        red, _, pivots = fblocks[v].transpose().rref()
         pivset = set(pivots)
         free = [c for c in range(len(yi[v])) if c not in pivset]
         q = RatMatrix.zeros(len(free), len(yi[v]))
@@ -560,10 +540,7 @@ def cokernel(f: ModuleMap):
                 val = red.data[i][fc]
                 if val:
                     q.data[l][p] = -val
-        s = RatMatrix.zeros(len(yi[v]), len(free))
-        for l, fc in enumerate(free):
-            s.data[fc][l] = _ONE
-        projs[v], sects[v] = q, s
+        projs[v], frees[v] = q, free
         qdims.append(len(free))
     offs = []
     n = 0
@@ -578,26 +555,15 @@ def cokernel(f: ModuleMap):
                 val = q.data[r][c]
                 if val:
                     proj.data[offs[v] + r][g] = val
-    actions = {}
-    for b in range(a.dim):
-        yb = y.action_or_none(b)
-        if yb is None:
-            continue
+    blocks = {}
+    for b, yb in y.blocks.items():
         u, v = a.grading[b]
         if qdims[u] == 0 or qdims[v] == 0:
             continue
-        yblock = RatMatrix(len(yi[v]), len(yi[u]), [[yb.data[r][c] for c in yi[u]] for r in yi[v]])
-        z = projs[v] @ (yblock @ sects[u])
+        z = projs[v] @ yb.submatrix(range(yb.rows), frees[u])
         if not z.is_zero():
-            m = RatMatrix.zeros(n, n)
-            for r in range(qdims[v]):
-                for c in range(qdims[u]):
-                    val = z.data[r][c]
-                    if val:
-                        m.data[offs[v] + r][offs[u] + c] = val
-            actions[b] = m
-    vertex_of = [v for v in range(nv) for _ in range(qdims[v])]
-    cok = ModuleRep(a, n, actions, vertex_of=vertex_of)
+            blocks[b] = z
+    cok = ModuleRep(a, n, blocks, [v for v in range(nv) for _ in range(qdims[v])])
     pm = ModuleMap(y, cok, proj)
     return cok, pm
 
@@ -605,26 +571,29 @@ def cokernel(f: ModuleMap):
 # -- radical, top, socle -------------------------------------------------------
 
 
-def _radical_actions(x: ModuleRep) -> list[RatMatrix]:
-    """Action on x of each radical basis vector; unit vectors read the stored matrix."""
-    acts = (x.action_or_none(r[0][0]) if len(r) == 1 and r[0][1] == 1 else x.act_coords(x.algebra.dense(r))
-            for r in x.algebra.radical_sparse())
-    return [m for m in acts if m is not None]
+def _radical_blocks(x: ModuleRep) -> list[tuple[int, int, RatMatrix]]:
+    """(u, v, block on x) for each Peirce piece of degree (u, v) of a radical
+    basis vector that acts on x; a unit vector's block is a stored block."""
+    units, rest = x.algebra.radical_pieces()
+    grading = x.algebra.grading
+    out = [(*grading[b], m) for b, m in x.blocks.items() if b in units]
+    for u, v, vec in rest:
+        m = _block_of(x, vec)
+        if m is not None:
+            out.append((u, v, m))
+    return out
 
 
 def _radical_vertex_spans(x: ModuleRep) -> list[EchelonSpace]:
-    """Per-vertex spans of x * rad(A)."""
+    """Per-vertex spans of x * rad(A): a piece of degree (u, v) adds the
+    columns of its block to the span at v."""
     nv = len(x.algebra.idempotents)
-    xi = [x.coords_at(v) for v in range(nv)]
-    spans = [EchelonSpace(len(xi[v])) for v in range(nv)]
-    for m in _radical_actions(x):
-        for j in range(x.dim):
+    spans = [EchelonSpace(len(x.coords_at(v))) for v in range(nv)]
+    for _u, v, m in _radical_blocks(x):
+        for j in range(m.cols):
             col = m.column_vec(j)
             if any(col):
-                for v in range(nv):
-                    local = [col[g] for g in xi[v]]
-                    if any(local):
-                        spans[v].add(local)
+                spans[v].add(col)
     return spans
 
 
@@ -646,13 +615,13 @@ def socle(x: ModuleRep):
     a = x.algebra
     if not a.radical_sparse():
         return x, identity_map(x)
-    stacked = vstack(_radical_actions(x) or [RatMatrix.zeros(0, x.dim)])
-    nv = len(a.idempotents)
+    # the socle at u is killed by the stacked blocks of the pieces of degree (u, .)
+    by_source: dict[int, list[RatMatrix]] = {}
+    for u, _v, m in _radical_blocks(x):
+        by_source.setdefault(u, []).append(m)
     bases = {}
-    for v in range(nv):
-        cols = x.coords_at(v)
-        local = stacked.submatrix(range(stacked.rows), cols)
-        bases[v] = local.kernel_basis()
+    for u in range(len(a.idempotents)):
+        bases[u] = vstack(by_source.get(u) or [RatMatrix.zeros(0, len(x.coords_at(u)))]).kernel_basis()
     return submodule_from_vertex_bases(x, bases)
 
 
@@ -670,17 +639,21 @@ def projective_cover(x: ModuleRep):
     summands: list[ModuleRep] = []
     columns: list[list[Fraction]] = []
     for v in range(nv):
-        coords = x.coords_at(v)
         pivset = set(spans[v].pivots)
-        lifts = [coords[c] for c in range(len(coords)) if c not in pivset]
+        lifts = [l for l in range(len(x.coords_at(v))) if l not in pivset]
         if not lifts:
             continue
         pv = projective_module(a, v)
-        emb = pv.extras["algebra_embedding"]
-        for g in lifts:
+        for l in lifts:
             summands.append(pv)
-            for beta in range(pv.dim):
-                columns.append(x.act_column(emb.column_vec(beta), g))
+            # the image of basis element j of e_v A is column l of its block
+            for j in pv.extras["algebra_basis"]:
+                col = [_ZERO] * x.dim
+                m = x.blocks.get(j)
+                if m is not None:
+                    for g, row in zip(x.coords_at(a.grading[j][1]), m.data):
+                        col[g] = row[l]
+                columns.append(col)
     if not summands:
         raise ValueError("nonzero module equals its own radical")
     p, _, _ = direct_sum(summands)

@@ -162,13 +162,10 @@ def embed(x: ModuleRep, copy: int, into: ReplicatedAlgebra) -> ModuleRep:
         raise ValueError("module is not over the base path algebra of this instance")
     if not (0 <= copy <= into.m):
         raise CopyOutOfRange(f"copy {copy} outside 0..{into.m}")
-    actions = {}
-    for pi, p in enumerate(into.paths):
-        act = x.action_or_none(pi)
-        if act is not None:
-            actions[into.key_index[("p", p, copy)]] = act
+    # the coordinates at vertex v of the copy are those at v of x: same blocks
+    blocks = {into.key_index[("p", into.paths[pi], copy)]: m for pi, m in x.blocks.items()}
     vertex_of = [copy * into.num_vertices + v for v in x.vertex_of]
-    return ModuleRep(into.algebra, x.dim, actions, vertex_of=vertex_of)
+    return ModuleRep(into.algebra, x.dim, blocks, vertex_of)
 
 
 def restrict_from_ambient(x: ModuleRep, ambient: ReplicatedAlgebra, target: ReplicatedAlgebra) -> ModuleRep:
@@ -183,13 +180,14 @@ def restrict_from_ambient(x: ModuleRep, ambient: ReplicatedAlgebra, target: Repl
         raise ValueError("ambient and target come from different quivers")
     if not ambient.in_a_m(x, target.m):
         raise ValueError("module support leaves copies 0..m; not an A^(m)-module")
-    actions = {}
+    # vertex indices agree between target and ambient for copies <= m, so
+    # the blocks carry over unchanged
+    blocks = {}
     for n, key in enumerate(target.keys):
-        act = x.action_or_none(ambient.key_index[key])
-        if act is not None:
-            actions[n] = act
-    # vertex indices agree between target and ambient for copies <= m
-    return ModuleRep(target.algebra, x.dim, actions, vertex_of=x.vertex_of)
+        m = x.blocks.get(ambient.key_index[key])
+        if m is not None:
+            blocks[n] = m
+    return ModuleRep(target.algebra, x.dim, blocks, x.vertex_of)
 
 
 def projective_injectives(r: ReplicatedAlgebra) -> list[tuple[str, ModuleRep]]:

@@ -1,5 +1,6 @@
 import pytest
 
+from replalg.algebra import AlgebraData
 from replalg.homology import cosyzygy
 from replalg.modules import projective_module, simple_module
 from replalg.quiver import linear_quiver
@@ -24,3 +25,18 @@ def a2_ext_inventory():
                 chain.append(nxt)
             inventory.extend(chain)
     return inventory + pis, pis
+
+
+@pytest.fixture(scope="module")
+def local_corner_algebra():
+    """Two-cycle a: 1 -> 2, b: 2 -> 1 with b*a = 0, in the basis e1, e2, a, b,
+    d = e1 + a*b: the corner at 1 is span{e1, d}, dual numbers, with radical
+    spanned by the non-unit vector d - e1 = a*b."""
+    e1, e2, x, y, d = range(5)
+    mult = [[() for _ in range(5)] for _ in range(5)]
+    mult[e1][e1], mult[e1][x], mult[e1][d], mult[d][e1] = ((e1, 1),), ((x, 1),), ((d, 1),), ((d, 1),)
+    mult[d][d], mult[d][x], mult[y][d] = ((e1, -1), (d, 2)), ((x, 1),), ((y, 1),)
+    mult[x][e2], mult[x][y], mult[e2][e2] = ((x, 1),), ((e1, -1), (d, 1)), ((e2, 1),)
+    mult[e2][y], mult[y][e1] = ((y, 1),), ((y, 1),)
+    return AlgebraData(["e1", "e2", "a", "b", "e1+ab"], mult, [1, 1, 0, 0, 0],
+                       [("1", [1, 0, 0, 0, 0]), ("2", [0, 1, 0, 0, 0])])

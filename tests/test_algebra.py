@@ -169,18 +169,10 @@ def test_non_split_corner_detected_on_structural_path():
         a.ensure_split_basic()
 
 
-def test_structural_radical_with_a_local_corner():
-    # two-cycle a: 1 -> 2, b: 2 -> 1 with b*a = 0, in the basis e1, e2, a, b,
-    # d = e1 + a*b: the corner at 1 is span{e1, d}, dual numbers, with radical
-    # spanned by the non-unit vector d - e1 = a*b
-    e1, e2, x, y, d = range(5)
-    mult = [[() for _ in range(5)] for _ in range(5)]
-    mult[e1][e1], mult[e1][x], mult[e1][d], mult[d][e1] = ((e1, 1),), ((x, 1),), ((d, 1),), ((d, 1),)
-    mult[d][d], mult[d][x], mult[y][d] = ((e1, -1), (d, 2)), ((x, 1),), ((y, 1),)
-    mult[x][e2], mult[x][y], mult[e2][e2] = ((x, 1),), ((e1, -1), (d, 1)), ((e2, 1),)
-    mult[e2][y], mult[y][e1] = ((y, 1),), ((y, 1),)
-    a = AlgebraData(["e1", "e2", "a", "b", "e1+ab"], mult, [1, 1, 0, 0, 0],
-                    [("1", [1, 0, 0, 0, 0]), ("2", [0, 1, 0, 0, 0])])
+def test_structural_radical_with_a_local_corner(local_corner_algebra):
+    # the corner at 1 is span{e1, d} with radical spanned by d - e1 = a*b
+    a = local_corner_algebra
+    e1, d = 0, 4
     span, rad = EchelonSpace(5), EchelonSpace(5)
     for v in a._trace_form_radical():
         span.add(v)
@@ -190,7 +182,7 @@ def test_structural_radical_with_a_local_corner():
     assert ((e1, -1), (d, 1)) in a.radical_sparse()
     assert a._corner_codims == [1, 1]
     a.ensure_split_basic()
-    # the non-unit radical vector acts through act_coords in the module layer
+    # the non-unit radical vector acts through the sum of its blocks
     reg = regular_module(a)
     assert top(reg)[0].vertex_dims() == [1, 1]
     assert socle(reg)[0].vertex_dims() == [2, 0]  # span{a*b, b}, both in A e1

@@ -331,14 +331,14 @@ def test_right_approximation_empty_homs(kr):
 
 def _fresh(x):
     """An uncached module with the same action matrices as x."""
-    actions = {i: x.action_or_none(i) for i in range(x.algebra.dim)}
-    return ModuleRep(x.algebra, x.dim, actions, vertex_of=x.vertex_of)
+    actions = {i: x.action(i) for i in x.blocks}
+    return ModuleRep.from_actions(x.algebra, actions, x.vertex_of)
 
 
 def _snapshot(x):
     return (x.dim, list(x.vertex_of), [
-        None if m is None else [list(row) for row in m.data]
-        for m in (x.action_or_none(i) for i in range(x.algebra.dim))
+        [list(row) for row in x.action(i).data] if i in x.blocks else None
+        for i in range(x.algebra.dim)
     ])
 
 

@@ -177,7 +177,7 @@ def test_dual_module_roundtrip(kr):
     dd = dual_module(d)
     assert dd.algebra is kr
     assert dd.dim == p2.dim
-    assert all((dd.action_or_none(i) is None) == (p2.action_or_none(i) is None) for i in range(kr.dim))
+    assert all((i in dd.blocks) == (i in p2.blocks) for i in range(kr.dim))
     # dual of the projective e2*A is the injective at 2 over the opposite
     assert is_injective_module(d)
 
@@ -229,8 +229,8 @@ def test_vertex_block_base_change_keeps_invariants(kr):
     c.data[at0[1]][at0[0]] = F(-2)
     c.data[at1[0]][at1[0]] = F(3)
     cinv = c.inverse()
-    acts = {i: cinv @ (p2.action(i) @ c) for i in range(kr.dim) if p2.action_or_none(i) is not None}
-    twisted = ModuleRep(kr, 3, acts, vertex_of=p2.vertex_of)
+    acts = {i: cinv @ (p2.action(i) @ c) for i in range(kr.dim) if i in p2.blocks}
+    twisted = ModuleRep.from_actions(kr, acts, p2.vertex_of)
     twisted.validate()
     assert twisted.vertex_dims() == p2.vertex_dims() == [2, 1]
     s1, s2 = simple_module(kr, 0), simple_module(kr, 1)
@@ -347,3 +347,95 @@ def test_corrupted_hom_solve_is_caught(kr, monkeypatch):
             hom_basis(x, y)
         with pytest.raises(ValueError, match="does not solve"):
             hom_dim(x, y)
+
+
+# -- block storage against the dense view -----------------------------------
+
+
+def test_from_actions_checks_vertex_labels(kr):
+    p2 = projective_module(kr, 1)
+    acts = {i: p2.action(i) for i in p2.blocks}
+    assert ModuleRep.from_actions(kr, acts, p2.vertex_of).blocks == p2.blocks
+    # the same matrices with the labels swapped: a arrow's block would hold
+    # entries outside it, and the idempotents would not act as the identity
+    with pytest.raises(ValueError, match="Peirce block"):
+        ModuleRep.from_actions(kr, acts, [1 - v for v in p2.vertex_of])
+    e1 = kr.idempotents[0][1].index(1)
+    with pytest.raises(ValueError, match="identity"):
+        ModuleRep.from_actions(kr, {i: m for i, m in acts.items() if i != e1}, p2.vertex_of)
+
+
+@pytest.fixture(scope="module")
+def corner_radical_modules(local_corner_algebra):
+    """Modules over algebras whose corners have a radical: the dual numbers
+    Q[x]/x^2, where x is no product of other radical elements, and the
+    two-cycle algebra of conftest, where the corner radical is a*b."""
+    from replalg.algebra import AlgebraData
+
+    dual_numbers = AlgebraData(["1", "x"], [[((0, 1),), ((1, 1),)], [((1, 1),), ()]], [1, 0], [("1", [1, 0])])
+    a = local_corner_algebra
+    mods = [regular_module(dual_numbers), regular_module(a)]
+    return mods + [make(a, v) for make in (projective_module, injective_module) for v in range(2)]
+
+
+def _dense_radical_actions(x):
+    """The dense action of every radical basis vector of x's algebra."""
+    acts = []
+    for r in x.algebra.radical_sparse():
+        m = RatMatrix.zeros(x.dim, x.dim)
+        for b, c in r:
+            m = m + x.action(b).scaled(c)
+        acts.append(m)
+    return acts
+
+
+def _vertex_inclusion(x, bases):
+    """Dense inclusion of the per-vertex column bases, vertex by vertex."""
+    cols = []
+    for v in range(len(x.algebra.idempotents)):
+        for c in bases[v].columns():
+            col = [F(0)] * x.dim
+            for g, val in zip(x.coords_at(v), c):
+                col[g] = val
+            cols.append(col)
+    return RatMatrix.from_columns(cols, nrows=x.dim)
+
+
+def _socle_oracle(x):
+    stacked = replalg.linalg.vstack(_dense_radical_actions(x) or [RatMatrix.zeros(0, x.dim)])
+    nv = len(x.algebra.idempotents)
+    bases = {v: stacked.submatrix(range(stacked.rows), x.coords_at(v)).kernel_basis() for v in range(nv)}
+    return [bases[v].cols for v in range(nv)], _vertex_inclusion(x, bases)
+
+
+def _radical_oracle(x):
+    nv = len(x.algebra.idempotents)
+    spans = [replalg.linalg.EchelonSpace(len(x.coords_at(v))) for v in range(nv)]
+    for m in _dense_radical_actions(x):
+        for col in m.columns():
+            for v in range(nv):
+                local = [col[g] for g in x.coords_at(v)]
+                if any(local):
+                    spans[v].add(local)
+    bases = {v: sp.basis_matrix() for v, sp in enumerate(spans)}
+    return [sp.rank for sp in spans], _vertex_inclusion(x, bases)
+
+
+@pytest.mark.parametrize("inventory", ["a2_ext_inventory", "kronecker_m1_summands", "corner_radical_modules"])
+def test_block_socle_radical_and_dual_match_dense_oracle(inventory, request):
+    mods = request.getfixturevalue(inventory)
+    if inventory == "a2_ext_inventory":
+        mods = mods[0]
+    for x in mods:
+        x.validate()
+        soc, sincl = socle(x)
+        assert (soc.vertex_dims(), sincl.matrix) == _socle_oracle(x)
+        rad, rincl = radical_submodule(x)
+        assert (rad.vertex_dims(), rincl.matrix) == _radical_oracle(x)
+        d = dual_module(x)
+        d.validate()
+        dd = dual_module(d)
+        assert dd.algebra is x.algebra and dd.vertex_of == x.vertex_of and dd.blocks == x.blocks
+    if inventory == "corner_radical_modules":
+        # soc Q[x]/x^2 = xQ, and soc of the two-cycle algebra is span{a*b, b}
+        assert [socle(x)[0].vertex_dims() for x in mods[:2]] == [[1], [2, 0]]

@@ -299,7 +299,7 @@ def test_layer_approximation_is_epi_for_modules_with_pi_cover():
             base.labels.index("a"): RatMatrix.from_rows([[0, 1], [0, 0]]),
             base.labels.index("b"): RatMatrix.from_rows([[0, Fraction(lam)], [0, 0]]),
         }
-        reg = ModuleRep(base, 2, acts, vertex_of=[0, 1])
+        reg = ModuleRep.from_actions(base, acts, [0, 1])
         reg.validate()
         x = cosyzygy(embed(reg, 0, r))
         p, cover = projective_cover(x)
