@@ -15,6 +15,7 @@ from .errors import (
     CyclicQuiver,
     DuplicateLabel,
     EmptyQuiver,
+    InternalCheckFailed,
     NonSplitSimple,
     NotBasic,
     NotProjInjective,

@@ -25,10 +25,9 @@ from typing import Optional
 
 from .errors import ParseError, ReplalgError
 from .quiver import Quiver, kronecker
-from .replicated import GeneratorBundle, auslander_generator, loewy_layers, minimal_cogenerator
+from .replicated import GeneratorBundle, auslander_generator, default_cap, loewy_layers, minimal_cogenerator
 from .verify import (
     Certificate,
-    default_cap,
     verify_example_3_4,
     verify_ext_stablehom,
     verify_gl_dim_bounds,

@@ -57,3 +57,8 @@ class AmbientTooSmall(ReplalgError):
 
 class CapTooSmall(ReplalgError):
     """The resolution cap ends before gl.dim A^(m) is determined."""
+
+
+class InternalCheckFailed(ReplalgError):
+    """A result failed the engine's own re-check: a defect of the engine, not
+    a false theorem."""

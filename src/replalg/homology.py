@@ -13,10 +13,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .algebra import AlgebraData
-from .errors import NotBasic, NotProjInjective, UndecidableDecomposition
+from .errors import InternalCheckFailed, NotBasic, NotProjInjective, UndecidableDecomposition
 from .linalg import EchelonSpace, RatMatrix, hstack
 from .modules import (
     ModuleMap,
@@ -35,6 +35,7 @@ from .modules import (
     projective_cover,
     regular_module,
     simple_module,
+    zero_map,
     zero_module,
 )
 
@@ -94,7 +95,7 @@ class Resolution:
                 raise ValueError("resolution is not exact at the module")
             for i in range(1, len(self.maps)):
                 d_prev, d = self.maps[i - 1], self.maps[i]
-                if not (d_prev.matrix @ d.matrix).is_zero():
+                if not d.then(d_prev).is_zero():
                     raise ValueError("resolution differentials do not compose to zero")
                 if d.rank() != d_prev.source.dim - d_prev.rank():
                     raise ValueError(f"resolution not exact at term {i - 1}")
@@ -107,7 +108,7 @@ class Resolution:
                 raise ValueError("coresolution is not exact at the module")
             for i in range(1, len(self.maps)):
                 d_prev, d = self.maps[i - 1], self.maps[i]
-                if not (d.matrix @ d_prev.matrix).is_zero():
+                if not d_prev.then(d).is_zero():
                     raise ValueError("coresolution differentials do not compose to zero")
                 # ker(d) must equal im(d_prev)
                 if d_prev.target.dim - d.rank() != d_prev.rank():
@@ -216,8 +217,17 @@ def dominant_dimension(a: AlgebraData, cap: int) -> DimBound:
 # -- Ext^1 and the stable Hom --------------------------------------------------
 
 
-def _flatten(m: RatMatrix) -> list[Fraction]:
-    return [x for row in m.data for x in row]
+def _map_space(x: ModuleRep, y: ModuleRep) -> EchelonSpace:
+    """An empty span of flattened maps x -> y."""
+    return EchelonSpace(sum(p * q for p, q in zip(x.vertex_dims(), y.vertex_dims())))
+
+
+def _span_rank(x: ModuleRep, y: ModuleRep, maps: Iterable[ModuleMap]) -> int:
+    """The dimension of the span of the given maps x -> y."""
+    sp = _map_space(x, y)
+    for f in maps:
+        sp.add(f.flat())
+    return sp.rank
 
 
 def _ext1_prefix(y: ModuleRep):
@@ -247,17 +257,8 @@ def ext1_dim(y: ModuleRep, x: ModuleRep) -> int:
     h1 = hom_basis(p1, x)
     if not h1:
         return 0
-    rank_d2 = 0
-    if p2 is not None:
-        sp = EchelonSpace(x.dim * p2.dim)
-        for phi in h1:
-            if sp.add(_flatten(phi.matrix @ d2.matrix)):
-                rank_d2 += 1
-    rank_d1 = 0
-    sp = EchelonSpace(x.dim * p1.dim)
-    for psi in hom_basis(p0, x):
-        if sp.add(_flatten(psi.matrix @ d1.matrix)):
-            rank_d1 += 1
+    rank_d2 = _span_rank(p2, x, (d2.then(phi) for phi in h1)) if p2 is not None else 0
+    rank_d1 = _span_rank(p1, x, (d1.then(psi) for psi in hom_basis(p0, x)))
     return len(h1) - rank_d2 - rank_d1
 
 
@@ -270,30 +271,23 @@ def stable_hom_dim(y: ModuleRep, z: ModuleRep, through: Sequence[ModuleRep]) -> 
     dim_hom = hom_dim(y, z)
     if not dim_hom:
         return 0
-    sp = EchelonSpace(y.dim * z.dim)
-    for w in through:
-        into = hom_basis(y, w)
-        outof = hom_basis(w, z)
-        for a in into:
-            for b in outof:
-                sp.add(_flatten(b.matrix @ a.matrix))
-    return dim_hom - sp.rank
+    homs = [(hom_basis(y, w), hom_basis(w, z)) for w in through]
+    return dim_hom - _span_rank(y, z, (a.then(b) for into, outof in homs for a in into for b in outof))
 
 
 # -- decomposition into indecomposables ----------------------------------------
 
 
-def _minimal_polynomial(a: RatMatrix) -> list[Fraction]:
-    """Monic minimal polynomial, ascending coefficients."""
-    n = a.rows
-    powers = [RatMatrix.identity(n)]
-    sp = EchelonSpace(n * n)
-    sp.add(_flatten(powers[0]))
+def _minimal_polynomial(phi: ModuleMap) -> list[Fraction]:
+    """Monic minimal polynomial of an endomorphism, ascending coefficients."""
+    powers = [identity_map(phi.source)]
+    sp = _map_space(phi.source, phi.source)
+    sp.add(powers[0].flat())
     while True:
-        nxt = powers[-1] @ a
-        v = _flatten(nxt)
+        nxt = powers[-1].then(phi)
+        v = nxt.flat()
         if not sp.add(v):
-            stacked = RatMatrix.from_columns([_flatten(p) for p in powers], nrows=n * n)
+            stacked = RatMatrix.from_columns([p.flat() for p in powers])
             sol = stacked.solve(RatMatrix.column(v))
             coeffs = [-sol.data[i][0] for i in range(len(powers))]
             coeffs.append(_ONE)
@@ -361,61 +355,65 @@ def _matrix_poly(a: RatMatrix, coeffs: Sequence[Fraction]) -> RatMatrix:
 
 def _fitting_split(m: ModuleRep, phi: ModuleMap):
     """Split m along the coprime factorisation of phi's minimal polynomial."""
-    coeffs = _minimal_polynomial(phi.matrix)
+    coeffs = _minimal_polynomial(phi)
     factors = _coprime_factors(coeffs)
     if len(factors) < 2:
         return None
     pieces = []
     for cs, e in factors:
-        p = _matrix_poly(phi.matrix, cs)
+        p = ModuleMap(m, m, [_matrix_poly(b, cs) for b in phi.blocks])
         pe = p
         for _ in range(e - 1):
-            pe = pe @ p
-        k, kincl = kernel(ModuleMap(m, m, pe))
-        pieces.append((k, kincl))
+            pe = pe.then(p)
+        pieces.append(kernel(pe))
     if sum(k.dim for k, _ in pieces) != m.dim or any(k.dim == 0 for k, _ in pieces):
-        raise AssertionError("Fitting decomposition failed to partition the module")
-    c = hstack([kincl.matrix for _, kincl in pieces])
+        raise InternalCheckFailed("Fitting decomposition failed to partition the module")
+    # the inclusions side by side are an isomorphism from the sum of the
+    # pieces; its inverse followed by a projection splits off each piece
+    c, projections = _from_sum([kincl for _, kincl in pieces], m)
     cinv = c.inverse()
     if cinv is None:
-        raise AssertionError("Fitting pieces are not independent")
-    out = []
-    off = 0
-    for k, kincl in pieces:
-        rows = RatMatrix(k.dim, m.dim, cinv.data[off:off + k.dim])
-        out.append((k, kincl, ModuleMap(m, k, rows)))
-        off += k.dim
+        raise InternalCheckFailed("Fitting pieces are not independent")
+    return [(k, kincl, cinv.then(prj)) for (k, kincl), prj in zip(pieces, projections)]
+
+
+def _from_sum(maps: Sequence[ModuleMap], target: ModuleRep):
+    """(f, projections): the map f from the direct sum of the sources of
+    ``maps`` that is maps[i] on summand i, and the projections of the sum."""
+    src, _, projections = direct_sum([f.source for f in maps])
+    # the coordinates of the sum at v are those of each summand at v, in order
+    nv = len(target.algebra.idempotents)
+    return ModuleMap(src, target, [hstack([f.blocks[v] for f in maps]) for v in range(nv)]), projections
+
+
+def _combination(coeffs: Sequence[int], maps: Sequence[ModuleMap], x: ModuleRep, y: ModuleRep) -> ModuleMap:
+    """The linear combination of maps x -> y with the given coefficients."""
+    out = zero_map(x, y)
+    for c, f in zip(coeffs, maps):
+        if c:
+            out = out + f.scaled(c)
     return out
 
 
 def _splitting_candidates(endos: list[ModuleMap], rng: random.Random, m: ModuleRep):
-    for f in endos:
-        yield f.matrix
+    yield from endos
     n = len(endos)
     for i in range(n):
         for j in range(i + 1, min(n, i + 6)):
-            yield endos[i].matrix + endos[j].matrix
+            yield endos[i] + endos[j]
     for _ in range(24):
-        coeffs = [rng.randint(-3, 3) for _ in range(n)]
-        mat = RatMatrix.zeros(m.dim, m.dim)
-        for c, f in zip(coeffs, endos):
-            if c:
-                mat = mat + f.matrix.scaled(c)
-        yield mat
+        yield _combination([rng.randint(-3, 3) for _ in range(n)], endos, m, m)
 
 
 def _end_structure(m: ModuleRep):
     """(endo basis, structure constants c[i][j] as dense rows) with f*g = g o f."""
     endos = hom_basis(m, m)
     n = len(endos)
-    stacked = RatMatrix.from_columns([_flatten(f.matrix) for f in endos], nrows=m.dim * m.dim)
-    rhs_cols = []
-    for i in range(n):
-        for j in range(n):
-            rhs_cols.append(_flatten(endos[j].matrix @ endos[i].matrix))
-    sol = stacked.solve(RatMatrix.from_columns(rhs_cols, nrows=m.dim * m.dim))
+    stacked = RatMatrix.from_columns([f.flat() for f in endos])
+    products = [endos[i].then(endos[j]).flat() for i in range(n) for j in range(n)]
+    sol = stacked.solve(RatMatrix.from_columns(products))
     if sol is None:
-        raise AssertionError("endomorphism products left the endomorphism space")
+        raise InternalCheckFailed("endomorphism products left the endomorphism space")
     c = [[[sol.data[k][i * n + j] for k in range(n)] for j in range(n)] for i in range(n)]
     return endos, c
 
@@ -447,8 +445,8 @@ def _indecomposable_pieces(x: ModuleRep, seed: int = 0):
         if m.dim > 1:
             endos = hom_basis(m, m)
             if len(endos) > 1:
-                for mat in _splitting_candidates(endos, rng, m):
-                    split = _fitting_split(m, ModuleMap(m, m, mat))
+                for phi in _splitting_candidates(endos, rng, m):
+                    split = _fitting_split(m, phi)
                     if split is not None:
                         break
         if split is None:
@@ -487,15 +485,6 @@ def decompose_with_maps(x: ModuleRep, seed: int = 0):
 # -- isomorphism testing --------------------------------------------------------
 
 
-def _random_combination(homs, rng: random.Random, bound: int, dim_t: int, dim_s: int) -> RatMatrix:
-    mat = RatMatrix.zeros(dim_t, dim_s)
-    for f in homs:
-        c = rng.randint(-bound, bound)
-        if c:
-            mat = mat + f.matrix.scaled(c)
-    return mat
-
-
 def is_isomorphic(x: ModuleRep, y: ModuleRep, seed: int = 0) -> Optional[ModuleMap]:
     """An isomorphism x -> y, or None (certified) when there is none.
 
@@ -512,7 +501,7 @@ def is_isomorphic(x: ModuleRep, y: ModuleRep, seed: int = 0) -> Optional[ModuleM
     if x.vertex_dims() != y.vertex_dims():
         return None
     if x.dim == 0:
-        return ModuleMap(x, y, RatMatrix.zeros(0, 0))
+        return zero_map(x, y)
     hxy = hom_basis(x, y)
     if not hxy:
         return None
@@ -520,21 +509,21 @@ def is_isomorphic(x: ModuleRep, y: ModuleRep, seed: int = 0) -> Optional[ModuleM
     if not hyx:
         return None
     for f in hxy:
-        if f.matrix.is_invertible():
+        if f.is_isomorphism():
             return f
     for f in hxy:
         for g in hyx:
             # an invertible composite on either side forces f or g bijective
-            if (g.matrix @ f.matrix).is_invertible():
+            if f.then(g).is_isomorphism():
                 return f
-            if (f.matrix @ g.matrix).is_invertible():
-                return ModuleMap(x, y, g.matrix.inverse())
+            if g.then(f).is_isomorphism():
+                return g.inverse()
     rng = random.Random(seed)
     for bound in (1, 2, 5, 9):
         for _ in range(8):
-            mat = _random_combination(hxy, rng, bound, y.dim, x.dim)
-            if mat.is_invertible():
-                return ModuleMap(x, y, mat)
+            f = _combination([rng.randint(-bound, bound) for _ in hxy], hxy, x, y)
+            if f.is_isomorphism():
+                return f
     # deterministic negative certificate: with End(x) or End(y) local, an
     # isomorphism would make one of the pairwise composites above a unit
     if _end_top_dimension(x) == 1 or _end_top_dimension(y) == 1:
@@ -548,7 +537,7 @@ def _match_decompositions(x: ModuleRep, y: ModuleRep, seed: int) -> Optional[Mod
     if len(xs) != len(ys):
         return None
     used = [False] * len(ys)
-    total = RatMatrix.zeros(y.dim, x.dim)
+    total = zero_map(x, y)
     for piece, _, prj in xs:
         found = False
         for j, (ypiece, yinc, _) in enumerate(ys):
@@ -557,15 +546,15 @@ def _match_decompositions(x: ModuleRep, y: ModuleRep, seed: int) -> Optional[Mod
             iso = is_isomorphic(piece, ypiece, seed=seed)
             if iso is not None:
                 used[j] = True
-                total = total + (yinc.matrix @ (iso.matrix @ prj.matrix))
+                total = total + prj.then(iso).then(yinc)
                 found = True
                 break
         if not found:
             return None
-    if not total.is_invertible():
+    if not total.is_isomorphism():
         # matched leafwise, but the assembled map must then be invertible
-        raise AssertionError("Krull-Schmidt matching produced a singular map")
-    return ModuleMap(x, y, total)
+        raise InternalCheckFailed("Krull-Schmidt matching produced a singular map")
+    return total
 
 
 # -- endomorphism algebras -------------------------------------------------------
@@ -589,20 +578,20 @@ def end_algebra(x: ModuleRep, summands=None, seed: int = 0) -> AlgebraData:
                 raise NotBasic(f"summands {summands[i][0]} and {summands[j][0]} are isomorphic")
     mods = [s[1] for s in summands]
     # block Hom bases, with identity leading each diagonal block
-    blocks: dict[tuple[int, int], list[RatMatrix]] = {}
+    blocks: dict[tuple[int, int], list[ModuleMap]] = {}
     for i in range(n):
         for j in range(n):
-            basis = [f.matrix for f in hom_basis(mods[i], mods[j])]
+            basis = hom_basis(mods[i], mods[j])
             if i == j:
-                ident = RatMatrix.identity(mods[i].dim)
-                sp = EchelonSpace(mods[i].dim ** 2)
-                sp.add(_flatten(ident))
+                ident = identity_map(mods[i])
+                sp = _map_space(mods[i], mods[i])
+                sp.add(ident.flat())
                 newbasis = [ident]
                 for b in basis:
-                    if sp.add(_flatten(b)):
+                    if sp.add(b.flat()):
                         newbasis.append(b)
                 if len(newbasis) != len(basis):
-                    raise AssertionError("identity completion changed the End dimension")
+                    raise InternalCheckFailed("identity completion changed the End dimension")
                 basis = newbasis
             blocks[(i, j)] = basis
     index: dict[tuple[int, int, int], int] = {}
@@ -620,9 +609,7 @@ def end_algebra(x: ModuleRep, summands=None, seed: int = 0) -> AlgebraData:
     solvers: dict[tuple[int, int], RatMatrix] = {}
     for (i, j), basis in blocks.items():
         if basis:
-            solvers[(i, j)] = RatMatrix.from_columns(
-                [_flatten(b) for b in basis], nrows=mods[j].dim * mods[i].dim
-            )
+            solvers[(i, j)] = RatMatrix.from_columns([b.flat() for b in basis])
     mult = [[() for _ in range(dim)] for _ in range(dim)]
     for i in range(n):
         for j in range(n):
@@ -637,17 +624,15 @@ def end_algebra(x: ModuleRep, summands=None, seed: int = 0) -> AlgebraData:
                 keys = []
                 for a, f in enumerate(left):
                     for b, g in enumerate(right):
-                        prods.append(_flatten(g @ f))
+                        prods.append(f.then(g).flat())
                         keys.append((index[(i, j, a)], index[(j, l, b)]))
                 target = blocks[(i, l)]
                 sol = None
                 if target:
-                    sol = solvers[(i, l)].solve(
-                        RatMatrix.from_columns(prods, nrows=mods[l].dim * mods[i].dim)
-                    )
+                    sol = solvers[(i, l)].solve(RatMatrix.from_columns(prods))
                 if sol is None:
                     if any(any(col) for col in prods):
-                        raise AssertionError("composite left its Hom block")
+                        raise InternalCheckFailed("composite left its Hom block")
                     continue
                 for col, (bi, bj) in enumerate(keys):
                     entry = []
@@ -691,8 +676,7 @@ def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep) -> ModuleMap:
         for phi in homs:
             copies.append((li, phi))
     if not copies:
-        z = zero_module(a)
-        return ModuleMap(z, x, RatMatrix.zeros(x.dim, 0))
+        return zero_map(zero_module(a), x)
     # flattened composites phi_c o h for every test module L and copy c
     hom_ll: dict[tuple[int, int], list[ModuleMap]] = {}
     for li in range(len(addset)):
@@ -703,7 +687,7 @@ def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep) -> ModuleMap:
     for li, l in enumerate(addset):
         per_copy = []
         for ci, (ti, phi) in enumerate(copies):
-            vecs = [_flatten(phi.matrix @ h.matrix) for h in hom_ll[(li, ti)]]
+            vecs = [h.then(phi).flat() for h in hom_ll[(li, ti)]]
             per_copy.append(vecs)
         composed.append(per_copy)
     targets = [len(h) for h in hom_to_x]
@@ -713,7 +697,7 @@ def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep) -> ModuleMap:
             need = targets[li]
             if need == 0:
                 continue
-            sp = EchelonSpace(x.dim * addset[li].dim)
+            sp = _map_space(addset[li], x)
             got = 0
             for c in active:
                 for v in composed[li][c]:
@@ -729,7 +713,7 @@ def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep) -> ModuleMap:
 
     active = list(range(len(copies)))
     if not is_approx(active):
-        raise AssertionError("universal map failed the approximation property")
+        raise InternalCheckFailed("universal map failed the approximation property")
     changed = True
     while changed:
         changed = False
@@ -740,10 +724,7 @@ def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep) -> ModuleMap:
                 changed = True
     kept = [copies[c] for c in active]
     if not kept:
-        z = zero_module(a)
-        return ModuleMap(z, x, RatMatrix.zeros(x.dim, 0))
-    src, _, _ = direct_sum([addset[t] for t, _ in kept])
-    g = hstack([phi.matrix for _, phi in kept])
-    out = ModuleMap(src, x, g)
+        return zero_map(zero_module(a), x)
+    out, _ = _from_sum([phi for _, phi in kept], x)
     out.source.extras["approximation_summands"] = [t for t, _ in kept]
     return out

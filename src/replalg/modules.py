@@ -13,8 +13,12 @@ blocks[b] @ coords(x) on the coordinates at u, so composing actions reverses
 order: act(a*b) = act(b) @ act(a).  The dense dim x dim ``action(b)`` is a
 read-only view for the checks and the tests.
 
-A :class:`ModuleMap` f: X -> Y is a dense (dim Y x dim X) matrix with
-f @ act_X(b) = act_Y(b) @ f for every basis element b.
+A :class:`ModuleMap` f: X -> Y maps the coordinates at v to those at v, so
+it is stored the same way: ``blocks[v]`` is its len(Y.coords_at(v)) x
+len(X.coords_at(v)) matrix, one per vertex, with F_v @ X_b = Y_b @ F_u for
+every basis element b of degree (u, v).  Composites, ranks, kernels and
+linear combinations are taken block by block; the dense dim Y x dim X
+``matrix`` is a read-only view for the checks and the tests.
 
 Every constructor builds blocks directly, and Hom spaces, kernels, covers,
 envelopes, radicals and socles are computed block by block.  Constructors
@@ -59,7 +63,7 @@ class ModuleRep:
     ``cosyzygy`` and ``ext1_prefix`` (the resolution start of ``ext1_dim``).
     """
 
-    __slots__ = ("algebra", "dim", "blocks", "vertex_of", "_coords", "_extras")
+    __slots__ = ("algebra", "dim", "blocks", "vertex_of", "_coords", "_dims", "_extras")
 
     def __init__(self, algebra: AlgebraData, dim: int, blocks: dict[int, RatMatrix],
                  vertex_of: Sequence[int]):
@@ -72,6 +76,7 @@ class ModuleRep:
         for i, v in enumerate(self.vertex_of):
             byv.setdefault(v, []).append(i)
         self._coords = byv
+        self._dims = [len(byv.get(v, ())) for v in range(len(algebra.idempotents))]
         for b, m in blocks.items():
             u, v = algebra.grading[b]
             if m.rows != len(byv.get(v, ())) or m.cols != len(byv.get(u, ())):
@@ -113,19 +118,14 @@ class ModuleRep:
         m = self.blocks.get(b)
         if m is not None:
             u, v = self.algebra.grading[b]
-            cols = self.coords_at(u)
-            for g, row in zip(self.coords_at(v), m.data):
-                orow = out.data[g]
-                for c, val in zip(cols, row):
-                    orow[c] = val
+            _scatter(out, self.coords_at(v), self.coords_at(u), m)
         return out
 
     def coords_at(self, v: int) -> list[int]:
         return self._coords.get(v, [])
 
     def vertex_dims(self) -> list[int]:
-        n = len(self.algebra.idempotents)
-        return [len(self.coords_at(v)) for v in range(n)]
+        return list(self._dims)
 
     @property
     def extras(self) -> dict:
@@ -166,6 +166,14 @@ class ModuleRep:
                 raise ValueError(f"idempotent {v} is not the marked coordinate projector")
 
 
+def _scatter(out: RatMatrix, rows: Sequence[int], cols: Sequence[int], m: RatMatrix) -> None:
+    """Write block m into the dense matrix out at the given coordinates."""
+    for g, row in zip(rows, m.data):
+        orow = out.data[g]
+        for c, val in zip(cols, row):
+            orow[c] = val
+
+
 def _block_of(x: ModuleRep, vec) -> Optional[RatMatrix]:
     """The block on x of a homogeneous algebra element given as (basis index,
     coefficient) pairs; None when none of its basis elements acts."""
@@ -179,27 +187,59 @@ def _block_of(x: ModuleRep, vec) -> Optional[RatMatrix]:
 
 
 class ModuleMap:
-    """A morphism of right modules, stored as a (dim target x dim source) matrix."""
+    """A morphism of right modules f: X -> Y, stored vertex by vertex.
 
-    __slots__ = ("source", "target", "matrix")
+    ``blocks[v]`` is the len(Y.coords_at(v)) x len(X.coords_at(v)) matrix of
+    f on the coordinates at v.  The constructor checks the algebra and every
+    block shape.  Ranks are sums of block ranks, composites and linear
+    combinations are taken block by block.
+    """
 
-    def __init__(self, source: ModuleRep, target: ModuleRep, matrix: RatMatrix):
+    __slots__ = ("source", "target", "blocks")
+
+    def __init__(self, source: ModuleRep, target: ModuleRep, blocks: Sequence[RatMatrix]):
         if source.algebra is not target.algebra:
             raise ValueError("morphism between modules over different algebras")
-        if matrix.rows != target.dim or matrix.cols != source.dim:
-            raise ValueError("morphism matrix has wrong shape")
+        blocks = list(blocks)
+        if [(m.rows, m.cols) for m in blocks] != list(zip(target._dims, source._dims)):
+            raise ValueError("morphism block has wrong shape")
         self.source = source
         self.target = target
-        self.matrix = matrix
+        self.blocks = blocks
+
+    @property
+    def matrix(self) -> RatMatrix:
+        """Dense dim target x dim source view (checks and tests only)."""
+        out = RatMatrix.zeros(self.target.dim, self.source.dim)
+        for v, m in enumerate(self.blocks):
+            _scatter(out, self.target.coords_at(v), self.source.coords_at(v), m)
+        return out
 
     def then(self, other: "ModuleMap") -> "ModuleMap":
         """self followed by other."""
-        if other.source is not self.target and other.source.dim != self.target.dim:
+        if other.source._dims != self.target._dims:
             raise ValueError("composition mismatch")
-        return ModuleMap(self.source, other.target, other.matrix @ self.matrix)
+        return ModuleMap(self.source, other.target, [g @ f for f, g in zip(self.blocks, other.blocks)])
+
+    def __add__(self, other: "ModuleMap") -> "ModuleMap":
+        return ModuleMap(self.source, self.target, [f + g for f, g in zip(self.blocks, other.blocks)])
+
+    def scaled(self, c) -> "ModuleMap":
+        return ModuleMap(self.source, self.target, [m.scaled(c) for m in self.blocks])
+
+    def inverse(self) -> Optional["ModuleMap"]:
+        """The inverse morphism, or None when self is not an isomorphism."""
+        inv = [m.inverse() if m.rows == m.cols else None for m in self.blocks]
+        if any(m is None for m in inv):
+            return None
+        return ModuleMap(self.target, self.source, inv)
+
+    def flat(self) -> list[Fraction]:
+        """The entries of the blocks, vertex by vertex and row by row."""
+        return [c for m in self.blocks for row in m.data for c in row]
 
     def rank(self) -> int:
-        return self.matrix.rank()
+        return sum(m.rank() for m in self.blocks)
 
     def is_injective(self) -> bool:
         return self.rank() == self.source.dim
@@ -208,15 +248,17 @@ class ModuleMap:
         return self.rank() == self.target.dim
 
     def is_isomorphism(self) -> bool:
-        return self.source.dim == self.target.dim and self.is_injective()
+        return all(m.rows == m.cols == m.rank() for m in self.blocks)
 
     def is_zero(self) -> bool:
-        return self.matrix.is_zero()
+        return all(m.is_zero() for m in self.blocks)
 
     def validate(self) -> None:
+        """Check on the dense view that self intertwines the actions; used by the test-suite."""
         x, y = self.source, self.target
+        f = self.matrix
         for i in sorted(x.blocks.keys() | y.blocks.keys()):
-            if self.matrix @ x.action(i) != y.action(i) @ self.matrix:
+            if f @ x.action(i) != y.action(i) @ f:
                 raise ValueError(f"map does not intertwine basis element {i}")
 
     def __repr__(self) -> str:
@@ -224,11 +266,11 @@ class ModuleMap:
 
 
 def identity_map(x: ModuleRep) -> ModuleMap:
-    return ModuleMap(x, x, RatMatrix.identity(x.dim))
+    return ModuleMap(x, x, [RatMatrix.identity(d) for d in x._dims])
 
 
 def zero_map(x: ModuleRep, y: ModuleRep) -> ModuleMap:
-    return ModuleMap(x, y, RatMatrix.zeros(y.dim, x.dim))
+    return ModuleMap(x, y, [RatMatrix.zeros(dy, dx) for dx, dy in zip(x._dims, y._dims)])
 
 
 def _same_algebra(x: ModuleRep, y: ModuleRep) -> None:
@@ -309,10 +351,6 @@ def dual_module(x: ModuleRep) -> ModuleRep:
     return ModuleRep(x.algebra.opposite(), x.dim, blocks, x.vertex_of)
 
 
-def dual_map(f: ModuleMap) -> ModuleMap:
-    return ModuleMap(dual_module(f.target), dual_module(f.source), f.matrix.transpose())
-
-
 def direct_sum(xs: Sequence[ModuleRep], algebra: Optional[AlgebraData] = None):
     """Block-diagonal sum; returns (sum, injections, projections).
 
@@ -327,29 +365,29 @@ def direct_sum(xs: Sequence[ModuleRep], algebra: Optional[AlgebraData] = None):
     for x in xs:
         if x.algebra is not a:
             raise ValueError("summands live over different algebras")
-    dim = sum(x.dim for x in xs)
-    offs = []
-    o = 0
-    for x in xs:
-        offs.append(o)
-        o += x.dim
     # the coordinates at each vertex are those of xs[0], then of xs[1], ...
     blocks = {}
     for b in sorted(set().union(*(x.blocks for x in xs))):
         u, v = a.grading[b]
         blocks[b] = block_diag([x.blocks[b] if b in x.blocks
                                 else RatMatrix.zeros(len(x.coords_at(v)), len(x.coords_at(u))) for x in xs])
-    total = ModuleRep(a, dim, blocks, [v for x in xs for v in x.vertex_of])
+    total = ModuleRep(a, sum(x.dim for x in xs), blocks, [v for x in xs for v in x.vertex_of])
+    dims = list(zip(*(x._dims for x in xs)))  # dims[v][i]: summand i at v
     injections, projections = [], []
-    for x, off in zip(xs, offs):
-        inj = RatMatrix.zeros(dim, x.dim)
-        prj = RatMatrix.zeros(x.dim, dim)
-        for r in range(x.dim):
-            inj.data[off + r][r] = _ONE
-            prj.data[r][off + r] = _ONE
+    for i, x in enumerate(xs):
+        inj = [_summand_inclusion(d, i) for d in dims]
         injections.append(ModuleMap(x, total, inj))
-        projections.append(ModuleMap(total, x, prj))
+        projections.append(ModuleMap(total, x, [m.transpose() for m in inj]))
     return total, injections, projections
+
+
+def _summand_inclusion(dims: Sequence[int], i: int) -> RatMatrix:
+    """The inclusion of the i-th of stacked coordinate blocks of sizes dims."""
+    m = RatMatrix.zeros(sum(dims), dims[i])
+    off = sum(dims[:i])
+    for r in range(dims[i]):
+        m.data[off + r][r] = _ONE
+    return m
 
 
 # -- Hom spaces -------------------------------------------------------------
@@ -360,40 +398,40 @@ def hom_basis(x: ModuleRep, y: ModuleRep) -> list[ModuleMap]:
     _same_algebra(x, y)
     if x.dim == 0 or y.dim == 0:
         return []
-    rows, where = _hom_equations(x, y)
+    rows, n = _hom_equations(x, y)
     maps = []
-    for vec in sparse_kernel(rows, len(where)):
-        m = RatMatrix.zeros(y.dim, x.dim)
-        for k, val in vec.items():
-            i, j = where[k]
-            m.data[i][j] = val
-        maps.append(ModuleMap(x, y, m))
+    for vec in sparse_kernel(rows, n):
+        blocks = []
+        k = 0
+        for r, c in zip(y._dims, x._dims):
+            blocks.append(RatMatrix._of(r, c, [[vec.get(k + i * c + j, _ZERO) for j in range(c)] for i in range(r)]))
+            k += r * c
+        maps.append(ModuleMap(x, y, blocks))
     return maps
 
 
-def _hom_equations(x: ModuleRep, y: ModuleRep) -> tuple[list[dict[int, Fraction]], list[tuple[int, int]]]:
+def _hom_equations(x: ModuleRep, y: ModuleRep) -> tuple[list[dict[int, Fraction]], int]:
     """The equations F_v @ X_b = Y_b @ F_u, for b of degree (u, v), on the
-    vertex blocks F_v of a map x -> y, as sparse rows.
+    vertex blocks F_v of a map x -> y, as sparse rows, and the number of
+    unknowns.
 
-    Unknown k is the matrix entry ``where[k]`` of the map.  Rows that cancel
-    to zero (the idempotent equations F_v - F_v = 0) are dropped.
+    The unknowns are the entries of the blocks, vertex by vertex and row by
+    row, as in :meth:`ModuleMap.flat`.  Rows that cancel to zero (the
+    idempotent equations F_v - F_v = 0) are dropped.
     """
     a = x.algebra
-    nv = len(a.idempotents)
-    xi = [x.coords_at(v) for v in range(nv)]
-    yi = [y.coords_at(v) for v in range(nv)]
     offs = []
-    where = []
-    for v in range(nv):
-        offs.append(len(where))
-        where.extend((r, c) for r in yi[v] for c in xi[v])
+    n = 0
+    for dy, dx in zip(y._dims, x._dims):
+        offs.append(n)
+        n += dy * dx
     rows: list[dict[int, Fraction]] = []
     for b in sorted(x.blocks.keys() | y.blocks.keys()):
         u, v = a.grading[b]
         xb = x.blocks.get(b)
         yb = y.blocks.get(b)
-        dxu, dxv = len(xi[u]), len(xi[v])
-        dyv = len(yi[v])
+        dxu, dxv = x._dims[u], x._dims[v]
+        dyv = y._dims[v]
         if dyv * dxu == 0:
             continue
         # nonzero entries of the blocks: X_b by column, Y_b by row
@@ -414,7 +452,7 @@ def _hom_equations(x: ModuleRep, y: ModuleRep) -> tuple[list[dict[int, Fraction]
                         del row[k]
                 if row:
                     rows.append(row)
-    return rows, where
+    return rows, n
 
 
 def hom_dim(x: ModuleRep, y: ModuleRep) -> int:
@@ -422,37 +460,21 @@ def hom_dim(x: ModuleRep, y: ModuleRep) -> int:
     _same_algebra(x, y)
     if x.dim == 0 or y.dim == 0:
         return 0
-    rows, where = _hom_equations(x, y)
-    return len(sparse_kernel(rows, len(where)))
+    return len(sparse_kernel(*_hom_equations(x, y)))
 
 
 # -- sub/quotient machinery --------------------------------------------------
 
 
-def submodule_from_vertex_bases(x: ModuleRep, bases: dict[int, RatMatrix]):
+def submodule_from_vertex_bases(x: ModuleRep, bases: Sequence[RatMatrix]):
     """Submodule spanned per vertex by the given local column bases.
 
-    ``bases[v]`` has len(coords_at(v)) rows; its columns are vectors in the
-    v-component of x, assumed module-closed as a whole.  Returns (K, incl).
+    ``bases[v]`` has len(coords_at(v)) rows, for every vertex v; its columns
+    are vectors in the v-component of x, assumed module-closed as a whole.
+    Returns (K, incl); the blocks of incl are the bases.
     """
     a = x.algebra
-    nv = len(a.idempotents)
-    xi = [x.coords_at(v) for v in range(nv)]
-    kdims = [bases[v].cols if v in bases else 0 for v in range(nv)]
-    offs = []
-    n = 0
-    for v in range(nv):
-        offs.append(n)
-        n += kdims[v]
-    incl = RatMatrix.zeros(x.dim, n)
-    for v in range(nv):
-        if kdims[v]:
-            bv = bases[v]
-            for r, g in enumerate(xi[v]):
-                for c in range(bv.cols):
-                    val = bv.data[r][c]
-                    if val:
-                        incl.data[g][offs[v] + c] = val
+    kdims = [m.cols for m in bases]
     blocks = {}
     for b, xb in x.blocks.items():
         u, v = a.grading[b]
@@ -468,93 +490,42 @@ def submodule_from_vertex_bases(x: ModuleRep, bases: dict[int, RatMatrix]):
             raise ValueError("given spans are not module-closed")
         if not z.is_zero():
             blocks[b] = z
-    k = ModuleRep(a, n, blocks, [v for v in range(nv) for _ in range(kdims[v])])
-    return k, ModuleMap(k, x, incl)
-
-
-def _blocks_of_map(f: ModuleMap) -> dict[int, RatMatrix]:
-    """Per-vertex blocks of a morphism between adapted modules."""
-    x, y = f.source, f.target
-    nv = len(x.algebra.idempotents)
-    out = {}
-    for v in range(nv):
-        rows = y.coords_at(v)
-        cols = x.coords_at(v)
-        out[v] = f.matrix.submatrix(rows, cols)
-    return out
+    k = ModuleRep(a, sum(kdims), blocks, [v for v, d in enumerate(kdims) for _ in range(d)])
+    return k, ModuleMap(k, x, bases)
 
 
 def kernel(f: ModuleMap):
     """(kernel module, inclusion)."""
-    x = f.source
-    blocks = _blocks_of_map(f)
-    bases = {v: m.kernel_basis() for v, m in blocks.items()}
-    return submodule_from_vertex_bases(x, bases)
+    return submodule_from_vertex_bases(f.source, [m.kernel_basis() for m in f.blocks])
 
 
 def image(f: ModuleMap):
     """(image module, inclusion into target, factorisation of f through it)."""
-    x, y = f.source, f.target
-    blocks = _blocks_of_map(f)
-    bases = {}
-    facs = {}
-    for v, m in blocks.items():
-        c, _ = m.column_space_basis()
-        bases[v] = c
-        facs[v] = c.solve(m)
-    img, incl = submodule_from_vertex_bases(y, bases)
-    nv = len(y.algebra.idempotents)
-    fac = RatMatrix.zeros(img.dim, x.dim)
-    off = 0
-    for v in range(nv):
-        kv = bases[v].cols if v in bases else 0
-        if kv:
-            fv = facs[v]
-            for r in range(kv):
-                for c, g in enumerate(x.coords_at(v)):
-                    val = fv.data[r][c]
-                    if val:
-                        fac.data[off + r][g] = val
-            off += kv
-    return img, incl, ModuleMap(x, img, fac)
+    bases = [m.column_space_basis()[0] for m in f.blocks]
+    img, incl = submodule_from_vertex_bases(f.target, bases)
+    return img, incl, ModuleMap(f.source, img, [c.solve(m) for c, m in zip(bases, f.blocks)])
 
 
 def cokernel(f: ModuleMap):
     """(cokernel module, projection from target)."""
     y = f.target
     a = y.algebra
-    nv = len(a.idempotents)
-    yi = [y.coords_at(v) for v in range(nv)]
-    fblocks = _blocks_of_map(f)
-    projs = {}   # local projection rows per vertex
-    frees = {}   # local coordinates that the projection keeps as a basis
-    qdims = []
-    for v in range(nv):
-        red, _, pivots = fblocks[v].transpose().rref()
+    projs = []   # local projection rows per vertex
+    frees = []   # local coordinates that the projection keeps as a basis
+    for m in f.blocks:
+        red, _, pivots = m.transpose().rref()
         pivset = set(pivots)
-        free = [c for c in range(len(yi[v])) if c not in pivset]
-        q = RatMatrix.zeros(len(free), len(yi[v]))
+        free = [c for c in range(m.rows) if c not in pivset]
+        q = RatMatrix.zeros(len(free), m.rows)
         for l, fc in enumerate(free):
             q.data[l][fc] = _ONE
             for i, p in enumerate(pivots):
                 val = red.data[i][fc]
                 if val:
                     q.data[l][p] = -val
-        projs[v], frees[v] = q, free
-        qdims.append(len(free))
-    offs = []
-    n = 0
-    for v in range(nv):
-        offs.append(n)
-        n += qdims[v]
-    proj = RatMatrix.zeros(n, y.dim)
-    for v in range(nv):
-        q = projs[v]
-        for r in range(qdims[v]):
-            for c, g in enumerate(yi[v]):
-                val = q.data[r][c]
-                if val:
-                    proj.data[offs[v] + r][g] = val
+        projs.append(q)
+        frees.append(free)
+    qdims = [q.rows for q in projs]
     blocks = {}
     for b, yb in y.blocks.items():
         u, v = a.grading[b]
@@ -563,9 +534,8 @@ def cokernel(f: ModuleMap):
         z = projs[v] @ yb.submatrix(range(yb.rows), frees[u])
         if not z.is_zero():
             blocks[b] = z
-    cok = ModuleRep(a, n, blocks, [v for v in range(nv) for _ in range(qdims[v])])
-    pm = ModuleMap(y, cok, proj)
-    return cok, pm
+    cok = ModuleRep(a, sum(qdims), blocks, [v for v, d in enumerate(qdims) for _ in range(d)])
+    return cok, ModuleMap(y, cok, projs)
 
 
 # -- radical, top, socle -------------------------------------------------------
@@ -599,9 +569,7 @@ def _radical_vertex_spans(x: ModuleRep) -> list[EchelonSpace]:
 
 def radical_submodule(x: ModuleRep):
     """(x * rad(A), inclusion)."""
-    spans = _radical_vertex_spans(x)
-    bases = {v: sp.basis_matrix() for v, sp in enumerate(spans)}
-    return submodule_from_vertex_bases(x, bases)
+    return submodule_from_vertex_bases(x, [sp.basis_matrix() for sp in _radical_vertex_spans(x)])
 
 
 def top(x: ModuleRep):
@@ -610,19 +578,21 @@ def top(x: ModuleRep):
     return cokernel(incl)
 
 
-def socle(x: ModuleRep):
-    """(annihilator of rad(A) in x, inclusion)."""
-    a = x.algebra
-    if not a.radical_sparse():
-        return x, identity_map(x)
+def _socle_bases(x: ModuleRep) -> list[RatMatrix]:
+    """Per-vertex bases of the annihilator of rad(A) in x."""
     # the socle at u is killed by the stacked blocks of the pieces of degree (u, .)
     by_source: dict[int, list[RatMatrix]] = {}
     for u, _v, m in _radical_blocks(x):
         by_source.setdefault(u, []).append(m)
-    bases = {}
-    for u in range(len(a.idempotents)):
-        bases[u] = vstack(by_source.get(u) or [RatMatrix.zeros(0, len(x.coords_at(u)))]).kernel_basis()
-    return submodule_from_vertex_bases(x, bases)
+    return [vstack(by_source.get(u) or [RatMatrix.zeros(0, len(x.coords_at(u)))]).kernel_basis()
+            for u in range(len(x.algebra.idempotents))]
+
+
+def socle(x: ModuleRep):
+    """(annihilator of rad(A) in x, inclusion)."""
+    if not x.algebra.radical_sparse():
+        return x, identity_map(x)
+    return submodule_from_vertex_bases(x, _socle_bases(x))
 
 
 # -- covers and envelopes ---------------------------------------------------
@@ -637,7 +607,7 @@ def projective_cover(x: ModuleRep):
     spans = _radical_vertex_spans(x)
     nv = len(a.idempotents)
     summands: list[ModuleRep] = []
-    columns: list[list[Fraction]] = []
+    columns: list[list[list[Fraction]]] = [[] for _ in range(nv)]  # cover block columns per vertex
     for v in range(nv):
         pivset = set(spans[v].pivots)
         lifts = [l for l in range(len(x.coords_at(v))) if l not in pivset]
@@ -646,28 +616,22 @@ def projective_cover(x: ModuleRep):
         pv = projective_module(a, v)
         for l in lifts:
             summands.append(pv)
-            # the image of basis element j of e_v A is column l of its block
+            # the image of basis element j of e_v A, of degree (v, w), is column l of its block
             for j in pv.extras["algebra_basis"]:
-                col = [_ZERO] * x.dim
+                w = a.grading[j][1]
                 m = x.blocks.get(j)
-                if m is not None:
-                    for g, row in zip(x.coords_at(a.grading[j][1]), m.data):
-                        col[g] = row[l]
-                columns.append(col)
+                columns[w].append(m.column_vec(l) if m is not None else [_ZERO] * len(x.coords_at(w)))
     if not summands:
         raise ValueError("nonzero module equals its own radical")
     p, _, _ = direct_sum(summands)
-    f = RatMatrix.from_columns(columns, nrows=x.dim)
-    cover = ModuleMap(p, x, f)
+    cover = ModuleMap(p, x, [RatMatrix.from_columns(c, nrows=len(x.coords_at(w))) for w, c in enumerate(columns)])
     if not cover.is_surjective():
         raise ValueError("projective cover construction failed to be surjective")
-    kmod, kincl = kernel(cover)
+    # ker f is superfluous iff it lies in P * rad(A), vertex by vertex
     pspans = _radical_vertex_spans(p)
-    for j in range(kmod.dim):
-        col = kincl.matrix.column_vec(j)
-        for v in range(nv):
-            local = [col[g] for g in p.coords_at(v)]
-            if any(local) and not pspans[v].contains(local):
+    for v, m in enumerate(cover.blocks):
+        for col in m.kernel_basis().columns():
+            if not pspans[v].contains(col):
                 raise ValueError("projective cover kernel is not superfluous")
     return p, cover
 
@@ -683,16 +647,16 @@ def injective_envelope(x: ModuleRep):
     xd = dual_module(x)
     p, g = projective_cover(xd)
     i = dual_module(p)
-    env = ModuleMap(x, i, g.matrix.transpose())
+    env = ModuleMap(x, i, [m.transpose() for m in g.blocks])
     if not env.is_injective():
         raise ValueError("injective envelope construction failed to be injective")
-    soc, sincl = socle(i)
-    if soc.dim:
-        span = EchelonSpace(i.dim)
-        for j in range(env.matrix.cols):
-            span.add(env.matrix.column_vec(j))
-        for j in range(soc.dim):
-            if not span.contains(sincl.matrix.column_vec(j)):
+    # the image is essential iff it holds soc I, vertex by vertex
+    for m, soc in zip(env.blocks, _socle_bases(i)):
+        if soc.cols:
+            span = EchelonSpace(m.rows)
+            for col in m.columns():
+                span.add(col)
+            if not all(span.contains(col) for col in soc.columns()):
                 raise ValueError("injective envelope image is not essential")
     return i, env
 

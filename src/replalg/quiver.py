@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .algebra import AlgebraData
-from .errors import CyclicQuiver, DuplicateLabel, EmptyQuiver
+from .errors import CyclicQuiver, DuplicateLabel, EmptyQuiver, InternalCheckFailed
 
 
 class Arrow(NamedTuple):
@@ -183,7 +183,7 @@ def build_hereditary(q: Quiver) -> AlgebraData:
     from .homology import global_dimension  # deferred; homology sits above this layer
 
     if not global_dimension(alg, cap=2).at_most(1):
-        raise AssertionError("path algebra of an acyclic quiver must be hereditary")
+        raise InternalCheckFailed("path algebra of an acyclic quiver must be hereditary")
     return alg
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import AlgebraData
-from .errors import AmbientTooSmall, CapTooSmall, CopyOutOfRange
+from .errors import AmbientTooSmall, CapTooSmall, CopyOutOfRange, InternalCheckFailed
 from .homology import (
     DimBound,
     decompose_with_maps,
@@ -102,7 +102,7 @@ class ReplicatedAlgebra:
                 idems.append((f"{quiver.vertices[v]}@{i}", coords))
         self.algebra = AlgebraData(labels, mult, unit, idems, check=True)
         if self.algebra.dim != (2 * m + 1) * self.base.dim:
-            raise AssertionError("replicated algebra has the wrong dimension")
+            raise InternalCheckFailed("replicated algebra has the wrong dimension")
 
     def _product(self, ka: tuple, kb: tuple) -> Optional[tuple]:
         q = self.quiver
@@ -297,25 +297,27 @@ def _verify_generator_cogenerator(bundle: GeneratorBundle, seed: int) -> None:
     for idx, (lab, _) in enumerate(r.algebra.idempotents):
         p = projective_module(r.algebra, idx)
         if all(is_isomorphic(p, m, seed=seed) is None for m in mods):
-            raise AssertionError(f"indecomposable projective at {lab} is not a summand")
+            raise InternalCheckFailed(f"indecomposable projective at {lab} is not a summand")
         i = injective_module(r.algebra, idx)
         if all(is_isomorphic(i, m, seed=seed) is None for m in mods):
-            raise AssertionError(f"indecomposable injective at {lab} is not a summand")
+            raise InternalCheckFailed(f"indecomposable injective at {lab} is not a summand")
 
 
-def auslander_generator(quiver: Quiver, m: int, cap: Optional[int] = None,
-                        seed: int = 0) -> GeneratorBundle:
-    """M = A + DA_m + P + U_1 + ... + U_{t-1}, de-duplicated up to isomorphism.
+def default_cap(m: int) -> int:
+    """The resolution length cap used when none is given."""
+    return 4 * m + 4
 
-    t = gl.dim A^(m) is computed, never assumed.  The result is verified to
-    be a generator and a cogenerator.
+
+def _minimal_summands(quiver: Quiver, m: int, cap: Optional[int]):
+    """(A^(m), cap, gl.dim A^(m), the labelled modules of A + DA_m + P).
+
+    Raises CapTooSmall when the cap ends before gl.dim A^(m) is determined.
     """
-    cap = cap if cap is not None else 4 * m + 4
+    cap = cap if cap is not None else default_cap(m)
     r = build_replicated(quiver, m)
     t_bound = global_dimension(r.algebra, cap)
     if not t_bound.exact:
         raise CapTooSmall(f"resolution cap {cap} too small to determine gl.dim A^(m)")
-    t = t_bound.value
     nv = len(quiver.vertices)
     labelled: list[tuple[str, ModuleRep]] = []
     for v in range(nv):
@@ -326,6 +328,17 @@ def auslander_generator(quiver: Quiver, m: int, cap: Optional[int] = None,
         lab = r.algebra.idempotents[idx][0]
         labelled.append((f"inj:{lab}", injective_module(r.algebra, idx)))
     labelled.extend(projective_injectives(r))
+    return r, cap, t_bound.value, labelled
+
+
+def auslander_generator(quiver: Quiver, m: int, cap: Optional[int] = None,
+                        seed: int = 0) -> GeneratorBundle:
+    """M = A + DA_m + P + U_1 + ... + U_{t-1}, de-duplicated up to isomorphism.
+
+    t = gl.dim A^(m) is computed, never assumed.  The result is verified to
+    be a generator and a cogenerator.
+    """
+    r, cap, t, labelled = _minimal_summands(quiver, m, cap)
     if t >= 2:
         amb, layers = sigma_layers(quiver, m, t - 1, seed=seed)
         for layer in layers[1:]:
@@ -342,22 +355,8 @@ def auslander_generator(quiver: Quiver, m: int, cap: Optional[int] = None,
 def minimal_cogenerator(quiver: Quiver, m: int, cap: Optional[int] = None,
                         seed: int = 0) -> GeneratorBundle:
     """M_0 = A + DA_m + P: the smallest obvious generator-cogenerator."""
-    cap = cap if cap is not None else 4 * m + 4
-    r = build_replicated(quiver, m)
-    t_bound = global_dimension(r.algebra, cap)
-    if not t_bound.exact:
-        raise CapTooSmall(f"resolution cap {cap} too small to determine gl.dim A^(m)")
-    nv = len(quiver.vertices)
-    labelled: list[tuple[str, ModuleRep]] = []
-    for v in range(nv):
-        lab = r.algebra.idempotents[v][0]
-        labelled.append((f"proj:{lab}", projective_module(r.algebra, v)))
-    for v in range(nv):
-        idx = m * nv + v
-        lab = r.algebra.idempotents[idx][0]
-        labelled.append((f"inj:{lab}", injective_module(r.algebra, idx)))
-    labelled.extend(projective_injectives(r))
-    return _assemble_generator(r, labelled, t_bound.value, cap, seed)
+    r, cap, t, labelled = _minimal_summands(quiver, m, cap)
+    return _assemble_generator(r, labelled, t, cap, seed)
 
 
 def loewy_layers(r: ReplicatedAlgebra, x: ModuleRep) -> list[str]:

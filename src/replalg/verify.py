@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import ReplalgError
 from .homology import (
-    _flatten,
+    _span_rank,
     cosyzygy,
     decompose_with_maps,
     dominant_dimension,
@@ -24,7 +24,6 @@ from .homology import (
     is_isomorphic,
     right_approximation,
 )
-from .linalg import EchelonSpace
 from .modules import (
     ModuleRep,
     hom_basis,
@@ -42,6 +41,7 @@ from .replicated import (
     GeneratorBundle,
     auslander_generator,
     build_replicated,
+    default_cap,
     embed,
     minimal_cogenerator,
     projective_injectives,
@@ -76,10 +76,6 @@ def _instance(q: Quiver, m: int) -> dict:
         "arrows": [{"name": a.name, "from": a.source, "to": a.target} for a in q.arrows],
         "m": m,
     }
-
-
-def default_cap(m: int) -> int:
-    return 4 * m + 4
 
 
 def verify_theorem_3_3(q: Quiver, m: int, cap: Optional[int] = None, seed: int = 0,
@@ -187,11 +183,7 @@ def verify_lemma_2_4(bundle: GeneratorBundle, x: ModuleRep, x_label: str,
         dx = hom_dim(l, x)
         # rank of Hom(L, M1) -> Hom(L, x); exactness in the middle is the
         # dimension count, surjectivity on the right is the rank
-        sp = EchelonSpace(x.dim * l.dim)
-        rank = 0
-        for phi in hm:
-            if sp.add(_flatten(g.matrix @ phi.matrix)):
-                rank += 1
+        rank = _span_rank(l, x, (phi.then(g) for phi in hm))
         if rank != dx or len(hm) != dk + dx:
             hom_exact = False
             break

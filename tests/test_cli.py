@@ -145,6 +145,16 @@ def test_unreadable_file_is_an_error(capsys):
     assert code == 2
 
 
+def test_failed_internal_check_is_an_error(kronecker_file, capsys, monkeypatch):
+    # with no isomorphism ever found, the generator check cannot find the
+    # projectives among the summands: exit 2 with one error line, not a traceback
+    monkeypatch.setattr(replalg.replicated, "is_isomorphic", lambda *args, **kwargs: None)
+    assert main(["inventory", "--quiver", kronecker_file, "--m", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: indecomposable projective") and err.count("\n") == 1
+    assert issubclass(replalg.InternalCheckFailed, ReplalgError)
+
+
 def test_bad_m_is_an_error(kronecker_file, capsys):
     assert main(["domdim", "--quiver", kronecker_file, "--m", "0"]) == 2
     assert main(["repdim", "--quiver", kronecker_file, "--m", "-1"]) == 2

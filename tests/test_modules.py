@@ -27,9 +27,10 @@ from replalg.modules import (
     simple_module,
     socle,
     top,
+    zero_map,
     zero_module,
 )
-from replalg.quiver import build_hereditary, kronecker, one_vertex
+from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator
 
 F = Fraction
@@ -113,7 +114,7 @@ def test_kernel_of_identity_and_cover(kr):
 def test_cokernel_of_zero_map(kr):
     s1 = simple_module(kr, 0)
     z = zero_module(kr)
-    c, proj = cokernel(ModuleMap(z, s1, RatMatrix.zeros(1, 0)))
+    c, proj = cokernel(zero_map(z, s1))
     assert c.dim == 1 and proj.is_isomorphism()
 
 
@@ -288,8 +289,10 @@ def test_image_factorisation(kr):
 
 def _dense_hom_oracle(x, y):
     """Hom(x, y) from the same graded equations, solved by dense elimination."""
-    rows, where = replalg.modules._hom_equations(x, y)
-    n = len(where)
+    rows, n = replalg.modules._hom_equations(x, y)
+    # unknown k is entry k of the blocks, vertex by vertex and row by row
+    nv = len(x.algebra.idempotents)
+    where = [(i, j) for v in range(nv) for i in y.coords_at(v) for j in x.coords_at(v)]
     sol = RatMatrix(len(rows), n, [[row.get(k, 0) for k in range(n)] for row in rows]).kernel_basis()
     mats = []
     for col in sol.columns():
@@ -307,22 +310,190 @@ def kronecker_m1_summands():
     return [s.module for s in auslander_generator(kronecker(), 1).summands]
 
 
-@pytest.mark.parametrize("inventory", ["a2_ext_inventory", "kronecker_m1_summands"])
+# The dense oracles below eliminate on the whole matrix.  Its reduced row
+# echelon form is that of the vertex blocks together, so they list the same
+# vectors; a stable sort by vertex puts them in the order of the blocks.
+
+
+def _kernel_oracle(f):
+    """Dense kernel basis of the whole matrix, ordered by vertex."""
+    x = f.source
+    cols = sorted(f.matrix.kernel_basis().columns(), key=lambda col: x.vertex_of[next(i for i, c in enumerate(col) if c)])
+    return RatMatrix.from_columns(cols, nrows=x.dim)
+
+
+def _cokernel_oracle(f):
+    """Projection onto the coordinates that are no pivot of the dense rref of
+    f^T, ordered by vertex."""
+    y = f.target
+    red, _, pivots = f.matrix.transpose().rref()
+    rows = []
+    for fc in sorted((c for c in range(y.dim) if c not in pivots), key=lambda c: y.vertex_of[c]):
+        row = [F(0)] * y.dim
+        row[fc] = F(1)
+        for i, p in enumerate(pivots):
+            if red.data[i][fc]:
+                row[p] = -red.data[i][fc]
+        rows.append(row)
+    return RatMatrix(len(rows), y.dim, rows)
+
+
+def _image_oracle(f):
+    """Dense pivot columns of f ordered by vertex, and the factorisation."""
+    basis, pivots = f.matrix.column_space_basis()
+    order = sorted(range(len(pivots)), key=lambda i: f.source.vertex_of[pivots[i]])
+    incl = RatMatrix.from_columns([basis.column_vec(i) for i in order], nrows=f.target.dim)
+    return incl, incl.solve(f.matrix)
+
+
+def _cover_oracle(x):
+    """The cover from dense actions: one copy of e_v A per local coordinate
+    at v outside the radical's pivots, sending e_v to that coordinate."""
+    spans = [replalg.linalg.EchelonSpace(len(x.coords_at(v))) for v in range(len(x.algebra.idempotents))]
+    for m in _dense_radical_actions(x):
+        for col in m.columns():
+            for v, sp in enumerate(spans):
+                local = [col[g] for g in x.coords_at(v)]
+                if any(local):
+                    sp.add(local)
+    cols = []
+    for v, sp in enumerate(spans):
+        basis = projective_module(x.algebra, v).extras["algebra_basis"]
+        for l in range(len(x.coords_at(v))):
+            if l not in sp.pivots:
+                cols.extend(x.action(j).column_vec(x.coords_at(v)[l]) for j in basis)
+    return RatMatrix.from_columns(cols, nrows=x.dim)
+
+
+def _iso_oracle(x, y):
+    """The dense search of is_isomorphic before its random stage, or None."""
+    hxy, hyx = _dense_hom_oracle(x, y), _dense_hom_oracle(y, x)
+    for f in hxy:
+        if f.is_invertible():
+            return f
+    for f in hxy:
+        for g in hyx:
+            if (g @ f).is_invertible():
+                return f
+            if (f @ g).is_invertible():
+                return g.inverse()
+    return None
+
+
+def _sum_oracle(xs):
+    """Dense injections and projections of a direct sum, summand after summand."""
+    n = sum(x.dim for x in xs)
+    injs, off = [], 0
+    for x in xs:
+        inj = RatMatrix.zeros(n, x.dim)
+        for r in range(x.dim):
+            inj.data[off + r][r] = F(1)
+        injs.append(inj)
+        off += x.dim
+    return injs, [m.transpose() for m in injs]
+
+
+@pytest.fixture(scope="module")
+def kronecker_m1_summands():
+    return [s.module for s in auslander_generator(kronecker(), 1).summands]
+
+
+@pytest.fixture(scope="module")
+def twisted_kronecker_m1_summands(kronecker_m1_summands):
+    """The summands after the base change 1 + E_{01} inside each vertex block
+    of dimension >= 2: their covers and envelopes have square blocks that
+    are not symmetric."""
+    out = []
+    for x in kronecker_m1_summands:
+        c = RatMatrix.identity(x.dim)
+        for v in range(len(x.algebra.idempotents)):
+            at = x.coords_at(v)
+            if len(at) >= 2:
+                c.data[at[0]][at[1]] = F(1)
+        cinv = c.inverse()
+        out.append(ModuleRep.from_actions(x.algebra, {b: cinv @ x.action(b) @ c for b in x.blocks}, x.vertex_of))
+    return out
+
+
+@pytest.mark.parametrize("inventory", ["a2_ext_inventory", "kronecker_m1_summands", "twisted_kronecker_m1_summands"])
 def test_sparse_hom_basis_matches_dense_oracle(inventory, request):
+    # every map a constructor returns passes validate(), and its dense view
+    # equals an oracle computed on dense matrices
+    from replalg.homology import decompose_with_maps, is_isomorphic, right_approximation
+
     mods = request.getfixturevalue(inventory)
     if inventory == "a2_ext_inventory":
         mods = mods[0]
     assert len(mods) >= 10
     dims = set()
+
+    def check(f, want):
+        f.validate()
+        assert f.matrix == want
+
     for x in mods:
         for y in mods:
             basis = hom_basis(x, y)
             assert [f.matrix for f in basis] == _dense_hom_oracle(x, y)
-            for f in basis:
-                f.validate()
             assert hom_dim(x, y) == len(basis)
             dims.add(len(basis))
+            for f in basis:
+                f.validate()
+                check(kernel(f)[1], _kernel_oracle(f))
+                check(cokernel(f)[1], _cokernel_oracle(f))
+                _, incl, fac = image(f)
+                for g, want in zip((incl, fac), _image_oracle(f)):
+                    check(g, want)
+            _, injs, prjs = direct_sum([x, y])
+            for g, want in zip(injs + prjs, sum(_sum_oracle([x, y]), [])):
+                check(g, want)
+            iso, want = is_isomorphic(x, y), _iso_oracle(x, y)
+            if want is not None:
+                check(iso, want)
+            elif iso is not None:
+                iso.validate()
+                assert iso.matrix.is_invertible()
+        check(projective_cover(x)[1], _cover_oracle(x))
+        check(injective_envelope(x)[1], _cover_oracle(dual_module(x)).transpose())
+        pieces = decompose_with_maps(x)
+        incs = [inc for _, inc, _ in pieces]
+        # the projections are the rows of the inverse of the inclusions side by side
+        inv = replalg.linalg.hstack([inc.matrix for inc in incs]).inverse()
+        off = 0
+        for piece, inc, prj in pieces:
+            inc.validate()
+            check(prj, RatMatrix(piece.dim, x.dim, inv.data[off:off + piece.dim]))
+            off += piece.dim
     assert {0, 1} <= dims
+    for x in mods[:4]:
+        g = right_approximation(mods, x)
+        g.validate()
+        # each summand of the source maps to x by a Hom basis element
+        types = g.source.extras["approximation_summands"]
+        _, injs, _ = direct_sum([mods[t] for t in types])
+        parts = [g.matrix @ inj.matrix for inj in injs]
+        assert all(part in _dense_hom_oracle(mods[t], x) for part, t in zip(parts, types))
+        assert g.matrix == replalg.linalg.hstack(parts)
+
+
+def test_module_map_blocks_are_checked(kr):
+    s1, s2 = simple_module(kr, 0), simple_module(kr, 1)
+    assert identity_map(s1).blocks == [RatMatrix.identity(1), RatMatrix.zeros(0, 0)]
+    with pytest.raises(ValueError, match="wrong shape"):
+        ModuleMap(s1, s1, [RatMatrix.identity(1), RatMatrix.zeros(1, 0)])
+    with pytest.raises(ValueError, match="wrong shape"):
+        ModuleMap(s1, s1, [RatMatrix.identity(1)])
+    with pytest.raises(ValueError, match="wrong shape"):
+        ModuleMap(s1, s2, [RatMatrix.identity(1), RatMatrix.zeros(0, 0)])
+
+
+def test_then_rejects_a_mismatched_middle_module():
+    # over A2, S1 -> S1 followed by S2 -> S2 is no map S1 -> S2 (Hom is zero)
+    a2 = build_hereditary(linear_quiver(2))
+    s1, s2 = simple_module(a2, 0), simple_module(a2, 1)
+    assert hom_dim(s1, s2) == 0
+    with pytest.raises(ValueError, match="composition mismatch"):
+        identity_map(s1).then(identity_map(s2))
 
 
 def test_corrupted_hom_solve_is_caught(kr, monkeypatch):
