@@ -14,24 +14,20 @@ decompositions used throughout the module layer.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import NonSplitSimple, NotBasic
-from .linalg import EchelonSpace, RatMatrix
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .linalg import EchelonSpace, RatMatrix, Scalar, scalar
 
 # sparse product: tuple of (basis index, coefficient)
-SparseVec = tuple[tuple[int, Fraction], ...]
+SparseVec = tuple[tuple[int, Scalar], ...]
 
 
 def _to_sparse(pairs) -> SparseVec:
-    return tuple((int(k), c if type(c) is Fraction else Fraction(c)) for k, c in pairs if c)
+    return tuple((int(k), scalar(c)) for k, c in pairs if c)
 
 
-def _sparse_coords(vec: Sequence[Fraction]) -> SparseVec:
+def _sparse_coords(vec: Sequence[Scalar]) -> SparseVec:
     return tuple((i, c) for i, c in enumerate(vec) if c)
 
 
@@ -57,11 +53,8 @@ class AlgebraData:
         if len(mult) != self.dim or any(len(row) != self.dim for row in mult):
             raise ValueError("multiplication table shape mismatch")
         self.mult: list[list[SparseVec]] = [[_to_sparse(cell) for cell in row] for row in mult]
-        self.unit = tuple(x if type(x) is Fraction else Fraction(x) for x in unit)
-        self.idempotents = tuple(
-            (lab, tuple(x if type(x) is Fraction else Fraction(x) for x in coords))
-            for lab, coords in idempotents
-        )
+        self.unit = tuple(scalar(x) for x in unit)
+        self.idempotents = tuple((lab, tuple(scalar(x) for x in coords)) for lab, coords in idempotents)
         self._radical: Optional[list[SparseVec]] = None
         self._radical_pieces = None
         self._corner_codims: Optional[list[int]] = None
@@ -77,28 +70,28 @@ class AlgebraData:
     # -- multiplication -------------------------------------------------
 
     def mult_sparse(self, x: SparseVec, y: SparseVec) -> SparseVec:
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Scalar] = {}
         mult = self.mult
         for i, ci in x:
             row = mult[i]
             for j, cj in y:
                 c = ci * cj
                 for k, ck in row[j]:
-                    v = acc.get(k, _ZERO) + c * ck
+                    v = acc.get(k, 0) + c * ck
                     if v:
                         acc[k] = v
                     elif k in acc:
                         del acc[k]
         return tuple(sorted(acc.items()))
 
-    def mult_coords(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> list[Fraction]:
-        out = [_ZERO] * self.dim
+    def mult_coords(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> list[Scalar]:
+        out = [0] * self.dim
         for k, c in self.mult_sparse(_sparse_coords(x), _sparse_coords(y)):
             out[k] = c
         return out
 
-    def dense(self, sparse: SparseVec) -> list[Fraction]:
-        out = [_ZERO] * self.dim
+    def dense(self, sparse: SparseVec) -> list[Scalar]:
+        out = [0] * self.dim
         for k, c in sparse:
             out[k] = c
         return out
@@ -110,7 +103,7 @@ class AlgebraData:
         idem_sparse = [_sparse_coords(coords) for _, coords in self.idempotents]
         table = []
         for b in range(self.dim):
-            sb: SparseVec = ((b, _ONE),)
+            sb: SparseVec = ((b, 1),)
             left = [u for u, e in enumerate(idem_sparse) if self.mult_sparse(e, sb) == sb]
             right = [v for v, e in enumerate(idem_sparse) if self.mult_sparse(sb, e) == sb]
             if len(left) != 1 or len(right) != 1:
@@ -122,12 +115,12 @@ class AlgebraData:
         dim = self.dim
         unit_sparse = _sparse_coords(self.unit)
         for j in range(dim):
-            sj: SparseVec = ((j, _ONE),)
+            sj: SparseVec = ((j, 1),)
             if self.mult_sparse(unit_sparse, sj) != sj or self.mult_sparse(sj, unit_sparse) != sj:
                 raise ValueError(f"unit law fails on basis element {self.labels[j]}")
         # idempotent system
         idem = [_sparse_coords(coords) for _, coords in self.idempotents]
-        total = [_ZERO] * dim
+        total = [0] * dim
         for (lab, coords), e in zip(self.idempotents, idem):
             if self.mult_sparse(e, e) != e:
                 raise ValueError(f"idempotent {lab} is not idempotent")
@@ -162,7 +155,7 @@ class AlgebraData:
                 pij = mult[i][j]
                 jv = self.grading[j][1]
                 for k in by_left.get(jv, []):
-                    if self.mult_sparse(pij, ((k, _ONE),)) != self.mult_sparse(((i, _ONE),), mult[j][k]):
+                    if self.mult_sparse(pij, ((k, 1),)) != self.mult_sparse(((i, 1),), mult[j][k]):
                         raise ValueError(
                             f"associativity fails on ({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
                         )
@@ -175,7 +168,7 @@ class AlgebraData:
 
     # -- radical ---------------------------------------------------------
 
-    def radical_basis(self) -> list[list[Fraction]]:
+    def radical_basis(self) -> list[list[Scalar]]:
         """Basis of the Jacobson radical, as dense coordinate vectors."""
         return [self.dense(r) for r in self.radical_sparse()]
 
@@ -250,17 +243,17 @@ class AlgebraData:
                 for j in blocks.get((v, u), []):
                     if not span.contains(corner.dense([(local[k], c) for k, c in self.mult[i][j]])):
                         return None
-                rad.append(((i, _ONE),))
+                rad.append(((i, 1),))
         self._corner_codims = codims
         return rad
 
-    def _trace_form_radical(self) -> list[list[Fraction]]:
+    def _trace_form_radical(self) -> list[list[Scalar]]:
         """{x : trace(L_{x y}) = 0 for all y} (char 0), verified to be the radical."""
         dim = self.dim
         # trace of left multiplication by each basis element
         trL = []
         for k in range(dim):
-            t = _ZERO
+            t = 0
             row = self.mult[k]
             for j in range(dim):
                 for l, c in row[j]:
@@ -268,14 +261,14 @@ class AlgebraData:
                         t += c
             trL.append(t)
         gram = RatMatrix(dim, dim, [
-            [sum((c * trL[k] for k, c in self.mult[i][j]), _ZERO) for j in range(dim)]
+            [sum((c * trL[k] for k, c in self.mult[i][j]), 0) for j in range(dim)]
             for i in range(dim)
         ])
         rad = [gram.kernel_basis().column_vec(j) for j in range(dim - gram.rank())]
         self._verify_radical(rad)
         return rad
 
-    def _verify_radical(self, rad: list[list[Fraction]]) -> None:
+    def _verify_radical(self, rad: list[list[Scalar]]) -> None:
         dim = self.dim
         span = EchelonSpace(dim)
         for v in rad:
@@ -284,7 +277,7 @@ class AlgebraData:
         for v in rad:
             sv = _sparse_coords(v)
             for j in range(dim):
-                sj: SparseVec = ((j, _ONE),)
+                sj: SparseVec = ((j, 1),)
                 if not span.contains(self.dense(self.mult_sparse(sv, sj))):
                     raise ValueError("radical candidate is not a right ideal")
                 if not span.contains(self.dense(self.mult_sparse(sj, sv))):
@@ -323,9 +316,9 @@ class AlgebraData:
                 qmult[a][b] = [prod[c] for c in comp]
         trL = []
         for k in range(qdim):
-            trL.append(sum((qmult[k][j][j] for j in range(qdim)), _ZERO))
+            trL.append(sum((qmult[k][j][j] for j in range(qdim)), 0))
         gram = RatMatrix(qdim, qdim, [
-            [sum((qmult[i][j][k] * trL[k] for k in range(qdim)), _ZERO) for j in range(qdim)]
+            [sum((qmult[i][j][k] * trL[k] for k in range(qdim)), 0) for j in range(qdim)]
             for i in range(qdim)
         ])
         if gram.rank() != qdim:

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import AlgebraData
 from .errors import InternalCheckFailed, NotBasic, NotProjInjective, UndecidableDecomposition
-from .linalg import EchelonSpace, RatMatrix, hstack
+from .linalg import EchelonSpace, RatMatrix, Scalar, hstack, scalar
 from .modules import (
     ModuleMap,
     ModuleRep,
@@ -38,9 +38,6 @@ from .modules import (
     zero_map,
     zero_module,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -278,7 +275,7 @@ def stable_hom_dim(y: ModuleRep, z: ModuleRep, through: Sequence[ModuleRep]) -> 
 # -- decomposition into indecomposables ----------------------------------------
 
 
-def _minimal_polynomial(phi: ModuleMap) -> list[Fraction]:
+def _minimal_polynomial(phi: ModuleMap) -> list[Scalar]:
     """Monic minimal polynomial of an endomorphism, ascending coefficients."""
     powers = [identity_map(phi.source)]
     sp = _map_space(phi.source, phi.source)
@@ -290,7 +287,7 @@ def _minimal_polynomial(phi: ModuleMap) -> list[Fraction]:
             stacked = RatMatrix.from_columns([p.flat() for p in powers])
             sol = stacked.solve(RatMatrix.column(v))
             coeffs = [-sol.data[i][0] for i in range(len(powers))]
-            coeffs.append(_ONE)
+            coeffs.append(1)
             return coeffs
         powers.append(nxt)
 
@@ -301,7 +298,7 @@ def _divisors(n: int) -> list[int]:
     return small + [n // d for d in small]
 
 
-def _primitive(cs: list[Fraction]) -> list[Fraction]:
+def _primitive(cs: list[Scalar]) -> list[Fraction]:
     """The positive multiple of cs with coprime integer entries."""
     den = math.lcm(*(c.denominator for c in cs))
     ints = [int(c * den) for c in cs]
@@ -309,7 +306,7 @@ def _primitive(cs: list[Fraction]) -> list[Fraction]:
     return [Fraction(c // g) for c in ints]
 
 
-def _coprime_factors(coeffs: list[Fraction]) -> list[tuple[list[Fraction], int]]:
+def _coprime_factors(coeffs: list[Scalar]) -> list[tuple[list[Fraction], int]]:
     """Pairwise coprime factors (f, e) of a monic polynomial, ascending
     coefficients.
 
@@ -321,7 +318,7 @@ def _coprime_factors(coeffs: list[Fraction]) -> list[tuple[list[Fraction], int]]
     """
     ints = _primitive(coeffs)
     low = next(k for k, c in enumerate(ints) if c)
-    factors = [([_ZERO, _ONE], low)] if low else []
+    factors = [([Fraction(0), Fraction(1)], low)] if low else []
     rest = list(coeffs[low:])
     roots = {Fraction(s * p, q) for p in _divisors(abs(int(ints[low])))
              for q in _divisors(int(ints[-1])) for s in (1, -1)}
@@ -336,16 +333,16 @@ def _coprime_factors(coeffs: list[Fraction]) -> list[tuple[list[Fraction], int]]
                 break
             rest, e = quot[::-1], e + 1
         if e:
-            factors.append((_primitive([-r, _ONE]), e))
+            factors.append((_primitive([-r, 1]), e))
     if len(rest) > 1:
         factors.append((_primitive(rest), 1))
     return sorted(factors, key=lambda f: (len(f[0]), f[1], f[0][::-1]))
 
 
-def _matrix_poly(a: RatMatrix, coeffs: Sequence[Fraction]) -> RatMatrix:
+def _matrix_poly(a: RatMatrix, coeffs: Sequence[Scalar]) -> RatMatrix:
     n = a.rows
     result = RatMatrix.identity(n).scaled(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
+    for c in map(scalar, reversed(coeffs[:-1])):
         result = result @ a
         if c:
             for i in range(n):
@@ -424,9 +421,9 @@ def _end_top_dimension(m: ModuleRep) -> int:
         return 0
     endos, c = _end_structure(m)
     n = len(endos)
-    tr = [sum((c[k][j][j] for j in range(n)), _ZERO) for k in range(n)]
+    tr = [sum((c[k][j][j] for j in range(n)), 0) for k in range(n)]
     gram = RatMatrix(n, n, [
-        [sum((c[i][j][k] * tr[k] for k in range(n)), _ZERO) for j in range(n)]
+        [sum((c[i][j][k] * tr[k] for k in range(n)), 0) for j in range(n)]
         for i in range(n)
     ])
     return gram.rank()
@@ -641,12 +638,12 @@ def end_algebra(x: ModuleRep, summands=None, seed: int = 0) -> AlgebraData:
                         if val:
                             entry.append((index[(i, l, c)], val))
                     mult[bi][bj] = tuple(entry)
-    unit = [_ZERO] * dim
+    unit = [0] * dim
     idems = []
     for i in range(n):
-        coords = [_ZERO] * dim
-        coords[index[(i, i, 0)]] = _ONE
-        unit[index[(i, i, 0)]] = _ONE
+        coords = [0] * dim
+        coords[index[(i, i, 0)]] = 1
+        unit[index[(i, i, 0)]] = 1
         idems.append((summands[i][0], coords))
     return AlgebraData(labels, mult, unit, idems, check=True)
 
@@ -683,7 +680,7 @@ def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep) -> ModuleMap:
         for lj in sorted({t for t, _ in copies}):
             if (li, lj) not in hom_ll:
                 hom_ll[(li, lj)] = hom_basis(addset[li], addset[lj])
-    composed: list[list[list[Fraction]]] = []  # composed[l][c] -> list of vectors
+    composed: list[list[list[Scalar]]] = []  # composed[l][c] -> list of vectors
     for li, l in enumerate(addset):
         per_copy = []
         for ci, (ti, phi) in enumerate(copies):

@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Everything runs on ``fractions.Fraction``; no rounding ever happens.  The
-matrices here are the substrate for all Hom/solve computations in the rest
-of the package, so the inner loops skip zero entries aggressively (the
-matrices we meet are mostly zeros and ones).  Systems that are sparse from
-the start (the Hom equations) are solved by :func:`sparse_kernel` on rows
-stored as ``{column: value}`` dicts.
+A scalar is an ``int`` when it is integral and a ``fractions.Fraction``
+otherwise, so no rounding ever happens.  The two mix exactly: int op int
+stays an int and int op Fraction is a Fraction.  :func:`scalar` normalises
+inputs at construction, and the one division is :func:`_inv`, so no float
+ever appears.  The matrices here are the substrate for all Hom/solve
+computations in the rest of the package, so the inner loops skip zero
+entries aggressively (the matrices we meet are mostly zeros and ones).
+Systems that are sparse from the start (the Hom equations) are solved by
+:func:`sparse_kernel` on rows stored as ``{column: value}`` dicts.
 
 Matrices are immutable by convention: no method mutates ``self`` and
 callers must not modify ``data`` after construction.
@@ -14,16 +17,28 @@ callers must not modify ``data`` after construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Scalar = Union[int, Fraction]
 
 
-def _coerce_row(row: Iterable) -> list[Fraction]:
-    return [x if type(x) is Fraction else Fraction(x) for x in row]
+def scalar(x):
+    """x as an exact scalar: an int when it is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = x if type(x) is Fraction else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _inv(a):
+    """1 / a for a nonzero scalar a, an int when integral: the one division."""
+    n, d = (a, 1) if type(a) is int else (a.numerator, a.denominator)
+    return n * d if n in (1, -1) else Fraction(d, n)
+
+
+def _coerce_row(row: Iterable) -> list[Scalar]:
+    return [x if type(x) is int else scalar(x) for x in row]
 
 
 class RatMatrix:
@@ -35,15 +50,15 @@ class RatMatrix:
         self.rows = rows
         self.cols = cols
         if data is None:
-            self.data = [[_ZERO] * cols for _ in range(rows)]
+            self.data = [[0] * cols for _ in range(rows)]
         else:
             self.data = [_coerce_row(r) for r in data]
             if len(self.data) != rows or any(len(r) != cols for r in self.data):
                 raise ValueError("data shape does not match (rows, cols)")
 
     @classmethod
-    def _of(cls, rows: int, cols: int, data: list[list[Fraction]]) -> "RatMatrix":
-        """Wrap rows of Fractions already of shape (rows, cols): no coercion, no check."""
+    def _of(cls, rows: int, cols: int, data: list[list[Scalar]]) -> "RatMatrix":
+        """Wrap rows of scalars already of shape (rows, cols): no coercion, no check."""
         m = cls.__new__(cls)
         m.rows, m.cols, m.data = rows, cols, data
         return m
@@ -56,7 +71,7 @@ class RatMatrix:
     def identity(cls, n: int) -> "RatMatrix":
         m = cls(n, n)
         for i in range(n):
-            m.data[i][i] = _ONE
+            m.data[i][i] = 1
         return m
 
     @classmethod
@@ -101,10 +116,10 @@ class RatMatrix:
     def transpose(self) -> "RatMatrix":
         return RatMatrix._of(self.cols, self.rows, [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
-    def column_vec(self, j: int) -> list[Fraction]:
+    def column_vec(self, j: int) -> list[Scalar]:
         return [row[j] for row in self.data]
 
-    def columns(self) -> list[list[Fraction]]:
+    def columns(self) -> list[list[Scalar]]:
         return [self.column_vec(j) for j in range(self.cols)]
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "RatMatrix":
@@ -131,7 +146,7 @@ class RatMatrix:
         return RatMatrix._of(self.rows, self.cols, [[-a for a in row] for row in self.data])
 
     def scaled(self, c) -> "RatMatrix":
-        c = c if type(c) is Fraction else Fraction(c)
+        c = scalar(c)
         if not c:
             return RatMatrix.zeros(self.rows, self.cols)
         return RatMatrix._of(self.rows, self.cols, [[c * a for a in row] for row in self.data])
@@ -139,7 +154,7 @@ class RatMatrix:
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        out = [[_ZERO] * other.cols for _ in range(self.rows)]
+        out = [[0] * other.cols for _ in range(self.rows)]
         odata = other.data
         for i, arow in enumerate(self.data):
             orow = out[i]
@@ -156,11 +171,11 @@ class RatMatrix:
                                 orow[j] = orow[j] + a * b
         return RatMatrix._of(self.rows, other.cols, out)
 
-    def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
+    def apply(self, vec: Sequence[Scalar]) -> list[Scalar]:
         """Matrix times column vector, as plain lists."""
-        out = [_ZERO] * self.rows
+        out = [0] * self.rows
         for i, row in enumerate(self.data):
-            acc = _ZERO
+            acc = 0
             for a, v in zip(row, vec):
                 if a and v:
                     acc += a * v
@@ -169,7 +184,7 @@ class RatMatrix:
 
     # -- elimination ----------------------------------------------------
 
-    def _gauss_jordan(self, aug: int = 0) -> tuple[list[list[Fraction]], list[int]]:
+    def _gauss_jordan(self, aug: int = 0) -> tuple[list[list[Scalar]], list[int]]:
         """Reduced row echelon of a working copy.
 
         Pivots are only chosen in the first ``cols - aug`` columns, so the
@@ -194,7 +209,7 @@ class RatMatrix:
             prow = m[r]
             piv = prow[c]
             if piv != 1:
-                inv = _ONE / piv
+                inv = _inv(piv)
                 for j in range(c, ncols):
                     if prow[j]:
                         prow[j] = prow[j] * inv
@@ -203,7 +218,7 @@ class RatMatrix:
                     f = m[i][c]
                     if f:
                         row = m[i]
-                        row[c] = _ZERO
+                        row[c] = 0
                         for j in range(c + 1, ncols):
                             p = prow[j]
                             if p:
@@ -229,8 +244,8 @@ class RatMatrix:
         free = [c for c in range(self.cols) if c not in pivset]
         cols = []
         for f in free:
-            v = [_ZERO] * self.cols
-            v[f] = _ONE
+            v = [0] * self.cols
+            v[f] = 1
             for i, p in enumerate(pivots):
                 a = red.data[i][f]
                 if a:
@@ -257,7 +272,7 @@ class RatMatrix:
         for i in range(len(pivots), self.rows):
             if any(red[i][nc + j] for j in range(rhs.cols)):
                 return None
-        x = [[_ZERO] * rhs.cols for _ in range(nc)]
+        x = [[0] * rhs.cols for _ in range(nc)]
         for i, p in enumerate(pivots):
             x[p] = red[i][nc:]
         return RatMatrix._of(nc, rhs.cols, x)
@@ -285,7 +300,7 @@ def hstack(mats: Sequence[RatMatrix]) -> RatMatrix:
     if any(m.rows != rows for m in mats):
         raise ValueError("hstack row mismatch")
     data = [sum((m.data[i] for m in mats), []) for i in range(rows)]
-    return RatMatrix(rows, sum(m.cols for m in mats), data)
+    return RatMatrix._of(rows, sum(m.cols for m in mats), data)
 
 
 def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
@@ -315,24 +330,24 @@ def block_diag(mats: Sequence[RatMatrix]) -> RatMatrix:
     return out
 
 
-def _sub_scaled(r: dict[int, Fraction], a: Fraction, row: dict[int, Fraction], p: int) -> None:
+def _sub_scaled(r: dict[int, Scalar], a: Scalar, row: dict[int, Scalar], p: int) -> None:
     """r -= a * row in place, over the columns of row other than p."""
     for j, x in row.items():
         if j != p:
-            y = r.get(j, _ZERO) - a * x
+            y = r.get(j, 0) - a * x
             if y:
                 r[j] = y
             else:
                 del r[j]
 
 
-def _sparse_rref(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+def _sparse_rref(rows: Iterable[dict[int, Scalar]]) -> dict[int, dict[int, Scalar]]:
     """Fully reduced row echelon form of sparse rows, keyed by pivot column.
 
     Each pivot row has a 1 at its pivot and no entry at any other pivot
     column.  Rows are inserted one at a time, as in ``EchelonSpace.add``.
     """
-    piv: dict[int, dict[int, Fraction]] = {}
+    piv: dict[int, dict[int, Scalar]] = {}
     for row in rows:
         r = {j: x for j, x in row.items() if x}
         # pivot rows hold no other pivot column, so one pass clears them all
@@ -343,7 +358,7 @@ def _sparse_rref(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, Fra
         p = min(r)
         a = r[p]
         if a != 1:
-            inv = _ONE / a
+            inv = _inv(a)
             r = {j: x * inv for j, x in r.items()}
         # back-substitute into existing rows to stay fully reduced
         for qrow in piv.values():
@@ -354,7 +369,7 @@ def _sparse_rref(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, Fra
     return piv
 
 
-def sparse_kernel(rows: Sequence[dict[int, Fraction]], n: int) -> list[dict[int, Fraction]]:
+def sparse_kernel(rows: Sequence[dict[int, Scalar]], n: int) -> list[dict[int, Scalar]]:
     """Basis of the solutions of the sparse system ``rows`` in n unknowns.
 
     Each row maps a column to a nonzero coefficient.  The basis is read off
@@ -366,7 +381,7 @@ def sparse_kernel(rows: Sequence[dict[int, Fraction]], n: int) -> list[dict[int,
     nonzeros x nullity); a nonzero residual raises ``ValueError``.
     """
     piv = _sparse_rref(rows)
-    kernel = {f: {f: _ONE} for f in range(n) if f not in piv}
+    kernel = {f: {f: 1} for f in range(n) if f not in piv}
     for p, prow in piv.items():
         for j, a in prow.items():
             if j != p:
@@ -375,7 +390,7 @@ def sparse_kernel(rows: Sequence[dict[int, Fraction]], n: int) -> list[dict[int,
     for row in rows:
         items = row.items()
         for vec in basis:
-            acc = _ZERO
+            acc = 0
             for j, a in items:
                 x = vec.get(j)
                 if x is not None:
@@ -395,14 +410,14 @@ class EchelonSpace:
 
     def __init__(self, n: int):
         self.n = n
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[list[Scalar]] = []
         self.pivots: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec: Sequence[Fraction]) -> list[Fraction]:
+    def _reduce(self, vec: Sequence[Scalar]) -> list[Scalar]:
         v = list(vec)
         for row, p in zip(self.rows, self.pivots):
             a = v[p]
@@ -413,10 +428,10 @@ class EchelonSpace:
                         v[j] = v[j] - a * r
         return v
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
+    def contains(self, vec: Sequence[Scalar]) -> bool:
         return not any(self._reduce(vec))
 
-    def add(self, vec: Sequence[Fraction]) -> bool:
+    def add(self, vec: Sequence[Scalar]) -> bool:
         """Insert vec's span; returns True if the rank grew."""
         v = self._reduce(vec)
         p = -1
@@ -428,7 +443,7 @@ class EchelonSpace:
             return False
         piv = v[p]
         if piv != 1:
-            inv = _ONE / piv
+            inv = _inv(piv)
             v = [x * inv if x else x for x in v]
         # back-substitute into existing rows to stay fully reduced
         for row in self.rows:

@@ -28,15 +28,11 @@ for dense action matrices.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import AlgebraData
 from .errors import NonSplitSimple
-from .linalg import EchelonSpace, RatMatrix, block_diag, sparse_kernel, vstack
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .linalg import EchelonSpace, RatMatrix, Scalar, block_diag, sparse_kernel, vstack
 
 
 def _memo(x: ModuleRep, key: str, compute):
@@ -161,7 +157,7 @@ class ModuleRep:
         for v, (_lab, coords) in enumerate(a.idempotents):
             want = RatMatrix.zeros(self.dim, self.dim)
             for i in self.coords_at(v):
-                want.data[i][i] = _ONE
+                want.data[i][i] = 1
             if act(enumerate(coords)) != want:
                 raise ValueError(f"idempotent {v} is not the marked coordinate projector")
 
@@ -219,7 +215,10 @@ class ModuleMap:
         """self followed by other."""
         if other.source._dims != self.target._dims:
             raise ValueError("composition mismatch")
-        return ModuleMap(self.source, other.target, [g @ f for f, g in zip(self.blocks, other.blocks)])
+        # a block with a zero dimension composes to the zero block of its shape
+        return ModuleMap(self.source, other.target,
+                         [g @ f if f.rows and f.cols and g.rows else RatMatrix.zeros(g.rows, f.cols)
+                          for f, g in zip(self.blocks, other.blocks)])
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
         return ModuleMap(self.source, self.target, [f + g for f, g in zip(self.blocks, other.blocks)])
@@ -234,12 +233,12 @@ class ModuleMap:
             return None
         return ModuleMap(self.target, self.source, inv)
 
-    def flat(self) -> list[Fraction]:
+    def flat(self) -> list[Scalar]:
         """The entries of the blocks, vertex by vertex and row by row."""
         return [c for m in self.blocks for row in m.data for c in row]
 
     def rank(self) -> int:
-        return sum(m.rank() for m in self.blocks)
+        return sum(m.rank() for m in self.blocks if m.rows and m.cols)
 
     def is_injective(self) -> bool:
         return self.rank() == self.source.dim
@@ -361,6 +360,18 @@ def direct_sum(xs: Sequence[ModuleRep], algebra: Optional[AlgebraData] = None):
         if algebra is None:
             raise ValueError("direct_sum of an empty list needs the algebra")
         return zero_module(algebra), [], []
+    total = _sum_module(xs)
+    dims = list(zip(*(x._dims for x in xs)))  # dims[v][i]: summand i at v
+    injections, projections = [], []
+    for i, x in enumerate(xs):
+        inj = [_summand_inclusion(d, i) for d in dims]
+        injections.append(ModuleMap(x, total, inj))
+        projections.append(ModuleMap(total, x, [m.transpose() for m in inj]))
+    return total, injections, projections
+
+
+def _sum_module(xs: Sequence[ModuleRep]) -> ModuleRep:
+    """The block-diagonal sum of a nonempty list of modules, without maps."""
     a = xs[0].algebra
     for x in xs:
         if x.algebra is not a:
@@ -371,14 +382,7 @@ def direct_sum(xs: Sequence[ModuleRep], algebra: Optional[AlgebraData] = None):
         u, v = a.grading[b]
         blocks[b] = block_diag([x.blocks[b] if b in x.blocks
                                 else RatMatrix.zeros(len(x.coords_at(v)), len(x.coords_at(u))) for x in xs])
-    total = ModuleRep(a, sum(x.dim for x in xs), blocks, [v for x in xs for v in x.vertex_of])
-    dims = list(zip(*(x._dims for x in xs)))  # dims[v][i]: summand i at v
-    injections, projections = [], []
-    for i, x in enumerate(xs):
-        inj = [_summand_inclusion(d, i) for d in dims]
-        injections.append(ModuleMap(x, total, inj))
-        projections.append(ModuleMap(total, x, [m.transpose() for m in inj]))
-    return total, injections, projections
+    return ModuleRep(a, sum(x.dim for x in xs), blocks, [v for x in xs for v in x.vertex_of])
 
 
 def _summand_inclusion(dims: Sequence[int], i: int) -> RatMatrix:
@@ -386,7 +390,7 @@ def _summand_inclusion(dims: Sequence[int], i: int) -> RatMatrix:
     m = RatMatrix.zeros(sum(dims), dims[i])
     off = sum(dims[:i])
     for r in range(dims[i]):
-        m.data[off + r][r] = _ONE
+        m.data[off + r][r] = 1
     return m
 
 
@@ -404,13 +408,13 @@ def hom_basis(x: ModuleRep, y: ModuleRep) -> list[ModuleMap]:
         blocks = []
         k = 0
         for r, c in zip(y._dims, x._dims):
-            blocks.append(RatMatrix._of(r, c, [[vec.get(k + i * c + j, _ZERO) for j in range(c)] for i in range(r)]))
+            blocks.append(RatMatrix._of(r, c, [[vec.get(k + i * c + j, 0) for j in range(c)] for i in range(r)]))
             k += r * c
         maps.append(ModuleMap(x, y, blocks))
     return maps
 
 
-def _hom_equations(x: ModuleRep, y: ModuleRep) -> tuple[list[dict[int, Fraction]], int]:
+def _hom_equations(x: ModuleRep, y: ModuleRep) -> tuple[list[dict[int, Scalar]], int]:
     """The equations F_v @ X_b = Y_b @ F_u, for b of degree (u, v), on the
     vertex blocks F_v of a map x -> y, as sparse rows, and the number of
     unknowns.
@@ -425,7 +429,7 @@ def _hom_equations(x: ModuleRep, y: ModuleRep) -> tuple[list[dict[int, Fraction]
     for dy, dx in zip(y._dims, x._dims):
         offs.append(n)
         n += dy * dx
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, Scalar]] = []
     for b in sorted(x.blocks.keys() | y.blocks.keys()):
         u, v = a.grading[b]
         xb = x.blocks.get(b)
@@ -445,7 +449,7 @@ def _hom_equations(x: ModuleRep, y: ModuleRep) -> tuple[list[dict[int, Fraction]
                 row = {base + s: val for s, val in xcols[c]}
                 for s, val in yrows[r]:
                     k = offs[u] + s * dxu + c
-                    w = row.get(k, _ZERO) - val
+                    w = row.get(k, 0) - val
                     if w:
                         row[k] = w
                     else:
@@ -518,7 +522,7 @@ def cokernel(f: ModuleMap):
         free = [c for c in range(m.rows) if c not in pivset]
         q = RatMatrix.zeros(len(free), m.rows)
         for l, fc in enumerate(free):
-            q.data[l][fc] = _ONE
+            q.data[l][fc] = 1
             for i, p in enumerate(pivots):
                 val = red.data[i][fc]
                 if val:
@@ -607,7 +611,7 @@ def projective_cover(x: ModuleRep):
     spans = _radical_vertex_spans(x)
     nv = len(a.idempotents)
     summands: list[ModuleRep] = []
-    columns: list[list[list[Fraction]]] = [[] for _ in range(nv)]  # cover block columns per vertex
+    columns: list[list[list[Scalar]]] = [[] for _ in range(nv)]  # cover block columns per vertex
     for v in range(nv):
         pivset = set(spans[v].pivots)
         lifts = [l for l in range(len(x.coords_at(v))) if l not in pivset]
@@ -620,10 +624,10 @@ def projective_cover(x: ModuleRep):
             for j in pv.extras["algebra_basis"]:
                 w = a.grading[j][1]
                 m = x.blocks.get(j)
-                columns[w].append(m.column_vec(l) if m is not None else [_ZERO] * len(x.coords_at(w)))
+                columns[w].append(m.column_vec(l) if m is not None else [0] * len(x.coords_at(w)))
     if not summands:
         raise ValueError("nonzero module equals its own radical")
-    p, _, _ = direct_sum(summands)
+    p = _sum_module(summands)
     cover = ModuleMap(p, x, [RatMatrix.from_columns(c, nrows=len(x.coords_at(w))) for w, c in enumerate(columns)])
     if not cover.is_surjective():
         raise ValueError("projective cover construction failed to be surjective")

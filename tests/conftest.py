@@ -3,8 +3,14 @@ import pytest
 from replalg.algebra import AlgebraData
 from replalg.homology import cosyzygy
 from replalg.modules import projective_module, simple_module
-from replalg.quiver import linear_quiver
-from replalg.replicated import build_replicated, embed, projective_injectives
+from replalg.quiver import kronecker, linear_quiver
+from replalg.replicated import auslander_generator, build_replicated, embed, projective_injectives
+
+
+@pytest.fixture(scope="session")
+def kronecker_m1_bundle():
+    """The generator-cogenerator M of A^(1) for the Kronecker quiver."""
+    return auslander_generator(kronecker(), 1)
 
 
 @pytest.fixture(scope="module")

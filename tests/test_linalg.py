@@ -211,3 +211,83 @@ def test_sparse_kernel_certificate_catches_a_corrupted_solve(monkeypatch):
         monkeypatch.setattr(linalg, "_sparse_rref", corrupt)
         with pytest.raises(ValueError, match="does not solve"):
             sparse_kernel(rows, 3)
+
+
+# -- differential: mixed int/Fraction entries against all-Fraction and sympy ---
+
+mixed_entries = st.one_of(
+    st.integers(-4, 4),
+    st.builds(F, st.integers(-4, 4), st.integers(1, 3)),
+)
+
+
+@st.composite
+def mixed_matrices(draw, max_dim=4):
+    """Matrices whose entries are ints and Fractions, some of them integral
+    Fractions; stored as drawn, without the constructor's normalisation."""
+    r = draw(st.integers(0, max_dim))
+    c = draw(st.integers(0, max_dim))
+    return RatMatrix._of(r, c, draw(st.lists(st.lists(mixed_entries, min_size=c, max_size=c), min_size=r, max_size=r)))
+
+
+def _as_fractions(m):
+    return RatMatrix._of(m.rows, m.cols, [[F(x) for x in row] for row in m.data])
+
+
+def _to_sympy(m):
+    import sympy
+
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for row in m.data for x in row])
+
+
+def _from_sympy(s):
+    return [[F(int(s[i, j].p), int(s[i, j].q)) for j in range(s.cols)] for i in range(s.rows)]
+
+
+def _sympy_rref(m):
+    """The reduced row echelon form and pivots of m, computed by sympy."""
+    red, pivots = _to_sympy(m).rref()
+    return _from_sympy(red), list(pivots)
+
+
+def _sympy_solve(m, rhs):
+    """Some x with m @ x = rhs, free unknowns zero, or None: read off sympy's
+    reduced row echelon form of [m | rhs]."""
+    red, pivots = _sympy_rref(hstack([m, rhs]))
+    if m.cols in pivots:
+        return None
+    x = [[F(0)] for _ in range(m.cols)]
+    for i, p in enumerate(pivots):
+        x[p] = [red[i][m.cols]]
+    return x
+
+
+def _linalg_results(m, rhs):
+    """Everything the differential test compares: rref, kernel, solve,
+    inverse, EchelonSpace growth, rows and pivots, and the sparse kernel."""
+    sp = EchelonSpace(m.cols)
+    grew = [sp.add(row) for row in m.data]
+    sparse = sparse_kernel([{j: x for j, x in enumerate(row) if x} for row in m.data], m.cols)
+    return (m.rref(), m.kernel_basis(), m.solve(rhs), m.inverse() if m.rows == m.cols else None,
+            grew, sp.rows, sp.pivots, [[v.get(j, 0) for j in range(m.cols)] for v in sparse])
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_matrices(), st.lists(mixed_entries, min_size=4, max_size=4))
+def test_mixed_scalars_match_all_fraction_and_sympy(m, vec):
+    rhs = RatMatrix._of(m.rows, 1, [[x] for x in vec[: m.rows]])
+    got = _linalg_results(m, rhs)
+    assert got == _linalg_results(_as_fractions(m), _as_fractions(rhs))
+    (red, rank, pivots), kernel, x, inv, grew, rows, space_pivots, sparse = got
+    out = [red, kernel] + [t for t in (x, inv) if t is not None]
+    assert {type(c) for t in out for row in t.data for c in row} | {type(c) for row in rows + sparse for c in row} <= {int, F}
+    # the reduced row echelon form is unique, so sympy's must be the same
+    want, want_pivots = _sympy_rref(m)
+    assert red.data == want and pivots == want_pivots and rank == len(want_pivots)
+    assert rows == want[:rank] and space_pivots == pivots and sum(grew) == rank
+    assert kernel.columns() == sparse
+    assert (x.data if x is not None else None) == _sympy_solve(m, rhs)
+    if m.rows == m.cols:
+        assert (inv is not None) == (rank == m.rows)
+        if inv is not None:
+            assert inv.data == _from_sympy(_to_sympy(m).inv())

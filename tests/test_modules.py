@@ -31,7 +31,7 @@ from replalg.modules import (
     zero_module,
 )
 from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
-from replalg.replicated import auslander_generator
+from replalg.replicated import build_replicated
 
 F = Fraction
 
@@ -305,11 +305,6 @@ def _dense_hom_oracle(x, y):
     return mats
 
 
-@pytest.fixture(scope="module")
-def kronecker_m1_summands():
-    return [s.module for s in auslander_generator(kronecker(), 1).summands]
-
-
 # The dense oracles below eliminate on the whole matrix.  Its reduced row
 # echelon form is that of the vertex blocks together, so they list the same
 # vectors; a stable sort by vertex puts them in the order of the blocks.
@@ -394,8 +389,8 @@ def _sum_oracle(xs):
 
 
 @pytest.fixture(scope="module")
-def kronecker_m1_summands():
-    return [s.module for s in auslander_generator(kronecker(), 1).summands]
+def kronecker_m1_summands(kronecker_m1_bundle):
+    return [s.module for s in kronecker_m1_bundle.summands]
 
 
 @pytest.fixture(scope="module")
@@ -494,6 +489,28 @@ def test_then_rejects_a_mismatched_middle_module():
     assert hom_dim(s1, s2) == 0
     with pytest.raises(ValueError, match="composition mismatch"):
         identity_map(s1).then(identity_map(s2))
+
+
+def test_block_rank_and_composite_on_modules_with_empty_vertices():
+    # the projectives P0 -> P1 -> ... -> P4 of A^(3) of the Kronecker quiver
+    # live at 1 to 3 of its 8 vertices; the blocks at the others are skipped
+    a = build_replicated(kronecker(), 3).algebra
+    ps = [projective_module(a, v) for v in range(5)]
+    assert all(p.vertex_dims().count(0) >= 5 for p in ps)
+    ranks = set()
+    for x, y, z in zip(ps, ps[1:], ps[2:]):
+        fs, gs = hom_basis(x, y), hom_basis(y, z)
+        fs += [fs[0] + fs[-1], zero_map(x, y)]
+        gs += [zero_map(y, z)]
+        for f in fs + gs + [identity_map(x)]:
+            assert f.rank() == f.matrix.rank()
+            ranks.add(f.rank())
+        for f in fs:
+            for g in gs:
+                h = f.then(g)
+                assert [(m.rows, m.cols) for m in h.blocks] == list(zip(z.vertex_dims(), x.vertex_dims()))
+                assert h.matrix == g.matrix @ f.matrix
+    assert ranks >= {0, 1, 2}
 
 
 def test_corrupted_hom_solve_is_caught(kr, monkeypatch):
