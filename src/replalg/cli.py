@@ -236,15 +236,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, loewy, code = run(args)
+        text = render_json(report) if args.report == "json" else render_text(report, loewy)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ReplalgError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    text = render_json(report) if args.report == "json" else render_text(report, loewy)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

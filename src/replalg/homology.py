@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import AlgebraData
 from .errors import InternalCheckFailed, NotBasic, NotProjInjective, UndecidableDecomposition
@@ -651,14 +651,17 @@ def end_algebra(x: ModuleRep, summands=None, seed: int = 0) -> AlgebraData:
 # -- minimal right approximations -------------------------------------------------
 
 
-def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep) -> ModuleMap:
+def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep,
+                        homs: Optional[Callable[[int, int], list[ModuleMap]]] = None) -> ModuleMap:
     """A minimal right add(addset)-approximation of x.
 
     The universal map from one copy of L per basis vector of Hom(L, x) is an
     approximation; source summands are then greedily dropped while the
     approximation property (surjectivity of Hom(L, source) -> Hom(L, x) for
     every L in the addset, by rank) survives, until no single summand can be
-    dropped.
+    dropped.  ``homs(i, j)``, when given, is a basis of
+    Hom(addset[i], addset[j]), so that a caller approximating many targets
+    solves each of these systems once; by default it is solved here.
     """
     addset = list(addset)
     if not addset:
@@ -669,17 +672,17 @@ def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep) -> ModuleMap:
             raise ValueError("addset modules live over a different algebra")
     hom_to_x = [hom_basis(l, x) for l in addset]
     copies: list[tuple[int, ModuleMap]] = []
-    for li, homs in enumerate(hom_to_x):
-        for phi in homs:
+    for li, phis in enumerate(hom_to_x):
+        for phi in phis:
             copies.append((li, phi))
     if not copies:
         return zero_map(zero_module(a), x)
+    if homs is None:
+        def homs(i: int, j: int) -> list[ModuleMap]:
+            return hom_basis(addset[i], addset[j])
     # flattened composites phi_c o h for every test module L and copy c
-    hom_ll: dict[tuple[int, int], list[ModuleMap]] = {}
-    for li in range(len(addset)):
-        for lj in sorted({t for t, _ in copies}):
-            if (li, lj) not in hom_ll:
-                hom_ll[(li, lj)] = hom_basis(addset[li], addset[lj])
+    used = sorted({t for t, _ in copies})
+    hom_ll = {(li, lj): homs(li, lj) for li in range(len(addset)) for lj in used}
     composed: list[list[list[Scalar]]] = []  # composed[l][c] -> list of vectors
     for li, l in enumerate(addset):
         per_copy = []

@@ -16,6 +16,7 @@ callers must not modify ``data`` after construction.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -345,14 +346,34 @@ def _sparse_rref(rows: Iterable[dict[int, Scalar]]) -> dict[int, dict[int, Scala
     """Fully reduced row echelon form of sparse rows, keyed by pivot column.
 
     Each pivot row has a 1 at its pivot and no entry at any other pivot
-    column.  Rows are inserted one at a time, as in ``EchelonSpace.add``.
+    column.  Each incoming row is reduced against the stored rows in
+    ascending pivot order, through a sorted list of the pivot columns it
+    hits, and is stored in echelon form.  One back-substitution pass in
+    descending pivot order then clears the entries above the pivots.  The
+    work is that of the nonzeros met, not the square of the rank.
     """
     piv: dict[int, dict[int, Scalar]] = {}
     for row in rows:
         r = {j: x for j, x in row.items() if x}
-        # pivot rows hold no other pivot column, so one pass clears them all
-        for p in [c for c in r if c in piv]:
-            _sub_scaled(r, r.pop(p), piv[p], p)
+        hits = [c for c in r if c in piv]
+        hits.sort()
+        for p in hits:  # ascending; insort adds columns beyond p as they fill in
+            a = r.pop(p, None)
+            if a is None:  # cancelled, or listed twice
+                continue
+            for j, x in piv[p].items():
+                if j != p:
+                    y = r.get(j)
+                    if y is None:
+                        r[j] = -a * x
+                        if j in piv:
+                            insort(hits, j)
+                    else:
+                        y -= a * x
+                        if y:
+                            r[j] = y
+                        else:
+                            del r[j]
         if not r:
             continue
         p = min(r)
@@ -360,12 +381,14 @@ def _sparse_rref(rows: Iterable[dict[int, Scalar]]) -> dict[int, dict[int, Scala
         if a != 1:
             inv = _inv(a)
             r = {j: x * inv for j, x in r.items()}
-        # back-substitute into existing rows to stay fully reduced
-        for qrow in piv.values():
-            b = qrow.pop(p, None)
-            if b is not None:
-                _sub_scaled(qrow, b, r, p)
         piv[p] = r
+    # rows with a larger pivot are fully reduced first, so one pass clears each
+    for p in sorted(piv, reverse=True):
+        prow = piv[p]
+        qs = prow.keys() & piv.keys()
+        qs.discard(p)
+        for q in qs:
+            _sub_scaled(prow, prow.pop(q), piv[q], q)
     return piv
 
 
@@ -377,8 +400,9 @@ def sparse_kernel(rows: Sequence[dict[int, Scalar]], n: int) -> list[dict[int, S
     ascending order, 1 at that column and minus the pivot-row entries at the
     pivots.  The reduced row echelon form of a row space is unique, so the
     vectors equal the dense ones entry for entry.  Each vector is returned
-    as ``{column: value}`` and is checked against every row first (work
-    nonzeros x nullity); a nonzero residual raises ``ValueError``.
+    as ``{column: value}`` and is checked against every row first: the
+    vectors are indexed by column once, so the check costs the nonzero
+    products of rows and vectors; a nonzero residual raises ``ValueError``.
     """
     piv = _sparse_rref(rows)
     kernel = {f: {f: 1} for f in range(n) if f not in piv}
@@ -387,16 +411,19 @@ def sparse_kernel(rows: Sequence[dict[int, Scalar]], n: int) -> list[dict[int, S
             if j != p:
                 kernel[j][p] = -a
     basis = list(kernel.values())
+    if not basis:
+        return basis
+    by_col: dict[int, list[tuple[int, Scalar]]] = {}
+    for k, vec in enumerate(basis):
+        for j, x in vec.items():
+            by_col.setdefault(j, []).append((k, x))
     for row in rows:
-        items = row.items()
-        for vec in basis:
-            acc = 0
-            for j, a in items:
-                x = vec.get(j)
-                if x is not None:
-                    acc += a * x
-            if acc:
-                raise ValueError("sparse kernel vector does not solve its system")
+        acc: dict[int, Scalar] = {}
+        for j, a in row.items():
+            for k, x in by_col.get(j, ()):
+                acc[k] = acc.get(k, 0) + a * x
+        if any(acc.values()):
+            raise ValueError("sparse kernel vector does not solve its system")
     return basis
 
 

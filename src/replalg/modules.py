@@ -405,11 +405,17 @@ def hom_basis(x: ModuleRep, y: ModuleRep) -> list[ModuleMap]:
     rows, n = _hom_equations(x, y)
     maps = []
     for vec in sparse_kernel(rows, n):
+        flat = [0] * n
+        for j, a in vec.items():
+            flat[j] = a
         blocks = []
         k = 0
-        for r, c in zip(y._dims, x._dims):
-            blocks.append(RatMatrix._of(r, c, [[vec.get(k + i * c + j, 0) for j in range(c)] for i in range(r)]))
-            k += r * c
+        for v, (r, c) in enumerate(zip(y._dims, x._dims)):
+            if r * c or not maps:
+                blocks.append(RatMatrix._of(r, c, [flat[k + i * c:k + i * c + c] for i in range(r)]))
+                k += r * c
+            else:  # a block with a zero dimension has no entry: share the first map's
+                blocks.append(maps[0].blocks[v])
         maps.append(ModuleMap(x, y, blocks))
     return maps
 

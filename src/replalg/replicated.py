@@ -39,6 +39,7 @@ from .modules import (
     ModuleRep,
     cokernel,
     direct_sum,
+    hom_basis,
     injective_envelope,
     injective_module,
     is_injective_module,
@@ -264,6 +265,13 @@ class GeneratorBundle:
     inclusions: list[ModuleMap]
     projections: list[ModuleMap]
     t: int                      # gl.dim A^(m)
+    _homs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def summand_homs(self, i: int, j: int) -> list[ModuleMap]:
+        """A basis of Hom(L_i, L_j) between summands, solved on first use."""
+        if (i, j) not in self._homs:
+            self._homs[(i, j)] = hom_basis(self.summands[i].module, self.summands[j].module)
+        return self._homs[(i, j)]
 
     def end_summands(self):
         return [

@@ -162,7 +162,7 @@ def verify_lemma_2_4(bundle: GeneratorBundle, x: ModuleRep, x_label: str,
     q = bundle.replicated.quiver
     mods = [s.module for s in bundle.summands]
     labels = [s.label for s in bundle.summands]
-    g = right_approximation(mods, x)
+    g = right_approximation(mods, x, bundle.summand_homs)
     epi = g.is_surjective()
     kmod, _ = kernel(g)
     kernel_labels: list[str] = []

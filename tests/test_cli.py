@@ -239,3 +239,32 @@ def test_extcheck_rejects_negative_samples(kronecker_file, capsys):
     assert captured.err == "error: samples must be nonnegative, got -3\n"
     with pytest.raises(ReplalgError):
         verify_ext_stablehom(kronecker(), 1, samples=-1)
+
+
+QUIVERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "quivers")
+
+EXIT_CODES = [
+    # 0: every certificate passes
+    (["bounds", "--quiver", "{quivers}/a2.json", "--m", "1"], 0),
+    # 1: a certificate fails; here the pinned dom.dim >= t-1 counterexample
+    (["domdim", "--quiver", "{quivers}/a3.json", "--m", "1"], 1),
+    # 2: misuse, one error line and no report
+    (["bounds", "--quiver", "{quivers}/a2.json", "--m", "-1"], 2),
+    (["bounds", "--quiver", "{quivers}/a2.json", "--m", "1", "--cap", "-1"], 2),
+    (["bounds", "--quiver", "{tmp}/missing.json", "--m", "1"], 2),
+    (["bounds", "--quiver", "{quivers}/a2.json", "--m", "1", "--out", "{tmp}/missing/report.txt"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CODES, ids=["pass", "fail", "negative-m", "negative-cap",
+                                                        "missing-quiver", "unwritable-out"])
+def test_exit_codes(argv, code, tmp_path, capsys):
+    argv = [a.format(quivers=QUIVERS, tmp=tmp_path) for a in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    else:
+        assert captured.err == ""
+        assert ("verdict: PASS" if code == 0 else "verdict: FAIL") in captured.out

@@ -213,6 +213,81 @@ def test_sparse_kernel_certificate_catches_a_corrupted_solve(monkeypatch):
             sparse_kernel(rows, 3)
 
 
+def test_sparse_kernel_certificate_reads_every_row(monkeypatch):
+    # x0 = 0, x1 = 0, x2 = x3: a wrong sign at (x2, x3) leaves the first two
+    # rows solved, so only the last row shows the residual
+    rows = [{0: 1}, {1: 1}, {2: 1, 3: -1}]
+    assert sparse_kernel(rows, 4) == [{3: 1, 2: 1}]
+    solve = linalg._sparse_rref
+
+    def flipped(rows):
+        piv = solve(rows)
+        piv[2][3] = -piv[2][3]
+        return piv
+
+    monkeypatch.setattr(linalg, "_sparse_rref", flipped)
+    with pytest.raises(ValueError, match="does not solve"):
+        sparse_kernel(rows, 4)
+
+
+@st.composite
+def wide_sparse_systems(draw):
+    """Systems shaped like the Hom equations: up to 80 rows of a few
+    nonzeros in up to 60 unknowns, mostly +-1 with some fractions, and
+    differences of drawn rows, so that rank is lost and entries cancel."""
+    n = draw(st.integers(1, 60))
+    entry = st.one_of(st.sampled_from([1, -1]), st.sampled_from([1, -1, 2, F(1, 2), F(-3, 2), F(2, 3)]))
+    m = draw(st.integers(0, 70))
+    row = st.dictionaries(st.integers(0, n - 1), entry, min_size=1, max_size=5)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 69), st.integers(0, 69)), max_size=10)):
+        if rows:
+            a, b = rows[i % len(rows)], rows[j % len(rows)]
+            diff = {c: a.get(c, 0) - b.get(c, 0) for c in a.keys() | b.keys()}
+            rows.append({c: x for c, x in diff.items() if x})
+    return n, rows
+
+
+def _assert_sparse_matches_dense(rows, n):
+    """_sparse_rref equals the dense reduced row echelon form pivot row for
+    pivot row, and sparse_kernel equals kernel_basis column for column."""
+    dense = RatMatrix(len(rows), n, [[r.get(j, 0) for j in range(n)] for r in rows])
+    red, rank, pivots = dense.rref()
+    piv = linalg._sparse_rref(rows)
+    assert sorted(piv) == pivots
+    for i, p in enumerate(pivots):
+        assert [piv[p].get(j, 0) for j in range(n)] == red.data[i]
+    got = sparse_kernel(rows, n)
+    assert [[vec.get(j, 0) for j in range(n)] for vec in got] == dense.kernel_basis().columns()
+    return rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_sparse_systems())
+def test_sparse_rref_matches_dense_on_wide_systems(system):
+    _assert_sparse_matches_dense(system[1], system[0])
+
+
+def test_sparse_solve_of_a_real_end_system():
+    """End(K) for the kernel K of the minimal right add(M)-approximation of
+    rad P(2@2), Kronecker quiver, m = 2: the largest Hom system of the
+    lemma-2.4 inventory run, 864 equations in 900 unknowns."""
+    from replalg.homology import right_approximation
+    from replalg.modules import _hom_equations, kernel, projective_module, radical_submodule
+    from replalg.quiver import kronecker
+    from replalg.replicated import auslander_generator
+
+    bundle = auslander_generator(kronecker(), 2)
+    a = bundle.replicated.algebra
+    v = [lab for lab, _ in a.idempotents].index("2@2")
+    x, _ = radical_submodule(projective_module(a, v))
+    k, _ = kernel(right_approximation([s.module for s in bundle.summands], x, bundle.summand_homs))
+    assert k.vertex_dims() == [0, 0, 0, 24, 18, 0]
+    rows, n = _hom_equations(k, k)
+    assert (len(rows), n) == (864, 900)
+    assert _assert_sparse_matches_dense(rows, n) == 864
+
+
 # -- differential: mixed int/Fraction entries against all-Fraction and sympy ---
 
 mixed_entries = st.one_of(

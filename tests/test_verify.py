@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from replalg import modules
 from replalg.quiver import kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, minimal_cogenerator
 from replalg.verify import (
@@ -10,6 +11,7 @@ from replalg.verify import (
     verify_ext_stablehom,
     verify_gl_dim_bounds,
     verify_lemma_2_4,
+    verify_lemma_2_4_inventory,
     verify_theorem_3_3,
     verify_theorem_3_5,
 )
@@ -81,6 +83,25 @@ def test_lemma_2_4_inventory_passes_with_M(kr_bundle):
         for lab, x in lemma_2_4_inventory(kr_bundle)
     ]
     assert certs and all(c.verdict for c in certs)
+
+
+def test_lemma_2_4_inventory_hom_systems_are_pinned(monkeypatch):
+    """A work gate that does not depend on the machine: the Hom systems
+    solved during the Kronecker m=1 inventory run, and their equations.
+    Each Hom(L_i, L_j) between summands of M is solved once per bundle,
+    not once per target (905 systems and 5,736 rows when it was not)."""
+    bundle = auslander_generator(kronecker(), 1)
+    solved = []
+    solve = modules.sparse_kernel
+
+    def counted(rows, n):
+        solved.append(len(rows))
+        return solve(rows, n)
+
+    monkeypatch.setattr(modules, "sparse_kernel", counted)
+    certs = verify_lemma_2_4_inventory(bundle)
+    assert len(certs) == 13 and all(c.verdict for c in certs)
+    assert (len(solved), sum(solved)) == (625, 4147)
 
 
 def test_lemma_2_4_fails_somewhere_with_M0(kr_bundle0):
