@@ -30,6 +30,7 @@ from .homology import (
     decompose,
     dominant_dimension,
     end_algebra,
+    end_global_dimension,
     ext1_dim,
     global_dimension,
     injective_dimension,

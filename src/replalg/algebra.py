@@ -84,12 +84,6 @@ class AlgebraData:
                         del acc[k]
         return tuple(sorted(acc.items()))
 
-    def mult_coords(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> list[Scalar]:
-        out = [0] * self.dim
-        for k, c in self.mult_sparse(_sparse_coords(x), _sparse_coords(y)):
-            out[k] = c
-        return out
-
     def dense(self, sparse: SparseVec) -> list[Scalar]:
         out = [0] * self.dim
         for k, c in sparse:

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import AlgebraData
 from .errors import InternalCheckFailed, NotBasic, NotProjInjective, UndecidableDecomposition
-from .linalg import EchelonSpace, RatMatrix, Scalar, hstack, scalar
+from .linalg import EchelonSpace, RatMatrix, Scalar, _inv, hstack, scalar
 from .modules import (
     ModuleMap,
     ModuleRep,
@@ -84,35 +84,6 @@ class Resolution:
     @property
     def length(self) -> int:
         return len(self.terms) - 1
-
-    def verify_exact(self) -> None:
-        """Re-check exactness at every interior term by rank arithmetic."""
-        if self.kind == "projective":
-            if self.terms and not self.maps[0].is_surjective():
-                raise ValueError("resolution is not exact at the module")
-            for i in range(1, len(self.maps)):
-                d_prev, d = self.maps[i - 1], self.maps[i]
-                if not d.then(d_prev).is_zero():
-                    raise ValueError("resolution differentials do not compose to zero")
-                if d.rank() != d_prev.source.dim - d_prev.rank():
-                    raise ValueError(f"resolution not exact at term {i - 1}")
-            if self.complete and self.maps:
-                last = self.maps[-1]
-                if not last.is_injective():
-                    raise ValueError("resolution not exact at the last term")
-        else:
-            if self.terms and not self.maps[0].is_injective():
-                raise ValueError("coresolution is not exact at the module")
-            for i in range(1, len(self.maps)):
-                d_prev, d = self.maps[i - 1], self.maps[i]
-                if not d_prev.then(d).is_zero():
-                    raise ValueError("coresolution differentials do not compose to zero")
-                # ker(d) must equal im(d_prev)
-                if d_prev.target.dim - d.rank() != d_prev.rank():
-                    raise ValueError(f"coresolution not exact at term {i - 1}")
-            if self.complete and self.maps:
-                if not self.maps[-1].is_surjective():
-                    raise ValueError("coresolution not exact at the last term")
 
 
 def minimal_projective_resolution(x: ModuleRep, cap: int) -> Resolution:
@@ -569,11 +540,7 @@ def end_algebra(x: ModuleRep, summands=None, seed: int = 0) -> AlgebraData:
         pieces = _indecomposable_pieces(x, seed)
         summands = [(f"X{i}", m, inc, prj) for i, (m, inc, prj) in enumerate(pieces)]
     n = len(summands)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if is_isomorphic(summands[i][1], summands[j][1], seed=seed) is not None:
-                raise NotBasic(f"summands {summands[i][0]} and {summands[j][0]} are isomorphic")
-    mods = [s[1] for s in summands]
+    mods = _basic_modules(summands, seed)
     # block Hom bases, with identity leading each diagonal block
     blocks: dict[tuple[int, int], list[ModuleMap]] = {}
     for i in range(n):
@@ -646,6 +613,95 @@ def end_algebra(x: ModuleRep, summands=None, seed: int = 0) -> AlgebraData:
         unit[index[(i, i, 0)]] = 1
         idems.append((summands[i][0], coords))
     return AlgebraData(labels, mult, unit, idems, check=True)
+
+
+def _basic_modules(summands, seed: int) -> list[ModuleRep]:
+    """The modules of (label, module, ...) summands; NotBasic if two are isomorphic."""
+    for i, si in enumerate(summands):
+        for sj in summands[i + 1:]:
+            if is_isomorphic(si[1], sj[1], seed=seed) is not None:
+                raise NotBasic(f"summands {si[0]} and {sj[0]} are isomorphic")
+    return [s[1] for s in summands]
+
+
+# -- gl.dim End(M) from add(M)-resolutions ------------------------------------------
+
+
+def _trace(f: ModuleMap) -> Scalar:
+    return sum((m.data[i][i] for m in f.blocks for i in range(m.rows)), 0)
+
+
+def _complement(space: EchelonSpace, maps: Iterable[ModuleMap], basis: Sequence[ModuleMap]) -> list[ModuleMap]:
+    """The maps of ``basis`` that extend the span of ``maps``, which lies in
+    that of ``basis`` and is grown only until it may fill it."""
+    for f in maps:
+        if space.rank == len(basis):
+            return []
+        space.add(f.flat())
+    return [f for f in basis if space.add(f.flat())]
+
+
+def end_global_dimension(summands, homs: Callable[[int, int], list[ModuleMap]], cap: int,
+                         seed: int = 0) -> tuple[DimBound, int]:
+    """(gl.dim End(M), dim End(M)) for the basic module M with the
+    indecomposable summands L_t of the (label, module, ...) tuples
+    ``summands``, without assembling End(M).
+
+    Hom(M, -) takes a minimal add(M)-resolution ... -> M_2 -> M_1 -> L to a
+    minimal projective resolution of the simple S_L = Hom(M, L)/rad(M, L).
+    M_1 -> L is the minimal right almost split map: at t, a basis of the
+    irreducible maps rad(L_t, L) mod rad^2.  Each later M_j covers the
+    kernel K before it: at t, a complement in Hom(L_t, K) of the maps that
+    start with an irreducible map, as every radical map of add M does.
+    pd S_L is the first j with Hom(M, K_j) = 0; ``cap`` is as in
+    :func:`projective_dimension`.  Each step is certified by rank: for
+    every t, Hom(L_t, -) of the new map is onto Hom(L_t, K) (onto
+    rad(L_t, L) at the first step).  ``homs(i, j)`` is a basis of
+    Hom(L_i, L_j), as from :meth:`GeneratorBundle.summand_homs`.  Raises
+    NotBasic when two summands are isomorphic.
+    """
+    if cap < 0 or any(s[1].dim == 0 for s in summands):
+        raise ValueError("cap must be nonnegative and every summand nonzero")
+    mods = _basic_modules(summands, seed)
+    n = len(mods)
+    hom = {(t, s): homs(t, s) for t in range(n) for s in range(n)}
+    rad = dict(hom)
+    for t in range(n):
+        # End(L) local and split: f = c*1 + nilpotent has trace c*dim L, so rad
+        # End(L) is the trace-zero part.  Were End(L) not local, the trace form
+        # on End(L)/rad, nondegenerate in characteristic 0, would give two
+        # trace-zero maps whose product has nonzero trace.
+        basis = rad[t, t]
+        traces = [_trace(f) for f in basis]
+        p = next(i for i, tr in enumerate(traces) if tr)
+        inv = _inv(traces[p])
+        rad[t, t] = [f + basis[p].scaled(-tr * inv) if tr else f
+                     for i, (f, tr) in enumerate(zip(basis, traces)) if i != p]
+        if any(_trace(a.then(b)) for a in rad[t, t] for b in rad[t, t]):
+            raise InternalCheckFailed("a summand has an endomorphism ring that is not local")
+    # rad^2(t, s) is the sum over u of rad(u, s) o rad(t, u)
+    irr = {(t, s): _complement(_map_space(mods[t], mods[s]),
+                               (a.then(b) for u in range(n) for a in rad[t, u] for b in rad[u, s]), rad[t, s])
+           for t in range(n) for s in range(n)}
+    best, exact = 0, True
+    for j in range(n):
+        target, have = mods[j], [rad[t, j] for t in range(n)]
+        gens = [(t, f) for t in range(n) for f in irr[t, j]]
+        step = 0
+        while any(have) and step < cap:
+            for t, x in enumerate(mods):
+                if _complement(_map_space(x, target), (h.then(f) for s, f in gens for h in hom[t, s]), have[t]):
+                    raise InternalCheckFailed("an add(M)-resolution step is not onto under Hom(L, -)")
+            target, _ = kernel(_from_sum([f for _, f in gens], target)[0])
+            have = [hom_basis(x, target) for x in mods]
+            gens = [(t, f) for t, x in enumerate(mods)
+                    for f in _complement(_map_space(x, target),
+                                         (i.then(phi) for u in range(n) for i in irr[t, u] for phi in have[u]),
+                                         have[t])]
+            step += 1
+        best = max(best, step + 1 if any(have) else step)
+        exact = exact and not any(have)
+    return DimBound(best, exact), sum(map(len, hom.values()))
 
 
 # -- minimal right approximations -------------------------------------------------

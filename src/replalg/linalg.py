@@ -76,12 +76,6 @@ class RatMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        return cls(len(rows), ncols, rows)
-
-    @classmethod
     def column(cls, vec: Sequence) -> "RatMatrix":
         return cls(len(vec), 1, [[x] for x in vec])
 
@@ -110,9 +104,6 @@ class RatMatrix:
 
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)
-
-    def copy(self) -> "RatMatrix":
-        return RatMatrix._of(self.rows, self.cols, [row[:] for row in self.data])
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix._of(self.cols, self.rows, [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
@@ -171,17 +162,6 @@ class RatMatrix:
                             if b:
                                 orow[j] = orow[j] + a * b
         return RatMatrix._of(self.rows, other.cols, out)
-
-    def apply(self, vec: Sequence[Scalar]) -> list[Scalar]:
-        """Matrix times column vector, as plain lists."""
-        out = [0] * self.rows
-        for i, row in enumerate(self.data):
-            acc = 0
-            for a, v in zip(row, vec):
-                if a and v:
-                    acc += a * v
-            out[i] = acc
-        return out
 
     # -- elimination ----------------------------------------------------
 
@@ -288,9 +268,6 @@ class RatMatrix:
         if (self @ x) != RatMatrix.identity(self.rows):
             return None
         return x
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
 
 
 def hstack(mats: Sequence[RatMatrix]) -> RatMatrix:

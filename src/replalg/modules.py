@@ -398,9 +398,10 @@ def _summand_inclusion(dims: Sequence[int], i: int) -> RatMatrix:
 
 
 def hom_basis(x: ModuleRep, y: ModuleRep) -> list[ModuleMap]:
-    """Basis of the space of module maps x -> y."""
+    """Basis of the space of module maps x -> y; empty, with no equation
+    solved, when no vertex carries both."""
     _same_algebra(x, y)
-    if x.dim == 0 or y.dim == 0:
+    if not any(p and q for p, q in zip(x._dims, y._dims)):
         return []
     rows, n = _hom_equations(x, y)
     maps = []
@@ -468,7 +469,7 @@ def _hom_equations(x: ModuleRep, y: ModuleRep) -> tuple[list[dict[int, Scalar]],
 def hom_dim(x: ModuleRep, y: ModuleRep) -> int:
     """dim Hom(x, y): the nullity of the equations, with no maps assembled."""
     _same_algebra(x, y)
-    if x.dim == 0 or y.dim == 0:
+    if not any(p and q for p, q in zip(x._dims, y._dims)):
         return 0
     return len(sparse_kernel(*_hom_equations(x, y)))
 

@@ -57,21 +57,6 @@ class Quiver:
         if seen != n:
             raise CyclicQuiver("quiver has an oriented cycle")
 
-    @property
-    def is_connected(self) -> bool:
-        adj = {v: set() for v in self.vertices}
-        for a in self.arrows:
-            adj[a.source].add(a.target)
-            adj[a.target].add(a.source)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
-
     def reversed(self) -> "Quiver":
         return Quiver(self.vertices, [(a.name, a.target, a.source) for a in self.arrows])
 

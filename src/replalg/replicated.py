@@ -134,9 +134,6 @@ class ReplicatedAlgebra:
     def num_vertices(self) -> int:
         return len(self.quiver.vertices)
 
-    def vertex_index(self, v: str, copy: int) -> int:
-        return copy * self.num_vertices + self.quiver.vindex[v]
-
     def copy_of_vertex(self, idx: int) -> int:
         return idx // self.num_vertices
 

@@ -47,6 +47,7 @@ from replalg.verify import (
     verify_example_3_4,
     verify_lemma_2_4,
 )
+from support import mult_coords, verify_exact
 
 SWEEP = [
     ("one-vertex", one_vertex(), 1),
@@ -226,7 +227,7 @@ def test_criterion_6_engine_property_suite():
     for x in mods:
         res = minimal_projective_resolution(x, cap=8)
         try:
-            res.verify_exact()
+            verify_exact(res)
         except ValueError:
             res_ok = False
         dual_ok &= projective_dimension(x, 8) == injective_dimension(dual_module(x), 8)
@@ -241,7 +242,7 @@ def test_criterion_6_engine_property_suite():
         sp = EchelonSpace(a.dim)
         for x in current:
             for y in rad:
-                sp.add(a.mult_coords(x, y))
+                sp.add(mult_coords(a, x, y))
         current = [list(r) for r in sp.rows]
     checks.append(("radical_nilpotent", not current))
     # decompose-recompose isomorphism

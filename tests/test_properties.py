@@ -19,7 +19,7 @@ from replalg.homology import (
     stable_hom_dim,
     cosyzygy,
 )
-from replalg.linalg import EchelonSpace, RatMatrix
+from replalg.linalg import EchelonSpace
 from replalg.modules import (
     ModuleMap,
     ModuleRep,
@@ -38,6 +38,7 @@ from replalg.modules import (
 )
 from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, build_replicated, embed, sigma_layers
+from support import from_rows, mult_coords, verify_exact
 
 
 def fan():
@@ -108,7 +109,7 @@ def test_resolution_exactness(a):
     for x in sample_modules(a):
         res = minimal_projective_resolution(x, cap=10)
         assert res.complete
-        res.verify_exact()
+        verify_exact(res)
 
 
 @pytest.mark.parametrize("a", ALGEBRAS)
@@ -144,7 +145,7 @@ def test_radical_nilpotent_and_quotient_semisimple(a):
         sp = EchelonSpace(a.dim)
         for x in current:
             for y in rad:
-                sp.add(a.mult_coords(x, y))
+                sp.add(mult_coords(a, x, y))
         current = [list(r) for r in sp.rows]
     assert not current
     # the quotient has zero radical: radical of the quotient trace form
@@ -290,14 +291,14 @@ def test_layer_approximation_is_epi_for_modules_with_pi_cover():
     base = r.base
     u1 = [s.module for s in bundle.summands if s.layer == 1]
     pis = [m for _, m in projective_injectives(r)]
-    e1 = RatMatrix.from_rows([[1, 0], [0, 0]])
-    e2 = RatMatrix.from_rows([[0, 0], [0, 1]])
+    e1 = from_rows([[1, 0], [0, 0]])
+    e2 = from_rows([[0, 0], [0, 1]])
     for lam in (0, 1, 3):
         acts = {
             base.labels.index("e(1)"): e1,
             base.labels.index("e(2)"): e2,
-            base.labels.index("a"): RatMatrix.from_rows([[0, 1], [0, 0]]),
-            base.labels.index("b"): RatMatrix.from_rows([[0, Fraction(lam)], [0, 0]]),
+            base.labels.index("a"): from_rows([[0, 1], [0, 0]]),
+            base.labels.index("b"): from_rows([[0, Fraction(lam)], [0, 0]]),
         }
         reg = ModuleRep.from_actions(base, acts, [0, 1])
         reg.validate()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from replalg import modules
+from replalg import homology, modules, verify
 from replalg.quiver import kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, minimal_cogenerator
 from replalg.verify import (
@@ -11,7 +11,6 @@ from replalg.verify import (
     verify_ext_stablehom,
     verify_gl_dim_bounds,
     verify_lemma_2_4,
-    verify_lemma_2_4_inventory,
     verify_theorem_3_3,
     verify_theorem_3_5,
 )
@@ -89,7 +88,9 @@ def test_lemma_2_4_inventory_hom_systems_are_pinned(monkeypatch):
     """A work gate that does not depend on the machine: the Hom systems
     solved during the Kronecker m=1 inventory run, and their equations.
     Each Hom(L_i, L_j) between summands of M is solved once per bundle,
-    not once per target (905 systems and 5,736 rows when it was not)."""
+    not once per target (905 systems and 5,736 rows when it was not).  A
+    Hom space between modules with no vertex in common is zero without a
+    system (625 systems, 202 of them with no unknown, when it was not)."""
     bundle = auslander_generator(kronecker(), 1)
     solved = []
     solve = modules.sparse_kernel
@@ -99,9 +100,48 @@ def test_lemma_2_4_inventory_hom_systems_are_pinned(monkeypatch):
         return solve(rows, n)
 
     monkeypatch.setattr(modules, "sparse_kernel", counted)
-    certs = verify_lemma_2_4_inventory(bundle)
+    certs = [verify_lemma_2_4(bundle, x, lab) for lab, x in lemma_2_4_inventory(bundle)]
     assert len(certs) == 13 and all(c.verdict for c in certs)
-    assert (len(solved), sum(solved)) == (625, 4147)
+    assert (len(solved), sum(solved)) == (423, 4147)
+
+
+def _refuse_end_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("end_algebra was called")
+
+    monkeypatch.setattr(homology, "end_algebra", refuse)
+    monkeypatch.setattr(verify, "end_algebra", refuse, raising=False)
+
+
+def test_end_path_work_is_pinned(monkeypatch):
+    """A work gate for gl.dim End(M) on Kronecker m=1, given M: the Hom
+    systems solved (the Hom(L_i, L_j) between summands, the pairwise
+    isomorphism tests and Hom(L_i, K) at each step) and the add(M)-resolution
+    steps built, one kernel each.  End(M) is never assembled."""
+    bundle = auslander_generator(kronecker(), 1)
+    solved, steps = [], []
+    solve, kernel = modules.sparse_kernel, homology.kernel
+
+    def counted(rows, n):
+        solved.append(len(rows))
+        return solve(rows, n)
+
+    def counted_kernel(f):
+        steps.append(f.source.dim)
+        return kernel(f)
+
+    _refuse_end_algebra(monkeypatch)
+    monkeypatch.setattr(modules, "sparse_kernel", counted)
+    monkeypatch.setattr(homology, "kernel", counted_kernel)
+    cert, _ = verify_theorem_3_3(kronecker(), 1, bundle=bundle)
+    assert cert.verdict and cert.values["dim_end"] == 89
+    assert (len(solved), sum(solved), len(steps)) == (142, 1569, 20)
+
+
+def test_example_3_4_does_not_assemble_end(monkeypatch):
+    _refuse_end_algebra(monkeypatch)
+    cert, _, _ = verify_example_3_4()
+    assert cert.verdict
 
 
 def test_lemma_2_4_fails_somewhere_with_M0(kr_bundle0):
