@@ -245,6 +245,9 @@ def main(argv=None) -> int:
     except (ReplalgError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     return code
 
 

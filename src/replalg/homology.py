@@ -624,7 +624,7 @@ def _basic_modules(summands, seed: int) -> list[ModuleRep]:
     return [s[1] for s in summands]
 
 
-# -- gl.dim End(M) from add(M)-resolutions ------------------------------------------
+# -- minimal right add(M)-approximations ----------------------------------------------
 
 
 def _trace(f: ModuleMap) -> Scalar:
@@ -641,6 +641,91 @@ def _complement(space: EchelonSpace, maps: Iterable[ModuleMap], basis: Sequence[
     return [f for f in basis if space.add(f.flat())]
 
 
+def _radical(hom: dict) -> dict:
+    """rad(L_t, L_s) for each key (t, s) of ``hom``, a table of bases of
+    Hom(L_t, L_s) between pairwise non-isomorphic indecomposables: all of
+    Hom for t != s, and the trace-zero endomorphisms for t = s.
+
+    End(L) local and split: f = c*1 + nilpotent has trace c*dim L.  Were
+    End(L) not local, the trace form on End(L)/rad, nondegenerate in
+    characteristic 0, would give two trace-zero maps whose product has
+    nonzero trace; that is certified not to happen.
+    """
+    rad = dict(hom)
+    for t, s in hom:
+        if t != s:
+            continue
+        basis = hom[t, t]
+        traces = [_trace(f) for f in basis]
+        p = next(i for i, tr in enumerate(traces) if tr)
+        inv = _inv(traces[p])
+        rad[t, t] = [f + basis[p].scaled(-tr * inv) if tr else f
+                     for i, (f, tr) in enumerate(zip(basis, traces)) if i != p]
+        if any(_trace(a.then(b)) for a in rad[t, t] for b in rad[t, t]):
+            raise InternalCheckFailed("a summand has an endomorphism ring that is not local")
+    return rad
+
+
+def _top(mods: Sequence[ModuleRep], hom: dict, rad: dict, target: ModuleRep,
+         have: Sequence[Sequence[ModuleMap]]) -> list[tuple[int, ModuleMap]]:
+    """The summands (t, f: L_t -> target) of a minimal right add(mods)-
+    approximation of the span of ``have``, where have[t] is a basis of a
+    subspace of Hom(L_t, target), and these are closed under precomposition
+    with the maps L_s -> L_t.
+
+    By Nakayama's lemma they are, at each t, a complement in have[t] of the
+    composites r o phi with r in rad(L_t, L_u) and phi in have[u].  ``hom``
+    and ``rad`` hold Hom(L_t, L_u) and rad(L_t, L_u) for every u with
+    have[u] nonzero.  Certified by rank: for every t, Hom(L_t, -) of the
+    result is onto have[t].
+    """
+    gens = [(t, f) for t, x in enumerate(mods)
+            for f in _complement(_map_space(x, target),
+                                 (r.then(phi) for u, hu in enumerate(have) if hu
+                                  for r in rad[t, u] for phi in hu),
+                                 have[t])]
+    for t, x in enumerate(mods):
+        if _complement(_map_space(x, target), (h.then(f) for s, f in gens for h in hom[t, s]), have[t]):
+            raise InternalCheckFailed("an add(M)-approximation is not onto under Hom(L, -)")
+    return gens
+
+
+def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep,
+                        homs: Optional[Callable[[int, int], list[ModuleMap]]] = None) -> ModuleMap:
+    """A minimal right add(addset)-approximation of x, for an addset of
+    pairwise non-isomorphic indecomposables.
+
+    Its source holds L_t once for each vector of a basis of Hom(L_t, x)
+    modulo the maps that factor through a radical map L_t -> L_u (see
+    :func:`_top`).  ``homs(i, j)``, when given, is a basis of
+    Hom(addset[i], addset[j]), so that a caller approximating many targets
+    solves each of these systems once; by default it is solved here.  An
+    addset with two isomorphic modules, or one that is not indecomposable,
+    never gets a wrong map: a certificate raises InternalCheckFailed.
+    """
+    addset = list(addset)
+    if not addset:
+        raise ValueError("addset must be nonempty")
+    for l in addset:
+        if l.algebra is not x.algebra:
+            raise ValueError("addset modules live over a different algebra")
+    have = [hom_basis(l, x) for l in addset]
+    used = [u for u, hu in enumerate(have) if hu]
+    if not used:
+        return zero_map(zero_module(x.algebra), x)
+    if homs is None:
+        def homs(i: int, j: int) -> list[ModuleMap]:
+            return hom_basis(addset[i], addset[j])
+    hom = {(t, u): homs(t, u) for t in range(len(addset)) for u in used}
+    gens = _top(addset, hom, _radical(hom), x, have)
+    out, _ = _from_sum([f for _, f in gens], x)
+    out.source.extras["approximation_summands"] = [t for t, _ in gens]
+    return out
+
+
+# -- gl.dim End(M) from add(M)-resolutions ------------------------------------------
+
+
 def end_global_dimension(summands, homs: Callable[[int, int], list[ModuleMap]], cap: int,
                          seed: int = 0) -> tuple[DimBound, int]:
     """(gl.dim End(M), dim End(M)) for the basic module M with the
@@ -649,14 +734,11 @@ def end_global_dimension(summands, homs: Callable[[int, int], list[ModuleMap]], 
 
     Hom(M, -) takes a minimal add(M)-resolution ... -> M_2 -> M_1 -> L to a
     minimal projective resolution of the simple S_L = Hom(M, L)/rad(M, L).
-    M_1 -> L is the minimal right almost split map: at t, a basis of the
-    irreducible maps rad(L_t, L) mod rad^2.  Each later M_j covers the
-    kernel K before it: at t, a complement in Hom(L_t, K) of the maps that
-    start with an irreducible map, as every radical map of add M does.
-    pd S_L is the first j with Hom(M, K_j) = 0; ``cap`` is as in
-    :func:`projective_dimension`.  Each step is certified by rank: for
-    every t, Hom(L_t, -) of the new map is onto Hom(L_t, K) (onto
-    rad(L_t, L) at the first step).  ``homs(i, j)`` is a basis of
+    Each step is a minimal right add(M)-approximation (:func:`_top`): M_1 ->
+    L of rad(M, L), which makes it the minimal right almost split map, and
+    each later M_j of all of Hom(M, K) for the kernel K before it.  pd S_L
+    is the first j with Hom(M, K_j) = 0; ``cap`` is as in
+    :func:`projective_dimension`.  ``homs(i, j)`` is a basis of
     Hom(L_i, L_j), as from :meth:`GeneratorBundle.summand_homs`.  Raises
     NotBasic when two summands are isomorphic.
     """
@@ -665,122 +747,16 @@ def end_global_dimension(summands, homs: Callable[[int, int], list[ModuleMap]], 
     mods = _basic_modules(summands, seed)
     n = len(mods)
     hom = {(t, s): homs(t, s) for t in range(n) for s in range(n)}
-    rad = dict(hom)
-    for t in range(n):
-        # End(L) local and split: f = c*1 + nilpotent has trace c*dim L, so rad
-        # End(L) is the trace-zero part.  Were End(L) not local, the trace form
-        # on End(L)/rad, nondegenerate in characteristic 0, would give two
-        # trace-zero maps whose product has nonzero trace.
-        basis = rad[t, t]
-        traces = [_trace(f) for f in basis]
-        p = next(i for i, tr in enumerate(traces) if tr)
-        inv = _inv(traces[p])
-        rad[t, t] = [f + basis[p].scaled(-tr * inv) if tr else f
-                     for i, (f, tr) in enumerate(zip(basis, traces)) if i != p]
-        if any(_trace(a.then(b)) for a in rad[t, t] for b in rad[t, t]):
-            raise InternalCheckFailed("a summand has an endomorphism ring that is not local")
-    # rad^2(t, s) is the sum over u of rad(u, s) o rad(t, u)
-    irr = {(t, s): _complement(_map_space(mods[t], mods[s]),
-                               (a.then(b) for u in range(n) for a in rad[t, u] for b in rad[u, s]), rad[t, s])
-           for t in range(n) for s in range(n)}
+    rad = _radical(hom)
     best, exact = 0, True
     for j in range(n):
         target, have = mods[j], [rad[t, j] for t in range(n)]
-        gens = [(t, f) for t in range(n) for f in irr[t, j]]
         step = 0
         while any(have) and step < cap:
-            for t, x in enumerate(mods):
-                if _complement(_map_space(x, target), (h.then(f) for s, f in gens for h in hom[t, s]), have[t]):
-                    raise InternalCheckFailed("an add(M)-resolution step is not onto under Hom(L, -)")
+            gens = _top(mods, hom, rad, target, have)
             target, _ = kernel(_from_sum([f for _, f in gens], target)[0])
             have = [hom_basis(x, target) for x in mods]
-            gens = [(t, f) for t, x in enumerate(mods)
-                    for f in _complement(_map_space(x, target),
-                                         (i.then(phi) for u in range(n) for i in irr[t, u] for phi in have[u]),
-                                         have[t])]
             step += 1
         best = max(best, step + 1 if any(have) else step)
         exact = exact and not any(have)
     return DimBound(best, exact), sum(map(len, hom.values()))
-
-
-# -- minimal right approximations -------------------------------------------------
-
-
-def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep,
-                        homs: Optional[Callable[[int, int], list[ModuleMap]]] = None) -> ModuleMap:
-    """A minimal right add(addset)-approximation of x.
-
-    The universal map from one copy of L per basis vector of Hom(L, x) is an
-    approximation; source summands are then greedily dropped while the
-    approximation property (surjectivity of Hom(L, source) -> Hom(L, x) for
-    every L in the addset, by rank) survives, until no single summand can be
-    dropped.  ``homs(i, j)``, when given, is a basis of
-    Hom(addset[i], addset[j]), so that a caller approximating many targets
-    solves each of these systems once; by default it is solved here.
-    """
-    addset = list(addset)
-    if not addset:
-        raise ValueError("addset must be nonempty")
-    a = x.algebra
-    for l in addset:
-        if l.algebra is not a:
-            raise ValueError("addset modules live over a different algebra")
-    hom_to_x = [hom_basis(l, x) for l in addset]
-    copies: list[tuple[int, ModuleMap]] = []
-    for li, phis in enumerate(hom_to_x):
-        for phi in phis:
-            copies.append((li, phi))
-    if not copies:
-        return zero_map(zero_module(a), x)
-    if homs is None:
-        def homs(i: int, j: int) -> list[ModuleMap]:
-            return hom_basis(addset[i], addset[j])
-    # flattened composites phi_c o h for every test module L and copy c
-    used = sorted({t for t, _ in copies})
-    hom_ll = {(li, lj): homs(li, lj) for li in range(len(addset)) for lj in used}
-    composed: list[list[list[Scalar]]] = []  # composed[l][c] -> list of vectors
-    for li, l in enumerate(addset):
-        per_copy = []
-        for ci, (ti, phi) in enumerate(copies):
-            vecs = [h.then(phi).flat() for h in hom_ll[(li, ti)]]
-            per_copy.append(vecs)
-        composed.append(per_copy)
-    targets = [len(h) for h in hom_to_x]
-
-    def is_approx(active: list[int]) -> bool:
-        for li in range(len(addset)):
-            need = targets[li]
-            if need == 0:
-                continue
-            sp = _map_space(addset[li], x)
-            got = 0
-            for c in active:
-                for v in composed[li][c]:
-                    if sp.add(v):
-                        got += 1
-                        if got == need:
-                            break
-                if got == need:
-                    break
-            if got < need:
-                return False
-        return True
-
-    active = list(range(len(copies)))
-    if not is_approx(active):
-        raise InternalCheckFailed("universal map failed the approximation property")
-    changed = True
-    while changed:
-        changed = False
-        for c in list(active):
-            trial = [d for d in active if d != c]
-            if is_approx(trial):
-                active = trial
-                changed = True
-    kept = [copies[c] for c in active]
-    if not kept:
-        return zero_map(zero_module(a), x)
-    out, _ = _from_sum([phi for _, phi in kept], x)
-    out.source.extras["approximation_summands"] = [t for t, _ in kept]
-    return out

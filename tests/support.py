@@ -4,7 +4,9 @@ They read the engine's public objects and never feed back into it.
 """
 
 from replalg.algebra import _sparse_coords
+from replalg.homology import _from_sum, _map_space
 from replalg.linalg import RatMatrix
+from replalg.modules import hom_basis, zero_map, zero_module
 
 
 def from_rows(rows):
@@ -69,3 +71,42 @@ def verify_exact(res) -> None:
                 raise ValueError(f"coresolution not exact at term {i - 1}")
         if res.complete and res.maps and not res.maps[-1].is_surjective():
             raise ValueError("coresolution not exact at the last term")
+
+
+def greedy_right_approximation(addset, x, homs=None):
+    """A minimal right add(addset)-approximation of x by dropping: start
+    from one copy of L_t per basis vector of Hom(L_t, x) and drop copies
+    while Hom(L, -) of the map stays onto Hom(L, x) for every L of the
+    addset, checked by rank, until no single copy can be dropped."""
+    if homs is None:
+        def homs(i, j):
+            return hom_basis(addset[i], addset[j])
+    have = [hom_basis(l, x) for l in addset]
+    copies = [(t, phi) for t, phis in enumerate(have) for phi in phis]
+    # composed[l][c]: the flattened phi_c o h for every h: L -> L_t(c)
+    composed = [[[h.then(phi).flat() for h in homs(li, t)] for t, phi in copies]
+                for li in range(len(addset))]
+
+    def is_approx(active):
+        for li, l in enumerate(addset):
+            sp = _map_space(l, x)
+            for c in active:
+                for v in composed[li][c]:
+                    sp.add(v)
+            if sp.rank < len(have[li]):
+                return False
+        return True
+
+    active = list(range(len(copies)))
+    assert is_approx(active)
+    changed = True
+    while changed:
+        changed = False
+        for c in list(active):
+            trial = [d for d in active if d != c]
+            if is_approx(trial):
+                active, changed = trial, True
+    if not active:
+        return zero_map(zero_module(x.algebra), x), []
+    out, _ = _from_sum([copies[c][1] for c in active], x)
+    return out, [copies[c][0] for c in active]

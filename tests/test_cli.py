@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import replalg
+import replalg.cli
 from replalg.cli import main, parse_quiver, serialize_quiver
 from replalg.errors import CapTooSmall, CyclicQuiver, DuplicateLabel, ParseError, ReplalgError
 from replalg.quiver import Quiver, kronecker, linear_quiver
@@ -268,3 +269,15 @@ def test_exit_codes(argv, code, tmp_path, capsys):
     else:
         assert captured.err == ""
         assert ("verdict: PASS" if code == 0 else "verdict: FAIL") in captured.out
+
+
+def test_out_of_memory_is_one_error_line(kronecker_file, capsys, monkeypatch):
+    # a run that exhausts memory is misuse of the machine, not a false theorem
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(replalg.cli, "verify_theorem_3_3", exhaust)
+    assert main(["repdim", "--quiver", kronecker_file, "--m", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"

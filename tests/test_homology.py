@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import replalg.homology
 import replalg.modules
-from replalg.errors import InternalCheckFailed, NotBasic, NotProjInjective
+from replalg.errors import InternalCheckFailed, NotBasic, NotProjInjective, ReplalgError
 from replalg.homology import (
     DimBound,
     cosyzygy,
@@ -41,7 +41,8 @@ from replalg.modules import (
 from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, minimal_cogenerator
 from replalg.algebra import AlgebraData
-from support import verify_exact
+from replalg.verify import lemma_2_4_inventory
+from support import from_rows, greedy_right_approximation, verify_exact
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +333,54 @@ def test_right_approximation_empty_homs(kr):
     s2 = simple_module(kr, 1)
     g = right_approximation([s1], s2)
     assert g.source.dim == 0 and g.matrix.cols == 0
+
+
+@pytest.mark.parametrize("make, quiver, m", [
+    (auslander_generator, kronecker, 1),
+    (auslander_generator, kronecker, 2),
+    (auslander_generator, lambda: linear_quiver(3), 2),
+    (minimal_cogenerator, kronecker, 1),
+], ids=["kronecker-m1", "kronecker-m2", "a3-m2", "kronecker-m1-minimal"])
+def test_right_approximation_matches_greedy_drop(make, quiver, m):
+    # the top of Hom(M, x) gives the source summands and the kernel that
+    # dropping copies from the universal map gives, on every lemma-2.4 target
+    bundle = make(quiver(), m)
+    mods = [s.module for s in bundle.summands]
+    for _, x in lemma_2_4_inventory(bundle):
+        g = right_approximation(mods, x, bundle.summand_homs)
+        old, types = greedy_right_approximation(mods, x, bundle.summand_homs)
+        assert sorted(g.source.extras.get("approximation_summands", [])) == sorted(types)
+        assert kernel(g)[0].vertex_dims() == kernel(old)[0].vertex_dims()
+
+
+def test_right_approximation_through_a_radical_endomorphism(kr):
+    # R: k^2 => k^2 by the identity and a nilpotent Jordan block has End(R) =
+    # k[x]/x^2; x o 1 factors through rad End(R), so one copy of R suffices
+    zero = [0, 0, 0, 0]
+    acts = {
+        kr.labels.index("e(1)"): from_rows([[1, 0, 0, 0], [0, 1, 0, 0], zero, zero]),
+        kr.labels.index("e(2)"): from_rows([zero, zero, [0, 0, 1, 0], [0, 0, 0, 1]]),
+        kr.labels.index("a"): from_rows([[0, 0, 1, 0], [0, 0, 0, 1], zero, zero]),
+        kr.labels.index("b"): from_rows([[0, 0, 0, 1], zero, zero, zero]),
+    }
+    r = ModuleRep.from_actions(kr, acts, [0, 0, 1, 1])
+    assert hom_dim(r, r) == 2
+    g = right_approximation([r], r)
+    assert g.is_isomorphism() and g.source.extras["approximation_summands"] == [0]
+
+
+def test_right_approximation_refuses_a_non_basic_addset(kr, a2_ext_inventory):
+    # the A2 extcheck inventory holds three isomorphic pairs: each target
+    # fails the onto certificate instead of getting a map
+    mods, _ = a2_ext_inventory
+    for i, j in ((0, 6), (1, 7), (2, 8)):
+        assert is_isomorphic(mods[i], mods[j]) is not None
+        with pytest.raises(ReplalgError, match="not onto"):
+            right_approximation(mods, mods[i])
+    # S1 + S2 is not indecomposable: its End is not local
+    s12, _, _ = direct_sum([simple_module(kr, 0), simple_module(kr, 1)])
+    with pytest.raises(ReplalgError, match="not local"):
+        right_approximation([s12], s12)
 
 
 # -- facts kept on the module object ---------------------------------------

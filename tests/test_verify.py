@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from replalg import homology, modules, verify
+from replalg import homology, linalg, modules, verify
+from replalg.homology import right_approximation
 from replalg.quiver import kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, minimal_cogenerator
 from replalg.verify import (
@@ -103,6 +104,26 @@ def test_lemma_2_4_inventory_hom_systems_are_pinned(monkeypatch):
     certs = [verify_lemma_2_4(bundle, x, lab) for lab, x in lemma_2_4_inventory(bundle)]
     assert len(certs) == 13 and all(c.verdict for c in certs)
     assert (len(solved), sum(solved)) == (423, 4147)
+
+
+def test_right_approximation_work_is_pinned(monkeypatch):
+    """A work gate for the minimal right add(M)-approximations of the
+    Kronecker m=1 inventory: the vectors ranked by EchelonSpace.add.  The
+    greedy drop of copies from the universal map ranked 1,262."""
+    bundle = auslander_generator(kronecker(), 1)
+    mods = [s.module for s in bundle.summands]
+    targets = [x for _, x in lemma_2_4_inventory(bundle)]
+    ranked = []
+    add = linalg.EchelonSpace.add
+
+    def counted(self, v):
+        ranked.append(v)
+        return add(self, v)
+
+    monkeypatch.setattr(linalg.EchelonSpace, "add", counted)
+    for x in targets:
+        right_approximation(mods, x, bundle.summand_homs)
+    assert (len(targets), len(ranked)) == (13, 257)
 
 
 def _refuse_end_algebra(monkeypatch):
