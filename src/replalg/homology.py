@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import AlgebraData
 from .errors import InternalCheckFailed, NotBasic, NotProjInjective, UndecidableDecomposition
-from .linalg import EchelonSpace, RatMatrix, Scalar, _inv, hstack, scalar
+from .linalg import EchelonSpace, RatMatrix, Scalar, SparseSpan, _inv, hstack, scalar, sparse_kernel
 from .modules import (
     ModuleMap,
     ModuleRep,
@@ -631,63 +633,72 @@ def _trace(f: ModuleMap) -> Scalar:
     return sum((m.data[i][i] for m in f.blocks for i in range(m.rows)), 0)
 
 
-def _complement(space: EchelonSpace, maps: Iterable[ModuleMap], basis: Sequence[ModuleMap]) -> list[ModuleMap]:
-    """The maps of ``basis`` that extend the span of ``maps``, which lies in
-    that of ``basis`` and is grown only until it may fill it."""
-    for f in maps:
+def _in_basis(basis: Sequence[ModuleMap], coords: dict[int, Scalar]) -> ModuleMap:
+    """The map with the coordinates {index: coefficient} in ``basis``."""
+    out = None
+    for a, c in coords.items():
+        f = basis[a] if c == 1 else basis[a].scaled(c)
+        out = f if out is None else out + f
+    return out
+
+
+def _complement(space, vecs: Iterable, basis: Sequence) -> list[int]:
+    """The indices of the vectors of ``basis`` that extend the span of
+    ``vecs`` in the empty ``space``; the span lies in that of ``basis`` and
+    is grown only until it may fill it."""
+    for v in vecs:
         if space.rank == len(basis):
             return []
-        space.add(f.flat())
-    return [f for f in basis if space.add(f.flat())]
+        space.add(v)
+    return [k for k, v in enumerate(basis) if space.add(v)]
 
 
 def _radical(hom: dict) -> dict:
     """rad(L_t, L_s) for each key (t, s) of ``hom``, a table of bases of
-    Hom(L_t, L_s) between pairwise non-isomorphic indecomposables: all of
-    Hom for t != s, and the trace-zero endomorphisms for t = s.
+    Hom(L_t, L_s) between pairwise non-isomorphic indecomposables, as
+    coordinates {index: coefficient} in hom[t, s]: all of Hom for t != s,
+    and the trace-zero endomorphisms for t = s.
 
-    End(L) local and split: f = c*1 + nilpotent has trace c*dim L.  Were
-    End(L) not local, the trace form on End(L)/rad, nondegenerate in
-    characteristic 0, would give two trace-zero maps whose product has
-    nonzero trace; that is certified not to happen.
+    End(L) local and split: f = c*1 + nilpotent has trace c*dim L, so some
+    basis map has nonzero trace, else InternalCheckFailed.  Were End(L) not
+    local, the trace form on End(L)/rad, nondegenerate in characteristic 0,
+    would give two trace-zero maps whose product has nonzero trace; that is
+    certified not to happen.
     """
-    rad = dict(hom)
+    rad = {k: [{a: 1} for a in range(len(basis))] for k, basis in hom.items()}
     for t, s in hom:
         if t != s:
             continue
         basis = hom[t, t]
         traces = [_trace(f) for f in basis]
-        p = next(i for i, tr in enumerate(traces) if tr)
+        p = next((i for i, tr in enumerate(traces) if tr), None)
+        if p is None:
+            raise InternalCheckFailed("End(L) has no map of nonzero trace")
         inv = _inv(traces[p])
-        rad[t, t] = [f + basis[p].scaled(-tr * inv) if tr else f
-                     for i, (f, tr) in enumerate(zip(basis, traces)) if i != p]
-        if any(_trace(a.then(b)) for a in rad[t, t] for b in rad[t, t]):
+        rad[t, t] = [{i: 1, p: -tr * inv} if tr else {i: 1}
+                     for i, tr in enumerate(traces) if i != p]
+        maps = [_in_basis(basis, r) for r in rad[t, t]]
+        if any(_trace(a.then(b)) for a in maps for b in maps):
             raise InternalCheckFailed("a summand has an endomorphism ring that is not local")
     return rad
 
 
-def _top(mods: Sequence[ModuleRep], hom: dict, rad: dict, target: ModuleRep,
-         have: Sequence[Sequence[ModuleMap]]) -> list[tuple[int, ModuleMap]]:
-    """The summands (t, f: L_t -> target) of a minimal right add(mods)-
-    approximation of the span of ``have``, where have[t] is a basis of a
-    subspace of Hom(L_t, target), and these are closed under precomposition
-    with the maps L_s -> L_t.
+def _top(have: Sequence[Sequence], composites: Callable[[int, int], Iterable],
+         space: Callable[[int], object]) -> list[tuple[int, int]]:
+    """The summands (t, k), each the map have[t][k]: L_t -> X, of a minimal
+    right add(L)-approximation of the span of ``have``, where have[t] is a
+    basis of a subspace of Hom(L_t, X), and these are closed under
+    precomposition with the maps L_s -> L_t.
 
     By Nakayama's lemma they are, at each t, a complement in have[t] of the
-    composites r o phi with r in rad(L_t, L_u) and phi in have[u].  ``hom``
-    and ``rad`` hold Hom(L_t, L_u) and rad(L_t, L_u) for every u with
-    have[u] nonzero.  Certified by rank: for every t, Hom(L_t, -) of the
-    result is onto have[t].
+    composites r o phi with r in rad(L_t, L_u) and phi in have[u].  The maps
+    are vectors that ``space(t)``, an empty :class:`EchelonSpace` or
+    :class:`SparseSpan`, takes; ``composites(t, u)`` yields those of the
+    composites and is asked only for u with have[u] nonzero.  The caller
+    certifies that Hom(L_t, -) of the result is onto have[t] for every t.
     """
-    gens = [(t, f) for t, x in enumerate(mods)
-            for f in _complement(_map_space(x, target),
-                                 (r.then(phi) for u, hu in enumerate(have) if hu
-                                  for r in rad[t, u] for phi in hu),
-                                 have[t])]
-    for t, x in enumerate(mods):
-        if _complement(_map_space(x, target), (h.then(f) for s, f in gens for h in hom[t, s]), have[t]):
-            raise InternalCheckFailed("an add(M)-approximation is not onto under Hom(L, -)")
-    return gens
+    return [(t, k) for t, ht in enumerate(have)
+            for k in _complement(space(t), (v for u, hu in enumerate(have) if hu for v in composites(t, u)), ht)]
 
 
 def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep,
@@ -697,7 +708,8 @@ def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep,
 
     Its source holds L_t once for each vector of a basis of Hom(L_t, x)
     modulo the maps that factor through a radical map L_t -> L_u (see
-    :func:`_top`).  ``homs(i, j)``, when given, is a basis of
+    :func:`_top`), and it is certified by rank: Hom(L_t, -) of it is onto
+    Hom(L_t, x) for every t.  ``homs(i, j)``, when given, is a basis of
     Hom(addset[i], addset[j]), so that a caller approximating many targets
     solves each of these systems once; by default it is solved here.  An
     addset with two isomorphic modules, or one that is not indecomposable,
@@ -709,21 +721,156 @@ def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep,
     for l in addset:
         if l.algebra is not x.algebra:
             raise ValueError("addset modules live over a different algebra")
-    have = [hom_basis(l, x) for l in addset]
-    used = [u for u, hu in enumerate(have) if hu]
+    maps = [hom_basis(l, x) for l in addset]
+    used = [u for u, hu in enumerate(maps) if hu]
     if not used:
         return zero_map(zero_module(x.algebra), x)
     if homs is None:
         def homs(i: int, j: int) -> list[ModuleMap]:
             return hom_basis(addset[i], addset[j])
     hom = {(t, u): homs(t, u) for t in range(len(addset)) for u in used}
-    gens = _top(addset, hom, _radical(hom), x, have)
+    rad = {k: [_in_basis(hom[k], r) for r in rs] for k, rs in _radical(hom).items()}
+    have = [[f.flat() for f in hu] for hu in maps]
+    gens = [(t, maps[t][k]) for t, k in
+            _top(have, lambda t, u: (r.then(phi).flat() for r in rad[t, u] for phi in maps[u]),
+                 lambda t: _map_space(addset[t], x))]
+    for t, l in enumerate(addset):
+        if _complement(_map_space(l, x), (h.then(f).flat() for s, f in gens for h in hom[t, s]), have[t]):
+            raise InternalCheckFailed("an add(M)-approximation is not onto under Hom(L, -)")
     out, _ = _from_sum([f for _, f in gens], x)
     out.source.extras["approximation_summands"] = [t for t, _ in gens]
     return out
 
 
-# -- gl.dim End(M) from add(M)-resolutions ------------------------------------------
+# -- gl.dim End(M) from add(M)-resolutions, in End(M) coordinates -----------------------
+
+
+def _free_columns(vecs: Sequence[dict[int, Scalar]]) -> list[int]:
+    """The free column of each vector {column: value} of a basis in the form
+    :func:`sparse_kernel` gives: its last nonzero entry, where it reads 1
+    and every other vector reads 0.  So the coordinates of a vector of the
+    span are its entries at these columns.  Certified, else
+    InternalCheckFailed."""
+    free = [max(v, default=-1) for v in vecs]
+    cols = set(free)
+    if len(cols) != len(free) or any(v.get(f) != 1 or sum(j in cols for j in v) != 1
+                                     for v, f in zip(vecs, free)):
+        raise InternalCheckFailed("a basis is not reduced at its free columns")
+    return free
+
+
+def _coordinates(vec, free: Sequence[int]) -> dict[int, Scalar]:
+    """The coordinates {k: c} of a vector of a span in the basis whose free
+    columns are ``free`` (:func:`_free_columns`)."""
+    return {k: vec[f] for k, f in enumerate(free) if vec[f]}
+
+
+def _structure_constants(hom: dict) -> Callable[[int, int, int, int], list[dict[int, Scalar]]]:
+    """mu(t, u, s, b)[a]: the coordinates in hom[t, s] of hom[t, u][a]
+    followed by hom[u, s][b], formed on first use of (t, u, s, b).
+
+    Each basis of ``hom`` must be as :func:`hom_basis` gives it, reduced
+    at its free columns (:func:`_free_columns`), so the coordinates of a map
+    are its entries at those columns.  Each entry is certified by a full
+    residual: the composite equals the combination of the basis that its
+    coordinates name, else InternalCheckFailed.
+    """
+    reduced: dict = {}
+    table: dict = {}
+
+    def mu(t: int, u: int, s: int, b: int) -> list[dict[int, Scalar]]:
+        if (t, u, s, b) not in table:
+            if (t, s) not in reduced:
+                vecs = [{j: x for j, x in enumerate(f.flat()) if x} for f in hom[t, s]]
+                reduced[t, s] = vecs, _free_columns(vecs)
+            vecs, free = reduced[t, s]
+            g = hom[u, s][b]
+            col = []
+            for f in hom[t, u]:
+                c = f.then(g).flat()
+                coords = _coordinates(c, free)
+                want = [0] * len(c)
+                for k, x in coords.items():
+                    for j, y in vecs[k].items():
+                        want[j] += x * y
+                if want != c:
+                    raise InternalCheckFailed("a composite of summand maps is not the combination its coordinates name")
+                col.append(coords)
+            table[t, u, s, b] = col
+        return table[t, u, s, b]
+
+    return mu
+
+
+def _offsets(hom: dict, n: int, slots: Sequence[int]) -> list[list[int]]:
+    """For each t, the coordinates of Hom(L_t, M), M the sum of the L_s for s
+    in ``slots``: one block per slot g over the basis hom[t, slots[g]], in
+    order.  Gives the offset of each block, then dim Hom(L_t, M)."""
+    return [list(accumulate((len(hom[t, s]) for s in slots), initial=0)) for t in range(n)]
+
+
+def _precompose(mu, offs, slots: Sequence[int], t: int, u: int, na: int,
+                phi: dict[int, Scalar]) -> list[dict[int, Scalar]]:
+    """hom[t, u][a] followed by phi for each of the ``na`` indices a, in the
+    coordinates of Hom(L_t, M) (:func:`_offsets`), for phi: L_u -> M in
+    those of Hom(L_u, M), all as {index: coefficient}."""
+    ot, ou = offs[t], offs[u]
+    out: list[dict[int, Scalar]] = [{} for _ in range(na)]
+    for i, x in phi.items():
+        g = bisect_right(ou, i) - 1
+        base = ot[g]
+        for o, coords in zip(out, mu(t, u, slots[g], i - ou[g])):
+            for k, z in coords.items():
+                o[base + k] = o.get(base + k, 0) + x * z
+    return out
+
+
+def _resolution_step(mu, hom: dict, rad: dict, slots: Sequence[int], have):
+    """One step of a minimal add(M)-resolution, in End(M) coordinates.
+
+    have[t] is a basis of Hom(L_t, K), for K a submodule of the sum of the
+    L_s for s in ``slots``, as vectors {index: coefficient} in the
+    coordinates of :func:`_offsets`, reduced at their free columns.  Returns
+    the slots of M' for the minimal right add(M)-approximation d: M' -> K
+    (:func:`_top`, on the coordinates in have[t]) and, for each t, a basis
+    of Hom(L_t, ker d): the kernel of d_t = Hom(L_t, d), solved in the
+    coordinates of Hom(L_t, M').  d_t maps into the span of have[t], so by
+    rank-nullity it is onto iff N_t - dim ker d_t = len(have[t]), N_t =
+    dim Hom(L_t, M'); else InternalCheckFailed.
+    """
+    n = len(have)
+    offs = _offsets(hom, n, slots)
+    # a vector of the span of have[t] has its coordinates at the free columns
+    coord = [{f: k for k, f in enumerate(_free_columns(h))} for h in have]
+
+    def composites(t: int, u: int):
+        at = coord[t]
+        for phi in have[u] if rad[t, u] else ():
+            comps = [{at[j]: x for j, x in c.items() if j in at}
+                     for c in _precompose(mu, offs, slots, t, u, len(hom[t, u]), phi)]
+            for r in rad[t, u]:
+                c: dict[int, Scalar] = {}
+                for a, y in r.items():
+                    for k, x in comps[a].items():
+                        c[k] = c.get(k, 0) + y * x
+                yield c
+
+    gens = _top([[{k: 1} for k in range(len(h))] for h in have], composites, lambda t: SparseSpan())
+    new = [u for u, _ in gens]
+    out = []
+    for t, noffs in enumerate(_offsets(hom, n, new)):
+        rows: dict[int, dict[int, Scalar]] = {}
+        for g, (u, k) in enumerate(gens):
+            for a, c in enumerate(_precompose(mu, offs, slots, t, u, len(hom[t, u]), have[u][k])
+                                  if hom[t, u] else ()):
+                for i, x in c.items():
+                    if x:
+                        rows.setdefault(i, {})[noffs[g] + a] = x
+        ker = sparse_kernel(list(rows.values()), noffs[-1])
+        if noffs[-1] - len(ker) != len(have[t]):
+            raise InternalCheckFailed("an add(M)-approximation is not onto under Hom(L, -)")
+        out.append(ker)
+    return new, out
 
 
 def end_global_dimension(summands, homs: Callable[[int, int], list[ModuleMap]], cap: int,
@@ -738,24 +885,30 @@ def end_global_dimension(summands, homs: Callable[[int, int], list[ModuleMap]], 
     L of rad(M, L), which makes it the minimal right almost split map, and
     each later M_j of all of Hom(M, K) for the kernel K before it.  pd S_L
     is the first j with Hom(M, K_j) = 0; ``cap`` is as in
-    :func:`projective_dimension`.  ``homs(i, j)`` is a basis of
-    Hom(L_i, L_j), as from :meth:`GeneratorBundle.summand_homs`.  Raises
-    NotBasic when two summands are isomorphic.
+    :func:`projective_dimension`.
+
+    No module but the L_t is built.  Hom(L_t, M_j) is the sum of the
+    Hom(L_t, L_s) over the summands L_s of M_j, Hom(L_t, K_j) is the kernel
+    of Hom(L_t, M_j) -> Hom(L_t, M_{j-1}), and composites are read off the
+    structure constants of End(M) (:func:`_structure_constants`, each entry
+    certified by its residual).  Each step is certified onto by
+    rank-nullity (:func:`_resolution_step`).  ``homs(i, j)`` is a basis of
+    Hom(L_i, L_j) as :func:`hom_basis` gives it, as from
+    :meth:`GeneratorBundle.summand_homs`.  Raises NotBasic when two summands
+    are isomorphic.
     """
     if cap < 0 or any(s[1].dim == 0 for s in summands):
         raise ValueError("cap must be nonnegative and every summand nonzero")
-    mods = _basic_modules(summands, seed)
-    n = len(mods)
+    n = len(_basic_modules(summands, seed))
     hom = {(t, s): homs(t, s) for t in range(n) for s in range(n)}
     rad = _radical(hom)
+    mu = _structure_constants(hom)
     best, exact = 0, True
     for j in range(n):
-        target, have = mods[j], [rad[t, j] for t in range(n)]
+        slots, have = [j], [rad[t, j] for t in range(n)]
         step = 0
         while any(have) and step < cap:
-            gens = _top(mods, hom, rad, target, have)
-            target, _ = kernel(_from_sum([f for _, f in gens], target)[0])
-            have = [hom_basis(x, target) for x in mods]
+            slots, have = _resolution_step(mu, hom, rad, slots, have)
             step += 1
         best = max(best, step + 1 if any(have) else step)
         exact = exact and not any(have)

@@ -8,7 +8,8 @@ ever appears.  The matrices here are the substrate for all Hom/solve
 computations in the rest of the package, so the inner loops skip zero
 entries aggressively (the matrices we meet are mostly zeros and ones).
 Systems that are sparse from the start (the Hom equations) are solved by
-:func:`sparse_kernel` on rows stored as ``{column: value}`` dicts.
+:func:`sparse_kernel` on rows stored as ``{column: value}`` dicts, and
+spans of such rows grow in a :class:`SparseSpan`.
 
 Matrices are immutable by convention: no method mutates ``self`` and
 callers must not modify ``data`` after construction.
@@ -319,19 +320,30 @@ def _sub_scaled(r: dict[int, Scalar], a: Scalar, row: dict[int, Scalar], p: int)
                 del r[j]
 
 
-def _sparse_rref(rows: Iterable[dict[int, Scalar]]) -> dict[int, dict[int, Scalar]]:
-    """Fully reduced row echelon form of sparse rows, keyed by pivot column.
+class SparseSpan:
+    """A growing subspace of sparse vectors ``{column: value}`` in row
+    echelon form: ``piv`` maps each pivot column to its row, which has 1 at
+    the pivot, its smallest column, and no entry at a smaller pivot column.
 
-    Each pivot row has a 1 at its pivot and no entry at any other pivot
-    column.  Each incoming row is reduced against the stored rows in
-    ascending pivot order, through a sorted list of the pivot columns it
-    hits, and is stored in echelon form.  One back-substitution pass in
-    descending pivot order then clears the entries above the pivots.  The
-    work is that of the nonzeros met, not the square of the rank.
+    Each incoming vector is reduced against the stored rows in ascending
+    pivot order, through a sorted list of the pivot columns it hits
+    (``insort`` adds fill-in as it appears), so the work is that of the
+    nonzeros met, not that of the dimension.
     """
-    piv: dict[int, dict[int, Scalar]] = {}
-    for row in rows:
-        r = {j: x for j, x in row.items() if x}
+
+    __slots__ = ("piv",)
+
+    def __init__(self):
+        self.piv: dict[int, dict[int, Scalar]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.piv)
+
+    def add(self, vec: dict[int, Scalar]) -> bool:
+        """Insert vec's span; returns True if the rank grew."""
+        piv = self.piv
+        r = {j: x for j, x in vec.items() if x}
         hits = [c for c in r if c in piv]
         hits.sort()
         for p in hits:  # ascending; insort adds columns beyond p as they fill in
@@ -352,13 +364,28 @@ def _sparse_rref(rows: Iterable[dict[int, Scalar]]) -> dict[int, dict[int, Scala
                         else:
                             del r[j]
         if not r:
-            continue
+            return False
         p = min(r)
         a = r[p]
         if a != 1:
             inv = _inv(a)
             r = {j: x * inv for j, x in r.items()}
         piv[p] = r
+        return True
+
+
+def _sparse_rref(rows: Iterable[dict[int, Scalar]]) -> dict[int, dict[int, Scalar]]:
+    """Fully reduced row echelon form of sparse rows, keyed by pivot column.
+
+    Each pivot row has a 1 at its pivot and no entry at any other pivot
+    column.  The rows are put in echelon form by :class:`SparseSpan`, and
+    one back-substitution pass in descending pivot order then clears the
+    entries above the pivots.
+    """
+    span = SparseSpan()
+    for row in rows:
+        span.add(row)
+    piv = span.piv
     # rows with a larger pivot are fully reduced first, so one pass clears each
     for p in sorted(piv, reverse=True):
         prow = piv[p]

@@ -38,7 +38,7 @@ from replalg.modules import (
     regular_module,
     simple_module,
 )
-from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
+from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, minimal_cogenerator
 from replalg.algebra import AlgebraData
 from replalg.verify import lemma_2_4_inventory
@@ -461,6 +461,11 @@ def test_repeat_stable_hom_builds_no_envelope(a2_ext_inventory, monkeypatch):
 # -- gl.dim End(M) from add(M)-resolutions, against End(M) assembled -------------
 
 
+def kronecker3():
+    """Three arrows 2 -> 1, as quivers/kronecker3.json: a wild quiver."""
+    return Quiver(["1", "2"], [("a", "2", "1"), ("b", "2", "1"), ("c", "2", "1")])
+
+
 def _end_oracle(bundle, cap):
     """gl.dim and dim of End(M) from the assembled algebra."""
     e = end_algebra(bundle.module, summands=bundle.end_summands())
@@ -474,6 +479,7 @@ def _end_oracle(bundle, cap):
     (auslander_generator, lambda: linear_quiver(3), 1, 8, (3, 51)),
     (auslander_generator, lambda: linear_quiver(3), 2, 12, (3, 99)),
     (minimal_cogenerator, kronecker, 1, 8, (5, 20)),  # M0 of example 3.4
+    (auslander_generator, kronecker3, 1, 8, (3, 261)),  # wild
 ])
 def test_end_global_dimension_matches_end_algebra(make, quiver, m, cap, want):
     bundle = make(quiver(), m, cap=cap)
@@ -518,3 +524,55 @@ def test_end_global_dimension_refuses_a_step_that_is_not_onto(monkeypatch):
     monkeypatch.setattr(replalg.homology, "_complement", short)
     with pytest.raises(InternalCheckFailed, match="not onto"):
         end_global_dimension(bundle.end_summands(), bundle.summand_homs, 8)
+
+
+def test_radical_without_a_map_of_nonzero_trace_is_a_typed_error(kronecker_m1_bundle):
+    # a summand whose End basis is empty has no map of nonzero trace: both
+    # entry points refuse it with a typed error, not a bare StopIteration
+    mods = [s.module for s in kronecker_m1_bundle.summands]
+    with pytest.raises(InternalCheckFailed, match="no map of nonzero trace"):
+        end_global_dimension(kronecker_m1_bundle.end_summands(), lambda i, j: [], 8)
+    with pytest.raises(InternalCheckFailed, match="no map of nonzero trace"):
+        right_approximation(mods, mods[0], lambda i, j: [])
+    # nor one whose only endomorphism is nilpotent
+    zero = hom_basis(mods[0], mods[0])[0].scaled(0)
+    with pytest.raises(InternalCheckFailed, match="no map of nonzero trace"):
+        right_approximation([mods[0]], mods[0], lambda i, j: [zero])
+
+
+def test_summand_hom_bases_are_reduced_at_their_free_columns(kronecker_m1_bundle):
+    # each vector of a Hom basis reads 1 at its own free column, its last
+    # nonzero entry, and 0 at the free columns of the others
+    n = len(kronecker_m1_bundle.summands)
+    for i in range(n):
+        for j in range(n):
+            vecs = [{c: x for c, x in enumerate(f.flat()) if x} for f in kronecker_m1_bundle.summand_homs(i, j)]
+            free = [max(v) for v in vecs]
+            assert [[v.get(f, 0) for f in free] for v in vecs] == [
+                [int(k == l) for l in range(len(vecs))] for k in range(len(vecs))]
+            assert replalg.homology._free_columns(vecs) == free
+
+
+def test_end_global_dimension_refuses_a_basis_not_reduced_at_its_free_columns(kronecker_m1_bundle):
+    def doubled(i, j):
+        return [f.scaled(2) for f in kronecker_m1_bundle.summand_homs(i, j)]
+
+    with pytest.raises(InternalCheckFailed, match="not reduced"):
+        end_global_dimension(kronecker_m1_bundle.end_summands(), doubled, 8)
+    with pytest.raises(InternalCheckFailed, match="not reduced"):
+        replalg.homology._free_columns([{0: 1, 2: 1}, {1: 1, 2: 1}])
+
+
+def test_end_global_dimension_refuses_a_corrupted_structure_constant(kronecker_m1_bundle, monkeypatch):
+    # one coordinate off by one: the residual of the composite catches it
+    coordinates = replalg.homology._coordinates
+
+    def corrupt(vec, free):
+        out = coordinates(vec, free)
+        if free:
+            out[0] = out.get(0, 0) + 1
+        return out
+
+    monkeypatch.setattr(replalg.homology, "_coordinates", corrupt)
+    with pytest.raises(InternalCheckFailed, match="composite"):
+        end_global_dimension(kronecker_m1_bundle.end_summands(), kronecker_m1_bundle.summand_homs, 8)

@@ -153,6 +153,18 @@ def test_echelon_space_matches_rank(m):
         assert sp.contains(m.column_vec(j))
 
 
+@settings(max_examples=40, deadline=None)
+@given(matrices(max_dim=5))
+def test_sparse_span_grows_as_the_echelon_space(m):
+    # the same vectors, dense and as {column: value}: the rank grows at the
+    # same steps, and every stored row has 1 at its pivot, its least column
+    dense, sparse = EchelonSpace(m.rows), linalg.SparseSpan()
+    for col in m.columns():
+        assert sparse.add({j: x for j, x in enumerate(col) if x}) == dense.add(col)
+        assert sparse.rank == dense.rank
+    assert all(row[p] == 1 and min(row) == p for p, row in sparse.piv.items())
+
+
 def test_echelon_space_membership():
     sp = EchelonSpace(3)
     assert sp.add([F(1), F(0), F(2)])

@@ -136,27 +136,39 @@ def _refuse_end_algebra(monkeypatch):
 
 def test_end_path_work_is_pinned(monkeypatch):
     """A work gate for gl.dim End(M) on Kronecker m=1, given M: the Hom
-    systems solved (the Hom(L_i, L_j) between summands, the pairwise
-    isomorphism tests and Hom(L_i, K) at each step) and the add(M)-resolution
-    steps built, one kernel each.  End(M) is never assembled."""
+    systems solved (only the Hom(L_i, L_j) between summands and the pairwise
+    isomorphism tests), the add(M)-resolution steps and the structure
+    constants of End(M) formed.  No module but the summands is built: End(M),
+    kernels and direct sums are refused.  The resolution in modules solved
+    142 systems of 1,569 rows with 20 kernel steps."""
     bundle = auslander_generator(kronecker(), 1)
-    solved, steps = [], []
-    solve, kernel = modules.sparse_kernel, homology.kernel
+    solved, steps, formed = [], [], []
+    solve, step, coordinates = modules.sparse_kernel, homology._resolution_step, homology._coordinates
 
     def counted(rows, n):
         solved.append(len(rows))
         return solve(rows, n)
 
-    def counted_kernel(f):
-        steps.append(f.source.dim)
-        return kernel(f)
+    def counted_step(*args):
+        steps.append(len(args[3]))
+        return step(*args)
+
+    def counted_coordinates(vec, free):
+        formed.append(len(free))
+        return coordinates(vec, free)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a module was built")
 
     _refuse_end_algebra(monkeypatch)
+    for name in ("kernel", "direct_sum", "_from_sum"):
+        monkeypatch.setattr(homology, name, refuse)
     monkeypatch.setattr(modules, "sparse_kernel", counted)
-    monkeypatch.setattr(homology, "kernel", counted_kernel)
+    monkeypatch.setattr(homology, "_resolution_step", counted_step)
+    monkeypatch.setattr(homology, "_coordinates", counted_coordinates)
     cert, _ = verify_theorem_3_3(kronecker(), 1, bundle=bundle)
     assert cert.verdict and cert.values["dim_end"] == 89
-    assert (len(solved), sum(solved), len(steps)) == (142, 1569, 20)
+    assert (len(solved), sum(solved), len(steps), len(formed)) == (72, 482, 20, 313)
 
 
 def test_example_3_4_does_not_assemble_end(monkeypatch):
