@@ -653,11 +653,11 @@ def _complement(space, vecs: Iterable, basis: Sequence) -> list[int]:
     return [k for k, v in enumerate(basis) if space.add(v)]
 
 
-def _radical(hom: dict) -> dict:
-    """rad(L_t, L_s) for each key (t, s) of ``hom``, a table of bases of
+def _radical(hom: dict) -> dict[int, list[dict[int, Scalar]]]:
+    """rad End(L_t) for each key (t, t) of ``hom``, a table of bases of
     Hom(L_t, L_s) between pairwise non-isomorphic indecomposables, as
-    coordinates {index: coefficient} in hom[t, s]: all of Hom for t != s,
-    and the trace-zero endomorphisms for t = s.
+    coordinates {index: coefficient} in hom[t, t]: the trace-zero
+    endomorphisms.  For t != s, rad(L_t, L_s) is all of Hom(L_t, L_s).
 
     End(L) local and split: f = c*1 + nilpotent has trace c*dim L, so some
     basis map has nonzero trace, else InternalCheckFailed.  Were End(L) not
@@ -665,7 +665,7 @@ def _radical(hom: dict) -> dict:
     would give two trace-zero maps whose product has nonzero trace; that is
     certified not to happen.
     """
-    rad = {k: [{a: 1} for a in range(len(basis))] for k, basis in hom.items()}
+    rad = {}
     for t, s in hom:
         if t != s:
             continue
@@ -675,9 +675,8 @@ def _radical(hom: dict) -> dict:
         if p is None:
             raise InternalCheckFailed("End(L) has no map of nonzero trace")
         inv = _inv(traces[p])
-        rad[t, t] = [{i: 1, p: -tr * inv} if tr else {i: 1}
-                     for i, tr in enumerate(traces) if i != p]
-        maps = [_in_basis(basis, r) for r in rad[t, t]]
+        rad[t] = [{i: 1, p: -tr * inv} if tr else {i: 1} for i, tr in enumerate(traces) if i != p]
+        maps = [_in_basis(basis, r) for r in rad[t]]
         if any(_trace(a.then(b)) for a in maps for b in maps):
             raise InternalCheckFailed("a summand has an endomorphism ring that is not local")
     return rad
@@ -729,7 +728,8 @@ def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep,
         def homs(i: int, j: int) -> list[ModuleMap]:
             return hom_basis(addset[i], addset[j])
     hom = {(t, u): homs(t, u) for t in range(len(addset)) for u in used}
-    rad = {k: [_in_basis(hom[k], r) for r in rs] for k, rs in _radical(hom).items()}
+    ends = _radical(hom)
+    rad = {(t, u): [_in_basis(hom[t, u], r) for r in ends[t]] if t == u else hom[t, u] for t, u in hom}
     have = [[f.flat() for f in hu] for hu in maps]
     gens = [(t, maps[t][k]) for t, k in
             _top(have, lambda t, u: (r.then(phi).flat() for r in rad[t, u] for phi in maps[u]),
@@ -901,7 +901,8 @@ def end_global_dimension(summands, homs: Callable[[int, int], list[ModuleMap]], 
         raise ValueError("cap must be nonnegative and every summand nonzero")
     n = len(_basic_modules(summands, seed))
     hom = {(t, s): homs(t, s) for t in range(n) for s in range(n)}
-    rad = _radical(hom)
+    ends = _radical(hom)
+    rad = {(t, s): ends[t] if t == s else [{a: 1} for a in range(len(hom[t, s]))] for t, s in hom}
     mu = _structure_constants(hom)
     best, exact = 0, True
     for j in range(n):

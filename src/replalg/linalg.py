@@ -342,36 +342,42 @@ class SparseSpan:
 
     def add(self, vec: dict[int, Scalar]) -> bool:
         """Insert vec's span; returns True if the rank grew."""
+        return self.extend((vec,)) == 1
+
+    def extend(self, vecs: Iterable[dict[int, Scalar]]) -> int:
+        """Insert the span of each vector in turn; returns the rank gained."""
         piv = self.piv
-        r = {j: x for j, x in vec.items() if x}
-        hits = [c for c in r if c in piv]
-        hits.sort()
-        for p in hits:  # ascending; insort adds columns beyond p as they fill in
-            a = r.pop(p, None)
-            if a is None:  # cancelled, or listed twice
-                continue
-            for j, x in piv[p].items():
-                if j != p:
-                    y = r.get(j)
-                    if y is None:
-                        r[j] = -a * x
-                        if j in piv:
-                            insort(hits, j)
-                    else:
-                        y -= a * x
-                        if y:
-                            r[j] = y
+        start = len(piv)
+        for vec in vecs:
+            r = {j: x for j, x in vec.items() if x}
+            hits = [c for c in r if c in piv]
+            hits.sort()
+            for p in hits:  # ascending; insort adds columns beyond p as they fill in
+                a = r.pop(p, None)
+                if a is None:  # cancelled, or listed twice
+                    continue
+                for j, x in piv[p].items():
+                    if j != p:
+                        y = r.get(j)
+                        if y is None:
+                            r[j] = -a * x
+                            if j in piv:
+                                insort(hits, j)
                         else:
-                            del r[j]
-        if not r:
-            return False
-        p = min(r)
-        a = r[p]
-        if a != 1:
-            inv = _inv(a)
-            r = {j: x * inv for j, x in r.items()}
-        piv[p] = r
-        return True
+                            y -= a * x
+                            if y:
+                                r[j] = y
+                            else:
+                                del r[j]
+            if not r:
+                continue
+            p = min(r)
+            a = r[p]
+            if a != 1:
+                inv = _inv(a)
+                r = {j: x * inv for j, x in r.items()}
+            piv[p] = r
+        return len(piv) - start
 
 
 def _sparse_rref(rows: Iterable[dict[int, Scalar]]) -> dict[int, dict[int, Scalar]]:
@@ -383,8 +389,7 @@ def _sparse_rref(rows: Iterable[dict[int, Scalar]]) -> dict[int, dict[int, Scala
     entries above the pivots.
     """
     span = SparseSpan()
-    for row in rows:
-        span.add(row)
+    span.extend(rows)
     piv = span.piv
     # rows with a larger pivot are fully reduced first, so one pass clears each
     for p in sorted(piv, reverse=True):
