@@ -320,16 +320,51 @@ def _sub_scaled(r: dict[int, Scalar], a: Scalar, row: dict[int, Scalar], p: int)
                 del r[j]
 
 
-class SparseSpan:
-    """A growing subspace of sparse vectors ``{column: value}`` in row
-    echelon form: ``piv`` maps each pivot column to its row, which has 1 at
-    the pivot, its smallest column, and no entry at a smaller pivot column.
+def _insert_rows(piv: dict[int, dict[int, Scalar]], rows: Iterable[dict[int, Scalar]]) -> None:
+    """Insert each sparse row into the row echelon form ``piv``, which maps a
+    pivot column to its row: 1 at the pivot, its smallest column, and no
+    entry at a smaller pivot column.
 
-    Each incoming vector is reduced against the stored rows in ascending
-    pivot order, through a sorted list of the pivot columns it hits
-    (``insort`` adds fill-in as it appears), so the work is that of the
-    nonzeros met, not that of the dimension.
+    Each row is reduced against the stored rows in ascending pivot order,
+    through a sorted list of the pivot columns it hits (``insort`` adds
+    fill-in as it appears), so the work is that of the nonzeros met, not
+    that of the dimension.
     """
+    for row in rows:
+        r = {j: x for j, x in row.items() if x}
+        hits = [c for c in r if c in piv]
+        hits.sort()
+        for p in hits:  # ascending; insort adds columns beyond p as they fill in
+            a = r.pop(p, None)
+            if a is None:  # cancelled, or listed twice
+                continue
+            for j, x in piv[p].items():
+                if j != p:
+                    y = r.get(j)
+                    if y is None:
+                        r[j] = -a * x
+                        if j in piv:
+                            insort(hits, j)
+                    else:
+                        y -= a * x
+                        if y:
+                            r[j] = y
+                        else:
+                            del r[j]
+        if not r:
+            continue
+        p = min(r)
+        a = r[p]
+        if a != 1:
+            inv = _inv(a)
+            r = {j: x * inv for j, x in r.items()}
+        piv[p] = r
+
+
+class SparseSpan:
+    """A growing subspace of sparse vectors ``{column: value}``, kept in the
+    row echelon form of :func:`_insert_rows` in ``piv``: the sparse twin of
+    :class:`EchelonSpace`."""
 
     __slots__ = ("piv",)
 
@@ -342,55 +377,21 @@ class SparseSpan:
 
     def add(self, vec: dict[int, Scalar]) -> bool:
         """Insert vec's span; returns True if the rank grew."""
-        return self.extend((vec,)) == 1
-
-    def extend(self, vecs: Iterable[dict[int, Scalar]]) -> int:
-        """Insert the span of each vector in turn; returns the rank gained."""
-        piv = self.piv
-        start = len(piv)
-        for vec in vecs:
-            r = {j: x for j, x in vec.items() if x}
-            hits = [c for c in r if c in piv]
-            hits.sort()
-            for p in hits:  # ascending; insort adds columns beyond p as they fill in
-                a = r.pop(p, None)
-                if a is None:  # cancelled, or listed twice
-                    continue
-                for j, x in piv[p].items():
-                    if j != p:
-                        y = r.get(j)
-                        if y is None:
-                            r[j] = -a * x
-                            if j in piv:
-                                insort(hits, j)
-                        else:
-                            y -= a * x
-                            if y:
-                                r[j] = y
-                            else:
-                                del r[j]
-            if not r:
-                continue
-            p = min(r)
-            a = r[p]
-            if a != 1:
-                inv = _inv(a)
-                r = {j: x * inv for j, x in r.items()}
-            piv[p] = r
-        return len(piv) - start
+        rank = len(self.piv)
+        _insert_rows(self.piv, (vec,))
+        return len(self.piv) > rank
 
 
 def _sparse_rref(rows: Iterable[dict[int, Scalar]]) -> dict[int, dict[int, Scalar]]:
     """Fully reduced row echelon form of sparse rows, keyed by pivot column.
 
     Each pivot row has a 1 at its pivot and no entry at any other pivot
-    column.  The rows are put in echelon form by :class:`SparseSpan`, and
+    column.  The rows are put in echelon form by :func:`_insert_rows`, and
     one back-substitution pass in descending pivot order then clears the
     entries above the pivots.
     """
-    span = SparseSpan()
-    span.extend(rows)
-    piv = span.piv
+    piv: dict[int, dict[int, Scalar]] = {}
+    _insert_rows(piv, rows)
     # rows with a larger pivot are fully reduced first, so one pass clears each
     for p in sorted(piv, reverse=True):
         prow = piv[p]
