@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import AlgebraData
 from .errors import InternalCheckFailed, NotBasic, NotProjInjective, UndecidableDecomposition
@@ -633,31 +633,23 @@ def _trace(f: ModuleMap) -> Scalar:
     return sum((m.data[i][i] for m in f.blocks for i in range(m.rows)), 0)
 
 
-def _in_basis(basis: Sequence[ModuleMap], coords: dict[int, Scalar]) -> ModuleMap:
-    """The map with the coordinates {index: coefficient} in ``basis``."""
-    out = None
-    for a, c in coords.items():
-        f = basis[a] if c == 1 else basis[a].scaled(c)
-        out = f if out is None else out + f
-    return out
-
-
-def _complement(space, vecs: Iterable, basis: Sequence) -> list[int]:
-    """The indices of the vectors of ``basis`` that extend the span of
-    ``vecs`` in the empty ``space``; the span lies in that of ``basis`` and
-    is grown only until it may fill it."""
+def _complement(vecs: Iterable[dict[int, Scalar]], n: int) -> list[int]:
+    """The indices k < n of the unit vectors {k: 1} that extend the span of
+    ``vecs``, a subspace of the first n coordinates; the span is grown only
+    until it may fill them."""
+    span = SparseSpan()
     for v in vecs:
-        if space.rank == len(basis):
+        if span.rank == n:
             return []
-        space.add(v)
-    return [k for k, v in enumerate(basis) if space.add(v)]
+        span.add(v)
+    return [k for k in range(n) if span.add({k: 1})]
 
 
-def _radical(hom: dict) -> dict[int, list[dict[int, Scalar]]]:
-    """rad End(L_t) for each key (t, t) of ``hom``, a table of bases of
+def _radical(hom: dict) -> dict[tuple[int, int], list[dict[int, Scalar]]]:
+    """rad(L_t, L_s) for each key (t, s) of ``hom``, a table of bases of
     Hom(L_t, L_s) between pairwise non-isomorphic indecomposables, as
-    coordinates {index: coefficient} in hom[t, t]: the trace-zero
-    endomorphisms.  For t != s, rad(L_t, L_s) is all of Hom(L_t, L_s).
+    coordinates {index: coefficient} in hom[t, s]: all of Hom(L_t, L_s) for
+    t != s, and the trace-zero endomorphisms for t = s.
 
     End(L) local and split: f = c*1 + nilpotent has trace c*dim L, so some
     basis map has nonzero trace, else InternalCheckFailed.  Were End(L) not
@@ -666,53 +658,50 @@ def _radical(hom: dict) -> dict[int, list[dict[int, Scalar]]]:
     certified not to happen.
     """
     rad = {}
-    for t, s in hom:
+    for (t, s), basis in hom.items():
         if t != s:
+            rad[t, s] = [{a: 1} for a in range(len(basis))]
             continue
-        basis = hom[t, t]
         traces = [_trace(f) for f in basis]
         p = next((i for i, tr in enumerate(traces) if tr), None)
         if p is None:
             raise InternalCheckFailed("End(L) has no map of nonzero trace")
         inv = _inv(traces[p])
-        rad[t] = [{i: 1, p: -tr * inv} if tr else {i: 1} for i, tr in enumerate(traces) if i != p]
-        maps = [_in_basis(basis, r) for r in rad[t]]
+        rad[t, t] = [{i: 1, p: -tr * inv} if tr else {i: 1} for i, tr in enumerate(traces) if i != p]
+        maps = [basis[i] + basis[p].scaled(-tr * inv) if tr else basis[i] for i, tr in enumerate(traces) if i != p]
         if any(_trace(a.then(b)) for a in maps for b in maps):
             raise InternalCheckFailed("a summand has an endomorphism ring that is not local")
     return rad
 
 
-def _top(have: Sequence[Sequence], composites: Callable[[int, int], Iterable],
-         space: Callable[[int], object]) -> list[tuple[int, int]]:
-    """The summands (t, k), each the map have[t][k]: L_t -> X, of a minimal
-    right add(L)-approximation of the span of ``have``, where have[t] is a
-    basis of a subspace of Hom(L_t, X), and these are closed under
-    precomposition with the maps L_s -> L_t.
-
-    By Nakayama's lemma they are, at each t, a complement in have[t] of the
-    composites r o phi with r in rad(L_t, L_u) and phi in have[u].  The maps
-    are vectors that ``space(t)``, an empty :class:`EchelonSpace` or
-    :class:`SparseSpan`, takes; ``composites(t, u)`` yields those of the
-    composites and is asked only for u with have[u] nonzero.  The caller
-    certifies that Hom(L_t, -) of the result is onto have[t] for every t.
+def _top(dims: Sequence[int], composites: Callable[[int, int], Iterable]) -> Iterator[list[int]]:
+    """For each t in turn, the generators k at t of a minimal right
+    add(L)-approximation of K, in coordinates: dims[t] = dim Hom(L_t, K),
+    and ``composites(t, u)``, asked only when dims[t] and dims[u] are
+    nonzero, yields the composites r o phi, r in rad(L_t, L_u) and phi in
+    Hom(L_u, K), as vectors {k: coefficient}.  By Nakayama's lemma the
+    generators at t are a complement of those among the unit vectors
+    {k: 1}, k < dims[t].  The caller certifies that Hom(L_t, -) of the
+    result is onto for every t.
     """
-    return [(t, k) for t, ht in enumerate(have)
-            for k in _complement(space(t), (v for u, hu in enumerate(have) if hu for v in composites(t, u)), ht)]
+    for t, d in enumerate(dims):
+        yield _complement((v for u, du in enumerate(dims) if du for v in composites(t, u)), d) if d else []
 
 
 def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep,
                         homs: Optional[Callable[[int, int], list[ModuleMap]]] = None) -> ModuleMap:
     """A minimal right add(addset)-approximation of x, for an addset of
-    pairwise non-isomorphic indecomposables.
+    pairwise non-isomorphic indecomposables L_t.
 
-    Its source holds L_t once for each vector of a basis of Hom(L_t, x)
-    modulo the maps that factor through a radical map L_t -> L_u (see
-    :func:`_top`), and it is certified by rank: Hom(L_t, -) of it is onto
-    Hom(L_t, x) for every t.  ``homs(i, j)``, when given, is a basis of
-    Hom(addset[i], addset[j]), so that a caller approximating many targets
-    solves each of these systems once; by default it is solved here.  An
-    addset with two isomorphic modules, or one that is not indecomposable,
-    never gets a wrong map: a certificate raises InternalCheckFailed.
+    It is one :func:`_resolution_step` over the Hom table of the L_t with x
+    as one more slot n, hom[t, n] = hom_basis(L_t, x).  Its source holds L_t
+    once for each generator (t, k), which maps by hom[t, n][k], and it is
+    certified onto under Hom(L_t, -) for every t by rank-nullity.
+    ``homs(i, j)``, when given, is a basis of Hom(addset[i], addset[j]), so
+    that a caller approximating many targets solves each of these systems
+    once; by default it is solved here.  An addset with two isomorphic
+    modules, or one that is not indecomposable, never gets a wrong map: a
+    certificate raises InternalCheckFailed.
     """
     addset = list(addset)
     if not addset:
@@ -727,17 +716,13 @@ def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep,
     if homs is None:
         def homs(i: int, j: int) -> list[ModuleMap]:
             return hom_basis(addset[i], addset[j])
-    hom = {(t, u): homs(t, u) for t in range(len(addset)) for u in used}
-    ends = _radical(hom)
-    rad = {(t, u): [_in_basis(hom[t, u], r) for r in ends[t]] if t == u else hom[t, u] for t, u in hom}
-    have = [[f.flat() for f in hu] for hu in maps]
-    gens = [(t, maps[t][k]) for t, k in
-            _top(have, lambda t, u: (r.then(phi).flat() for r in rad[t, u] for phi in maps[u]),
-                 lambda t: _map_space(addset[t], x))]
-    for t, l in enumerate(addset):
-        if _complement(_map_space(l, x), (h.then(f).flat() for s, f in gens for h in hom[t, s]), have[t]):
-            raise InternalCheckFailed("an add(M)-approximation is not onto under Hom(L, -)")
-    out, _ = _from_sum([f for _, f in gens], x)
+    n = len(addset)
+    hom = {(t, u): homs(t, u) for t in range(n) for u in used}
+    rad = _radical(hom)
+    hom.update(((t, n), f) for t, f in enumerate(maps))
+    gens, _ = _resolution_step(_structure_constants(hom), hom, rad, [n],
+                               [[{k: 1} for k in range(len(f))] for f in maps])
+    out, _ = _from_sum([maps[t][k] for t, k in gens], x)
     out.source.extras["approximation_summands"] = [t for t, _ in gens]
     return out
 
@@ -787,7 +772,8 @@ def _structure_constants(hom: dict) -> Callable[[int, int, int, int], list[dict[
             g = hom[u, s][b]
             col = []
             for f in hom[t, u]:
-                c = f.then(g).flat()
+                # f followed by g, flat as ModuleMap.flat reads it, with no map built
+                c = [x for a, b in zip(f.blocks, g.blocks) if b.rows and a.cols for row in (b @ a).data for x in row]
                 coords = _coordinates(c, free)
                 want = [0] * len(c)
                 for k, x in coords.items():
@@ -831,38 +817,49 @@ def _resolution_step(mu, hom: dict, rad: dict, slots: Sequence[int], have):
     have[t] is a basis of Hom(L_t, K), for K a submodule of the sum of the
     L_s for s in ``slots``, as vectors {index: coefficient} in the
     coordinates of :func:`_offsets`, reduced at their free columns.  Returns
-    the slots of M' for the minimal right add(M)-approximation d: M' -> K
-    (:func:`_top`, on the coordinates in have[t]) and, for each t, a basis
+    the generators (u, k), L_u by have[u][k], of the minimal right
+    add(M)-approximation d: M' -> K (:func:`_top`) and, for each t, a basis
     of Hom(L_t, ker d): the kernel of d_t = Hom(L_t, d), solved in the
     coordinates of Hom(L_t, M').  d_t maps into the span of have[t], so by
     rank-nullity it is onto iff N_t - dim ker d_t = len(have[t]), N_t =
-    dim Hom(L_t, M'); else InternalCheckFailed.
+    dim Hom(L_t, M'); else InternalCheckFailed.  Both use each composite of
+    hom[t, u] with have[u][k], formed once.
     """
     n = len(have)
     offs = _offsets(hom, n, slots)
     # a vector of the span of have[t] has its coordinates at the free columns
     coord = [{f: k for k, f in enumerate(_free_columns(h))} for h in have]
+    # pre[u][t, k]: hom[t, u] followed by have[u][k] as the top at t forms it,
+    # kept for d_t while (u, k) may be a generator: the tops at u < t are taken
+    pre: list[dict] = [{} for _ in range(n)]
+    taken: set[tuple[int, int]] = set()
+
+    def precomposed(t: int, u: int, k: int) -> list[dict[int, Scalar]]:
+        return _precompose(mu, offs, slots, t, u, len(hom[t, u]), have[u][k]) if hom[t, u] else []
 
     def composites(t: int, u: int):
         at = coord[t]
-        for phi in have[u] if rad[t, u] else ():
-            comps = [{at[j]: x for j, x in c.items() if j in at}
-                     for c in _precompose(mu, offs, slots, t, u, len(hom[t, u]), phi)]
+        for k in range(len(have[u])) if rad[t, u] else ():
+            p = precomposed(t, u, k)
+            if u >= t or (u, k) in taken:
+                pre[u][t, k] = p
+            comps = [{at[j]: x for j, x in c.items() if j in at} for c in p]
             for r in rad[t, u]:
                 c: dict[int, Scalar] = {}
                 for a, y in r.items():
-                    for k, x in comps[a].items():
-                        c[k] = c.get(k, 0) + y * x
+                    for i, x in comps[a].items():
+                        c[i] = c.get(i, 0) + y * x
                 yield c
 
-    gens = _top([[{k: 1} for k in range(len(h))] for h in have], composites, lambda t: SparseSpan())
-    new = [u for u, _ in gens]
+    for t, ks in enumerate(_top([len(h) for h in have], composites)):
+        taken.update((t, k) for k in ks)
+        pre[t] = {key: p for key, p in pre[t].items() if (t, key[1]) in taken}
+    gens = sorted(taken)
     out = []
-    for t, noffs in enumerate(_offsets(hom, n, new)):
+    for t, noffs in enumerate(_offsets(hom, n, [u for u, _ in gens])):
         rows: dict[int, dict[int, Scalar]] = {}
-        for g, (u, k) in enumerate(gens):
-            for a, c in enumerate(_precompose(mu, offs, slots, t, u, len(hom[t, u]), have[u][k])
-                                  if hom[t, u] else ()):
+        for g, (u, k) in enumerate(gens) if have[t] else ():  # d_t = 0 when Hom(L_t, K) = 0
+            for a, c in enumerate(pre[u].pop((t, k), None) or precomposed(t, u, k)):
                 for i, x in c.items():
                     if x:
                         rows.setdefault(i, {})[noffs[g] + a] = x
@@ -870,7 +867,7 @@ def _resolution_step(mu, hom: dict, rad: dict, slots: Sequence[int], have):
         if noffs[-1] - len(ker) != len(have[t]):
             raise InternalCheckFailed("an add(M)-approximation is not onto under Hom(L, -)")
         out.append(ker)
-    return new, out
+    return gens, out
 
 
 def end_global_dimension(summands, homs: Callable[[int, int], list[ModuleMap]], cap: int,
@@ -901,15 +898,15 @@ def end_global_dimension(summands, homs: Callable[[int, int], list[ModuleMap]], 
         raise ValueError("cap must be nonnegative and every summand nonzero")
     n = len(_basic_modules(summands, seed))
     hom = {(t, s): homs(t, s) for t in range(n) for s in range(n)}
-    ends = _radical(hom)
-    rad = {(t, s): ends[t] if t == s else [{a: 1} for a in range(len(hom[t, s]))] for t, s in hom}
+    rad = _radical(hom)
     mu = _structure_constants(hom)
     best, exact = 0, True
     for j in range(n):
         slots, have = [j], [rad[t, j] for t in range(n)]
         step = 0
         while any(have) and step < cap:
-            slots, have = _resolution_step(mu, hom, rad, slots, have)
+            gens, have = _resolution_step(mu, hom, rad, slots, have)
+            slots = [u for u, _ in gens]
             step += 1
         best = max(best, step + 1 if any(have) else step)
         exact = exact and not any(have)

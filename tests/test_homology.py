@@ -524,6 +524,11 @@ def test_end_global_dimension_refuses_a_step_that_is_not_onto(monkeypatch):
     monkeypatch.setattr(replalg.homology, "_complement", short)
     with pytest.raises(InternalCheckFailed, match="not onto"):
         end_global_dimension(bundle.end_summands(), bundle.summand_homs, 8)
+    # L + L needs two copies of L
+    mods = [s.module for s in bundle.summands]
+    twice, _, _ = direct_sum([mods[0], mods[0]])
+    with pytest.raises(InternalCheckFailed, match="not onto"):
+        right_approximation(mods, twice, bundle.summand_homs)
 
 
 def test_radical_without_a_map_of_nonzero_trace_is_a_typed_error(kronecker_m1_bundle):
@@ -553,12 +558,17 @@ def test_summand_hom_bases_are_reduced_at_their_free_columns(kronecker_m1_bundle
             assert replalg.homology._free_columns(vecs) == free
 
 
-def test_end_global_dimension_refuses_a_basis_not_reduced_at_its_free_columns(kronecker_m1_bundle):
+def test_end_global_dimension_refuses_a_basis_not_reduced_at_its_free_columns(kronecker_m1_bundle, monkeypatch):
     def doubled(i, j):
         return [f.scaled(2) for f in kronecker_m1_bundle.summand_homs(i, j)]
 
     with pytest.raises(InternalCheckFailed, match="not reduced"):
         end_global_dimension(kronecker_m1_bundle.end_summands(), doubled, 8)
+    # the slot of the target: Hom(L_t, x) doubled
+    mods = [s.module for s in kronecker_m1_bundle.summands]
+    monkeypatch.setattr(replalg.homology, "hom_basis", lambda a, b: [f.scaled(2) for f in hom_basis(a, b)])
+    with pytest.raises(InternalCheckFailed, match="not reduced"):
+        right_approximation(mods, mods[0], kronecker_m1_bundle.summand_homs)
     with pytest.raises(InternalCheckFailed, match="not reduced"):
         replalg.homology._free_columns([{0: 1, 2: 1}, {1: 1, 2: 1}])
 
@@ -576,3 +586,6 @@ def test_end_global_dimension_refuses_a_corrupted_structure_constant(kronecker_m
     monkeypatch.setattr(replalg.homology, "_coordinates", corrupt)
     with pytest.raises(InternalCheckFailed, match="composite"):
         end_global_dimension(kronecker_m1_bundle.end_summands(), kronecker_m1_bundle.summand_homs, 8)
+    mods = [s.module for s in kronecker_m1_bundle.summands]
+    with pytest.raises(InternalCheckFailed, match="composite"):
+        right_approximation(mods, mods[0], kronecker_m1_bundle.summand_homs)

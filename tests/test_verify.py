@@ -108,22 +108,43 @@ def test_lemma_2_4_inventory_hom_systems_are_pinned(monkeypatch):
 
 def test_right_approximation_work_is_pinned(monkeypatch):
     """A work gate for the minimal right add(M)-approximations of the
-    Kronecker m=1 inventory: the vectors ranked by EchelonSpace.add.  The
-    greedy drop of copies from the universal map ranked 1,262."""
+    Kronecker m=1 inventory: the sparse vectors ranked, the Hom systems
+    Hom(L_t, x) solved (the summand Hom table is solved once, before) and
+    the add(M)-resolution steps, one per target.  No dense span of
+    flattened maps is made.  The greedy drop of copies from the universal
+    map ranked 1,262 dense vectors, and the flat-map approximation 257."""
     bundle = auslander_generator(kronecker(), 1)
     mods = [s.module for s in bundle.summands]
     targets = [x for _, x in lemma_2_4_inventory(bundle)]
-    ranked = []
-    add = linalg.EchelonSpace.add
+    for i in range(len(mods)):
+        for j in range(len(mods)):
+            bundle.summand_homs(i, j)
+    ranked, solved, steps = [], [], []
+    add, solve, step = linalg.SparseSpan.add, modules.sparse_kernel, homology._resolution_step
 
-    def counted(self, v):
+    def counted_add(self, v):
         ranked.append(v)
         return add(self, v)
 
-    monkeypatch.setattr(linalg.EchelonSpace, "add", counted)
+    def counted_solve(rows, n):
+        solved.append(len(rows))
+        return solve(rows, n)
+
+    def counted_step(*args):
+        steps.append(len(args[3]))
+        return step(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense span was made")
+
+    monkeypatch.setattr(linalg.SparseSpan, "add", counted_add)
+    monkeypatch.setattr(modules, "sparse_kernel", counted_solve)
+    monkeypatch.setattr(homology, "_resolution_step", counted_step)
+    monkeypatch.setattr(homology, "_map_space", refuse)
+    monkeypatch.setattr(linalg.EchelonSpace, "add", refuse)
     for x in targets:
         right_approximation(mods, x, bundle.summand_homs)
-    assert (len(targets), len(ranked)) == (13, 257)
+    assert (len(targets), len(ranked), len(solved), len(steps)) == (13, 95, 78, 13)
 
 
 def _refuse_end_algebra(monkeypatch):
@@ -138,12 +159,16 @@ def test_end_path_work_is_pinned(monkeypatch):
     """A work gate for gl.dim End(M) on Kronecker m=1, given M: the Hom
     systems solved (only the Hom(L_i, L_j) between summands and the pairwise
     isomorphism tests), the add(M)-resolution steps and the structure
-    constants of End(M) formed.  No module but the summands is built: End(M),
-    kernels and direct sums are refused.  The resolution in modules solved
-    142 systems of 1,569 rows with 20 kernel steps."""
+    constants of End(M) formed, and the composites of summand maps with a
+    vector of Hom(L_u, K).  These read 313 and 393 when d_t was formed also
+    for Hom(L_t, K) = 0, and its rows formed the composites of the top a
+    second time.  No module but the summands is built: End(M), kernels and
+    direct sums are refused.  The resolution in modules solved 142 systems
+    of 1,569 rows with 20 kernel steps."""
     bundle = auslander_generator(kronecker(), 1)
-    solved, steps, formed = [], [], []
+    solved, steps, formed, composed = [], [], [], []
     solve, step, coordinates = modules.sparse_kernel, homology._resolution_step, homology._coordinates
+    precompose = homology._precompose
 
     def counted(rows, n):
         solved.append(len(rows))
@@ -157,6 +182,10 @@ def test_end_path_work_is_pinned(monkeypatch):
         formed.append(len(free))
         return coordinates(vec, free)
 
+    def counted_precompose(*args):
+        composed.append(args)
+        return precompose(*args)
+
     def refuse(*args, **kwargs):
         raise AssertionError("a module was built")
 
@@ -166,9 +195,10 @@ def test_end_path_work_is_pinned(monkeypatch):
     monkeypatch.setattr(modules, "sparse_kernel", counted)
     monkeypatch.setattr(homology, "_resolution_step", counted_step)
     monkeypatch.setattr(homology, "_coordinates", counted_coordinates)
+    monkeypatch.setattr(homology, "_precompose", counted_precompose)
     cert, _ = verify_theorem_3_3(kronecker(), 1, bundle=bundle)
     assert cert.verdict and cert.values["dim_end"] == 89
-    assert (len(solved), sum(solved), len(steps), len(formed)) == (72, 482, 20, 313)
+    assert (len(solved), sum(solved), len(steps), len(formed), len(composed)) == (72, 482, 20, 269, 300)
 
 
 def test_example_3_4_does_not_assemble_end(monkeypatch):
