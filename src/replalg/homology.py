@@ -703,6 +703,15 @@ def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep,
     modules, or one that is not indecomposable, never gets a wrong map: a
     certificate raises InternalCheckFailed.
     """
+    return _approximation(addset, x, homs)[0]
+
+
+def _approximation(addset: Sequence[ModuleRep], x: ModuleRep,
+                   homs: Optional[Callable[[int, int], list[ModuleMap]]] = None, rad: Optional[dict] = None):
+    """:func:`right_approximation` g with what a next step on ker g needs:
+    (g, gens, ker, hom, mu) as :func:`_resolution_step` has them.  Given
+    ``rad``, :func:`_radical` of the whole table homs(t, u), hom is that
+    whole table; else it holds only the L_u with Hom(L_u, x) != 0."""
     addset = list(addset)
     if not addset:
         raise ValueError("addset must be nonempty")
@@ -712,19 +721,19 @@ def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep,
     maps = [hom_basis(l, x) for l in addset]
     used = [u for u, hu in enumerate(maps) if hu]
     if not used:
-        return zero_map(zero_module(x.algebra), x)
+        return zero_map(zero_module(x.algebra), x), [], [[] for _ in addset], None, None
     if homs is None:
         def homs(i: int, j: int) -> list[ModuleMap]:
             return hom_basis(addset[i], addset[j])
     n = len(addset)
-    hom = {(t, u): homs(t, u) for t in range(n) for u in used}
-    rad = _radical(hom)
+    hom = {key: homs(*key) for key in rad} if rad else {(t, u): homs(t, u) for t in range(n) for u in used}
+    rad = rad or _radical(hom)
     hom.update(((t, n), f) for t, f in enumerate(maps))
-    gens, _ = _resolution_step(_structure_constants(hom), hom, rad, [n],
-                               [[{k: 1} for k in range(len(f))] for f in maps])
+    mu = _structure_constants(hom)
+    gens, ker = _resolution_step(mu, hom, rad, [n], [[{k: 1} for k in range(len(f))] for f in maps])
     out, _ = _from_sum([maps[t][k] for t, k in gens], x)
     out.source.extras["approximation_summands"] = [t for t, _ in gens]
-    return out
+    return out, gens, ker, hom, mu
 
 
 # -- gl.dim End(M) from add(M)-resolutions, in End(M) coordinates -----------------------

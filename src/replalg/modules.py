@@ -35,8 +35,9 @@ from .errors import NonSplitSimple
 from .linalg import EchelonSpace, RatMatrix, Scalar, block_diag, sparse_kernel, vstack
 
 
-def _memo(x: ModuleRep, key: str, compute):
-    """x's fact ``key``: compute() in full on first use, then the stored value."""
+def _memo(x, key, compute):
+    """x's fact ``key``: compute() in full on first use, then the stored value
+    (in x._extras, x a ModuleRep or a GeneratorBundle)."""
     if key not in x._extras:
         x._extras[key] = compute()
     return x._extras[key]

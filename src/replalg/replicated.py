@@ -29,7 +29,9 @@ from .algebra import AlgebraData
 from .errors import AmbientTooSmall, CapTooSmall, CopyOutOfRange, InternalCheckFailed
 from .homology import (
     DimBound,
+    _radical,
     decompose_with_maps,
+    ext1_dim,
     global_dimension,
     is_isomorphic,
     projective_dimension,
@@ -37,6 +39,7 @@ from .homology import (
 from .modules import (
     ModuleMap,
     ModuleRep,
+    _memo,
     cokernel,
     direct_sum,
     hom_basis,
@@ -262,13 +265,20 @@ class GeneratorBundle:
     inclusions: list[ModuleMap]
     projections: list[ModuleMap]
     t: int                      # gl.dim A^(m)
-    _homs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _extras: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def summand_homs(self, i: int, j: int) -> list[ModuleMap]:
         """A basis of Hom(L_i, L_j) between summands, solved on first use."""
-        if (i, j) not in self._homs:
-            self._homs[(i, j)] = hom_basis(self.summands[i].module, self.summands[j].module)
-        return self._homs[(i, j)]
+        return _memo(self, ("hom", i, j), lambda: hom_basis(self.summands[i].module, self.summands[j].module))
+
+    def summand_ext1(self, i: int, j: int) -> int:
+        """dim Ext^1(L_i, L_j) between summands, computed on first use."""
+        return _memo(self, ("ext1", i, j), lambda: ext1_dim(self.summands[i].module, self.summands[j].module))
+
+    def summand_rad(self) -> dict:
+        """:func:`_radical` of the whole table of summand_homs, formed once."""
+        n = range(len(self.summands))
+        return _memo(self, "rad", lambda: _radical({(i, j): self.summand_homs(i, j) for i in n for j in n}))
 
     def end_summands(self):
         return [

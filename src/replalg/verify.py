@@ -12,8 +12,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ReplalgError
+from .errors import InternalCheckFailed, ReplalgError
 from .homology import (
+    _approximation,
+    _resolution_step,
     _span_rank,
     cosyzygy,
     decompose_with_maps,
@@ -22,7 +24,6 @@ from .homology import (
     ext1_dim,
     global_dimension,
     is_isomorphic,
-    right_approximation,
 )
 from .modules import (
     ModuleRep,
@@ -157,24 +158,32 @@ def verify_lemma_2_4(bundle: GeneratorBundle, x: ModuleRep, x_label: str,
     approximation's own layer.  (add M is not closed under extensions, so
     the vanishing against *every* summand can fail; it is reported as a
     separate value.)
+
+    K is read in End(M) coordinates: one more step d: M2 -> K is onto, and M
+    holds the projectives, so d is an isomorphism iff every Hom(L, ker d) = 0.
+    Only a K outside add M is decomposed, to name its pieces.
     """
     q = bundle.replicated.quiver
     mods = [s.module for s in bundle.summands]
     labels = [s.label for s in bundle.summands]
-    g = right_approximation(mods, x, bundle.summand_homs)
+    rad = bundle.summand_rad()
+    g, gens, ker, hom, mu = _approximation(mods, x, bundle.summand_homs, rad)
     epi = g.is_surjective()
     kmod, _ = kernel(g)
-    kernel_labels: list[str] = []
-    in_add = True
-    if kmod.dim:
-        for piece, _, _ in decompose_with_maps(kmod, seed=seed):
-            for lab, cand in zip(labels, mods):
-                if is_isomorphic(piece, cand, seed=seed) is not None:
-                    kernel_labels.append(lab)
-                    break
-            else:
-                kernel_labels.append("<not in add M>")
-                in_add = False
+    gens2, ker2 = _resolution_step(mu, hom, rad, [u for u, _ in gens], ker) if any(ker) else ([], ker)
+    in_add = not any(ker2)
+    if in_add:
+        us = [u for u, _ in gens2]
+        if kmod.vertex_dims() != [sum(bundle.summands[u].dims[v] for u in us) for v in range(len(kmod.vertex_dims()))]:
+            raise InternalCheckFailed("a kernel in add M has the wrong dimension vector")
+        kernel_labels = [labels[u] for u in us]
+        ext_values = {s.label: sum(bundle.summand_ext1(i, u) for u in us) for i, s in enumerate(bundle.summands)}
+    else:
+        kernel_labels = [next((lab for lab, cand in zip(labels, mods) if is_isomorphic(piece, cand, seed=seed) is not None),
+                              "<not in add M>") for piece, _, _ in decompose_with_maps(kmod, seed=seed)]
+        if "<not in add M>" not in kernel_labels:
+            raise InternalCheckFailed("a kernel with a nonzero approximation kernel lies in add M")
+        ext_values = {s.label: ext1_dim(s.module, kmod) for s in bundle.summands}
     hom_exact = True
     for l in mods:
         dk = hom_dim(l, kmod)
@@ -191,7 +200,6 @@ def verify_lemma_2_4(bundle: GeneratorBundle, x: ModuleRep, x_label: str,
     for t in src_types:
         src_counts[labels[t]] = src_counts.get(labels[t], 0) + 1
     approx_layer = max((bundle.summands[t].layer for t in src_types), default=0)
-    ext_values = {s.label: ext1_dim(s.module, kmod) for s in bundle.summands}
     wak_scoped = all(
         ext_values[s.label] == 0
         for s in bundle.summands

@@ -7,12 +7,18 @@ from replalg.algebra import _sparse_coords
 from replalg.homology import _from_sum, _map_space
 from replalg.linalg import RatMatrix
 from replalg.modules import hom_basis, zero_map, zero_module
+from replalg.quiver import Quiver
 
 
 def from_rows(rows):
     """The RatMatrix with the given rows."""
     rows = [list(r) for r in rows]
     return RatMatrix(len(rows), len(rows[0]) if rows else 0, rows)
+
+
+def kronecker3():
+    """Three arrows 2 -> 1, as quivers/kronecker3.json: a wild quiver."""
+    return Quiver(["1", "2"], [("a", "2", "1"), ("b", "2", "1"), ("c", "2", "1")])
 
 
 def is_invertible(m: RatMatrix) -> bool:

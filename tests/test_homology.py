@@ -38,11 +38,11 @@ from replalg.modules import (
     regular_module,
     simple_module,
 )
-from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
+from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, minimal_cogenerator
 from replalg.algebra import AlgebraData
 from replalg.verify import lemma_2_4_inventory
-from support import from_rows, greedy_right_approximation, verify_exact
+from support import from_rows, greedy_right_approximation, kronecker3, verify_exact
 
 
 @pytest.fixture(scope="module")
@@ -459,11 +459,6 @@ def test_repeat_stable_hom_builds_no_envelope(a2_ext_inventory, monkeypatch):
 
 
 # -- gl.dim End(M) from add(M)-resolutions, against End(M) assembled -------------
-
-
-def kronecker3():
-    """Three arrows 2 -> 1, as quivers/kronecker3.json: a wild quiver."""
-    return Quiver(["1", "2"], [("a", "2", "1"), ("b", "2", "1"), ("c", "2", "1")])
 
 
 def _end_oracle(bundle, cap):

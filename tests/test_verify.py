@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from replalg import homology, linalg, modules, verify
-from replalg.homology import right_approximation
+from replalg import cli, homology, linalg, modules, replicated, verify
+from replalg.errors import InternalCheckFailed
+from replalg.homology import decompose_with_maps, ext1_dim, is_isomorphic, right_approximation
+from replalg.modules import kernel
 from replalg.quiver import kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, minimal_cogenerator
 from replalg.verify import (
@@ -15,6 +17,7 @@ from replalg.verify import (
     verify_theorem_3_3,
     verify_theorem_3_5,
 )
+from support import kronecker3
 
 
 @pytest.fixture(scope="module")
@@ -91,19 +94,34 @@ def test_lemma_2_4_inventory_hom_systems_are_pinned(monkeypatch):
     Each Hom(L_i, L_j) between summands of M is solved once per bundle,
     not once per target (905 systems and 5,736 rows when it was not).  A
     Hom space between modules with no vertex in common is zero without a
-    system (625 systems, 202 of them with no unknown, when it was not)."""
+    system (625 systems, 202 of them with no unknown, when it was not).
+    The kernels are read in End(M) coordinates: with M they all lie in
+    add M, so no kernel is decomposed or matched against the summands
+    (423 systems and 4,147 rows when they were), and the radical table
+    rad(L_i, L_j) is formed once per bundle, not once per target."""
     bundle = auslander_generator(kronecker(), 1)
-    solved = []
-    solve = modules.sparse_kernel
+    solved, radicals = [], []
+    solve, radical = modules.sparse_kernel, homology._radical
 
     def counted(rows, n):
         solved.append(len(rows))
         return solve(rows, n)
 
+    def counted_radical(hom):
+        radicals.append(len(hom))
+        return radical(hom)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel was decomposed")
+
     monkeypatch.setattr(modules, "sparse_kernel", counted)
+    monkeypatch.setattr(homology, "_radical", counted_radical)
+    monkeypatch.setattr(replicated, "_radical", counted_radical)
+    monkeypatch.setattr(verify, "decompose_with_maps", refuse)
+    monkeypatch.setattr(verify, "is_isomorphic", refuse)
     certs = [verify_lemma_2_4(bundle, x, lab) for lab, x in lemma_2_4_inventory(bundle)]
     assert len(certs) == 13 and all(c.verdict for c in certs)
-    assert (len(solved), sum(solved)) == (423, 4147)
+    assert (len(solved), sum(solved), radicals) == (355, 2991, [100])
 
 
 def test_right_approximation_work_is_pinned(monkeypatch):
@@ -215,6 +233,57 @@ def test_lemma_2_4_fails_somewhere_with_M0(kr_bundle0):
     bad = [c for c in certs if not c.verdict]
     assert bad, "the small cogenerator M0 must fail a length-2 witness"
     assert any(not c.values["kernel_in_add_M"] for c in bad)
+
+
+@pytest.mark.parametrize("make", [auslander_generator, minimal_cogenerator])
+@pytest.mark.parametrize("quiver, m", [(kronecker, 1), (kronecker, 2), (lambda: linear_quiver(3), 1),
+                                       (lambda: linear_quiver(3), 2), (kronecker3, 1)],
+                         ids=["kronecker-1", "kronecker-2", "a3-1", "a3-2", "kronecker3-1"])
+def test_lemma_2_4_kernels_match_decomposition(make, quiver, m):
+    """A differential oracle for the kernels read in End(M) coordinates: on
+    kernel(g) as a module, decompose_with_maps and is_isomorphic give the
+    same summands, and ext1_dim(L, K) the same Ext^1 as the sum over the
+    bundle's summand table."""
+    bundle = make(quiver(), m)
+    mods = [s.module for s in bundle.summands]
+    index = {s.label: i for i, s in enumerate(bundle.summands)}
+    seen = set()
+    for lab, x in lemma_2_4_inventory(bundle):
+        cert = verify_lemma_2_4(bundle, x, lab)
+        kmod, _ = kernel(right_approximation(mods, x, bundle.summand_homs))
+        pieces = sorted(
+            next((s.label for s in bundle.summands if is_isomorphic(piece, s.module) is not None), "<not in add M>")
+            for piece, _, _ in decompose_with_maps(kmod)
+        )
+        in_add = "<not in add M>" not in pieces
+        assert (cert.values["kernel_in_add_M"], cert.witnesses["kernel_summands"]) == (in_add, pieces), lab
+        assert cert.witnesses["kernel_dims"] == kmod.vertex_dims()
+        if in_add:
+            for i, s in enumerate(bundle.summands):
+                assert sum(bundle.summand_ext1(i, index[u]) for u in pieces) == ext1_dim(s.module, kmod), (lab, s.label)
+        seen.add(in_add)
+    assert True in seen
+
+
+def test_lemma_2_4_refuses_a_kernel_step_that_drops_a_generator(kr_bundle, monkeypatch, tmp_path, capsys):
+    """The kernel step certified by dimension vectors: a step that drops a
+    generator leaves a kernel that looks in add M but is one summand short,
+    and no certificate is issued, neither by the library nor by the CLI."""
+    step = verify._resolution_step
+
+    def dropped(*args):
+        gens, ker = step(*args)
+        return gens[:-1], ker
+
+    monkeypatch.setattr(verify, "_resolution_step", dropped)
+    with pytest.raises(InternalCheckFailed, match="dimension vector"):
+        for lab, x in lemma_2_4_inventory(kr_bundle):
+            verify_lemma_2_4(kr_bundle, x, lab)
+    path = tmp_path / "kronecker.json"
+    path.write_text(json.dumps(cli.serialize_quiver(kronecker())))
+    assert cli.main(["lemma24", "--quiver", str(path), "--m", "1", "--report", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and "dimension vector" in captured.err
 
 
 def test_ext_stablehom_kronecker_m1():
