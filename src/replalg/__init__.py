@@ -29,7 +29,6 @@ from .homology import (
     cosyzygy,
     decompose,
     dominant_dimension,
-    end_algebra,
     end_global_dimension,
     ext1_dim,
     global_dimension,

@@ -3,10 +3,11 @@
 They read the engine's public objects and never feed back into it.
 """
 
-from replalg.algebra import _sparse_coords
-from replalg.homology import _from_sum, _map_space
+from replalg.algebra import AlgebraData, _sparse_coords
+from replalg.errors import InternalCheckFailed
+from replalg.homology import _basic_modules, _from_sum, _indecomposable_pieces, _map_space, _span_rank
 from replalg.linalg import RatMatrix
-from replalg.modules import hom_basis, zero_map, zero_module
+from replalg.modules import ModuleMap, ModuleRep, hom_basis, hom_dim, identity_map, kernel, zero_map, zero_module
 from replalg.quiver import Quiver
 
 
@@ -116,3 +117,99 @@ def greedy_right_approximation(addset, x, homs=None):
         return zero_map(zero_module(x.algebra), x), []
     out, _ = _from_sum([copies[c][1] for c in active], x)
     return out, [copies[c][0] for c in active]
+
+
+def end_algebra(x: ModuleRep, summands=None, seed: int = 0) -> AlgebraData:
+    """End(x) as an AlgebraData with one idempotent per indecomposable summand.
+
+    Multiplication is "apply first, then second": f*g = g o f, making x a
+    right End(x)-module.  ``summands`` may supply the decomposition as
+    (label, module, inclusion, projection) tuples; otherwise it is computed.
+    Raises NotBasic when two summands are isomorphic.
+    """
+    if summands is None:
+        pieces = _indecomposable_pieces(x, seed)
+        summands = [(f"X{i}", m, inc, prj) for i, (m, inc, prj) in enumerate(pieces)]
+    n = len(summands)
+    mods = _basic_modules(summands, seed)
+    # block Hom bases, with identity leading each diagonal block
+    blocks: dict[tuple[int, int], list[ModuleMap]] = {}
+    for i in range(n):
+        for j in range(n):
+            basis = hom_basis(mods[i], mods[j])
+            if i == j:
+                ident = identity_map(mods[i])
+                sp = _map_space(mods[i], mods[i])
+                sp.add(ident.flat())
+                newbasis = [ident]
+                for b in basis:
+                    if sp.add(b.flat()):
+                        newbasis.append(b)
+                if len(newbasis) != len(basis):
+                    raise InternalCheckFailed("identity completion changed the End dimension")
+                basis = newbasis
+            blocks[(i, j)] = basis
+    index: dict[tuple[int, int, int], int] = {}
+    labels: list[str] = []
+    for i in range(n):
+        for j in range(n):
+            for a in range(len(blocks[(i, j)])):
+                index[(i, j, a)] = len(labels)
+                if i == j and a == 0:
+                    labels.append(f"e({summands[i][0]})")
+                else:
+                    labels.append(f"{summands[i][0]}>{summands[j][0]}.{a}")
+    dim = len(labels)
+    # express all composable products in the block bases, one solve per target block
+    solvers: dict[tuple[int, int], RatMatrix] = {}
+    for (i, j), basis in blocks.items():
+        if basis:
+            solvers[(i, j)] = RatMatrix.from_columns([b.flat() for b in basis])
+    mult = [[() for _ in range(dim)] for _ in range(dim)]
+    for i in range(n):
+        for j in range(n):
+            left = blocks[(i, j)]
+            if not left:
+                continue
+            for l in range(n):
+                right = blocks[(j, l)]
+                if not right:
+                    continue
+                prods = []
+                keys = []
+                for a, f in enumerate(left):
+                    for b, g in enumerate(right):
+                        prods.append(f.then(g).flat())
+                        keys.append((index[(i, j, a)], index[(j, l, b)]))
+                target = blocks[(i, l)]
+                sol = None
+                if target:
+                    sol = solvers[(i, l)].solve(RatMatrix.from_columns(prods))
+                if sol is None:
+                    if any(any(col) for col in prods):
+                        raise InternalCheckFailed("composite left its Hom block")
+                    continue
+                for col, (bi, bj) in enumerate(keys):
+                    entry = []
+                    for c in range(len(target)):
+                        val = sol.data[c][col]
+                        if val:
+                            entry.append((index[(i, l, c)], val))
+                    mult[bi][bj] = tuple(entry)
+    unit = [0] * dim
+    idems = []
+    for i in range(n):
+        coords = [0] * dim
+        coords[index[(i, i, 0)]] = 1
+        unit[index[(i, i, 0)]] = 1
+        idems.append((summands[i][0], coords))
+    return AlgebraData(labels, mult, unit, idems, check=True)
+
+
+def hom_exactness(l, g, x):
+    """The module-level check of 0 -> Hom(L, K) -> Hom(L, M1) -> Hom(L, x)
+    -> 0 for g: M1 -> x and K = ker g, each space from its own Hom system:
+    (dim Hom(L, K), dim Hom(L, M1), rank of Hom(L, g), dim Hom(L, x))."""
+    kmod, _ = kernel(g)
+    hm = hom_basis(l, g.source)
+    return hom_dim(l, kmod), len(hm), _span_rank(l, x, (phi.then(g) for phi in hm)), hom_dim(l, x)

@@ -14,7 +14,6 @@ from replalg.homology import (
     DimBound,
     decompose_with_maps,
     dominant_dimension,
-    end_algebra,
     ext1_dim,
     global_dimension,
     injective_dimension,
@@ -47,7 +46,7 @@ from replalg.verify import (
     verify_example_3_4,
     verify_lemma_2_4,
 )
-from support import mult_coords, verify_exact
+from support import end_algebra, mult_coords, verify_exact
 
 SWEEP = [
     ("one-vertex", one_vertex(), 1),

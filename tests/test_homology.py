@@ -11,7 +11,6 @@ from replalg.homology import (
     cosyzygy,
     decompose,
     dominant_dimension,
-    end_algebra,
     end_global_dimension,
     ext1_dim,
     global_dimension,
@@ -42,7 +41,7 @@ from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_verte
 from replalg.replicated import auslander_generator, minimal_cogenerator
 from replalg.algebra import AlgebraData
 from replalg.verify import lemma_2_4_inventory
-from support import from_rows, greedy_right_approximation, kronecker3, verify_exact
+from support import end_algebra, from_rows, greedy_right_approximation, kronecker3, verify_exact
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from replalg.homology import (
     decompose_with_maps,
     dominant_dimension,
-    end_algebra,
     ext1_dim,
     global_dimension,
     injective_dimension,
@@ -38,7 +37,7 @@ from replalg.modules import (
 )
 from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, build_replicated, embed, sigma_layers
-from support import from_rows, mult_coords, verify_exact
+from support import end_algebra, from_rows, mult_coords, verify_exact
 
 
 def fan():

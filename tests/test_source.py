@@ -69,7 +69,7 @@ def _entries(m):
 def test_every_stored_scalar_is_an_int_or_a_fraction(kronecker_m1_bundle):
     # no float and no bool in an algebra table, an action block or a map
     # block; the algebra tables hold ints wherever the value is integral
-    from replalg.homology import end_algebra
+    from support import end_algebra
     from replalg.modules import hom_basis, injective_envelope, projective_cover
 
     bundle = kronecker_m1_bundle

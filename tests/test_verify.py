@@ -1,11 +1,14 @@
 import json
+from itertools import product
 
 import pytest
 
+import support
 from replalg import cli, homology, linalg, modules, replicated, verify
 from replalg.errors import InternalCheckFailed
 from replalg.homology import decompose_with_maps, ext1_dim, is_isomorphic, right_approximation
-from replalg.modules import kernel
+from replalg.linalg import RatMatrix
+from replalg.modules import ModuleMap, kernel
 from replalg.quiver import kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, minimal_cogenerator
 from replalg.verify import (
@@ -17,7 +20,7 @@ from replalg.verify import (
     verify_theorem_3_3,
     verify_theorem_3_5,
 )
-from support import kronecker3
+from support import hom_exactness, kronecker3
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +101,10 @@ def test_lemma_2_4_inventory_hom_systems_are_pinned(monkeypatch):
     The kernels are read in End(M) coordinates: with M they all lie in
     add M, so no kernel is decomposed or matched against the summands
     (423 systems and 4,147 rows when they were), and the radical table
-    rad(L_i, L_j) is formed once per bundle, not once per target."""
+    rad(L_i, L_j) is formed once per bundle, not once per target.  The
+    Hom-exactness re-check solves no system: it composes the summand table
+    with g's own blocks (355 systems and 2,991 rows when it solved
+    Hom(L, M1), Hom(L, ker g) and Hom(L, x) for every summand L)."""
     bundle = auslander_generator(kronecker(), 1)
     solved, radicals = [], []
     solve, radical = modules.sparse_kernel, homology._radical
@@ -121,7 +127,7 @@ def test_lemma_2_4_inventory_hom_systems_are_pinned(monkeypatch):
     monkeypatch.setattr(verify, "is_isomorphic", refuse)
     certs = [verify_lemma_2_4(bundle, x, lab) for lab, x in lemma_2_4_inventory(bundle)]
     assert len(certs) == 13 and all(c.verdict for c in certs)
-    assert (len(solved), sum(solved), radicals) == (355, 2991, [100])
+    assert (len(solved), sum(solved), radicals) == (175, 1182, [100])
 
 
 def test_right_approximation_work_is_pinned(monkeypatch):
@@ -169,8 +175,11 @@ def _refuse_end_algebra(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("end_algebra was called")
 
-    monkeypatch.setattr(homology, "end_algebra", refuse)
-    monkeypatch.setattr(verify, "end_algebra", refuse, raising=False)
+    # End(M) assembled as an algebra is the tests' oracle; the engine's
+    # modules are refused too, should one of them define it
+    monkeypatch.setattr(support, "end_algebra", refuse)
+    for mod in (homology, verify):
+        monkeypatch.setattr(mod, "end_algebra", refuse, raising=False)
 
 
 def test_end_path_work_is_pinned(monkeypatch):
@@ -284,6 +293,91 @@ def test_lemma_2_4_refuses_a_kernel_step_that_drops_a_generator(kr_bundle, monke
     assert cli.main(["lemma24", "--quiver", str(path), "--m", "1", "--report", "json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ") and "dimension vector" in captured.err
+
+
+def _with_approximation_blocks(monkeypatch, edit):
+    """verify_lemma_2_4 with each approximation g replaced by the map with
+    the blocks edit(g, gens, mods)."""
+    approximation = verify._approximation
+
+    def edited(mods, *args):
+        g, gens, *rest = approximation(mods, *args)
+        return (ModuleMap(g.source, g.target, edit(g, gens, mods)), gens, *rest)
+
+    monkeypatch.setattr(verify, "_approximation", edited)
+
+
+def test_lemma_2_4_refuses_an_approximation_that_is_not_a_module_map(kr_bundle, monkeypatch, tmp_path, capsys):
+    """g certified a module map by the block residual: with 1 added to the
+    first entry of g after which g no longer intertwines the action, by the
+    dense check, no certificate is issued, neither by the library nor by
+    the CLI.  A g with no such entry is left as it is."""
+    def corrupted(g, gens, mods):
+        for v, m in enumerate(g.blocks):
+            for i, j in product(range(m.rows), range(m.cols)):
+                data = [list(row) for row in m.data]
+                data[i][j] += 1
+                blocks = g.blocks[:v] + [RatMatrix._of(m.rows, m.cols, data)] + g.blocks[v + 1:]
+                try:
+                    ModuleMap(g.source, g.target, blocks).validate()
+                except ValueError:
+                    return blocks
+        return g.blocks
+
+    _with_approximation_blocks(monkeypatch, corrupted)
+    with pytest.raises(InternalCheckFailed, match="not a module map"):
+        for lab, x in lemma_2_4_inventory(kr_bundle):
+            verify_lemma_2_4(kr_bundle, x, lab)
+    path = tmp_path / "kronecker.json"
+    path.write_text(json.dumps(cli.serialize_quiver(kronecker())))
+    assert cli.main(["lemma24", "--quiver", str(path), "--m", "1", "--report", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error: ") == 1 and "not a module map" in captured.err
+
+
+def test_lemma_2_4_refuses_an_approximation_zeroed_on_a_summand(kr_bundle, monkeypatch):
+    """g set to zero on the last summand of its source stays a module map
+    but is no longer an approximation, and no target passes: most kernels
+    then have the wrong dimension vector, and on the others Hom(L, g) is not
+    onto.  The exactness check composes with g's own blocks; composites
+    read off the approximation's basis of Hom(L_u, x) would miss the zero."""
+    def zeroed(g, gens, mods):
+        dims = mods[gens[-1][0]].vertex_dims()
+        return [RatMatrix._of(m.rows, m.cols, [row[:m.cols - d] + [0] * d for row in m.data])
+                for m, d in zip(g.blocks, dims)]
+
+    _with_approximation_blocks(monkeypatch, zeroed)
+    outcomes = []
+    for lab, x in lemma_2_4_inventory(kr_bundle):
+        try:
+            cert = verify_lemma_2_4(kr_bundle, x, lab)
+        except InternalCheckFailed as e:
+            assert "dimension vector" in str(e), lab
+            outcomes.append("raised")
+        else:
+            assert not cert.verdict, lab
+            outcomes.append(cert.values["hom_exact_all_summands"])
+    assert sorted(map(str, outcomes)) == ["False"] * 2 + ["raised"] * 11
+
+
+@pytest.mark.parametrize("make", [auslander_generator, minimal_cogenerator])
+@pytest.mark.parametrize("quiver, m", [(kronecker, 1), (kronecker, 2), (lambda: linear_quiver(3), 1),
+                                       (lambda: linear_quiver(3), 2), (kronecker3, 1)],
+                         ids=["kronecker-1", "kronecker-2", "a3-1", "a3-2", "kronecker3-1"])
+def test_lemma_2_4_hom_exactness_matches_module_oracle(make, quiver, m):
+    """A differential oracle for the Hom-exactness read off the summand
+    table: the module-level check, with Hom(L, ker g), Hom(L, M1) and
+    Hom(L, x) each solved as its own Hom system, gives the same verdict,
+    and dim Hom(L, ker g) = dim Hom(L, M1) - rank, as left exactness says."""
+    bundle = make(quiver(), m)
+    mods = [s.module for s in bundle.summands]
+    for lab, x in lemma_2_4_inventory(bundle):
+        cert = verify_lemma_2_4(bundle, x, lab)
+        g = right_approximation(mods, x, bundle.summand_homs)
+        rows = [hom_exactness(l, g, x) for l in mods]
+        exact = all(rank == dx and dm == dk + dx for dk, dm, rank, dx in rows)
+        assert cert.values["hom_exact_all_summands"] == exact, lab
+        assert all(dk == dm - rank for dk, dm, rank, _ in rows), lab
 
 
 def test_ext_stablehom_kronecker_m1():
