@@ -31,8 +31,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .algebra import AlgebraData
-from .errors import NonSplitSimple
-from .linalg import EchelonSpace, RatMatrix, Scalar, block_diag, sparse_kernel, vstack
+from .errors import InternalCheckFailed, NonSplitSimple
+from .linalg import EchelonSpace, RatMatrix, Scalar, _sparse_rref, block_diag, sparse_kernel, vstack
 
 
 def _memo(x, key, compute):
@@ -55,9 +55,11 @@ class ModuleRep:
     ``vertex_of`` afterwards.  So a fact certified about it once stays true
     while it lives, and ``_extras`` keeps such facts on the object (the cache
     dies with it).  Keys: ``algebra_basis`` (e_v A and A itself: the basis
-    element at each coordinate), ``approximation_summands`` (source of a
-    right approximation), ``is_projective`` and ``is_injective``,
-    ``cosyzygy`` and ``ext1_prefix`` (the resolution start of ``ext1_dim``).
+    element at each coordinate), ``projective_stack`` (e_v A and a cover's
+    source: the v of each stacked e_v A), ``read_off_certified`` (see
+    :func:`hom_basis`), ``approximation_summands`` (source of a right
+    approximation), ``is_projective`` and ``is_injective``, ``cosyzygy`` and
+    ``ext1_prefix`` (the resolution start of ``ext1_dim``).
     """
 
     __slots__ = ("algebra", "dim", "blocks", "vertex_of", "_coords", "_dims", "_extras")
@@ -319,7 +321,9 @@ def regular_module(a: AlgebraData) -> ModuleRep:
 def projective_module(a: AlgebraData, v: int) -> ModuleRep:
     """The indecomposable projective e_v * A."""
     if v not in a._proj_cache:
-        a._proj_cache[v] = _right_ideal(a, [j for j in range(a.dim) if a.grading[j][0] == v])
+        p = _right_ideal(a, [j for j in range(a.dim) if a.grading[j][0] == v])
+        p.extras["projective_stack"] = [v]
+        a._proj_cache[v] = p
     return a._proj_cache[v]
 
 
@@ -400,13 +404,32 @@ def _summand_inclusion(dims: Sequence[int], i: int) -> RatMatrix:
 
 def hom_basis(x: ModuleRep, y: ModuleRep) -> list[ModuleMap]:
     """Basis of the space of module maps x -> y; empty, with no equation
-    solved, when no vertex carries both."""
+    solved, when no vertex carries both.
+
+    The basis is the one :func:`sparse_kernel` gives for the equations of
+    :func:`_hom_equations`.  Out of a stack of projectives (marked
+    ``projective_stack``) none is solved: Hom(e_v A, y) = y e_v, so the maps
+    are read off y, certified once per (y, v) and reduced to that basis.
+    """
     _same_algebra(x, y)
     if not any(p and q for p, q in zip(x._dims, y._dims)):
         return []
-    rows, n = _hom_equations(x, y)
+    stack = x._extras.get("projective_stack")
+    if stack is None:
+        rows, n = _hom_equations(x, y)
+        vecs = sparse_kernel(rows, n)
+    else:
+        _certify_read_off(y, stack)
+        vecs, n = _read_off(x, y, [range(y._dims[v]) for v in stack])
+        vecs = _reduced_at_last_entries(vecs, n)
+    return _maps_of(x, y, vecs, n)
+
+
+def _maps_of(x: ModuleRep, y: ModuleRep, vecs: Sequence[dict[int, Scalar]], n: int) -> list[ModuleMap]:
+    """The maps x -> y whose flat entries (as in :meth:`ModuleMap.flat`, n
+    of them) are the sparse vectors vecs."""
     maps = []
-    for vec in sparse_kernel(rows, n):
+    for vec in vecs:
         flat = [0] * n
         for j, a in vec.items():
             flat[j] = a
@@ -420,6 +443,79 @@ def hom_basis(x: ModuleRep, y: ModuleRep) -> list[ModuleMap]:
                 blocks.append(maps[0].blocks[v])
         maps.append(ModuleMap(x, y, blocks))
     return maps
+
+
+def _read_off(p: ModuleRep, y: ModuleRep, lifts: Sequence[Sequence[int]]) -> tuple[list[dict[int, Scalar]], int]:
+    """Maps p -> y out of a stack of projectives, as flat sparse vectors in
+    the unknowns of :func:`_hom_equations`, and their number: for the i-th
+    e_v A stacked in p and each l in lifts[i], the map that sends e_v to
+    coordinate l of y at v, so basis element j of e_v A to column l of Y_j,
+    and the other summands to 0."""
+    a = p.algebra
+    offs, n = [], 0
+    for dy, dp in zip(y._dims, p._dims):
+        offs.append(n)
+        n += dy * dp
+    taken = [0] * len(p._dims)  # coordinates of p at each vertex held by earlier summands
+    vecs = []
+    for v, ls in zip(p._extras["projective_stack"], lifts):
+        cols = []  # (flat index of the column's top entry, row stride, Y_j's rows)
+        for j in projective_module(a, v).extras["algebra_basis"]:
+            w = a.grading[j][1]
+            m = y.blocks.get(j)
+            if m is not None:
+                cols.append((offs[w] + taken[w], p._dims[w], m.data))
+            taken[w] += 1
+        for l in ls:
+            vec = {}
+            for base, stride, data in cols:
+                for r, row in enumerate(data):
+                    if row[l]:
+                        vec[base + r * stride] = row[l]
+            vecs.append(vec)
+    return vecs, n
+
+
+def _certify_read_off(y: ModuleRep, stack: Sequence[int]) -> None:
+    """Certify, once per (y, v) for v in stack (kept in y's
+    ``read_off_certified``), that the maps out of e_v A read off y are
+    dim y e_v module maps, else InternalCheckFailed: e_v acts as the
+    identity at v, so the map for l sends e_v to y_l, and Y_b Y_j = Y_{jb}
+    for every basis element j of e_v A and every b whose source is j's
+    target."""
+    a = y.algebra
+    done = y._extras.setdefault("read_off_certified", set())
+    for v in {v for v in stack if y._dims[v]} - done:
+        ev = _block_of(y, [(k, c) for k, c in enumerate(a.idempotents[v][1]) if c])
+        if ev != RatMatrix.identity(y._dims[v]):
+            raise InternalCheckFailed("an idempotent does not act as the identity at its vertex")
+        for j in projective_module(a, v).extras["algebra_basis"]:
+            yj = y.blocks.get(j)
+            for b in projective_module(a, a.grading[j][1]).extras["algebra_basis"]:
+                yb = y.blocks.get(b)
+                if not _same_block(yb @ yj if yb is not None and yj is not None else None,
+                                   _block_of(y, a.mult[j][b])):
+                    raise InternalCheckFailed("a map read off a module is not a module map")
+        done.add(v)
+
+
+def _same_block(m: Optional[RatMatrix], n: Optional[RatMatrix]) -> bool:
+    """m == n, for blocks where None stands for zero."""
+    if m is None:
+        return n is None or n.is_zero()
+    return m.is_zero() if n is None else m == n
+
+
+def _reduced_at_last_entries(vecs: list[dict[int, Scalar]], n: int) -> list[dict[int, Scalar]]:
+    """The span of vecs (n columns) in the unique form :func:`sparse_kernel`
+    gives: 1 at each vector's last nonzero entry and 0 there in the others,
+    in ascending order of it (the reduced echelon form over the reversed
+    columns).  InternalCheckFailed if vecs are dependent."""
+    last = n - 1
+    piv = _sparse_rref([{last - j: c for j, c in vec.items()} for vec in vecs])
+    if len(piv) != len(vecs):
+        raise InternalCheckFailed("maps read off a module are dependent")
+    return [{last - j: c for j, c in piv[q].items()} for q in sorted(piv, reverse=True)]
 
 
 def _hom_equations(x: ModuleRep, y: ModuleRep) -> tuple[list[dict[int, Scalar]], int]:
@@ -468,11 +564,16 @@ def _hom_equations(x: ModuleRep, y: ModuleRep) -> tuple[list[dict[int, Scalar]],
 
 
 def hom_dim(x: ModuleRep, y: ModuleRep) -> int:
-    """dim Hom(x, y): the nullity of the equations, with no maps assembled."""
+    """dim Hom(x, y): the nullity of the equations, with no maps assembled;
+    out of a stack of projectives, the certified sum of dim y e_v."""
     _same_algebra(x, y)
     if not any(p and q for p, q in zip(x._dims, y._dims)):
         return 0
-    return len(sparse_kernel(*_hom_equations(x, y)))
+    stack = x._extras.get("projective_stack")
+    if stack is None:
+        return len(sparse_kernel(*_hom_equations(x, y)))
+    _certify_read_off(y, stack)
+    return sum(y._dims[v] for v in stack)
 
 
 # -- sub/quotient machinery --------------------------------------------------
@@ -618,25 +719,21 @@ def projective_cover(x: ModuleRep):
     a.ensure_split_basic()
     spans = _radical_vertex_spans(x)
     nv = len(a.idempotents)
-    summands: list[ModuleRep] = []
-    columns: list[list[list[Scalar]]] = [[] for _ in range(nv)]  # cover block columns per vertex
+    stack: list[int] = []
+    lifts: list[list[int]] = []
     for v in range(nv):
         pivset = set(spans[v].pivots)
-        lifts = [l for l in range(len(x.coords_at(v))) if l not in pivset]
-        if not lifts:
-            continue
-        pv = projective_module(a, v)
-        for l in lifts:
-            summands.append(pv)
-            # the image of basis element j of e_v A, of degree (v, w), is column l of its block
-            for j in pv.extras["algebra_basis"]:
-                w = a.grading[j][1]
-                m = x.blocks.get(j)
-                columns[w].append(m.column_vec(l) if m is not None else [0] * len(x.coords_at(w)))
-    if not summands:
+        for l in range(len(x.coords_at(v))):
+            if l not in pivset:
+                stack.append(v)
+                lifts.append([l])
+    if not stack:
         raise ValueError("nonzero module equals its own radical")
-    p = _sum_module(summands)
-    cover = ModuleMap(p, x, [RatMatrix.from_columns(c, nrows=len(x.coords_at(w))) for w, c in enumerate(columns)])
+    p = _sum_module([projective_module(a, v) for v in stack])
+    p.extras["projective_stack"] = stack
+    # the cover sends the generator of each summand to its lifted top vector
+    vecs, n = _read_off(p, x, lifts)
+    cover, = _maps_of(p, x, [{k: c for vec in vecs for k, c in vec.items()}], n)
     if not cover.is_surjective():
         raise ValueError("projective cover construction failed to be surjective")
     # ker f is superfluous iff it lies in P * rad(A), vertex by vertex

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InternalCheckFailed, ReplalgError
+from .errors import CapTooSmall, InternalCheckFailed, ReplalgError
 from .homology import (
     _approximation,
     _resolution_step,
@@ -101,15 +101,18 @@ def verify_theorem_3_3(q: Quiver, m: int, cap: Optional[int] = None, seed: int =
 
 
 def verify_theorem_3_5(q: Quiver, m: int, cap: Optional[int] = None):
-    """dom.dim A^(m) >= m, and the proof-level bound dom.dim >= t - 1."""
+    """dom.dim A^(m) >= m, and the proof-level bound dom.dim >= t - 1;
+    CapTooSmall when the cap ends before t = gl.dim A^(m) is determined."""
     if m < 1:
         raise ValueError("the dominant-dimension bound needs m >= 1")
     cap = cap if cap is not None else default_cap(m)
     r = build_replicated(q, m)
     t = global_dimension(r.algebra, cap)
+    if not t.exact:
+        raise CapTooSmall(f"resolution cap {cap} too small to determine gl.dim A^(m)")
     dom = dominant_dimension(r.algebra, cap)
     theorem = dom.at_least(m)
-    proof_bound = t.exact and dom.at_least(t.value - 1)
+    proof_bound = dom.at_least(t.value - 1)
     return Certificate(
         claim="theorem_3_5_domdim",
         instance=_instance(q, m),
@@ -124,15 +127,17 @@ def verify_theorem_3_5(q: Quiver, m: int, cap: Optional[int] = None):
 
 
 def verify_gl_dim_bounds(q: Quiver, m: int, cap: Optional[int] = None):
-    """m + gl.dim A <= gl.dim A^(m) <= (m+1) gl.dim A + m."""
+    """m + gl.dim A <= gl.dim A^(m) <= (m+1) gl.dim A + m; CapTooSmall when
+    the cap ends before gl.dim A or gl.dim A^(m) is determined."""
     cap = cap if cap is not None else default_cap(m)
     r = build_replicated(q, m)
     gl_a = global_dimension(r.base, cap)
+    if not gl_a.exact:
+        raise CapTooSmall(f"resolution cap {cap} too small to determine gl.dim A")
     gl_m = global_dimension(r.algebra, cap)
-    ok = (
-        gl_a.exact and gl_m.exact
-        and m + gl_a.value <= gl_m.value <= (m + 1) * gl_a.value + m
-    )
+    if not gl_m.exact:
+        raise CapTooSmall(f"resolution cap {cap} too small to determine gl.dim A^(m)")
+    ok = m + gl_a.value <= gl_m.value <= (m + 1) * gl_a.value + m
     return Certificate(
         claim="gl_dim_sandwich",
         instance=_instance(q, m),

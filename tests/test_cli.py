@@ -254,11 +254,15 @@ EXIT_CODES = [
     (["bounds", "--quiver", "{quivers}/a2.json", "--m", "1", "--cap", "-1"], 2),
     (["bounds", "--quiver", "{tmp}/missing.json", "--m", "1"], 2),
     (["bounds", "--quiver", "{quivers}/a2.json", "--m", "1", "--out", "{tmp}/missing/report.txt"], 2),
+    # a cap too small to determine a global dimension is misuse, not a failed certificate
+    (["bounds", "--quiver", "{quivers}/a2.json", "--m", "1", "--cap", "0"], 2),
+    (["domdim", "--quiver", "{quivers}/kronecker.json", "--m", "1", "--cap", "1"], 2),
 ]
 
 
 @pytest.mark.parametrize("argv, code", EXIT_CODES, ids=["pass", "fail", "negative-m", "negative-cap",
-                                                        "missing-quiver", "unwritable-out"])
+                                                        "missing-quiver", "unwritable-out",
+                                                        "bounds-cap-too-small", "domdim-cap-too-small"])
 def test_exit_codes(argv, code, tmp_path, capsys):
     argv = [a.format(quivers=QUIVERS, tmp=tmp_path) for a in argv]
     assert main(argv) == code

@@ -4,6 +4,7 @@ import pytest
 
 import replalg.linalg
 import replalg.modules
+from replalg.errors import InternalCheckFailed
 from replalg.linalg import RatMatrix
 from replalg.modules import (
     ModuleMap,
@@ -31,7 +32,8 @@ from replalg.modules import (
     zero_module,
 )
 from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
-from replalg.replicated import build_replicated
+from replalg.replicated import auslander_generator, build_replicated
+from replalg.verify import lemma_2_4_inventory, verify_ext_stablehom, verify_lemma_2_4
 from support import is_invertible
 
 F = Fraction
@@ -538,6 +540,100 @@ def test_corrupted_hom_solve_is_caught(kr, monkeypatch):
             hom_basis(x, y)
         with pytest.raises(ValueError, match="does not solve"):
             hom_dim(x, y)
+
+
+# -- Hom out of a projective, read off its target ---------------------------
+
+
+def _solved_basis(x, y):
+    """The flat maps of the basis of Hom(x, y) that its equations give: the
+    oracle of the read-off."""
+    if not any(p and q for p, q in zip(x.vertex_dims(), y.vertex_dims())):
+        return []
+    rows, n = replalg.modules._hom_equations(x, y)
+    out = []
+    for vec in replalg.linalg.sparse_kernel(rows, n):
+        flat = [0] * n
+        for j, c in vec.items():
+            flat[j] = c
+        out.append(flat)
+    return out
+
+
+def test_hom_out_of_a_projective_is_read_off_as_solved(monkeypatch):
+    """Every Hom out of a stack of projectives that extcheck and the lemma24
+    inventory meet on Kronecker m=1, cover maps included, is read off its
+    target with no system solved, and its basis equals the solved one entry
+    for entry and in order."""
+    met = {}
+    read_off, equations = replalg.modules._read_off, replalg.modules._hom_equations
+
+    def recorded(p, y, lifts):
+        met[id(p), id(y)] = p, y
+        return read_off(p, y, lifts)
+
+    def solved(x, y):
+        assert "projective_stack" not in x.extras, "a Hom out of a projective was solved"
+        return equations(x, y)
+
+    monkeypatch.setattr(replalg.modules, "_read_off", recorded)
+    monkeypatch.setattr(replalg.modules, "_hom_equations", solved)
+    assert verify_ext_stablehom(kronecker(), 1).verdict
+    bundle = auslander_generator(kronecker(), 1)
+    assert all(verify_lemma_2_4(bundle, x, lab).verdict for lab, x in lemma_2_4_inventory(bundle))
+    monkeypatch.undo()
+    stacks = [len(p.extras["projective_stack"]) for p, _ in met.values()]
+    assert len(met) > 400 and 1 in stacks and max(stacks) > 1
+    for p, y in met.values():
+        oracle = _solved_basis(p, y)
+        assert [f.flat() for f in hom_basis(p, y)] == oracle
+        assert hom_dim(p, y) == len(oracle)
+
+
+def test_read_off_matches_the_solved_basis_off_the_path_basis(kr, local_corner_algebra):
+    # the local corner's basis holds e1 + ab, which is no path
+    for a in (kr, local_corner_algebra):
+        nv = len(a.idempotents)
+        ys = [regular_module(a)] + [make(a, v) for make in (projective_module, injective_module) for v in range(nv)]
+        for v in range(nv):
+            for y in ys:
+                p = projective_module(a, v)
+                assert [f.flat() for f in hom_basis(p, y)] == _solved_basis(p, y)
+                assert hom_dim(p, y) == len(_solved_basis(p, y))
+
+
+def test_read_off_refuses_a_target_that_is_not_a_module():
+    """One arrow block of A^(1)'s regular module corrupted through the
+    trusting constructor: where the result is no longer a module, the maps
+    out of the projective at the arrow's source are refused, by hom_basis
+    and by hom_dim; where it still is one, they equal the solved basis."""
+    a = build_replicated(kronecker(), 1).algebra
+    reg = regular_module(a)
+    refused = 0
+    for c, m in sorted(reg.blocks.items()):
+        u, w = a.grading[c]
+        if u == w:
+            continue
+        data = [row[:] for row in m.data]
+        data[0][0] += 1
+        y = ModuleRep(a, reg.dim, {**reg.blocks, c: RatMatrix._of(m.rows, m.cols, data)}, reg.vertex_of)
+        p = projective_module(a, u)
+        try:
+            y.validate()
+        except ValueError:
+            refused += 1
+            with pytest.raises(InternalCheckFailed, match="not a module map"):
+                hom_basis(p, y)
+            with pytest.raises(InternalCheckFailed, match="not a module map"):
+                hom_dim(p, y)
+        else:
+            assert [f.flat() for f in hom_basis(p, y)] == _solved_basis(p, y)
+    assert refused == 6
+    # an idempotent that does not act as the identity is refused too
+    e = next(k for k, c in enumerate(a.idempotents[0][1]) if c)
+    y = ModuleRep(a, reg.dim, {b: m for b, m in reg.blocks.items() if b != e}, reg.vertex_of)
+    with pytest.raises(InternalCheckFailed, match="identity"):
+        hom_dim(projective_module(a, 0), y)
 
 
 # -- block storage against the dense view -----------------------------------
