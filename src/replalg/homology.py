@@ -375,35 +375,10 @@ def _splitting_candidates(endos: list[ModuleMap], rng: random.Random, m: ModuleR
         yield _combination([rng.randint(-3, 3) for _ in range(n)], endos, m, m)
 
 
-def _end_structure(m: ModuleRep):
-    """(endo basis, structure constants c[i][j] as dense rows) with f*g = g o f."""
-    endos = hom_basis(m, m)
-    n = len(endos)
-    stacked = RatMatrix.from_columns([f.flat() for f in endos])
-    products = [endos[i].then(endos[j]).flat() for i in range(n) for j in range(n)]
-    sol = stacked.solve(RatMatrix.from_columns(products))
-    if sol is None:
-        raise InternalCheckFailed("endomorphism products left the endomorphism space")
-    c = [[[sol.data[k][i * n + j] for k in range(n)] for j in range(n)] for i in range(n)]
-    return endos, c
-
-
-def _end_top_dimension(m: ModuleRep) -> int:
-    """dim of End(m)/rad End(m), via the char-0 trace-form criterion."""
-    if m.dim == 0:
-        return 0
-    endos, c = _end_structure(m)
-    n = len(endos)
-    tr = [sum((c[k][j][j] for j in range(n)), 0) for k in range(n)]
-    gram = RatMatrix(n, n, [
-        [sum((c[i][j][k] * tr[k] for k in range(n)), 0) for j in range(n)]
-        for i in range(n)
-    ])
-    return gram.rank()
-
-
-def _indecomposable_pieces(x: ModuleRep, seed: int = 0):
-    """Split x into certified indecomposables; returns (piece, incl, proj) triples."""
+def decompose_with_maps(x: ModuleRep, seed: int = 0):
+    """Split x into certified indecomposables; returns (piece, incl, proj)
+    triples.  A piece no endomorphism splits is a leaf once
+    :func:`_local_radical` of the same End basis certifies it local."""
     if x.dim == 0:
         return []
     rng = random.Random(seed)
@@ -412,19 +387,15 @@ def _indecomposable_pieces(x: ModuleRep, seed: int = 0):
     while work:
         m, inc, prj = work.pop(0)
         split = None
-        if m.dim > 1:
-            endos = hom_basis(m, m)
-            if len(endos) > 1:
-                for phi in _splitting_candidates(endos, rng, m):
-                    split = _fitting_split(m, phi)
-                    if split is not None:
-                        break
+        endos = hom_basis(m, m)
+        if len(endos) > 1:
+            for phi in _splitting_candidates(endos, rng, m):
+                split = _fitting_split(m, phi)
+                if split is not None:
+                    break
         if split is None:
-            top_dim = _end_top_dimension(m)
-            if top_dim != 1:
-                raise UndecidableDecomposition(
-                    f"no splitting endomorphism found but End/rad has dimension {top_dim}"
-                )
+            if _local_radical(endos) is None:
+                raise UndecidableDecomposition("no splitting endomorphism found but End is not local")
             out.append((m, inc, prj))
         else:
             for piece, pinc, pprj in split:
@@ -434,7 +405,7 @@ def _indecomposable_pieces(x: ModuleRep, seed: int = 0):
 
 def decompose(x: ModuleRep, seed: int = 0):
     """[(indecomposable, multiplicity)] with representatives up to isomorphism."""
-    pieces = _indecomposable_pieces(x, seed)
+    pieces = decompose_with_maps(x, seed)
     groups: list[tuple[ModuleRep, int]] = []
     for piece, _, _ in pieces:
         for g in range(len(groups)):
@@ -447,11 +418,6 @@ def decompose(x: ModuleRep, seed: int = 0):
     return groups
 
 
-def decompose_with_maps(x: ModuleRep, seed: int = 0):
-    """The indecomposable pieces with their inclusion/projection witnesses."""
-    return _indecomposable_pieces(x, seed)
-
-
 # -- isomorphism testing --------------------------------------------------------
 
 
@@ -461,7 +427,9 @@ def is_isomorphic(x: ModuleRep, y: ModuleRep, seed: int = 0) -> Optional[ModuleM
     Positive answers come from direct inspection of the Hom basis, pairwise
     composites, or a bounded seeded random search; a None is only returned
     with a deterministic reason: unequal dimension vectors, a vanishing Hom
-    space, local endomorphism rings with no invertible composite, or a
+    space, no invertible pairwise composite while End(x) or End(y) is
+    certified local by :func:`_local_radical` (checked before the random
+    search, which then runs only when both are decomposable), or a
     Krull-Schmidt matching of the two decompositions that fails.
     """
     if x.algebra is not y.algebra:
@@ -488,22 +456,23 @@ def is_isomorphic(x: ModuleRep, y: ModuleRep, seed: int = 0) -> Optional[ModuleM
                 return f
             if g.then(f).is_isomorphism():
                 return g.inverse()
+    # deterministic negative certificate: with End(x) local its non-units form
+    # a subspace, so as no composite g o f of basis maps above is a unit, no
+    # composite of any two maps is, and x, y are not isomorphic; so for End(y)
+    if _local_radical(hom_basis(x, x)) is not None or _local_radical(hom_basis(y, y)) is not None:
+        return None
     rng = random.Random(seed)
     for bound in (1, 2, 5, 9):
         for _ in range(8):
             f = _combination([rng.randint(-bound, bound) for _ in hxy], hxy, x, y)
             if f.is_isomorphism():
                 return f
-    # deterministic negative certificate: with End(x) or End(y) local, an
-    # isomorphism would make one of the pairwise composites above a unit
-    if _end_top_dimension(x) == 1 or _end_top_dimension(y) == 1:
-        return None
     return _match_decompositions(x, y, seed)
 
 
 def _match_decompositions(x: ModuleRep, y: ModuleRep, seed: int) -> Optional[ModuleMap]:
-    xs = _indecomposable_pieces(x, seed)
-    ys = _indecomposable_pieces(y, seed)
+    xs = decompose_with_maps(x, seed)
+    ys = decompose_with_maps(y, seed)
     if len(xs) != len(ys):
         return None
     used = [False] * len(ys)
@@ -558,31 +527,46 @@ def _complement(vecs: Iterable[dict[int, Scalar]], n: int) -> list[int]:
     return [k for k in range(n) if span.add({k: 1})]
 
 
+def _local_radical(basis: Sequence[ModuleMap]) -> Optional[list[dict[int, Scalar]]]:
+    """rad End(L), the trace-zero maps, as coordinates {index: coefficient}
+    in ``basis``, a basis of End(L); None unless End(L) is local and split.
+
+    End(L) local and split: f = c*1 + nilpotent has trace c*dim L, so some
+    map has nonzero trace and no product of two trace-zero maps has any.
+    Conversely, rad End(L) is trace-zero, so the trace form tr(a o b), which
+    is nondegenerate on End(L)/rad in characteristic 0, holds the image of
+    the trace-zero hyperplane as an isotropic subspace of codimension <= 1:
+    dim End(L)/rad <= 2.  Q x Q and quadratic fields hold a trace-zero z
+    with tr(z o z) != 0, so End(L)/rad = Q, as when the trace form has rank 1.
+    """
+    traces = [_trace(f) for f in basis]
+    p = next((i for i, tr in enumerate(traces) if tr), None)
+    if p is None:
+        return None
+    inv = _inv(traces[p])
+    rad = [{i: 1, p: -tr * inv} if tr else {i: 1} for i, tr in enumerate(traces) if i != p]
+    maps = [basis[i] + basis[p].scaled(-tr * inv) if tr else basis[i] for i, tr in enumerate(traces) if i != p]
+    if any(_trace(a.then(b)) for a in maps for b in maps):
+        return None
+    return rad
+
+
 def _radical(hom: dict) -> dict[tuple[int, int], list[dict[int, Scalar]]]:
     """rad(L_t, L_s) for each key (t, s) of ``hom``, a table of bases of
     Hom(L_t, L_s) between pairwise non-isomorphic indecomposables, as
     coordinates {index: coefficient} in hom[t, s]: all of Hom(L_t, L_s) for
-    t != s, and the trace-zero endomorphisms for t = s.
-
-    End(L) local and split: f = c*1 + nilpotent has trace c*dim L, so some
-    basis map has nonzero trace, else InternalCheckFailed.  Were End(L) not
-    local, the trace form on End(L)/rad, nondegenerate in characteristic 0,
-    would give two trace-zero maps whose product has nonzero trace; that is
-    certified not to happen.
+    t != s, and :func:`_local_radical` of End(L_t) for t = s, which must
+    certify End(L_t) local, else InternalCheckFailed.
     """
     rad = {}
     for (t, s), basis in hom.items():
         if t != s:
             rad[t, s] = [{a: 1} for a in range(len(basis))]
             continue
-        traces = [_trace(f) for f in basis]
-        p = next((i for i, tr in enumerate(traces) if tr), None)
-        if p is None:
-            raise InternalCheckFailed("End(L) has no map of nonzero trace")
-        inv = _inv(traces[p])
-        rad[t, t] = [{i: 1, p: -tr * inv} if tr else {i: 1} for i, tr in enumerate(traces) if i != p]
-        maps = [basis[i] + basis[p].scaled(-tr * inv) if tr else basis[i] for i, tr in enumerate(traces) if i != p]
-        if any(_trace(a.then(b)) for a in maps for b in maps):
+        rad[t, t] = _local_radical(basis)
+        if rad[t, t] is None:
+            if not any(map(_trace, basis)):
+                raise InternalCheckFailed("End(L) has no map of nonzero trace")
             raise InternalCheckFailed("a summand has an endomorphism ring that is not local")
     return rad
 

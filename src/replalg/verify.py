@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import CapTooSmall, InternalCheckFailed, ReplalgError
 from .homology import (
+    DimBound,
     _approximation,
     _resolution_step,
     _span_rank,
@@ -79,13 +80,22 @@ def _instance(q: Quiver, m: int) -> dict:
     }
 
 
+def _decided(g: DimBound, need: int, cap: int, what: str) -> DimBound:
+    """g, or CapTooSmall if g is a lower bound that does not exceed ``need``."""
+    if not g.exact and g.value <= need:
+        raise CapTooSmall(f"resolution cap {cap} too small to determine gl.dim {what}")
+    return g
+
+
 def verify_theorem_3_3(q: Quiver, m: int, cap: Optional[int] = None, seed: int = 0,
                        bundle: Optional[GeneratorBundle] = None):
-    """gl.dim End(M) <= 3 for the canonical generator-cogenerator M."""
+    """gl.dim End(M) <= 3 for the canonical generator-cogenerator M;
+    CapTooSmall when the cap ends with gl.dim End(M) >= k for a k <= 3."""
     cap = cap if cap is not None else default_cap(m)
     if bundle is None:
         bundle = auslander_generator(q, m, cap=cap, seed=seed)
     g, dim_end = end_global_dimension(bundle.end_summands(), bundle.summand_homs, cap, seed=seed)
+    g = _decided(g, 3, cap, "End(M)")
     cert = Certificate(
         claim="theorem_3_3_repdim",
         instance=_instance(q, m),
@@ -382,7 +392,8 @@ def verify_example_3_4(seed: int = 0, cap: Optional[int] = None):
     """The golden instance: the duplicated Kronecker algebra.
 
     Reproduces gl.dim End(M) = 3 and gl.dim End(M_0) = 5 exactly, and the
-    ten summands of M with their dimension vectors.
+    ten summands of M with their dimension vectors; CapTooSmall when the cap
+    ends with a lower bound that does not exceed 3 or 5.
     """
     from .quiver import kronecker
 
@@ -390,8 +401,10 @@ def verify_example_3_4(seed: int = 0, cap: Optional[int] = None):
     cap = cap if cap is not None else 8
     bundle = auslander_generator(q, 1, cap=cap, seed=seed)
     g, _ = end_global_dimension(bundle.end_summands(), bundle.summand_homs, cap, seed=seed)
+    g = _decided(g, 3, cap, "End(M)")
     bundle0 = minimal_cogenerator(q, 1, cap=cap, seed=seed)
     g0, _ = end_global_dimension(bundle0.end_summands(), bundle0.summand_homs, cap, seed=seed)
+    g0 = _decided(g0, 5, cap, "End(M_0)")
     expected = sorted([
         (1, 0, 0, 0), (2, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 2), (1, 2, 1, 0),
         (0, 1, 2, 1), (0, 2, 1, 0), (0, 3, 2, 0), (0, 0, 3, 2), (0, 0, 4, 3),

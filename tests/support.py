@@ -5,7 +5,7 @@ They read the engine's public objects and never feed back into it.
 
 from replalg.algebra import AlgebraData, _sparse_coords
 from replalg.errors import InternalCheckFailed
-from replalg.homology import _basic_modules, _from_sum, _indecomposable_pieces, _map_space, _span_rank
+from replalg.homology import _basic_modules, _from_sum, _map_space, _span_rank, decompose_with_maps
 from replalg.linalg import RatMatrix
 from replalg.modules import ModuleMap, ModuleRep, hom_basis, hom_dim, identity_map, kernel, zero_map, zero_module
 from replalg.quiver import Quiver
@@ -128,7 +128,7 @@ def end_algebra(x: ModuleRep, summands=None, seed: int = 0) -> AlgebraData:
     Raises NotBasic when two summands are isomorphic.
     """
     if summands is None:
-        pieces = _indecomposable_pieces(x, seed)
+        pieces = decompose_with_maps(x, seed)
         summands = [(f"X{i}", m, inc, prj) for i, (m, inc, prj) in enumerate(pieces)]
     n = len(summands)
     mods = _basic_modules(summands, seed)
@@ -213,3 +213,32 @@ def hom_exactness(l, g, x):
     kmod, _ = kernel(g)
     hm = hom_basis(l, g.source)
     return hom_dim(l, kmod), len(hm), _span_rank(l, x, (phi.then(g) for phi in hm)), hom_dim(l, x)
+
+
+def end_structure(m: ModuleRep):
+    """(endo basis, structure constants c[i][j] as dense rows) with f*g = g o f,
+    from a dense solve of all products in the flattened basis."""
+    endos = hom_basis(m, m)
+    n = len(endos)
+    stacked = RatMatrix.from_columns([f.flat() for f in endos])
+    products = [endos[i].then(endos[j]).flat() for i in range(n) for j in range(n)]
+    sol = stacked.solve(RatMatrix.from_columns(products))
+    if sol is None:
+        raise InternalCheckFailed("endomorphism products left the endomorphism space")
+    c = [[[sol.data[k][i * n + j] for k in range(n)] for j in range(n)] for i in range(n)]
+    return endos, c
+
+
+def end_top_dimension(m: ModuleRep) -> int:
+    """dim of End(m)/rad End(m), as the rank of the trace form of End(m) on
+    itself; the oracle for the engine's locality certificate."""
+    if m.dim == 0:
+        return 0
+    endos, c = end_structure(m)
+    n = len(endos)
+    tr = [sum((c[k][j][j] for j in range(n)), 0) for k in range(n)]
+    gram = RatMatrix(n, n, [
+        [sum((c[i][j][k] * tr[k] for k in range(n)), 0) for j in range(n)]
+        for i in range(n)
+    ])
+    return gram.rank()

@@ -257,12 +257,19 @@ EXIT_CODES = [
     # a cap too small to determine a global dimension is misuse, not a failed certificate
     (["bounds", "--quiver", "{quivers}/a2.json", "--m", "1", "--cap", "0"], 2),
     (["domdim", "--quiver", "{quivers}/kronecker.json", "--m", "1", "--cap", "1"], 2),
+    # likewise a lower bound on gl.dim End(M) or End(M_0) that does not exceed the claimed value
+    (["repdim", "--quiver", "{quivers}/a2.json", "--m", "1", "--cap", "2"], 2),
+    (["repdim", "--quiver", "{quivers}/one_vertex.json", "--m", "1", "--cap", "1"], 2),
+    (["example34", "--cap", "3"], 2),
+    (["example34", "--cap", "4"], 2),
 ]
 
 
 @pytest.mark.parametrize("argv, code", EXIT_CODES, ids=["pass", "fail", "negative-m", "negative-cap",
                                                         "missing-quiver", "unwritable-out",
-                                                        "bounds-cap-too-small", "domdim-cap-too-small"])
+                                                        "bounds-cap-too-small", "domdim-cap-too-small",
+                                                        "repdim-cap-too-small", "repdim-one-vertex-cap-too-small",
+                                                        "example34-cap-3-too-small", "example34-cap-4-too-small"])
 def test_exit_codes(argv, code, tmp_path, capsys):
     argv = [a.format(quivers=QUIVERS, tmp=tmp_path) for a in argv]
     assert main(argv) == code

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import replalg.homology
 import replalg.modules
+import replalg.replicated
 from replalg.errors import InternalCheckFailed, NotBasic, NotProjInjective, ReplalgError
 from replalg.homology import (
     DimBound,
@@ -41,7 +42,7 @@ from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_verte
 from replalg.replicated import auslander_generator, minimal_cogenerator
 from replalg.algebra import AlgebraData
 from replalg.verify import lemma_2_4_inventory
-from support import end_algebra, from_rows, greedy_right_approximation, kronecker3, verify_exact
+from support import end_algebra, end_top_dimension, from_rows, greedy_right_approximation, kronecker3, verify_exact
 
 
 @pytest.fixture(scope="module")
@@ -153,18 +154,56 @@ def test_cosyzygy_of_injective_is_zero(kr):
     assert cosyzygy(injective_module(kr, 0)).dim == 0
 
 
-def test_undecidable_decomposition_surfaces():
-    # Q(sqrt 2) as an algebra: End of the regular module is a field of
-    # dimension 2 over Q, so no splitting exists and none may be invented
-    from replalg.errors import UndecidableDecomposition
-
+def sqrt2_field():
+    """Q(sqrt 2) as an algebra: basis 1, s with s^2 = 2."""
     mult = [
         [((0, 1),), ((1, 1),)],
         [((1, 1),), ((0, 2),)],
     ]
-    a = AlgebraData(["1", "s"], mult, [1, 0], [("pt", [1, 0])])
+    return AlgebraData(["1", "s"], mult, [1, 0], [("pt", [1, 0])])
+
+
+def test_undecidable_decomposition_surfaces():
+    # End of the regular module of Q(sqrt 2) is a field of dimension 2 over
+    # Q, so no splitting exists and none may be invented
+    from replalg.errors import UndecidableDecomposition
+
     with pytest.raises(UndecidableDecomposition):
-        decompose(regular_module(a))
+        decompose(regular_module(sqrt2_field()))
+
+
+def _certified_local(x):
+    return replalg.homology._local_radical(hom_basis(x, x)) is not None
+
+
+@pytest.mark.parametrize("q, m", [(kronecker(), 1), (linear_quiver(3), 2)], ids=["kronecker-m1", "a3-m2"])
+def test_locality_certificate_matches_the_trace_form_rank(q, m, monkeypatch):
+    # the trace certificate holds on every leaf of the sigma ladder's
+    # decompositions and on every bundle summand, as the rank-1 trace form
+    # of End from a dense solve of all products says it must
+    leaves = []
+    decompose_with_maps = replalg.replicated.decompose_with_maps
+
+    def recorded(x, seed=0):
+        pieces = decompose_with_maps(x, seed=seed)
+        leaves.extend(piece for piece, _, _ in pieces)
+        return pieces
+
+    monkeypatch.setattr(replalg.replicated, "decompose_with_maps", recorded)
+    bundle = auslander_generator(q, m)
+    mods = leaves + [s.module for s in bundle.summands]
+    assert leaves and [end_top_dimension(x) for x in mods] == [1] * len(mods)
+    assert all(_certified_local(x) for x in mods)
+
+
+def test_locality_certificate_refuses_what_the_trace_form_rank_refuses(kr):
+    s12, _, _ = direct_sum([simple_module(kr, 0), simple_module(kr, 1)])
+    p = projective_module(kr, 1)
+    pp, _, _ = direct_sum([p, p])
+    mods = [s12, pp, regular_module(sqrt2_field())]
+    # End = Q x Q, M_2(End P), Q(sqrt 2)
+    assert [end_top_dimension(x) for x in mods] == [2, 4, 2]
+    assert not any(_certified_local(x) for x in mods)
 
 
 def _poly_mul(f, g):
