@@ -48,7 +48,6 @@ from .modules import (
     direct_sum,
     dual_module,
     hom_basis,
-    image,
     injective_envelope,
     injective_module,
     is_injective_module,

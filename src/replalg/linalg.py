@@ -221,24 +221,21 @@ class RatMatrix:
 
     def kernel_basis(self) -> "RatMatrix":
         """Basis of the right null space, one basis vector per column."""
-        red, rank, pivots = self.rref()
+        return self.null_space()[0]
+
+    def null_space(self) -> tuple["RatMatrix", list[int]]:
+        """(kernel_basis, its free columns): basis vector i has a 1 at the
+        i-th free column and 0 at the others, so the basis is the identity on
+        the rows listed."""
+        red, pivots = self._gauss_jordan()
         pivset = set(pivots)
         free = [c for c in range(self.cols) if c not in pivset]
-        cols = []
-        for f in free:
-            v = [0] * self.cols
-            v[f] = 1
-            for i, p in enumerate(pivots):
-                a = red.data[i][f]
-                if a:
-                    v[p] = -a
-            cols.append(v)
-        return RatMatrix.from_columns(cols, nrows=self.cols)
-
-    def column_space_basis(self) -> tuple["RatMatrix", list[int]]:
-        """Pivot columns of the original matrix, and their indices."""
-        _, _, pivots = self.rref()
-        return self.submatrix(range(self.rows), pivots), pivots
+        out = [[0] * len(free) for _ in range(self.cols)]
+        for i, f in enumerate(free):
+            out[f][i] = 1
+        for row, p in zip(red, pivots):
+            out[p] = [-row[f] if row[f] else 0 for f in free]
+        return RatMatrix._of(self.cols, len(free), out), free
 
     def solve(self, rhs: "RatMatrix") -> Optional["RatMatrix"]:
         """Some X with self @ X = rhs, or None if the system is inconsistent.
@@ -291,22 +288,6 @@ def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
         raise ValueError("vstack column mismatch")
     data = [row[:] for m in mats for row in m.data]
     return RatMatrix._of(sum(m.rows for m in mats), cols, data)
-
-
-def block_diag(mats: Sequence[RatMatrix]) -> RatMatrix:
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = RatMatrix.zeros(rows, cols)
-    r = c = 0
-    for m in mats:
-        for i, row in enumerate(m.data):
-            orow = out.data[r + i]
-            for j, x in enumerate(row):
-                if x:
-                    orow[c + j] = x
-        r += m.rows
-        c += m.cols
-    return out
 
 
 def _sub_scaled(r: dict[int, Scalar], a: Scalar, row: dict[int, Scalar], p: int) -> None:

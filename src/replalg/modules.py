@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .algebra import AlgebraData
 from .errors import InternalCheckFailed, NonSplitSimple
-from .linalg import EchelonSpace, RatMatrix, Scalar, _sparse_rref, block_diag, sparse_kernel, vstack
+from .linalg import EchelonSpace, RatMatrix, Scalar, _sparse_rref, sparse_kernel, vstack
 
 
 def _memo(x, key, compute):
@@ -56,7 +56,8 @@ class ModuleRep:
     while it lives, and ``_extras`` keeps such facts on the object (the cache
     dies with it).  Keys: ``algebra_basis`` (e_v A and A itself: the basis
     element at each coordinate), ``projective_stack`` (e_v A and a cover's
-    source: the v of each stacked e_v A), ``read_off_certified`` (see
+    source: the v of each stacked e_v A), ``injective_stack`` (an injective
+    envelope: the v of each stacked I_v), ``read_off_certified`` (see
     :func:`hom_basis`), ``approximation_summands`` (source of a right
     approximation), ``is_projective`` and ``is_injective``, ``cosyzygy`` and
     ``ext1_prefix`` (the resolution start of ``ext1_dim``).
@@ -381,13 +382,21 @@ def _sum_module(xs: Sequence[ModuleRep]) -> ModuleRep:
     for x in xs:
         if x.algebra is not a:
             raise ValueError("summands live over different algebras")
-    # the coordinates at each vertex are those of xs[0], then of xs[1], ...
+    # the coordinates at each vertex are those of xs[0], then of xs[1], ...;
+    # each summand's block is written at its offsets into one zero block
+    offs, total = [0] * len(a.idempotents), [sum(d) for d in zip(*(x._dims for x in xs))]
     blocks = {}
-    for b in sorted(set().union(*(x.blocks for x in xs))):
-        u, v = a.grading[b]
-        blocks[b] = block_diag([x.blocks[b] if b in x.blocks
-                                else RatMatrix.zeros(len(x.coords_at(v)), len(x.coords_at(u))) for x in xs])
-    return ModuleRep(a, sum(x.dim for x in xs), blocks, [v for x in xs for v in x.vertex_of])
+    for x in xs:
+        for b, m in x.blocks.items():
+            u, v = a.grading[b]
+            if b not in blocks:
+                blocks[b] = RatMatrix.zeros(total[v], total[u])
+            c = offs[u]
+            for row, orow in zip(m.data, blocks[b].data[offs[v]:]):
+                orow[c:c + m.cols] = row
+        offs = [o + d for o, d in zip(offs, x._dims)]
+    return ModuleRep(a, sum(x.dim for x in xs), dict(sorted(blocks.items())),
+                     [v for x in xs for v in x.vertex_of])
 
 
 def _summand_inclusion(dims: Sequence[int], i: int) -> RatMatrix:
@@ -579,27 +588,30 @@ def hom_dim(x: ModuleRep, y: ModuleRep) -> int:
 # -- sub/quotient machinery --------------------------------------------------
 
 
-def submodule_from_vertex_bases(x: ModuleRep, bases: Sequence[RatMatrix]):
+def submodule_from_vertex_bases(x: ModuleRep, bases: Sequence[RatMatrix], units: Sequence[Sequence[int]]):
     """Submodule spanned per vertex by the given local column bases.
 
     ``bases[v]`` has len(coords_at(v)) rows, for every vertex v; its columns
-    are vectors in the v-component of x, assumed module-closed as a whole.
+    are vectors in the v-component of x, and its rows ``units[v]`` are the
+    identity, so it has full column rank.  The block of b of degree (u, v)
+    is then the unique z with bases[v] @ z = X_b @ bases[u]: it is read off
+    those rows of the right side and certified by the residual, else
+    ValueError (the spans are not module-closed).
     Returns (K, incl); the blocks of incl are the bases.
     """
     a = x.algebra
     kdims = [m.cols for m in bases]
+    for m, rows in zip(bases, units):
+        if len(rows) != m.cols or rows and [m.data[r] for r in rows] != RatMatrix.identity(m.cols).data:
+            raise ValueError("a basis is not the identity at its unit rows")
     blocks = {}
     for b, xb in x.blocks.items():
         u, v = a.grading[b]
         if kdims[u] == 0:
             continue
         rhs = xb @ bases[u]
-        if kdims[v] == 0:
-            if not rhs.is_zero():
-                raise ValueError("given spans are not module-closed")
-            continue
-        z = bases[v].solve(rhs)
-        if z is None:
+        z = RatMatrix._of(kdims[v], rhs.cols, [rhs.data[r] for r in units[v]])
+        if bases[v] @ z != rhs:
             raise ValueError("given spans are not module-closed")
         if not z.is_zero():
             blocks[b] = z
@@ -609,14 +621,7 @@ def submodule_from_vertex_bases(x: ModuleRep, bases: Sequence[RatMatrix]):
 
 def kernel(f: ModuleMap):
     """(kernel module, inclusion)."""
-    return submodule_from_vertex_bases(f.source, [m.kernel_basis() for m in f.blocks])
-
-
-def image(f: ModuleMap):
-    """(image module, inclusion into target, factorisation of f through it)."""
-    bases = [m.column_space_basis()[0] for m in f.blocks]
-    img, incl = submodule_from_vertex_bases(f.target, bases)
-    return img, incl, ModuleMap(f.source, img, [c.solve(m) for c, m in zip(bases, f.blocks)])
+    return submodule_from_vertex_bases(f.source, *zip(*(m.null_space() for m in f.blocks)))
 
 
 def cokernel(f: ModuleMap):
@@ -682,7 +687,8 @@ def _radical_vertex_spans(x: ModuleRep) -> list[EchelonSpace]:
 
 def radical_submodule(x: ModuleRep):
     """(x * rad(A), inclusion)."""
-    return submodule_from_vertex_bases(x, [sp.basis_matrix() for sp in _radical_vertex_spans(x)])
+    spans = _radical_vertex_spans(x)
+    return submodule_from_vertex_bases(x, [sp.basis_matrix() for sp in spans], [sp.pivots for sp in spans])
 
 
 def top(x: ModuleRep):
@@ -691,13 +697,14 @@ def top(x: ModuleRep):
     return cokernel(incl)
 
 
-def _socle_bases(x: ModuleRep) -> list[RatMatrix]:
-    """Per-vertex bases of the annihilator of rad(A) in x."""
+def _socle_bases(x: ModuleRep) -> list[tuple[RatMatrix, list[int]]]:
+    """Per-vertex bases of the annihilator of rad(A) in x, each with the rows
+    where it is the identity."""
     # the socle at u is killed by the stacked blocks of the pieces of degree (u, .)
     by_source: dict[int, list[RatMatrix]] = {}
     for u, _v, m in _radical_blocks(x):
         by_source.setdefault(u, []).append(m)
-    return [vstack(by_source.get(u) or [RatMatrix.zeros(0, len(x.coords_at(u)))]).kernel_basis()
+    return [vstack(by_source.get(u) or [RatMatrix.zeros(0, len(x.coords_at(u)))]).null_space()
             for u in range(len(x.algebra.idempotents))]
 
 
@@ -705,43 +712,44 @@ def socle(x: ModuleRep):
     """(annihilator of rad(A) in x, inclusion)."""
     if not x.algebra.radical_sparse():
         return x, identity_map(x)
-    return submodule_from_vertex_bases(x, _socle_bases(x))
+    return submodule_from_vertex_bases(x, *zip(*_socle_bases(x)))
 
 
 # -- covers and envelopes ---------------------------------------------------
 
 
 def projective_cover(x: ModuleRep):
-    """(P, f) with P projective, f onto, ker f superfluous; exact and verified."""
+    """(P, f) with P projective, f onto, ker f superfluous; exact and verified.
+
+    P stacks one e_v A for each coordinate l at v that is no pivot of the
+    echelon basis of x * rad(A) at v, and f sends its generator e_v to that
+    coordinate.  Certified by its top: f is onto (by rank), and the count of
+    e_v A stacked at each v is dim x_v - dim (x * rad)_v.  That proves ker f
+    superfluous: f(P * rad) lies in x * rad, so f induces top f: top P ->
+    top x, onto as f is.  ``ensure_split_basic`` makes top(e_v A) = S_v, so
+    top P and top x have equal dimension at each v.  Then top f is an
+    isomorphism, and ker f lies in P * rad (Assem-Simson-Skowronski, vol. 1,
+    I.5).
+    """
     if x.dim == 0:
         raise ValueError("projective cover of the zero module is not defined here")
     a = x.algebra
     a.ensure_split_basic()
     spans = _radical_vertex_spans(x)
-    nv = len(a.idempotents)
-    stack: list[int] = []
-    lifts: list[list[int]] = []
-    for v in range(nv):
-        pivset = set(spans[v].pivots)
-        for l in range(len(x.coords_at(v))):
-            if l not in pivset:
-                stack.append(v)
-                lifts.append([l])
+    tops = [(v, l) for v, sp in enumerate(spans) for pivots in [set(sp.pivots)]
+            for l in range(x._dims[v]) if l not in pivots]
+    stack = [v for v, _ in tops]
     if not stack:
         raise ValueError("nonzero module equals its own radical")
+    if [stack.count(v) for v in range(len(spans))] != [d - sp.rank for d, sp in zip(x._dims, spans)]:
+        raise ValueError("projective cover stack does not match the top")
     p = _sum_module([projective_module(a, v) for v in stack])
     p.extras["projective_stack"] = stack
     # the cover sends the generator of each summand to its lifted top vector
-    vecs, n = _read_off(p, x, lifts)
+    vecs, n = _read_off(p, x, [[l] for _, l in tops])
     cover, = _maps_of(p, x, [{k: c for vec in vecs for k, c in vec.items()}], n)
     if not cover.is_surjective():
         raise ValueError("projective cover construction failed to be surjective")
-    # ker f is superfluous iff it lies in P * rad(A), vertex by vertex
-    pspans = _radical_vertex_spans(p)
-    for v, m in enumerate(cover.blocks):
-        for col in m.kernel_basis().columns():
-            if not pspans[v].contains(col):
-                raise ValueError("projective cover kernel is not superfluous")
     return p, cover
 
 
@@ -756,11 +764,12 @@ def injective_envelope(x: ModuleRep):
     xd = dual_module(x)
     p, g = projective_cover(xd)
     i = dual_module(p)
+    i.extras["injective_stack"] = p.extras["projective_stack"]
     env = ModuleMap(x, i, [m.transpose() for m in g.blocks])
     if not env.is_injective():
         raise ValueError("injective envelope construction failed to be injective")
     # the image is essential iff it holds soc I, vertex by vertex
-    for m, soc in zip(env.blocks, _socle_bases(i)):
+    for m, (soc, _) in zip(env.blocks, _socle_bases(i)):
         if soc.cols:
             span = EchelonSpace(m.rows)
             for col in m.columns():
@@ -771,9 +780,16 @@ def injective_envelope(x: ModuleRep):
 
 
 def is_projective_module(x: ModuleRep) -> bool:
+    """Whether x is projective: its cover is an isomorphism.  An envelope
+    (marked ``injective_stack``) is a sum of I_v, so it is projective iff each
+    distinct I_v is, which is memoised on the algebra's cached I_v."""
     if x.dim == 0:
         return True
-    return _memo(x, "is_projective", lambda: projective_cover(x)[1].is_isomorphism())
+    stack = x._extras.get("injective_stack")
+    if stack is None:
+        return _memo(x, "is_projective", lambda: projective_cover(x)[1].is_isomorphism())
+    return _memo(x, "is_projective", lambda: all(is_projective_module(injective_module(x.algebra, v))
+                                                 for v in set(stack)))
 
 
 def is_injective_module(x: ModuleRep) -> bool:

@@ -7,7 +7,17 @@ from replalg.algebra import AlgebraData, _sparse_coords
 from replalg.errors import InternalCheckFailed
 from replalg.homology import _basic_modules, _from_sum, _map_space, _span_rank, decompose_with_maps
 from replalg.linalg import RatMatrix
-from replalg.modules import ModuleMap, ModuleRep, hom_basis, hom_dim, identity_map, kernel, zero_map, zero_module
+from replalg.modules import (
+    ModuleMap,
+    ModuleRep,
+    hom_basis,
+    hom_dim,
+    identity_map,
+    kernel,
+    submodule_from_vertex_bases,
+    zero_map,
+    zero_module,
+)
 from replalg.quiver import Quiver
 
 
@@ -24,6 +34,33 @@ def kronecker3():
 
 def is_invertible(m: RatMatrix) -> bool:
     return m.rows == m.cols and m.rank() == m.rows
+
+
+def block_diag(mats):
+    """The block-diagonal matrix with the given blocks, in order."""
+    out = RatMatrix.zeros(sum(m.rows for m in mats), sum(m.cols for m in mats))
+    r = c = 0
+    for m in mats:
+        for i, row in enumerate(m.data):
+            out.data[r + i][c:c + m.cols] = row
+        r += m.rows
+        c += m.cols
+    return out
+
+
+def image(f: ModuleMap):
+    """(image module, inclusion into target, factorisation of f through it).
+
+    The image at each vertex has the basis of the reduced row echelon form
+    of the block's columns: the identity at its pivots, which are the unit
+    rows that ``submodule_from_vertex_bases`` reads the action off."""
+    bases, units = [], []
+    for m in f.blocks:
+        red, rank, pivots = m.transpose().rref()
+        bases.append(red.submatrix(range(rank), range(m.rows)).transpose())
+        units.append(pivots)
+    img, incl = submodule_from_vertex_bases(f.target, bases, units)
+    return img, incl, ModuleMap(f.source, img, [c.solve(m) for c, m in zip(bases, f.blocks)])
 
 
 def mult_coords(a, x, y):

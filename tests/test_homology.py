@@ -29,6 +29,7 @@ from replalg.modules import (
     dual_module,
     hom_basis,
     hom_dim,
+    injective_envelope,
     injective_module,
     is_injective_module,
     is_projective_module,
@@ -39,7 +40,7 @@ from replalg.modules import (
     simple_module,
 )
 from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
-from replalg.replicated import auslander_generator, minimal_cogenerator
+from replalg.replicated import auslander_generator, build_replicated, minimal_cogenerator
 from replalg.algebra import AlgebraData
 from replalg.verify import lemma_2_4_inventory
 from support import end_algebra, end_top_dimension, from_rows, greedy_right_approximation, kronecker3, verify_exact
@@ -448,6 +449,17 @@ def test_memoised_facts_match_fresh_modules(a2_ext_inventory):
         assert {"is_projective", "is_injective", "cosyzygy"} <= set(x.extras)
     assert any(is_projective_module(x) for x in inventory)
     assert not all(is_injective_module(x) for x in inventory)
+    # an envelope is projective iff its I_v are; the fresh copy takes the cover.
+    # The inventory's envelopes all are: those of the simples of A^(1) add a no
+    a1 = build_replicated(linear_quiver(2), 1).algebra
+    simples = [simple_module(a1, v) for v in range(len(a1.idempotents))]
+    answers = []
+    for x in inventory + simples:
+        env = injective_envelope(x)[0]
+        assert "injective_stack" in env.extras
+        answers.append(is_projective_module(env))
+        assert answers[-1] == is_projective_module(_fresh(env))
+    assert not all(answers[len(inventory):]) and all(answers[:len(inventory)])
     values = set()
     for y in inventory:
         for x in inventory:

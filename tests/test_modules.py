@@ -15,7 +15,6 @@ from replalg.modules import (
     hom_basis,
     hom_dim,
     identity_map,
-    image,
     injective_envelope,
     injective_module,
     is_injective_module,
@@ -34,7 +33,7 @@ from replalg.modules import (
 from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, build_replicated
 from replalg.verify import lemma_2_4_inventory, verify_ext_stablehom, verify_lemma_2_4
-from support import is_invertible
+from support import block_diag, image, is_invertible
 
 F = Fraction
 
@@ -223,6 +222,46 @@ def test_cover_verifies_surjective_and_superfluous(kr):
     f.validate()
 
 
+def test_cover_with_an_extra_summand_fails_the_top_count(kr, monkeypatch):
+    """A stack with one e_v A more than dim top x at v is still onto, but
+    its kernel is not superfluous; the top count refuses it."""
+    spans_of = replalg.modules._radical_vertex_spans
+
+    def one_pivot_short(x):
+        spans = spans_of(x)
+        sp = next(sp for sp in spans if sp.pivots)
+        sp.pivots = sp.pivots[1:]  # that coordinate of x * rad is lifted too
+        return spans
+
+    x = regular_module(kr)
+    assert projective_cover(x)[0].vertex_dims() == x.vertex_dims()
+    monkeypatch.setattr(replalg.modules, "_radical_vertex_spans", one_pivot_short)
+    with pytest.raises(ValueError, match="does not match the top"):
+        projective_cover(x)
+
+
+def test_corrupted_kernel_basis_fails_the_residual(kronecker_m1_bundle):
+    """The action on a submodule is read off the unit rows of its basis; one
+    corrupted entry elsewhere leaves the span not module-closed, and one at a
+    unit row is no identity there."""
+    mods = {s.label: s.module for s in kronecker_m1_bundle.summands}
+    f = hom_basis(mods["U1.1"], mods["pi:2@1"])[0]
+    bases, units = map(list, zip(*(m.null_space() for m in f.blocks)))
+    k, incl = replalg.modules.submodule_from_vertex_bases(f.source, bases, units)
+    assert k.vertex_dims() == kernel(f)[0].vertex_dims() and incl.then(f).is_zero()
+    assert 1 not in units[1]
+    row = bases[1].data[1]
+    assert row[0] == 0
+    corrupted = RatMatrix(bases[1].rows, bases[1].cols, [r[:] for r in bases[1].data])
+    corrupted.data[1][0] = 1
+    with pytest.raises(ValueError, match="not module-closed"):
+        replalg.modules.submodule_from_vertex_bases(f.source, bases[:1] + [corrupted] + bases[2:], units)
+    corrupted.data[1][0] = 0
+    corrupted.data[units[1][0]][0] = 2
+    with pytest.raises(ValueError, match="not the identity at its unit rows"):
+        replalg.modules.submodule_from_vertex_bases(f.source, bases[:1] + [corrupted] + bases[2:], units)
+
+
 def test_vertex_block_base_change_keeps_invariants(kr):
     # twist P2 by a base change inside each vertex block: still adapted, and
     # every invariant must survive it
@@ -337,10 +376,11 @@ def _cokernel_oracle(f):
 
 
 def _image_oracle(f):
-    """Dense pivot columns of f ordered by vertex, and the factorisation."""
-    basis, pivots = f.matrix.column_space_basis()
-    order = sorted(range(len(pivots)), key=lambda i: f.source.vertex_of[pivots[i]])
-    incl = RatMatrix.from_columns([basis.column_vec(i) for i in order], nrows=f.target.dim)
+    """The rows of the dense rref of f^T as columns, ordered by vertex, and
+    the factorisation."""
+    red, rank, pivots = f.matrix.transpose().rref()
+    order = sorted(range(rank), key=lambda i: f.target.vertex_of[pivots[i]])
+    incl = RatMatrix.from_columns([red.data[i] for i in order], nrows=f.target.dim)
     return incl, incl.solve(f.matrix)
 
 
@@ -442,9 +482,10 @@ def test_sparse_hom_basis_matches_dense_oracle(inventory, request):
                 _, incl, fac = image(f)
                 for g, want in zip((incl, fac), _image_oracle(f)):
                     check(g, want)
-            _, injs, prjs = direct_sum([x, y])
+            total, injs, prjs = direct_sum([x, y])
             for g, want in zip(injs + prjs, sum(_sum_oracle([x, y]), [])):
                 check(g, want)
+            assert all(total.action(b) == block_diag([x.action(b), y.action(b)]) for b in range(x.algebra.dim))
             iso, want = is_isomorphic(x, y), _iso_oracle(x, y)
             if want is not None:
                 check(iso, want)
