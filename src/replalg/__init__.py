@@ -27,14 +27,11 @@ from .homology import (
     DimBound,
     Resolution,
     cosyzygy,
-    decompose,
     dominant_dimension,
     end_global_dimension,
     ext1_dim,
     global_dimension,
-    injective_dimension,
     is_isomorphic,
-    minimal_injective_coresolution,
     minimal_projective_resolution,
     projective_dimension,
     right_approximation,

@@ -2,18 +2,27 @@
 
 An :class:`AlgebraData` is a labelled basis, a sparse multiplication table,
 the coordinates of 1, and a complete set of primitive orthogonal
-idempotents.  Associativity, the unit law and the idempotent axioms are
-checked exhaustively at construction; primitivity of the idempotents is
-checked lazily because it needs the radical.
+idempotents.  The unit law and the idempotent axioms are checked on every
+basis element at construction, associativity on a generating set S:
+if (xy)s = x(ys) for all basis x, y and s in S, and every basis element is
+a multiple of a word in S, then (xy)(ws) = ((xy)w)s = (x(yw))s = x((yw)s)
+= x(y(ws)) by induction on words.  S holds the basis elements that are not
+a single-term product of two others, and every element a search over right
+multiplication by S does not reach; a table of multi-term products thus
+falls back to every triple.  Primitivity of the idempotents is checked
+lazily because it needs the radical.
 
 The basis must be a Peirce basis: every basis element b satisfies
 e_u b e_v = b for a unique pair of idempotents, or construction raises
 ValueError.  The grading table drives the radical and the block
-decompositions used throughout the module layer.
+decompositions used throughout the module layer.  A one-dimensional corner
+e_u A e_u is Q e_u, so its radical is 0 without a trace form.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import NonSplitSimple, NotBasic
@@ -48,13 +57,23 @@ class AlgebraData:
         idempotents: Sequence[tuple[str, Sequence]],
         check: bool = True,
     ):
-        self.labels = tuple(labels)
-        self.dim = len(self.labels)
-        if len(mult) != self.dim or any(len(row) != self.dim for row in mult):
+        labels = tuple(labels)
+        if len(mult) != len(labels) or any(len(row) != len(labels) for row in mult):
             raise ValueError("multiplication table shape mismatch")
-        self.mult: list[list[SparseVec]] = [[_to_sparse(cell) for cell in row] for row in mult]
-        self.unit = tuple(scalar(x) for x in unit)
-        self.idempotents = tuple((lab, tuple(scalar(x) for x in coords)) for lab, coords in idempotents)
+        mult = [[_to_sparse(cell) if cell else () for cell in row] for row in mult]
+        idems = tuple((lab, tuple(scalar(x) for x in coords)) for lab, coords in idempotents)
+        self._adopt(labels, mult, tuple(scalar(x) for x in unit), idems)
+        self.grading = self._compute_grading()
+        if check:
+            self._check_axioms()
+
+    def _adopt(self, labels, mult, unit, idempotents) -> None:
+        """Take normalised data and start with empty caches; the caller sets the grading."""
+        self.labels = labels
+        self.dim = len(labels)
+        self.mult: list[list[SparseVec]] = mult
+        self.unit = unit
+        self.idempotents = idempotents
         self._radical: Optional[list[SparseVec]] = None
         self._radical_pieces = None
         self._corner_codims: Optional[list[int]] = None
@@ -63,9 +82,6 @@ class AlgebraData:
         self._simple_cache = {}
         self._proj_cache = {}
         self._inj_cache = {}
-        self.grading = self._compute_grading()
-        if check:
-            self._check_axioms()
 
     # -- multiplication -------------------------------------------------
 
@@ -93,16 +109,27 @@ class AlgebraData:
     # -- construction checks ---------------------------------------------
 
     def _compute_grading(self) -> list[tuple[int, int]]:
-        """(u, v) per basis element with e_u b e_v = b; ValueError if there is none."""
-        idem_sparse = [_sparse_coords(coords) for _, coords in self.idempotents]
+        """(u, v) per basis element with e_u b e_v = b; ValueError unless exactly one.
+
+        Only candidates are multiplied out: e_u b = b != 0 needs some l in the
+        support of e_u with l*b != 0, and b e_v = b some l with b*l != 0.
+        """
+        dim, mult = self.dim, self.mult
+        idem = [_sparse_coords(coords) for _, coords in self.idempotents]
+        cands = [(set(), set()) for _ in range(dim)]
+        for u, e in enumerate(idem):
+            for l, _c in e:
+                for side, cells in enumerate((mult[l], map(itemgetter(l), mult))):
+                    for b in compress(range(dim), cells):
+                        cands[b][side].add(u)
         table = []
-        for b in range(self.dim):
+        for b in range(dim):
             sb: SparseVec = ((b, 1),)
-            left = [u for u, e in enumerate(idem_sparse) if self.mult_sparse(e, sb) == sb]
-            right = [v for v, e in enumerate(idem_sparse) if self.mult_sparse(sb, e) == sb]
-            if len(left) != 1 or len(right) != 1:
+            us = [u for u in cands[b][0] if self.mult_sparse(idem[u], sb) == sb]
+            vs = [v for v in cands[b][1] if self.mult_sparse(sb, idem[v]) == sb]
+            if len(us) != 1 or len(vs) != 1:
                 raise ValueError(f"basis element {self.labels[b]} is not in one Peirce block")
-            table.append((left[0], right[0]))
+            table.append((us[0], vs[0]))
         return table
 
     def _check_axioms(self) -> None:
@@ -126,39 +153,42 @@ class AlgebraData:
             for b in range(len(idem)):
                 if a != b and self.mult_sparse(idem[a], idem[b]):
                     raise ValueError("idempotents are not orthogonal")
-        self._check_associativity()
+        self._check_associativity(idem)
 
-    def _check_associativity(self) -> None:
-        dim = self.dim
-        mult = self.mult
-        # soundness of the triple pruning below needs homogeneous products
-        for i in range(dim):
-            for j in range(dim):
-                expected = (self.grading[i][0], self.grading[j][1])
-                for k, _c in mult[i][j]:
-                    if self.grading[k] != expected:
-                        raise ValueError("product expansion is not grading-homogeneous")
-        # only grading-composable triples can be nonzero on either side
-        by_left: dict[int, list[int]] = {}
-        for j, (u, _v) in enumerate(self.grading):
-            by_left.setdefault(u, []).append(j)
-        for i in range(dim):
-            iv = self.grading[i][1]
-            js = by_left.get(iv, [])
-            for j in js:
-                pij = mult[i][j]
-                jv = self.grading[j][1]
-                for k in by_left.get(jv, []):
-                    if self.mult_sparse(pij, ((k, 1),)) != self.mult_sparse(((i, 1),), mult[j][k]):
-                        raise ValueError(
-                            f"associativity fails on ({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
-                        )
-        # cross-grading products must vanish identically
-        for i in range(dim):
-            iv = self.grading[i][1]
-            for j in range(dim):
-                if self.grading[j][0] != iv and mult[i][j]:
+    def _check_associativity(self, idem: list[SparseVec]) -> None:
+        """The triples (x, y, s) of the module docstring's lemma, pruned by
+        the grading; a basis-vector idempotent s = e_v needs none, as y e_v
+        and (xy) e_v are fixed by the grading and the two checks below."""
+        dim, mult, grading, labels = self.dim, self.mult, self.grading, self.labels
+        made = set()
+        for i, row in enumerate(mult):
+            for j in compress(range(dim), row):
+                if grading[j][0] != grading[i][1]:
                     raise ValueError("graded product does not vanish across idempotents")
+                if any(grading[k] != (grading[i][0], grading[j][1]) for k, _c in row[j]):
+                    raise ValueError("product expansion is not grading-homogeneous")
+                if len(row[j]) == 1 and i != row[j][0][0] != j:
+                    made.add(row[j][0][0])
+        gens = [b for b in range(dim) if b not in made]
+        reached, frontier = set(gens), list(gens)
+        while frontier:
+            w = frontier.pop()
+            for s in compress(range(dim), mult[w]):
+                if s not in made and len(mult[w][s]) == 1 and mult[w][s][0][0] not in reached:
+                    reached.add(mult[w][s][0][0])
+                    frontier.append(mult[w][s][0][0])
+        by_right: dict[int, list[int]] = {}
+        for b, (_u, v) in enumerate(grading):
+            by_right.setdefault(v, []).append(b)
+        units = {e[0][0] for e in idem if len(e) == 1 and e[0][1] == 1}
+        for s in gens + [b for b in range(dim) if b not in reached]:
+            if s in units:
+                continue
+            for y in by_right.get(grading[s][0], ()):
+                for x in by_right.get(grading[y][0], ()):
+                    xy, ys = mult[x][y], mult[y][s]
+                    if (xy or ys) and self.mult_sparse(xy, ((s, 1),)) != self.mult_sparse(((x, 1),), ys):
+                        raise ValueError(f"associativity fails on ({labels[x]}, {labels[y]}, {labels[s]})")
 
     # -- radical ---------------------------------------------------------
 
@@ -213,7 +243,8 @@ class AlgebraData:
         to 0.  A/R is the product of the semisimple corner quotients, so rad A
         lies in R.  A failed check (matrix units in M_2(Q), say) gives None:
         a basic algebra always passes it.  The corner codimensions are kept
-        for :meth:`ensure_split_basic`.
+        for :meth:`ensure_split_basic`.  A one-dimensional corner is Q e_u,
+        with radical 0: no corner algebra is built for it.
         """
         blocks: dict[tuple[int, int], list[int]] = {}
         for b, uv in enumerate(self.grading):
@@ -221,21 +252,23 @@ class AlgebraData:
         corners, codims, rad = [], [], []
         for u, (lab, coords) in enumerate(self.idempotents):
             idx = blocks.get((u, u), [])
-            local = {b: s for s, b in enumerate(idx)}
-            unit = [coords[b] for b in idx]
-            cmult = [[[(local[k], c) for k, c in self.mult[i][j]] for j in idx] for i in idx]
-            corner = AlgebraData([self.labels[b] for b in idx], cmult, unit, [(lab, unit)], check=False)
             span = EchelonSpace(len(idx))
-            for w in corner.radical_basis():
-                span.add(w)
-                rad.append(tuple((b, c) for b, c in zip(idx, w) if c))
-            corners.append((local, span, corner))
+            if len(idx) > 1:  # else it is spanned by e_u != 0: Q, with radical 0
+                local = {b: s for s, b in enumerate(idx)}
+                unit = [coords[b] for b in idx]
+                cmult = [[[(local[k], c) for k, c in self.mult[i][j]] for j in idx] for i in idx]
+                corner = AlgebraData([self.labels[b] for b in idx], cmult, unit, [(lab, unit)], check=False)
+                for w in corner.radical_basis():
+                    span.add(w)
+                    rad.append(tuple((b, c) for b, c in zip(idx, w) if c))
+            corners.append((idx, span))
             codims.append(len(idx) - span.rank)
         for i, (u, v) in enumerate(self.grading):
             if u != v:
-                local, span, corner = corners[u]
+                idx, span = corners[u]
                 for j in blocks.get((v, u), []):
-                    if not span.contains(corner.dense([(local[k], c) for k, c in self.mult[i][j]])):
+                    prod = self.dense(self.mult[i][j])
+                    if not span.contains([prod[b] for b in idx]):
                         return None
                 rad.append(((i, 1),))
         self._corner_codims = codims
@@ -341,16 +374,14 @@ class AlgebraData:
     # -- opposite ----------------------------------------------------------
 
     def opposite(self) -> "AlgebraData":
-        """Same basis with reversed multiplication; involutive on the nose."""
+        """Same basis with reversed multiplication; involutive on the nose.
+        The table is transposed and the grading swapped, as e_u *op b *op e_v
+        = e_v b e_u: nothing is recomputed."""
         if self._opposite is not None:
             return self._opposite
-        op = AlgebraData(
-            self.labels,
-            [[self.mult[j][i] for j in range(self.dim)] for i in range(self.dim)],
-            self.unit,
-            self.idempotents,
-            check=False,
-        )
+        op = AlgebraData.__new__(AlgebraData)
+        op._adopt(self.labels, [list(col) for col in zip(*self.mult)], self.unit, self.idempotents)
+        op.grading = [(v, u) for u, v in self.grading]
         op._opposite = self
         self._opposite = op
         return op

@@ -125,35 +125,6 @@ def cosyzygy(x: ModuleRep) -> ModuleRep:
     return _memo(x, "cosyzygy", lambda: cokernel(injective_envelope(x)[1])[0])
 
 
-def minimal_injective_coresolution(x: ModuleRep, cap: int) -> Resolution:
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    res = Resolution("injective", x)
-    if x.dim == 0:
-        return res
-    current = x
-    proj_prev: Optional[ModuleMap] = None
-    for step in range(cap + 1):
-        i, env = injective_envelope(current)
-        res.terms.append(i)
-        res.maps.append(env if proj_prev is None else proj_prev.then(env))
-        c, cproj = cokernel(env)
-        if c.dim == 0:
-            return res
-        current, proj_prev = c, cproj
-    res.complete = False
-    return res
-
-
-def injective_dimension(x: ModuleRep, cap: int) -> DimBound:
-    if x.dim == 0:
-        return DimBound(0)
-    res = minimal_injective_coresolution(x, cap)
-    if res.complete:
-        return DimBound(res.length)
-    return DimBound(cap + 1, exact=False)
-
-
 def global_dimension(a: AlgebraData, cap: int) -> DimBound:
     """max over pd of the simple modules."""
     best = 0
@@ -375,19 +346,20 @@ def _splitting_candidates(endos: list[ModuleMap], rng: random.Random, m: ModuleR
         yield _combination([rng.randint(-3, 3) for _ in range(n)], endos, m, m)
 
 
-def decompose_with_maps(x: ModuleRep, seed: int = 0):
+def decompose_with_maps(x: ModuleRep, seed: int = 0, endos: Optional[list[ModuleMap]] = None):
     """Split x into certified indecomposables; returns (piece, incl, proj)
     triples.  A piece no endomorphism splits is a leaf once
-    :func:`_local_radical` of the same End basis certifies it local."""
+    :func:`_local_radical` of the same End basis certifies it local.
+    ``endos``, if given, is a basis of End(x) already solved."""
     if x.dim == 0:
         return []
     rng = random.Random(seed)
-    work = [(x, identity_map(x), identity_map(x))]
+    work = [(x, identity_map(x), identity_map(x), endos)]
     out = []
     while work:
-        m, inc, prj = work.pop(0)
+        m, inc, prj, endos = work.pop(0)
         split = None
-        endos = hom_basis(m, m)
+        endos = hom_basis(m, m) if endos is None else endos
         if len(endos) > 1:
             for phi in _splitting_candidates(endos, rng, m):
                 split = _fitting_split(m, phi)
@@ -399,23 +371,8 @@ def decompose_with_maps(x: ModuleRep, seed: int = 0):
             out.append((m, inc, prj))
         else:
             for piece, pinc, pprj in split:
-                work.append((piece, pinc.then(inc), prj.then(pprj)))
+                work.append((piece, pinc.then(inc), prj.then(pprj), None))
     return out
-
-
-def decompose(x: ModuleRep, seed: int = 0):
-    """[(indecomposable, multiplicity)] with representatives up to isomorphism."""
-    pieces = decompose_with_maps(x, seed)
-    groups: list[tuple[ModuleRep, int]] = []
-    for piece, _, _ in pieces:
-        for g in range(len(groups)):
-            rep, count = groups[g]
-            if is_isomorphic(rep, piece, seed=seed) is not None:
-                groups[g] = (rep, count + 1)
-                break
-        else:
-            groups.append((piece, 1))
-    return groups
 
 
 # -- isomorphism testing --------------------------------------------------------
@@ -459,7 +416,7 @@ def is_isomorphic(x: ModuleRep, y: ModuleRep, seed: int = 0) -> Optional[ModuleM
     # deterministic negative certificate: with End(x) local its non-units form
     # a subspace, so as no composite g o f of basis maps above is a unit, no
     # composite of any two maps is, and x, y are not isomorphic; so for End(y)
-    if _local_radical(hom_basis(x, x)) is not None or _local_radical(hom_basis(y, y)) is not None:
+    if _local_radical(ex := hom_basis(x, x)) is not None or _local_radical(ey := hom_basis(y, y)) is not None:
         return None
     rng = random.Random(seed)
     for bound in (1, 2, 5, 9):
@@ -467,12 +424,15 @@ def is_isomorphic(x: ModuleRep, y: ModuleRep, seed: int = 0) -> Optional[ModuleM
             f = _combination([rng.randint(-bound, bound) for _ in hxy], hxy, x, y)
             if f.is_isomorphism():
                 return f
-    return _match_decompositions(x, y, seed)
+    return _match_decompositions(x, y, seed, ex, ey)
 
 
-def _match_decompositions(x: ModuleRep, y: ModuleRep, seed: int) -> Optional[ModuleMap]:
-    xs = decompose_with_maps(x, seed)
-    ys = decompose_with_maps(y, seed)
+def _match_decompositions(x: ModuleRep, y: ModuleRep, seed: int,
+                          ex: list[ModuleMap], ey: list[ModuleMap]) -> Optional[ModuleMap]:
+    """The Krull-Schmidt matching of x and y; ex and ey are bases of End(x)
+    and End(y), handed to the first level of each decomposition."""
+    xs = decompose_with_maps(x, seed, ex)
+    ys = decompose_with_maps(y, seed, ey)
     if len(xs) != len(ys):
         return None
     used = [False] * len(ys)

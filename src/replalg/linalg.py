@@ -107,7 +107,8 @@ class RatMatrix:
         return all(not x for row in self.data for x in row)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix._of(self.cols, self.rows, [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        data = [list(col) for col in zip(*self.data)] if self.rows else [[] for _ in range(self.cols)]
+        return RatMatrix._of(self.cols, self.rows, data)
 
     def column_vec(self, j: int) -> list[Scalar]:
         return [row[j] for row in self.data]

@@ -150,12 +150,14 @@ def build_hereditary(q: Quiver) -> AlgebraData:
     paths = enumerate_paths(q)
     index = {p: i for i, p in enumerate(paths)}
     n = len(paths)
-    mult = [[() for _ in range(n)] for _ in range(n)]
+    by_start: dict[int, list[int]] = {}
+    for j, r in enumerate(paths):
+        by_start.setdefault(r.start, []).append(j)
+    mult = [[()] * n for _ in range(n)]
     for i, p in enumerate(paths):
-        for j, r in enumerate(paths):
-            c = compose_paths(q, p, r)
-            if c is not None:
-                mult[i][j] = ((index[c], 1),)
+        # only paths starting where p ends compose with it
+        for j in by_start.get(path_end(q, p), ()):
+            mult[i][j] = ((index[compose_paths(q, p, paths[j])], 1),)
     unit = [0] * n
     idems = []
     for v in range(len(q.vertices)):

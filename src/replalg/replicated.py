@@ -89,10 +89,17 @@ class ReplicatedAlgebra:
         self.keys = keys
         self.key_index = {k: n for n, k in enumerate(keys)}
         n = len(keys)
-        mult = [[() for _ in range(n)] for _ in range(n)]
+        # (p, i) runs from start p@i to end p@i, (p*, i) from end p@i to
+        # start p@(i-1); only keys meeting at a vertex can have a product
+        right, by_left = [], {}
+        for b, (kind, p, i) in enumerate(keys):
+            u, v = (p.start, path_end(quiver, p)) if kind == "p" else (path_end(quiver, p), p.start - nv)
+            right.append(i * nv + v)
+            by_left.setdefault(i * nv + u, []).append(b)
+        mult = [[()] * n for _ in range(n)]
         for a, ka in enumerate(keys):
-            for b, kb in enumerate(keys):
-                prod = self._product(ka, kb)
+            for b in by_left.get(right[a], ()):
+                prod = self._product(ka, keys[b])
                 if prod is not None:
                     mult[a][b] = ((self.key_index[prod], 1),)
         unit = [0] * n

@@ -3,22 +3,35 @@
 They read the engine's public objects and never feed back into it.
 """
 
+from typing import Optional
+
 from replalg.algebra import AlgebraData, _sparse_coords
 from replalg.errors import InternalCheckFailed
-from replalg.homology import _basic_modules, _from_sum, _map_space, _span_rank, decompose_with_maps
+from replalg.homology import (
+    DimBound,
+    Resolution,
+    _basic_modules,
+    _from_sum,
+    _map_space,
+    _span_rank,
+    decompose_with_maps,
+    is_isomorphic,
+)
 from replalg.linalg import RatMatrix
 from replalg.modules import (
     ModuleMap,
     ModuleRep,
+    cokernel,
     hom_basis,
     hom_dim,
     identity_map,
+    injective_envelope,
     kernel,
     submodule_from_vertex_bases,
     zero_map,
     zero_module,
 )
-from replalg.quiver import Quiver
+from replalg.quiver import Quiver, compose_paths, enumerate_paths
 
 
 def from_rows(rows):
@@ -30,6 +43,31 @@ def from_rows(rows):
 def kronecker3():
     """Three arrows 2 -> 1, as quivers/kronecker3.json: a wild quiver."""
     return Quiver(["1", "2"], [("a", "2", "1"), ("b", "2", "1"), ("c", "2", "1")])
+
+
+def all_pairs_path_table(q: Quiver):
+    """The table of kQ from ``compose_paths`` on every ordered pair of paths."""
+    paths = enumerate_paths(q)
+    index = {p: i for i, p in enumerate(paths)}
+    mult = [[() for _ in paths] for _ in paths]
+    for i, p in enumerate(paths):
+        for j, r in enumerate(paths):
+            c = compose_paths(q, p, r)
+            if c is not None:
+                mult[i][j] = ((index[c], 1),)
+    return mult
+
+
+def all_pairs_replicated_table(r):
+    """The table of A^(m) from ``_product`` on every ordered pair of basis keys."""
+    n = len(r.keys)
+    mult = [[() for _ in range(n)] for _ in range(n)]
+    for a, ka in enumerate(r.keys):
+        for b, kb in enumerate(r.keys):
+            prod = r._product(ka, kb)
+            if prod is not None:
+                mult[a][b] = ((r.key_index[prod], 1),)
+    return mult
 
 
 def is_invertible(m: RatMatrix) -> bool:
@@ -279,3 +317,48 @@ def end_top_dimension(m: ModuleRep) -> int:
         for i in range(n)
     ])
     return gram.rank()
+
+
+def minimal_injective_coresolution(x: ModuleRep, cap: int) -> Resolution:
+    """Iterated injective envelopes of cosyzygies; stops at zero or at the cap."""
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
+    res = Resolution("injective", x)
+    if x.dim == 0:
+        return res
+    current = x
+    proj_prev: Optional[ModuleMap] = None
+    for step in range(cap + 1):
+        i, env = injective_envelope(current)
+        res.terms.append(i)
+        res.maps.append(env if proj_prev is None else proj_prev.then(env))
+        c, cproj = cokernel(env)
+        if c.dim == 0:
+            return res
+        current, proj_prev = c, cproj
+    res.complete = False
+    return res
+
+
+def injective_dimension(x: ModuleRep, cap: int) -> DimBound:
+    if x.dim == 0:
+        return DimBound(0)
+    res = minimal_injective_coresolution(x, cap)
+    if res.complete:
+        return DimBound(res.length)
+    return DimBound(cap + 1, exact=False)
+
+
+def decompose(x: ModuleRep, seed: int = 0):
+    """[(indecomposable, multiplicity)] with representatives up to isomorphism."""
+    pieces = decompose_with_maps(x, seed)
+    groups: list[tuple[ModuleRep, int]] = []
+    for piece, _, _ in pieces:
+        for g in range(len(groups)):
+            rep, count = groups[g]
+            if is_isomorphic(rep, piece, seed=seed) is not None:
+                groups[g] = (rep, count + 1)
+                break
+        else:
+            groups.append((piece, 1))
+    return groups

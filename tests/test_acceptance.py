@@ -16,7 +16,6 @@ from replalg.homology import (
     dominant_dimension,
     ext1_dim,
     global_dimension,
-    injective_dimension,
     is_isomorphic,
     kernel,
     minimal_projective_resolution,
@@ -46,7 +45,7 @@ from replalg.verify import (
     verify_example_3_4,
     verify_lemma_2_4,
 )
-from support import end_algebra, mult_coords, verify_exact
+from support import end_algebra, injective_dimension, mult_coords, verify_exact
 
 SWEEP = [
     ("one-vertex", one_vertex(), 1),

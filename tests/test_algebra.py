@@ -7,6 +7,7 @@ from replalg.errors import CyclicQuiver, DuplicateLabel, EmptyQuiver, NonSplitSi
 from replalg.linalg import EchelonSpace
 from replalg.modules import projective_cover, projective_module, regular_module, socle, top
 from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
+from replalg.replicated import build_replicated
 from support import is_connected
 
 F = Fraction
@@ -66,6 +67,72 @@ def test_associativity_check_rejects_bad_table():
     ]
     with pytest.raises(ValueError):
         AlgebraData(["1", "x", "y"], mult, [1, 0, 0], [("pt", [1, 0, 0])], check=True)
+
+
+def test_associativity_failure_behind_a_non_generator_is_found():
+    """Associativity is tested only on triples (x, y, s) with s in a
+    generating set, here the idempotents and arrows of A5.  The corrupted
+    product multiplies two non-generators, (a4.a3)(a2.a1); the generator
+    lemma finds the failure at a triple whose third factor is an arrow."""
+    a = build_hereditary(linear_quiver(5))
+    mult = [list(row) for row in a.mult]
+    x, y, xy = (a.labels.index(lab) for lab in ("a4.a3", "a2.a1", "a4.a3.a2.a1"))
+    assert mult[x][y] == ((xy, 1),)
+    mult[x][y] = ((xy, 2),)
+    with pytest.raises(ValueError, match=r"associativity fails on \(a4\.a3, a2, a1\)"):
+        AlgebraData(a.labels, mult, a.unit, a.idempotents)
+
+
+def test_associativity_check_reaches_no_generator_and_tests_every_triple():
+    # 1, g, h with g*g = h, g*h = h*g = 1, h*h = 2g: every basis element is a
+    # single-term product, so the search from the non-products reaches
+    # nothing and every element joins the generators; (gg)h = 2g != g = g(gh)
+    one, g, h = range(3)
+    mult = [
+        [((one, 1),), ((g, 1),), ((h, 1),)],
+        [((g, 1),), ((h, 1),), ((one, 1),)],
+        [((h, 1),), ((one, 1),), ((g, 2),)],
+    ]
+    with pytest.raises(ValueError, match="associativity fails"):
+        AlgebraData(["1", "g", "h"], mult, [1, 0, 0], [("pt", [1, 0, 0])])
+
+
+def test_product_in_a_wrong_peirce_block_is_refused():
+    a = build_hereditary(linear_quiver(3))
+    e2, a1, a2 = (a.labels.index(lab) for lab in ("e(2)", "a1", "a2"))
+    mult = [list(row) for row in a.mult]
+    mult[a2][a1] = ((a2, 1),)  # a2 runs 3 -> 2, but a2 * a1 must run 3 -> 1
+    with pytest.raises(ValueError, match="not grading-homogeneous"):
+        AlgebraData(a.labels, mult, a.unit, a.idempotents)
+    mult = [list(row) for row in a.mult]
+    mult[e2][a1] = ((a1, 2),)  # the one candidate on the left no longer fixes a1
+    with pytest.raises(ValueError, match="not in one Peirce block"):
+        AlgebraData(a.labels, mult, a.unit, a.idempotents)
+
+
+def test_product_across_peirce_blocks_is_refused():
+    # e1, e2 and x = e1 x e2 with x * x = x: homogeneous, but (x e2) x = x
+    # while x (e2 x) = 0; the grading prunes that triple, so the
+    # cross-grading check is what refuses the table
+    e1, e2, x = range(3)
+    mult = [[() for _ in range(3)] for _ in range(3)]
+    mult[e1][e1], mult[e2][e2], mult[e1][x], mult[x][e2], mult[x][x] = (
+        ((e1, 1),), ((e2, 1),), ((x, 1),), ((x, 1),), ((x, 1),))
+    with pytest.raises(ValueError, match="does not vanish across idempotents"):
+        AlgebraData(["e1", "e2", "x"], mult, [1, 1, 0], [("1", [1, 0, 0]), ("2", [0, 1, 0])])
+
+
+def test_opposite_grading_is_the_swapped_grading(local_corner_algebra):
+    algebras = [build_hereditary(kronecker()), build_hereditary(linear_quiver(3)),
+                build_replicated(kronecker(), 2).algebra, build_replicated(linear_quiver(3), 1).algebra,
+                dual_numbers(), matrix_units(), local_corner_algebra]
+    for a in algebras:
+        op = a.opposite()
+        assert op.grading == op._compute_grading()
+        assert op.mult == [[a.mult[j][i] for j in range(a.dim)] for i in range(a.dim)]
+        # the transposed table passes every construction check by itself
+        again = AlgebraData(op.labels, op.mult, op.unit, op.idempotents)
+        assert again.grading == op.grading
 
 
 def test_radical_one_dimensional_semisimple():
@@ -152,6 +219,39 @@ def test_split_basic_refuses_non_basic_algebra():
     a = matrix_units()
     with pytest.raises(NotBasic):
         projective_cover(projective_module(a, 0))
+
+
+def test_one_dimensional_corner_with_a_nonzero_cycle_is_not_basic(monkeypatch):
+    # M_2(Q) in the basis e11, e12, 2 e21, e22: both corners are
+    # one-dimensional, and e12 * (2 e21) = 2 e11 is nonzero, so the corners
+    # are decided without building a corner algebra, and A is not basic
+    e11, e12, f21, e22 = range(4)
+    mult = [[() for _ in range(4)] for _ in range(4)]
+    mult[e11][e11], mult[e11][e12], mult[e12][f21], mult[e12][e22] = ((e11, 1),), ((e12, 1),), ((e11, 2),), ((e12, 1),)
+    mult[f21][e11], mult[f21][e12], mult[e22][f21], mult[e22][e22] = ((f21, 1),), ((e22, 2),), ((f21, 1),), ((e22, 1),)
+    a = AlgebraData(["e11", "e12", "2e21", "e22"], mult, [1, 0, 0, 1], [("1", [1, 0, 0, 0]), ("2", [0, 0, 0, 1])])
+    built = []
+    init = AlgebraData.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraData, "__init__", counted)
+    assert a._structural_radical() is None
+    assert built == []
+    with pytest.raises(NotBasic):
+        a.ensure_split_basic()
+
+
+def test_one_dimensional_corners_run_no_trace_form(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the trace form ran")
+
+    monkeypatch.setattr(AlgebraData, "_trace_form_radical", refuse)
+    a = build_replicated(kronecker(), 2).algebra
+    a.ensure_split_basic()
+    assert a._corner_codims == [1] * len(a.idempotents)
 
 
 def test_non_split_corner_detected_on_structural_path():

@@ -10,14 +10,11 @@ from replalg.errors import InternalCheckFailed, NotBasic, NotProjInjective, Repl
 from replalg.homology import (
     DimBound,
     cosyzygy,
-    decompose,
     dominant_dimension,
     end_global_dimension,
     ext1_dim,
     global_dimension,
-    injective_dimension,
     is_isomorphic,
-    minimal_injective_coresolution,
     minimal_projective_resolution,
     projective_dimension,
     right_approximation,
@@ -43,7 +40,17 @@ from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_verte
 from replalg.replicated import auslander_generator, build_replicated, minimal_cogenerator
 from replalg.algebra import AlgebraData
 from replalg.verify import lemma_2_4_inventory
-from support import end_algebra, end_top_dimension, from_rows, greedy_right_approximation, kronecker3, verify_exact
+from support import (
+    decompose,
+    end_algebra,
+    end_top_dimension,
+    from_rows,
+    greedy_right_approximation,
+    injective_dimension,
+    kronecker3,
+    minimal_injective_coresolution,
+    verify_exact,
+)
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +311,25 @@ def test_is_isomorphic_direct_sum_shuffle(kr):
     i1 = injective_module(kr, 0)  # dims (1, 2)
     c, _, _ = direct_sum([s1, s1, simple_module(kr, 1)])
     assert is_isomorphic(i1, c) is None
+
+
+def test_is_isomorphic_solves_each_end_once(kr, monkeypatch):
+    """x = P2 + S2 and y = I1 + S1 have the same dimension vector and are
+    both decomposable, so the answer comes from matching decompositions.
+    End(x) and End(y), solved for the locality check, are handed to the
+    first level of each decomposition: 8 Hom systems, not 10."""
+    x, _, _ = direct_sum([projective_module(kr, 1), simple_module(kr, 1)])
+    y, _, _ = direct_sum([injective_module(kr, 0), simple_module(kr, 0)])
+    solved = []
+    solve = replalg.modules.sparse_kernel
+
+    def counted(rows, n):
+        solved.append(len(rows))
+        return solve(rows, n)
+
+    monkeypatch.setattr(replalg.modules, "sparse_kernel", counted)
+    assert is_isomorphic(x, y) is None
+    assert len(solved) == 8
 
 
 def test_end_algebra_of_simple_is_one_dimensional(kr):

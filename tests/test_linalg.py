@@ -379,3 +379,11 @@ def test_mixed_scalars_match_all_fraction_and_sympy(m, vec):
         assert (inv is not None) == (rank == m.rows)
         if inv is not None:
             assert inv.data == _from_sympy(_to_sympy(m).inv())
+
+
+def test_transpose_keeps_empty_shapes():
+    m = from_rows([[1, 2, 3], [4, 5, 6]])
+    assert m.transpose() == from_rows([[1, 4], [2, 5], [3, 6]])
+    for rows, cols in ((0, 3), (3, 0), (0, 0)):
+        t = RatMatrix.zeros(rows, cols).transpose()
+        assert (t.rows, t.cols, t.data) == (cols, rows, [[] for _ in range(cols)])

@@ -293,7 +293,8 @@ def test_product_algebra_in_peirce_basis():
     # Q x Q in its Peirce basis {p, q}; the basis {1, u} with u^2 = 1 has no
     # Peirce grading and is refused
     from replalg.algebra import AlgebraData
-    from replalg.homology import decompose, global_dimension
+    from replalg.homology import global_dimension
+    from support import decompose
 
     a = AlgebraData(["p", "q"], [[((0, 1),), ()], [(), ((1, 1),)]], [1, 1],
                     [("p", [1, 0]), ("q", [0, 1])])

@@ -9,7 +9,6 @@ from replalg.homology import (
     dominant_dimension,
     ext1_dim,
     global_dimension,
-    injective_dimension,
     is_isomorphic,
     kernel,
     minimal_projective_resolution,
@@ -37,7 +36,7 @@ from replalg.modules import (
 )
 from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, build_replicated, embed, sigma_layers
-from support import end_algebra, from_rows, mult_coords, verify_exact
+from support import end_algebra, from_rows, injective_dimension, mult_coords, verify_exact
 
 
 def fan():
