@@ -25,14 +25,12 @@ from .errors import (
 )
 from .homology import (
     DimBound,
-    Resolution,
     cosyzygy,
     dominant_dimension,
     end_global_dimension,
     ext1_dim,
     global_dimension,
     is_isomorphic,
-    minimal_projective_resolution,
     projective_dimension,
     right_approximation,
     stable_hom_dim,
@@ -55,7 +53,6 @@ from .modules import (
     radical_submodule,
     regular_module,
     simple_module,
-    socle,
     top,
     zero_module,
 )

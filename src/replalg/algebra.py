@@ -46,7 +46,7 @@ class AlgebraData:
     __slots__ = (
         "labels", "dim", "mult", "unit", "idempotents",
         "grading", "_radical", "_radical_pieces", "_corner_codims", "_opposite", "_split_basic",
-        "_simple_cache", "_proj_cache", "_inj_cache",
+        "_simple_cache", "_proj_cache", "_inj_cache", "_gl_dim",
     )
 
     def __init__(
@@ -82,6 +82,7 @@ class AlgebraData:
         self._simple_cache = {}
         self._proj_cache = {}
         self._inj_cache = {}
+        self._gl_dim: Optional[int] = None  # exact gl.dim, kept by homology.global_dimension
 
     # -- multiplication -------------------------------------------------
 

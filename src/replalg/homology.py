@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -23,17 +23,16 @@ from .linalg import EchelonSpace, RatMatrix, Scalar, SparseSpan, _inv, hstack, s
 from .modules import (
     ModuleMap,
     ModuleRep,
+    _cosyzygy_step,
+    _envelope_is_projective,
     _memo,
     direct_sum,
-    dual_module,
     hom_basis,
     hom_dim,
     identity_map,
-    injective_envelope,
     is_injective_module,
     is_projective_module,
     kernel,
-    cokernel,
     projective_cover,
     regular_module,
     simple_module,
@@ -67,73 +66,39 @@ class DimBound:
         return self.value if self.exact else f">={self.value}"
 
 
-@dataclass
-class Resolution:
-    """A minimal projective resolution or injective coresolution.
-
-    projective:  maps[0]: terms[0] -> module, maps[i]: terms[i] -> terms[i-1]
-    injective:   maps[0]: module -> terms[0], maps[i]: terms[i-1] -> terms[i]
-    ``complete`` is False when the construction stopped at the cap; when it
-    is True, ``length`` is the projective (resp. injective) dimension.
-    """
-
-    kind: str
-    module: ModuleRep
-    terms: list[ModuleRep] = field(default_factory=list)
-    maps: list[ModuleMap] = field(default_factory=list)
-    complete: bool = True
-
-    @property
-    def length(self) -> int:
-        return len(self.terms) - 1
-
-
-def minimal_projective_resolution(x: ModuleRep, cap: int) -> Resolution:
-    """Iterated projective covers of syzygies; stops at zero or at the cap."""
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    res = Resolution("projective", x)
-    if x.dim == 0:
-        return res
-    current = x
-    incl_prev: Optional[ModuleMap] = None
-    for step in range(cap + 1):
-        p, f = projective_cover(current)
-        res.terms.append(p)
-        res.maps.append(f if incl_prev is None else f.then(incl_prev))
-        k, kincl = kernel(f)
-        if k.dim == 0:
-            return res
-        current, incl_prev = k, kincl
-    res.complete = False
-    return res
-
-
 def projective_dimension(x: ModuleRep, cap: int) -> DimBound:
+    """pd x: the first j whose j-th syzygy is projective, walking the
+    kernels of projective covers with no map composed and no term kept;
+    DimBound(cap + 1, exact=False) when the cap-th syzygy is not projective."""
     if x.dim == 0:
         return DimBound(0)
-    res = minimal_projective_resolution(x, cap)
-    if res.complete:
-        return DimBound(res.length)
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
+    for step in range(cap + 1):
+        x, _ = kernel(projective_cover(x)[1])
+        if x.dim == 0:
+            return DimBound(step)
     return DimBound(cap + 1, exact=False)
 
 
 def cosyzygy(x: ModuleRep) -> ModuleRep:
     """Cokernel of the injective envelope; zero for injective modules."""
-    if x.dim == 0:
-        return x
-    return _memo(x, "cosyzygy", lambda: cokernel(injective_envelope(x)[1])[0])
+    return x if x.dim == 0 else _cosyzygy_step(x)[1]
 
 
 def global_dimension(a: AlgebraData, cap: int) -> DimBound:
-    """max over pd of the simple modules."""
-    best = 0
-    exact = True
-    for v in range(len(a.idempotents)):
-        pd = projective_dimension(simple_module(a, v), cap)
-        best = max(best, pd.value)
-        exact = exact and pd.exact
-    return DimBound(best, exact)
+    """max over pd of the simple modules.  An exact value is kept on the
+    algebra (``_gl_dim``), and a later call reads it against its own cap as
+    the resolutions would: g if g <= cap, else >= cap + 1."""
+    if a._gl_dim is None:
+        pds = [projective_dimension(simple_module(a, v), cap) for v in range(len(a.idempotents))]
+        best = max((pd.value for pd in pds), default=0)
+        if not all(pd.exact for pd in pds):
+            return DimBound(best, exact=False)
+        a._gl_dim = best
+    elif cap < 0:
+        raise ValueError("cap must be nonnegative")
+    return DimBound(a._gl_dim) if a._gl_dim <= cap else DimBound(cap + 1, exact=False)
 
 
 def dominant_dimension(a: AlgebraData, cap: int) -> DimBound:
@@ -142,16 +107,12 @@ def dominant_dimension(a: AlgebraData, cap: int) -> DimBound:
     if cap < 1:
         raise ValueError("cap must be at least 1")
     current = regular_module(a)
-    count = 0
-    for _ in range(cap):
-        i, env = injective_envelope(current)
-        if not is_projective_module(i):
+    for count in range(cap):
+        if not _envelope_is_projective(current):
             return DimBound(count)
-        count += 1
-        c, _ = cokernel(env)
-        if c.dim == 0:
-            return DimBound(cap, exact=False)  # finite all-projective coresolution
-        current = c
+        current = _cosyzygy_step(current)[1]
+        if current.dim == 0:
+            break  # finite all-projective coresolution
     return DimBound(cap, exact=False)
 
 

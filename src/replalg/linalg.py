@@ -280,17 +280,6 @@ def hstack(mats: Sequence[RatMatrix]) -> RatMatrix:
     return RatMatrix._of(rows, sum(m.cols for m in mats), data)
 
 
-def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
-    mats = list(mats)
-    if not mats:
-        return RatMatrix.zeros(0, 0)
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("vstack column mismatch")
-    data = [row[:] for m in mats for row in m.data]
-    return RatMatrix._of(sum(m.rows for m in mats), cols, data)
-
-
 def _sub_scaled(r: dict[int, Scalar], a: Scalar, row: dict[int, Scalar], p: int) -> None:
     """r -= a * row in place, over the columns of row other than p."""
     for j, x in row.items():

@@ -21,7 +21,7 @@ linear combinations are taken block by block; the dense dim Y x dim X
 ``matrix`` is a read-only view for the checks and the tests.
 
 Every constructor builds blocks directly, and Hom spaces, kernels, covers,
-envelopes, radicals and socles are computed block by block.  Constructors
+envelopes and radicals are computed block by block.  Constructors
 trust their own blocks; :meth:`ModuleRep.from_actions` is the checked entry
 for dense action matrices.
 """
@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .algebra import AlgebraData
 from .errors import InternalCheckFailed, NonSplitSimple
-from .linalg import EchelonSpace, RatMatrix, Scalar, _sparse_rref, sparse_kernel, vstack
+from .linalg import EchelonSpace, RatMatrix, Scalar, _sparse_rref, sparse_kernel
 
 
 def _memo(x, key, compute):
@@ -59,8 +59,9 @@ class ModuleRep:
     source: the v of each stacked e_v A), ``injective_stack`` (an injective
     envelope: the v of each stacked I_v), ``read_off_certified`` (see
     :func:`hom_basis`), ``approximation_summands`` (source of a right
-    approximation), ``is_projective`` and ``is_injective``, ``cosyzygy`` and
-    ``ext1_prefix`` (the resolution start of ``ext1_dim``).
+    approximation), ``is_projective``, ``cosyzygy_step`` (see
+    :func:`_cosyzygy_step`) and ``ext1_prefix`` (the resolution start of
+    ``ext1_dim``).
     """
 
     __slots__ = ("algebra", "dim", "blocks", "vertex_of", "_coords", "_dims", "_extras")
@@ -656,7 +657,7 @@ def cokernel(f: ModuleMap):
     return cok, ModuleMap(y, cok, projs)
 
 
-# -- radical, top, socle -------------------------------------------------------
+# -- radical and top -----------------------------------------------------------
 
 
 def _radical_blocks(x: ModuleRep) -> list[tuple[int, int, RatMatrix]]:
@@ -695,24 +696,6 @@ def top(x: ModuleRep):
     """(x / x*rad, projection); the quotient is semisimple."""
     _, incl = radical_submodule(x)
     return cokernel(incl)
-
-
-def _socle_bases(x: ModuleRep) -> list[tuple[RatMatrix, list[int]]]:
-    """Per-vertex bases of the annihilator of rad(A) in x, each with the rows
-    where it is the identity."""
-    # the socle at u is killed by the stacked blocks of the pieces of degree (u, .)
-    by_source: dict[int, list[RatMatrix]] = {}
-    for u, _v, m in _radical_blocks(x):
-        by_source.setdefault(u, []).append(m)
-    return [vstack(by_source.get(u) or [RatMatrix.zeros(0, len(x.coords_at(u)))]).null_space()
-            for u in range(len(x.algebra.idempotents))]
-
-
-def socle(x: ModuleRep):
-    """(annihilator of rad(A) in x, inclusion)."""
-    if not x.algebra.radical_sparse():
-        return x, identity_map(x)
-    return submodule_from_vertex_bases(x, *zip(*_socle_bases(x)))
 
 
 # -- covers and envelopes ---------------------------------------------------
@@ -756,43 +739,51 @@ def projective_cover(x: ModuleRep):
 def injective_envelope(x: ModuleRep):
     """(I, f) with I injective and f an essential monomorphism.
 
-    Computed by duality: the dual of the projective cover of the dual
-    module over the opposite algebra.
+    I = D(P) and f = D(g), for g: P -> D(x) the projective cover of the dual
+    module over the opposite algebra; I is marked ``injective_stack``, the v
+    of each stacked I_v = D(A e_v).  Both claims are certificates of the
+    cover (Assem-Simson-Skowronski, vol. 1, I.5 and III.2), so none is
+    re-checked here:
+
+    - g is certified onto by rank, so D(g) is one-to-one: its block ranks
+      are those of g.  I is a sum of I_v, so it is injective.
+    - The top count of the cover proves ker g in rad P.  So soc D(P) =
+      ann(rad P) lies in ann(ker g) = im D(g).  Every nonzero submodule of
+      D(P) meets its socle, so it meets the image: the image is essential.
     """
     if x.dim == 0:
         raise ValueError("injective envelope of the zero module is not defined here")
-    xd = dual_module(x)
-    p, g = projective_cover(xd)
+    p, g = projective_cover(dual_module(x))
     i = dual_module(p)
     i.extras["injective_stack"] = p.extras["projective_stack"]
-    env = ModuleMap(x, i, [m.transpose() for m in g.blocks])
-    if not env.is_injective():
-        raise ValueError("injective envelope construction failed to be injective")
-    # the image is essential iff it holds soc I, vertex by vertex
-    for m, (soc, _) in zip(env.blocks, _socle_bases(i)):
-        if soc.cols:
-            span = EchelonSpace(m.rows)
-            for col in m.columns():
-                span.add(col)
-            if not all(span.contains(col) for col in soc.columns()):
-                raise ValueError("injective envelope image is not essential")
-    return i, env
+    return i, ModuleMap(x, i, [m.transpose() for m in g.blocks])
+
+
+def _cosyzygy_step(x: ModuleRep):
+    """(stack, cosyzygy) of x != 0: the ``injective_stack`` of its injective
+    envelope and the envelope's cokernel, memoised under ``cosyzygy_step``.
+    The envelope itself is not kept."""
+    def step():
+        i, env = injective_envelope(x)
+        return i.extras["injective_stack"], cokernel(env)[0]
+    return _memo(x, "cosyzygy_step", step)
+
+
+def _envelope_is_projective(x: ModuleRep) -> bool:
+    """Whether the injective envelope of x != 0 is projective: it is a sum of
+    I_v, so it is iff each distinct I_v is, which is memoised on the
+    algebra's cached I_v."""
+    return all(is_projective_module(injective_module(x.algebra, v)) for v in set(_cosyzygy_step(x)[0]))
 
 
 def is_projective_module(x: ModuleRep) -> bool:
-    """Whether x is projective: its cover is an isomorphism.  An envelope
-    (marked ``injective_stack``) is a sum of I_v, so it is projective iff each
-    distinct I_v is, which is memoised on the algebra's cached I_v."""
+    """Whether x is projective: its cover is an isomorphism."""
     if x.dim == 0:
         return True
-    stack = x._extras.get("injective_stack")
-    if stack is None:
-        return _memo(x, "is_projective", lambda: projective_cover(x)[1].is_isomorphism())
-    return _memo(x, "is_projective", lambda: all(is_projective_module(injective_module(x.algebra, v))
-                                                 for v in set(stack)))
+    return _memo(x, "is_projective", lambda: projective_cover(x)[1].is_isomorphism())
 
 
 def is_injective_module(x: ModuleRep) -> bool:
-    if x.dim == 0:
-        return True
-    return _memo(x, "is_injective", lambda: injective_envelope(x)[1].is_isomorphism())
+    """Whether x is injective: its envelope is one-to-one, so it is iff the
+    cosyzygy is 0."""
+    return x.dim == 0 or _cosyzygy_step(x)[1].dim == 0

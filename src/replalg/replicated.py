@@ -39,14 +39,13 @@ from .homology import (
 from .modules import (
     ModuleMap,
     ModuleRep,
+    _cosyzygy_step,
+    _envelope_is_projective,
     _memo,
-    cokernel,
     direct_sum,
     hom_basis,
-    injective_envelope,
     injective_module,
     is_injective_module,
-    is_projective_module,
     projective_module,
     radical_submodule,
 )
@@ -237,12 +236,11 @@ def sigma_layers(quiver: Quiver, m: int, upto: int, seed: int = 0,
     for k in range(1, upto + 1):
         layer = SigmaLayer(k)
         for x in layers[-1].modules:
-            i, env = injective_envelope(x)
-            if not is_projective_module(i):
+            if not _envelope_is_projective(x):
                 raise AmbientTooSmall(
                     f"cosyzygy ladder hit a non-projective envelope at layer {k}"
                 )
-            c, _ = cokernel(env)
+            c = _cosyzygy_step(x)[1]
             if c.dim == 0:
                 continue
             for piece, _, _ in decompose_with_maps(c, seed=seed):

@@ -30,8 +30,7 @@ from .linalg import RatMatrix
 from .modules import (
     ModuleMap,
     ModuleRep,
-    injective_envelope,
-    is_projective_module,
+    _envelope_is_projective,
     kernel,
     projective_module,
     radical_submodule,
@@ -344,13 +343,7 @@ def verify_ext_stablehom(q: Quiver, m: int, samples: int = 0, seed: int = 0) -> 
         inventory.extend(chain)
     inventory.extend(pis)
 
-    def envelope_is_pi(x: ModuleRep) -> bool:
-        if x.dim == 0:
-            return False
-        i, _ = injective_envelope(x)
-        return is_projective_module(i)
-
-    xs = [x for x in inventory if envelope_is_pi(x)]
+    xs = [x for x in inventory if x.dim and _envelope_is_projective(x)]
     pairs = [(y, x) for y in inventory if y.dim for x in xs]
     if samples and samples < len(pairs):
         rng = random.Random(seed)

@@ -3,13 +3,13 @@
 They read the engine's public objects and never feed back into it.
 """
 
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 from replalg.algebra import AlgebraData, _sparse_coords
 from replalg.errors import InternalCheckFailed
 from replalg.homology import (
     DimBound,
-    Resolution,
     _basic_modules,
     _from_sum,
     _map_space,
@@ -21,12 +21,14 @@ from replalg.linalg import RatMatrix
 from replalg.modules import (
     ModuleMap,
     ModuleRep,
+    _radical_blocks,
     cokernel,
     hom_basis,
     hom_dim,
     identity_map,
     injective_envelope,
     kernel,
+    projective_cover,
     submodule_from_vertex_bases,
     zero_map,
     zero_module,
@@ -125,6 +127,77 @@ def is_connected(q) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(q.vertices)
+
+
+def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
+    """The matrices stacked top to bottom; they must have equal column counts."""
+    mats = list(mats)
+    if not mats:
+        return RatMatrix.zeros(0, 0)
+    cols = mats[0].cols
+    if any(m.cols != cols for m in mats):
+        raise ValueError("vstack column mismatch")
+    return RatMatrix._of(sum(m.rows for m in mats), cols, [row[:] for m in mats for row in m.data])
+
+
+def _socle_bases(x: ModuleRep) -> list[tuple[RatMatrix, list[int]]]:
+    """Per-vertex bases of the annihilator of rad(A) in x, each with the rows
+    where it is the identity."""
+    # the socle at u is killed by the stacked blocks of the pieces of degree (u, .)
+    by_source: dict[int, list[RatMatrix]] = {}
+    for u, _v, m in _radical_blocks(x):
+        by_source.setdefault(u, []).append(m)
+    return [vstack(by_source.get(u) or [RatMatrix.zeros(0, len(x.coords_at(u)))]).null_space()
+            for u in range(len(x.algebra.idempotents))]
+
+
+def socle(x: ModuleRep):
+    """(annihilator of rad(A) in x, inclusion)."""
+    if not x.algebra.radical_sparse():
+        return x, identity_map(x)
+    return submodule_from_vertex_bases(x, *zip(*_socle_bases(x)))
+
+
+@dataclass
+class Resolution:
+    """A minimal projective resolution or injective coresolution.
+
+    projective:  maps[0]: terms[0] -> module, maps[i]: terms[i] -> terms[i-1]
+    injective:   maps[0]: module -> terms[0], maps[i]: terms[i-1] -> terms[i]
+    ``complete`` is False when the construction stopped at the cap; when it
+    is True, ``length`` is the projective (resp. injective) dimension.
+    """
+
+    kind: str
+    module: ModuleRep
+    terms: list[ModuleRep] = field(default_factory=list)
+    maps: list[ModuleMap] = field(default_factory=list)
+    complete: bool = True
+
+    @property
+    def length(self) -> int:
+        return len(self.terms) - 1
+
+
+def minimal_projective_resolution(x: ModuleRep, cap: int) -> Resolution:
+    """Iterated projective covers of syzygies; stops at zero or at the cap."""
+    if cap < 0:
+        raise ValueError("cap must be nonnegative")
+    res = Resolution("projective", x)
+    if x.dim == 0:
+        return res
+    current = x
+    incl_prev: Optional[ModuleMap] = None
+    for step in range(cap + 1):
+        p, f = projective_cover(current)
+        res.terms.append(p)
+        res.maps.append(f if incl_prev is None else f.then(incl_prev))
+        k, kincl = kernel(f)
+        if k.dim == 0:
+            return res
+        current, incl_prev = k, kincl
+    res.complete = False
+    return res
 
 
 def verify_exact(res) -> None:

@@ -18,7 +18,6 @@ from replalg.homology import (
     global_dimension,
     is_isomorphic,
     kernel,
-    minimal_projective_resolution,
     projective_dimension,
     right_approximation,
     stable_hom_dim,
@@ -36,7 +35,6 @@ from replalg.modules import (
     radical_submodule,
     regular_module,
     simple_module,
-    socle,
 )
 from replalg.quiver import kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, build_replicated, embed, minimal_cogenerator
@@ -45,7 +43,14 @@ from replalg.verify import (
     verify_example_3_4,
     verify_lemma_2_4,
 )
-from support import end_algebra, injective_dimension, mult_coords, verify_exact
+from support import (
+    end_algebra,
+    injective_dimension,
+    minimal_projective_resolution,
+    mult_coords,
+    socle,
+    verify_exact,
+)
 
 SWEEP = [
     ("one-vertex", one_vertex(), 1),

@@ -5,10 +5,10 @@ import pytest
 from replalg.algebra import AlgebraData
 from replalg.errors import CyclicQuiver, DuplicateLabel, EmptyQuiver, NonSplitSimple, NotBasic, ReplalgError
 from replalg.linalg import EchelonSpace
-from replalg.modules import projective_cover, projective_module, regular_module, socle, top
+from replalg.modules import projective_cover, projective_module, regular_module, top
 from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import build_replicated
-from support import is_connected
+from support import is_connected, socle
 
 F = Fraction
 

@@ -15,13 +15,13 @@ from replalg.homology import (
     ext1_dim,
     global_dimension,
     is_isomorphic,
-    minimal_projective_resolution,
     projective_dimension,
     right_approximation,
     stable_hom_dim,
 )
 from replalg.modules import (
     ModuleRep,
+    _envelope_is_projective,
     direct_sum,
     dual_module,
     hom_basis,
@@ -39,7 +39,7 @@ from replalg.modules import (
 from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, build_replicated, minimal_cogenerator
 from replalg.algebra import AlgebraData
-from replalg.verify import lemma_2_4_inventory
+from replalg.verify import lemma_2_4_inventory, verify_gl_dim_bounds
 from support import (
     decompose,
     end_algebra,
@@ -49,6 +49,7 @@ from support import (
     injective_dimension,
     kronecker3,
     minimal_injective_coresolution,
+    minimal_projective_resolution,
     verify_exact,
 )
 
@@ -82,6 +83,30 @@ def test_resolution_of_simple_over_hereditary(kr):
 def test_global_dimension_kronecker(kr):
     assert global_dimension(kr, 3) == DimBound(1)
     assert global_dimension(build_hereditary(one_vertex()), 2) == DimBound(0)
+
+
+def test_global_dimension_is_kept_and_read_against_each_cap(monkeypatch):
+    """An exact gl.dim is kept on the algebra, and a later call at any cap
+    answers what the resolutions answer on a fresh algebra: g if g <= cap,
+    else >= cap + 1.  A bound that is not exact is not kept."""
+    caps = range(6)
+    for make, want in ((lambda: build_replicated(kronecker(), 1).algebra, 3),
+                       (lambda: build_replicated(linear_quiver(3), 2).algebra, 4),
+                       (dual_numbers, None)):
+        fresh = [global_dimension(make(), cap) for cap in caps]
+        a = make()
+        assert global_dimension(a, 5) == (DimBound(want) if want is not None else DimBound(6, exact=False))
+        assert a._gl_dim == want
+        assert [global_dimension(a, cap) for cap in caps] == fresh
+        with pytest.raises(ValueError, match="nonnegative"):
+            global_dimension(a, -1)
+    # the bounds check resolves the simples of kQ once, at its build, and
+    # those of A^(1) once
+    seen = []
+    pd = replalg.homology.projective_dimension
+    monkeypatch.setattr(replalg.homology, "projective_dimension", lambda x, cap: seen.append(id(x.algebra)) or pd(x, cap))
+    assert verify_gl_dim_bounds(kronecker(), 1).verdict
+    assert sorted(seen.count(a) for a in set(seen)) == [2, 4]
 
 
 def test_cap_exceeded_reported():
@@ -472,18 +497,23 @@ def test_memoised_facts_match_fresh_modules(a2_ext_inventory):
             assert is_projective_module(x) == is_projective_module(_fresh(x))
             assert is_injective_module(x) == is_injective_module(_fresh(x))
             assert cosyzygy(x).vertex_dims() == cosyzygy(_fresh(x)).vertex_dims()
-        assert {"is_projective", "is_injective", "cosyzygy"} <= set(x.extras)
+        # one key holds the envelope's stack and cokernel; the envelope is not kept
+        assert {"is_projective", "cosyzygy_step"} <= set(x.extras)
+        assert not {"is_injective", "cosyzygy"} & set(x.extras)
+        stack, cok = x.extras["cosyzygy_step"]
+        assert cok is cosyzygy(x) and isinstance(stack, list)
     assert any(is_projective_module(x) for x in inventory)
     assert not all(is_injective_module(x) for x in inventory)
-    # an envelope is projective iff its I_v are; the fresh copy takes the cover.
-    # The inventory's envelopes all are: those of the simples of A^(1) add a no
+    # an envelope is projective iff its I_v are; the fresh copy of the
+    # envelope takes the cover.  The inventory's envelopes all are: those of
+    # the simples of A^(1) add a no
     a1 = build_replicated(linear_quiver(2), 1).algebra
     simples = [simple_module(a1, v) for v in range(len(a1.idempotents))]
     answers = []
     for x in inventory + simples:
+        answers.append(_envelope_is_projective(x))
         env = injective_envelope(x)[0]
-        assert "injective_stack" in env.extras
-        answers.append(is_projective_module(env))
+        assert env.extras["injective_stack"] == x.extras["cosyzygy_step"][0]
         assert answers[-1] == is_projective_module(_fresh(env))
     assert not all(answers[len(inventory):]) and all(answers[:len(inventory)])
     values = set()
@@ -521,8 +551,9 @@ def test_repeat_stable_hom_builds_no_envelope(a2_ext_inventory, monkeypatch):
 
     envelope = counting("envelopes", replalg.modules.injective_envelope)
     cover = counting("covers", replalg.modules.projective_cover)
+    # every envelope is built by modules._cosyzygy_step
+    monkeypatch.setattr(replalg.modules, "injective_envelope", envelope)
     for mod in (replalg.modules, replalg.homology):
-        monkeypatch.setattr(mod, "injective_envelope", envelope)
         monkeypatch.setattr(mod, "projective_cover", cover)
     fresh_pis = [_fresh(w) for w in pis]
     y, z = inventory[0], cosyzygy(inventory[1])

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from replalg import linalg
-from replalg.linalg import EchelonSpace, RatMatrix, hstack, sparse_kernel, vstack
-from support import block_diag, from_rows, is_invertible
+from replalg.linalg import EchelonSpace, RatMatrix, hstack, sparse_kernel
+from support import block_diag, from_rows, is_invertible, vstack
 
 F = Fraction
 

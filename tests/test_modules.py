@@ -25,7 +25,6 @@ from replalg.modules import (
     radical_submodule,
     regular_module,
     simple_module,
-    socle,
     top,
     zero_map,
     zero_module,
@@ -33,7 +32,7 @@ from replalg.modules import (
 from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, build_replicated
 from replalg.verify import lemma_2_4_inventory, verify_ext_stablehom, verify_lemma_2_4
-from support import block_diag, image, is_invertible
+from support import block_diag, image, is_invertible, socle, vstack
 
 F = Fraction
 
@@ -238,6 +237,30 @@ def test_cover_with_an_extra_summand_fails_the_top_count(kr, monkeypatch):
     monkeypatch.setattr(replalg.modules, "_radical_vertex_spans", one_pivot_short)
     with pytest.raises(ValueError, match="does not match the top"):
         projective_cover(x)
+
+
+def test_envelope_with_a_corrupted_dual_top_count_raises(kr, monkeypatch):
+    """The envelope re-checks neither its injectivity nor its essential image:
+    both follow from the top count of the dual cover.  With one pivot of
+    D(x) * rad dropped, the stack holds one I_v more than soc x has at v,
+    so the image misses the socle of that I_v; the top count refuses it."""
+    spans_of = replalg.modules._radical_vertex_spans
+    op = kr.opposite()
+
+    def one_pivot_short_on_the_dual(x):
+        spans = spans_of(x)
+        if x.algebra is op:
+            sp = next(sp for sp in spans if sp.pivots)
+            sp.pivots = sp.pivots[1:]
+        return spans
+
+    x = regular_module(kr)
+    i, env = injective_envelope(x)
+    assert i.vertex_dims() == [3, 6] and env.is_injective()  # soc A = S1^3, so I = I1^3
+    monkeypatch.setattr(replalg.modules, "_radical_vertex_spans", one_pivot_short_on_the_dual)
+    assert projective_cover(x)[0].vertex_dims() == x.vertex_dims()  # covers over kr are untouched
+    with pytest.raises(ValueError, match="does not match the top"):
+        injective_envelope(x)
 
 
 def test_corrupted_kernel_basis_fails_the_residual(kronecker_m1_bundle):
@@ -731,7 +754,7 @@ def _vertex_inclusion(x, bases):
 
 
 def _socle_oracle(x):
-    stacked = replalg.linalg.vstack(_dense_radical_actions(x) or [RatMatrix.zeros(0, x.dim)])
+    stacked = vstack(_dense_radical_actions(x) or [RatMatrix.zeros(0, x.dim)])
     nv = len(x.algebra.idempotents)
     bases = {v: stacked.submatrix(range(stacked.rows), x.coords_at(v)).kernel_basis() for v in range(nv)}
     return [bases[v].cols for v in range(nv)], _vertex_inclusion(x, bases)

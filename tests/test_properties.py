@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from replalg.homology import (
+    DimBound,
     decompose_with_maps,
     dominant_dimension,
     ext1_dim,
     global_dimension,
     is_isomorphic,
     kernel,
-    minimal_projective_resolution,
     projective_dimension,
     right_approximation,
     stable_hom_dim,
@@ -31,12 +31,19 @@ from replalg.modules import (
     radical_submodule,
     regular_module,
     simple_module,
-    socle,
     top,
 )
 from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, build_replicated, embed, sigma_layers
-from support import end_algebra, from_rows, injective_dimension, mult_coords, verify_exact
+from support import (
+    end_algebra,
+    from_rows,
+    injective_dimension,
+    minimal_projective_resolution,
+    mult_coords,
+    socle,
+    verify_exact,
+)
 
 
 def fan():
@@ -108,6 +115,24 @@ def test_resolution_exactness(a):
         res = minimal_projective_resolution(x, cap=10)
         assert res.complete
         verify_exact(res)
+
+
+@pytest.mark.parametrize("a", ALGEBRAS)
+def test_pd_matches_the_resolution_oracle_without_composing(a, monkeypatch):
+    # pd walks the kernels of covers; the oracle keeps every term and
+    # composes each cover with the inclusion of the syzygy before it
+    cases = [(x, cap) for x in sample_modules(a) for cap in range(3)]
+    want = []
+    for x, cap in cases:
+        res = minimal_projective_resolution(x, cap)
+        want.append(DimBound(res.length) if res.complete else DimBound(cap + 1, exact=False))
+    assert any(not w.exact for w in want) and any(w.value for w in want if w.exact)
+
+    def refuse(*args):
+        raise AssertionError("a map was composed")
+
+    monkeypatch.setattr(ModuleMap, "then", refuse)
+    assert [projective_dimension(x, cap) for x, cap in cases] == want
 
 
 @pytest.mark.parametrize("a", ALGEBRAS)

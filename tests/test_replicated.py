@@ -16,7 +16,6 @@ from replalg.modules import (
     projective_module,
     regular_module,
     simple_module,
-    socle,
     top,
 )
 from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
@@ -30,7 +29,7 @@ from replalg.replicated import (
     restrict_from_ambient,
     sigma_layers,
 )
-from support import all_pairs_path_table, all_pairs_replicated_table, decompose, mult_coords, vertex_index
+from support import all_pairs_path_table, all_pairs_replicated_table, decompose, mult_coords, socle, vertex_index
 
 QUIVERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "quivers")
 

@@ -196,6 +196,48 @@ def test_ext_stablehom_hom_systems_are_pinned(monkeypatch):
     assert (len(solved), sum(solved)) == (310, 1931)
 
 
+def test_ext_stablehom_envelopes_are_pinned(monkeypatch):
+    """A work gate for the cosyzygy steps of the Ext^1 against stable Hom
+    check on Kronecker m=1: one envelope per module, kept as its stack and
+    cokernel (44 envelopes of 20 modules when the chains, the envelope test
+    and the stable Hom each took their own).  An envelope takes its
+    certificates from its dual cover, so outside the cover it eliminates
+    nothing: no socle of its target (a null space) and no span of its image
+    (an echelon span), as when it checked both."""
+    depth = {"envelope": 0, "cover": 0}
+    built, own = [], []
+
+    def within(name, fn):
+        def wrapped(*args):
+            depth[name] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[name] -= 1
+        return wrapped
+
+    def noted(name, fn):
+        def wrapped(*args, **kwargs):
+            if depth["envelope"] and not depth["cover"]:
+                own.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    envelope = within("envelope", modules.injective_envelope)
+
+    def counted_envelope(x):
+        built.append(x)
+        return envelope(x)
+
+    monkeypatch.setattr(modules, "injective_envelope", counted_envelope)
+    monkeypatch.setattr(modules, "projective_cover", within("cover", modules.projective_cover))
+    monkeypatch.setattr(linalg.EchelonSpace, "add", noted("add", linalg.EchelonSpace.add))
+    monkeypatch.setattr(RatMatrix, "_gauss_jordan", noted("_gauss_jordan", RatMatrix._gauss_jordan))
+    cert = verify_ext_stablehom(kronecker(), 1)
+    assert cert.verdict and cert.values["pairs_checked"] > 0
+    assert (len(built), len({id(x) for x in built}), own) == (20, 20, [])
+
+
 def _refuse_end_algebra(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("end_algebra was called")
@@ -256,8 +298,8 @@ def test_end_path_work_is_pinned(monkeypatch):
 
 
 @pytest.mark.parametrize("check, quiver, m, counts", [
-    (verify_gl_dim_bounds, linear_quiver(5), 2, (1255, 0)),
-    (verify_theorem_3_5, linear_quiver(4), 3, (1985, 0)),
+    (verify_gl_dim_bounds, linear_quiver(5), 2, (1195, 0)),
+    (verify_theorem_3_5, linear_quiver(4), 3, (1869, 0)),
 ], ids=["gl-dim-bounds-a5-m2", "theorem-3-5-a4-m3"])
 def test_syzygy_eliminations_are_pinned(monkeypatch, check, quiver, m, counts):
     """A work gate for the minimal resolutions and coresolutions behind
@@ -266,8 +308,10 @@ def test_syzygy_eliminations_are_pinned(monkeypatch, check, quiver, m, counts):
     of its basis, so no dense solve is left; an envelope is projective iff
     its I_v are.  These read (2,646, 496) and (3,580, 408) when the cover
     re-solved ker f at every vertex and each submodule block was solved,
-    and (1,295, 0) and (2,057, 0) when each one-dimensional corner of an
-    algebra ran the trace form."""
+    (1,295, 0) and (2,057, 0) when each one-dimensional corner of an
+    algebra ran the trace form, and (1,255, 0) and (1,985, 0) when gl.dim kQ
+    was resolved again after the build had certified it and each envelope
+    re-checked its rank and the socle of its target."""
     counted = {"_gauss_jordan": 0, "solve": 0}
     for name in counted:
         def wrapped(*args, _fn=getattr(RatMatrix, name), _name=name, **kwargs):
