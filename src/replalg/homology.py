@@ -34,8 +34,8 @@ from .modules import (
     is_projective_module,
     kernel,
     projective_cover,
+    radical_submodule,
     regular_module,
-    simple_module,
     zero_map,
     zero_module,
 )
@@ -69,13 +69,16 @@ class DimBound:
 def projective_dimension(x: ModuleRep, cap: int) -> DimBound:
     """pd x: the first j whose j-th syzygy is projective, walking the
     kernels of projective covers with no map composed and no term kept;
-    DimBound(cap + 1, exact=False) when the cap-th syzygy is not projective."""
+    DimBound(cap + 1, exact=False) when the cap-th syzygy is not projective.
+    A stack of projectives (marked ``projective_stack``) is 0 with no walk."""
     if x.dim == 0:
         return DimBound(0)
     if cap < 0:
         raise ValueError("cap must be nonnegative")
+    if "projective_stack" in x._extras:
+        return DimBound(0)
     for step in range(cap + 1):
-        x, _ = kernel(projective_cover(x)[1])
+        x = kernel(projective_cover(x)[1])[0]
         if x.dim == 0:
             return DimBound(step)
     return DimBound(cap + 1, exact=False)
@@ -87,17 +90,27 @@ def cosyzygy(x: ModuleRep) -> ModuleRep:
 
 
 def global_dimension(a: AlgebraData, cap: int) -> DimBound:
-    """max over pd of the simple modules.  An exact value is kept on the
-    algebra (``_gl_dim``), and a later call reads it against its own cap as
-    the resolutions would: g if g <= cap, else >= cap + 1."""
-    if a._gl_dim is None:
-        pds = [projective_dimension(simple_module(a, v), cap) for v in range(len(a.idempotents))]
-        best = max((pd.value for pd in pds), default=0)
-        if not all(pd.exact for pd in pds):
-            return DimBound(best, exact=False)
-        a._gl_dim = best
-    elif cap < 0:
+    """gl.dim a = 1 + pd(rad A_A), or 0 when rad A = 0: one walk, no simple.
+
+    A_A is the sum of the e_v A.  ``ensure_split_basic`` makes each e_v A
+    local with top S_v, so it covers S_v and the syzygy of S_v is rad e_v A
+    (Assem-Simson-Skowronski, vol. 1, I.5): pd S_v = 1 + pd rad e_v A when
+    that is nonzero, else 0.  Minimal resolutions add over sums, so gl.dim a
+    = max_v pd S_v = 1 + pd(sum_v rad e_v A) = 1 + pd(rad A_A).  An exact
+    value is kept on the algebra (``_gl_dim``), and a later call reads it
+    against its own cap as the resolutions would: g if g <= cap, else >= cap + 1.
+    """
+    a.ensure_split_basic()
+    if cap < 0:
         raise ValueError("cap must be nonnegative")
+    if a._gl_dim is None:
+        rad = radical_submodule(regular_module(a))[0]
+        if rad.dim and cap == 0:
+            return DimBound(1, exact=False)
+        pd = projective_dimension(rad, cap - 1)  # rad = 0 reads 0 at any cap
+        if not pd.exact:
+            return DimBound(cap + 1, exact=False)
+        a._gl_dim = 1 + pd.value if rad.dim else 0
     return DimBound(a._gl_dim) if a._gl_dim <= cap else DimBound(cap + 1, exact=False)
 
 

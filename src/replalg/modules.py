@@ -135,37 +135,6 @@ class ModuleRep:
     def __repr__(self) -> str:
         return f"ModuleRep(dim={self.dim}, dims={self.vertex_dims()})"
 
-    # -- verification -------------------------------------------------------
-
-    def validate(self) -> None:
-        """Check the module axioms exactly on the dense view; used by the test-suite."""
-        a = self.algebra
-        acts = {b: self.action(b) for b in self.blocks}
-        zero = RatMatrix.zeros(self.dim, self.dim)
-
-        def act(pairs) -> RatMatrix:
-            out = zero
-            for k, c in pairs:
-                if c and k in acts:
-                    out = out + acts[k].scaled(c)
-            return out
-
-        if act(enumerate(a.unit)) != RatMatrix.identity(self.dim):
-            raise ValueError("unit does not act as the identity")
-        for i in range(a.dim):
-            for j in range(a.dim):
-                rhs = acts[j] @ acts[i] if i in acts and j in acts else zero
-                if act(a.mult[i][j]) != rhs:
-                    raise ValueError(
-                        f"action violates structure constants on ({a.labels[i]}, {a.labels[j]})"
-                    )
-        for v, (_lab, coords) in enumerate(a.idempotents):
-            want = RatMatrix.zeros(self.dim, self.dim)
-            for i in self.coords_at(v):
-                want.data[i][i] = 1
-            if act(enumerate(coords)) != want:
-                raise ValueError(f"idempotent {v} is not the marked coordinate projector")
-
 
 def _scatter(out: RatMatrix, rows: Sequence[int], cols: Sequence[int], m: RatMatrix) -> None:
     """Write block m into the dense matrix out at the given coordinates."""
@@ -256,14 +225,6 @@ class ModuleMap:
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.blocks)
-
-    def validate(self) -> None:
-        """Check on the dense view that self intertwines the actions; used by the test-suite."""
-        x, y = self.source, self.target
-        f = self.matrix
-        for i in sorted(x.blocks.keys() | y.blocks.keys()):
-            if f @ x.action(i) != y.action(i) @ f:
-                raise ValueError(f"map does not intertwine basis element {i}")
 
     def __repr__(self) -> str:
         return f"ModuleMap({self.source.dim} -> {self.target.dim})"

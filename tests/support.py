@@ -16,6 +16,7 @@ from replalg.homology import (
     _span_rank,
     decompose_with_maps,
     is_isomorphic,
+    projective_dimension,
 )
 from replalg.linalg import RatMatrix
 from replalg.modules import (
@@ -29,6 +30,7 @@ from replalg.modules import (
     injective_envelope,
     kernel,
     projective_cover,
+    simple_module,
     submodule_from_vertex_bases,
     zero_map,
     zero_module,
@@ -70,6 +72,45 @@ def all_pairs_replicated_table(r):
             if prod is not None:
                 mult[a][b] = ((r.key_index[prod], 1),)
     return mult
+
+
+def validate_module(x: ModuleRep) -> None:
+    """Check the module axioms of x exactly on the dense view; ValueError
+    names the first that fails."""
+    a = x.algebra
+    acts = {b: x.action(b) for b in x.blocks}
+    zero = RatMatrix.zeros(x.dim, x.dim)
+
+    def act(pairs) -> RatMatrix:
+        out = zero
+        for k, c in pairs:
+            if c and k in acts:
+                out = out + acts[k].scaled(c)
+        return out
+
+    if act(enumerate(a.unit)) != RatMatrix.identity(x.dim):
+        raise ValueError("unit does not act as the identity")
+    for i in range(a.dim):
+        for j in range(a.dim):
+            rhs = acts[j] @ acts[i] if i in acts and j in acts else zero
+            if act(a.mult[i][j]) != rhs:
+                raise ValueError(f"action violates structure constants on ({a.labels[i]}, {a.labels[j]})")
+    for v, (_lab, coords) in enumerate(a.idempotents):
+        want = RatMatrix.zeros(x.dim, x.dim)
+        for i in x.coords_at(v):
+            want.data[i][i] = 1
+        if act(enumerate(coords)) != want:
+            raise ValueError(f"idempotent {v} is not the marked coordinate projector")
+
+
+def validate_map(f: ModuleMap) -> None:
+    """Check on the dense view that f intertwines the actions; ValueError
+    names the first basis element where it does not."""
+    x, y = f.source, f.target
+    m = f.matrix
+    for i in sorted(x.blocks.keys() | y.blocks.keys()):
+        if m @ x.action(i) != y.action(i) @ m:
+            raise ValueError(f"map does not intertwine basis element {i}")
 
 
 def is_invertible(m: RatMatrix) -> bool:
@@ -411,6 +452,14 @@ def minimal_injective_coresolution(x: ModuleRep, cap: int) -> Resolution:
         current, proj_prev = c, cproj
     res.complete = False
     return res
+
+
+def simples_global_dimension(a: AlgebraData, cap: int) -> DimBound:
+    """gl.dim a as the largest pd of its simple modules, one walk per vertex
+    and no value kept on the algebra: the oracle of ``global_dimension``.  A
+    walk that hits the cap makes the answer >= cap + 1."""
+    pds = [projective_dimension(simple_module(a, v), cap) for v in range(len(a.idempotents))]
+    return DimBound(max((pd.value for pd in pds), default=0), exact=all(pd.exact for pd in pds))
 
 
 def injective_dimension(x: ModuleRep, cap: int) -> DimBound:

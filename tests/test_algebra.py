@@ -4,6 +4,7 @@ import pytest
 
 from replalg.algebra import AlgebraData
 from replalg.errors import CyclicQuiver, DuplicateLabel, EmptyQuiver, NonSplitSimple, NotBasic, ReplalgError
+from replalg.homology import global_dimension
 from replalg.linalg import EchelonSpace
 from replalg.modules import projective_cover, projective_module, regular_module, top
 from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
@@ -178,15 +179,25 @@ def test_split_basic_check_passes_for_path_algebras():
     build_hereditary(kronecker()).ensure_split_basic()
 
 
-def test_non_split_simple_detected():
+def q_sqrt2():
     # Q(sqrt 2) as a 2-dim algebra: basis 1, s with s^2 = 2
     mult = [
         [((0, 1),), ((1, 1),)],
         [((1, 1),), ((0, 2),)],
     ]
-    a = AlgebraData(["1", "s"], mult, [1, 0], [("pt", [1, 0])])
+    return AlgebraData(["1", "s"], mult, [1, 0], [("pt", [1, 0])])
+
+
+def test_non_split_simple_detected():
     with pytest.raises(NonSplitSimple):
-        a.ensure_split_basic()
+        q_sqrt2().ensure_split_basic()
+
+
+def test_global_dimension_of_a_non_split_algebra_raises():
+    """Q(sqrt 2) is semisimple, so its radical is 0: a walk on rad A that
+    skipped the split-basic check would read gl.dim 0."""
+    with pytest.raises(NonSplitSimple):
+        global_dimension(q_sqrt2(), 3)
 
 
 def matrix_units():

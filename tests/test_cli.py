@@ -9,7 +9,7 @@ import replalg
 import replalg.cli
 from replalg.cli import main, parse_quiver, serialize_quiver
 from replalg.errors import CapTooSmall, CyclicQuiver, DuplicateLabel, ParseError, ReplalgError
-from replalg.quiver import Quiver, kronecker, linear_quiver
+from replalg.quiver import kronecker, linear_quiver
 from replalg.replicated import minimal_cogenerator
 from replalg.verify import verify_ext_stablehom
 

@@ -1,3 +1,5 @@
+import glob
+import os
 from fractions import Fraction
 
 import pytest
@@ -31,7 +33,6 @@ from replalg.modules import (
     is_injective_module,
     is_projective_module,
     kernel,
-    projective_cover,
     projective_module,
     regular_module,
     simple_module,
@@ -39,6 +40,7 @@ from replalg.modules import (
 from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, build_replicated, minimal_cogenerator
 from replalg.algebra import AlgebraData
+from replalg.cli import parse_quiver
 from replalg.verify import lemma_2_4_inventory, verify_gl_dim_bounds
 from support import (
     decompose,
@@ -50,6 +52,8 @@ from support import (
     kronecker3,
     minimal_injective_coresolution,
     minimal_projective_resolution,
+    simples_global_dimension,
+    validate_map,
     verify_exact,
 )
 
@@ -100,13 +104,60 @@ def test_global_dimension_is_kept_and_read_against_each_cap(monkeypatch):
         assert [global_dimension(a, cap) for cap in caps] == fresh
         with pytest.raises(ValueError, match="nonnegative"):
             global_dimension(a, -1)
-    # the bounds check resolves the simples of kQ once, at its build, and
-    # those of A^(1) once
+    # the bounds check walks rad kQ once, at its build, and rad A^(1) once,
+    # with no simple built: [2, 4] walks when each simple was resolved
     seen = []
     pd = replalg.homology.projective_dimension
     monkeypatch.setattr(replalg.homology, "projective_dimension", lambda x, cap: seen.append(id(x.algebra)) or pd(x, cap))
+    monkeypatch.setattr(replalg.modules, "simple_module", _refuse("simple_module"))
+    assert not hasattr(replalg.homology, "simple_module")
     assert verify_gl_dim_bounds(kronecker(), 1).verdict
-    assert sorted(seen.count(a) for a in set(seen)) == [2, 4]
+    assert sorted(seen.count(a) for a in set(seen)) == [1, 1]
+
+
+def _refuse(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called")
+    return refuse
+
+
+def _quiver_algebra(path, m):
+    with open(path, encoding="utf-8") as f:
+        q = parse_quiver(f.read())
+    return lambda: build_replicated(q, m).algebra
+
+
+QUIVER_FILES = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                             "quivers", "*.json")))
+GL_DIM_CASES = [(f"{os.path.basename(p)[:-5]}-m{m}", _quiver_algebra(p, m)) for p in QUIVER_FILES for m in (1, 2)]
+GL_DIM_CASES += [("dual-numbers", dual_numbers), ("one-vertex-kQ", lambda: build_hereditary(one_vertex()))]
+
+
+@pytest.mark.parametrize("make", [make for _, make in GL_DIM_CASES], ids=[name for name, _ in GL_DIM_CASES])
+def test_global_dimension_matches_the_simples_oracle(monkeypatch, make):
+    """The one walk on rad A_A against the largest pd of the simples
+    (``simples_global_dimension``), as DimBounds at every cap from 0 to
+    t + 1 on fresh algebras.  At cap c the walk builds min(c, t) covers (c
+    when t is infinite, none when rad A = 0) and keeps only an exact value."""
+    t = simples_global_dimension(make(), 7)
+    covers = []
+    cover = replalg.homology.projective_cover
+    monkeypatch.setattr(replalg.homology, "projective_cover", lambda x: covers.append(x) or cover(x))
+    for cap in range(t.value + 2 if t.exact else 6):
+        a = make()
+        covers.clear()
+        got = global_dimension(a, cap)
+        assert len(covers) == (min(cap, t.value) if t.exact else cap)
+        assert a._gl_dim == (got.value if got.exact else None)
+        assert got == simples_global_dimension(make(), cap)
+
+
+def test_pd_of_a_projective_stack_builds_no_cover(kr, monkeypatch):
+    monkeypatch.setattr(replalg.homology, "projective_cover", _refuse("projective_cover"))
+    for v in range(2):
+        assert projective_dimension(projective_module(kr, v), 0) == DimBound(0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        projective_dimension(projective_module(kr, 0), -1)
 
 
 def test_cap_exceeded_reported():
@@ -331,7 +382,7 @@ def test_is_isomorphic_direct_sum_shuffle(kr):
     b, _, _ = direct_sum([p2, s1])
     iso = is_isomorphic(a, b)
     assert iso is not None
-    iso.validate()
+    validate_map(iso)
     # and a certified negative for non-isomorphic same-dimension sums
     i1 = injective_module(kr, 0)  # dims (1, 2)
     c, _, _ = direct_sum([s1, s1, simple_module(kr, 1)])

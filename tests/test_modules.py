@@ -32,7 +32,7 @@ from replalg.modules import (
 from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, build_replicated
 from replalg.verify import lemma_2_4_inventory, verify_ext_stablehom, verify_lemma_2_4
-from support import block_diag, image, is_invertible, socle, vstack
+from support import block_diag, image, is_invertible, socle, validate_map, validate_module, vstack
 
 F = Fraction
 
@@ -46,14 +46,14 @@ def test_regular_module_dims(kr):
     assert regular_module(build_hereditary(one_vertex())).dim == 1
     reg = regular_module(kr)
     assert reg.dim == 4
-    reg.validate()
+    validate_module(reg)
 
 
 def test_projectives_kronecker(kr):
     p1 = projective_module(kr, 0)
     p2 = projective_module(kr, 1)
-    p1.validate()
-    p2.validate()
+    validate_module(p1)
+    validate_module(p2)
     assert p1.vertex_dims() == [1, 0]
     assert p2.vertex_dims() == [2, 1]  # paths e2, a, b
 
@@ -63,8 +63,8 @@ def test_simples(kr):
     s2 = simple_module(kr, 1)
     assert s1.vertex_dims() == [1, 0]
     assert s2.vertex_dims() == [0, 1]
-    s1.validate()
-    s2.validate()
+    validate_module(s1)
+    validate_module(s2)
 
 
 def test_hom_simple_schur(kr):
@@ -89,7 +89,7 @@ def test_hom_maps_are_morphisms(kr):
     i1 = injective_module(kr, 0)
     maps = hom_basis(p2, i1)
     for f in maps:
-        f.validate()
+        validate_map(f)
     assert len(maps) == 2
 
 
@@ -100,8 +100,8 @@ def test_kernel_of_identity_and_cover(kr):
     p, f = projective_cover(s2)
     assert p.vertex_dims() == [2, 1]
     k, incl = kernel(f)
-    k.validate()
-    incl.validate()
+    validate_module(k)
+    validate_map(incl)
     # kernel of P2 -> S2 is S1 + S1
     assert k.vertex_dims() == [2, 0]
     assert len(hom_basis(k, simple_module(kr, 0))) == 2
@@ -123,10 +123,10 @@ def test_direct_sum_dims_and_maps(kr):
     s1 = simple_module(kr, 0)
     p2 = projective_module(kr, 1)
     total, injs, projs = direct_sum([s1, p2])
-    total.validate()
+    validate_module(total)
     assert total.dim == 4
     for f in injs + projs:
-        f.validate()
+        validate_map(f)
     # X + 0 = X, and the empty sum is the zero module
     t2, _, _ = direct_sum([s1, zero_module(kr)])
     assert t2.dim == s1.dim
@@ -138,10 +138,10 @@ def test_top_and_radical(kr):
     p2 = projective_module(kr, 1)
     t, proj = top(p2)
     assert t.vertex_dims() == [0, 1]
-    proj.validate()
+    validate_map(proj)
     r, incl = radical_submodule(p2)
     assert r.vertex_dims() == [2, 0]
-    incl.validate()
+    validate_map(incl)
     # top of a simple is itself
     s1 = simple_module(kr, 0)
     ts, _ = top(s1)
@@ -157,14 +157,14 @@ def test_socle(kr):
     p2 = projective_module(kr, 1)
     s, incl = socle(p2)
     assert s.vertex_dims() == [2, 0]
-    incl.validate()
+    validate_map(incl)
 
 
 def test_injective_modules(kr):
     i1 = injective_module(kr, 0)
     i2 = injective_module(kr, 1)
-    i1.validate()
-    i2.validate()
+    validate_module(i1)
+    validate_module(i2)
     assert i1.vertex_dims() == [1, 2]
     assert i2.vertex_dims() == [0, 1]
     assert is_injective_module(i1)
@@ -175,7 +175,7 @@ def test_injective_modules(kr):
 def test_dual_module_roundtrip(kr):
     p2 = projective_module(kr, 1)
     d = dual_module(p2)
-    d.validate()
+    validate_module(d)
     dd = dual_module(d)
     assert dd.algebra is kr
     assert dd.dim == p2.dim
@@ -187,7 +187,7 @@ def test_dual_module_roundtrip(kr):
 def test_envelope_of_simple(kr):
     s1 = simple_module(kr, 0)
     i, env = injective_envelope(s1)
-    env.validate()
+    validate_map(env)
     assert i.vertex_dims() == [1, 2]
     c, _ = cokernel(env)
     assert c.vertex_dims() == [0, 2]
@@ -201,7 +201,7 @@ def test_envelope_of_injective_is_iso_and_additive(kr):
     t, _, _ = direct_sum([s2, s2])
     i, env = injective_envelope(t)
     assert i.vertex_dims() == [0, 2]  # I(S2)^2 = S2^2 here
-    env.validate()
+    validate_map(env)
 
 
 def test_cover_of_projective_is_iso(kr):
@@ -218,7 +218,7 @@ def test_cover_verifies_surjective_and_superfluous(kr):
     t, _, _ = direct_sum([s2, s2])
     p, f = projective_cover(t)
     assert p.vertex_dims() == [4, 2]
-    f.validate()
+    validate_map(f)
 
 
 def test_cover_with_an_extra_summand_fails_the_top_count(kr, monkeypatch):
@@ -297,7 +297,7 @@ def test_vertex_block_base_change_keeps_invariants(kr):
     cinv = c.inverse()
     acts = {i: cinv @ (p2.action(i) @ c) for i in range(kr.dim) if i in p2.blocks}
     twisted = ModuleRep.from_actions(kr, acts, p2.vertex_of)
-    twisted.validate()
+    validate_module(twisted)
     assert twisted.vertex_dims() == p2.vertex_dims() == [2, 1]
     s1, s2 = simple_module(kr, 0), simple_module(kr, 1)
     for s in (s1, s2, p2):
@@ -345,8 +345,8 @@ def test_image_factorisation(kr):
     _, f = projective_cover(s2)
     img, incl, fac = image(f)
     assert img.dim == 1
-    incl.validate()
-    fac.validate()
+    validate_map(incl)
+    validate_map(fac)
     assert fac.then(incl).matrix == f.matrix
 
 
@@ -490,7 +490,7 @@ def test_sparse_hom_basis_matches_dense_oracle(inventory, request):
     dims = set()
 
     def check(f, want):
-        f.validate()
+        validate_map(f)
         assert f.matrix == want
 
     for x in mods:
@@ -500,7 +500,7 @@ def test_sparse_hom_basis_matches_dense_oracle(inventory, request):
             assert hom_dim(x, y) == len(basis)
             dims.add(len(basis))
             for f in basis:
-                f.validate()
+                validate_map(f)
                 check(kernel(f)[1], _kernel_oracle(f))
                 check(cokernel(f)[1], _cokernel_oracle(f))
                 _, incl, fac = image(f)
@@ -514,7 +514,7 @@ def test_sparse_hom_basis_matches_dense_oracle(inventory, request):
             if want is not None:
                 check(iso, want)
             elif iso is not None:
-                iso.validate()
+                validate_map(iso)
                 assert is_invertible(iso.matrix)
         check(projective_cover(x)[1], _cover_oracle(x))
         check(injective_envelope(x)[1], _cover_oracle(dual_module(x)).transpose())
@@ -524,7 +524,7 @@ def test_sparse_hom_basis_matches_dense_oracle(inventory, request):
         inv = replalg.linalg.hstack([inc.matrix for inc in incs]).inverse()
         off = 0
         for piece, inc, prj in pieces:
-            inc.validate()
+            validate_map(inc)
             check(prj, RatMatrix(piece.dim, x.dim, inv.data[off:off + piece.dim]))
             off += piece.dim
     assert {0, 1} <= dims
@@ -532,7 +532,7 @@ def test_sparse_hom_basis_matches_dense_oracle(inventory, request):
     addset = [x for i, x in enumerate(mods) if all(is_isomorphic(x, y) is None for y in mods[:i])]
     for x in mods[:4]:
         g = right_approximation(addset, x)
-        g.validate()
+        validate_map(g)
         # each summand of the source maps to x by a Hom basis element
         types = g.source.extras["approximation_summands"]
         _, injs, _ = direct_sum([addset[t] for t in types])
@@ -684,7 +684,7 @@ def test_read_off_refuses_a_target_that_is_not_a_module():
         y = ModuleRep(a, reg.dim, {**reg.blocks, c: RatMatrix._of(m.rows, m.cols, data)}, reg.vertex_of)
         p = projective_module(a, u)
         try:
-            y.validate()
+            validate_module(y)
         except ValueError:
             refused += 1
             with pytest.raises(InternalCheckFailed, match="not a module map"):
@@ -779,13 +779,13 @@ def test_block_socle_radical_and_dual_match_dense_oracle(inventory, request):
     if inventory == "a2_ext_inventory":
         mods = mods[0]
     for x in mods:
-        x.validate()
+        validate_module(x)
         soc, sincl = socle(x)
         assert (soc.vertex_dims(), sincl.matrix) == _socle_oracle(x)
         rad, rincl = radical_submodule(x)
         assert (rad.vertex_dims(), rincl.matrix) == _radical_oracle(x)
         d = dual_module(x)
-        d.validate()
+        validate_module(d)
         dd = dual_module(d)
         assert dd.algebra is x.algebra and dd.vertex_of == x.vertex_of and dd.blocks == x.blocks
     if inventory == "corner_radical_modules":

@@ -42,6 +42,7 @@ from support import (
     minimal_projective_resolution,
     mult_coords,
     socle,
+    validate_module,
     verify_exact,
 )
 
@@ -324,7 +325,7 @@ def test_layer_approximation_is_epi_for_modules_with_pi_cover():
             base.labels.index("b"): from_rows([[0, Fraction(lam)], [0, 0]]),
         }
         reg = ModuleRep.from_actions(base, acts, [0, 1])
-        reg.validate()
+        validate_module(reg)
         x = cosyzygy(embed(reg, 0, r))
         p, cover = projective_cover(x)
         assert is_projective_module(p) and is_injective_module(p)

@@ -10,9 +10,7 @@ from replalg.homology import (
     projective_dimension,
 )
 from replalg.modules import (
-    direct_sum,
     hom_dim,
-    injective_module,
     projective_module,
     regular_module,
     simple_module,
@@ -26,10 +24,17 @@ from replalg.replicated import (
     loewy_layers,
     minimal_cogenerator,
     projective_injectives,
-    restrict_from_ambient,
     sigma_layers,
 )
-from support import all_pairs_path_table, all_pairs_replicated_table, decompose, mult_coords, socle, vertex_index
+from support import (
+    all_pairs_path_table,
+    all_pairs_replicated_table,
+    decompose,
+    mult_coords,
+    socle,
+    validate_module,
+    vertex_index,
+)
 
 QUIVERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "quivers")
 
@@ -80,7 +85,7 @@ def test_split_basic_is_proven_not_assumed():
 def test_regular_module_of_replicated(kr1):
     reg = regular_module(kr1.algebra)
     assert reg.dim == 12
-    reg.validate()
+    validate_module(reg)
 
 
 def test_one_vertex_m2_is_radical_square_zero_nakayama():
@@ -120,7 +125,7 @@ def test_embed_fullness(kr1):
     for copy in (0, 1):
         emb = [embed(x, copy, kr1) for x in mods]
         for e in emb:
-            e.validate()
+            validate_module(e)
         for x, ex in zip(mods, emb):
             for y, ey in zip(mods, emb):
                 assert hom_dim(x, y) == hom_dim(ex, ey)
