@@ -10,23 +10,22 @@ a multiple of a word in S, then (xy)(ws) = ((xy)w)s = (x(yw))s = x((yw)s)
 a single-term product of two others, and every element a search over right
 multiplication by S does not reach; a table of multi-term products thus
 falls back to every triple.  Primitivity of the idempotents is checked
-lazily because it needs the radical.
+lazily, by the certificate of the radical.
 
 The basis must be a Peirce basis: every basis element b satisfies
 e_u b e_v = b for a unique pair of idempotents, or construction raises
 ValueError.  The grading table drives the radical and the block
-decompositions used throughout the module layer.  A one-dimensional corner
-e_u A e_u is Q e_u, so its radical is 0 without a trace form.
+decompositions used throughout the module layer.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import NonSplitSimple, NotBasic
-from .linalg import EchelonSpace, RatMatrix, Scalar, scalar
+from .linalg import Scalar, _inv, scalar
 
 # sparse product: tuple of (basis index, coefficient)
 SparseVec = tuple[tuple[int, Scalar], ...]
@@ -40,12 +39,39 @@ def _sparse_coords(vec: Sequence[Scalar]) -> SparseVec:
     return tuple((i, c) for i, c in enumerate(vec) if c)
 
 
+def _local_radical(traces: Sequence[Scalar], element: Callable, trace_of_product: Callable) -> Optional[list[dict]]:
+    """rad C, the trace-zero hyperplane, as coordinates {index: coefficient}
+    in a basis of an algebra C whose elements have ``traces`` on a faithful
+    C-module V; None unless C is local with C/rad C = Q.  ``element`` makes
+    the element of given coordinates and ``trace_of_product(x, y)`` is the
+    trace of x*y on V.
+
+    C local and split: c*1 + nilpotent has trace c*dim V, so some basis
+    element has nonzero trace and no product of two trace-zero elements has
+    any.  Conversely, rad C is trace-zero, so the trace form tr(xy), which
+    is nondegenerate on C/rad C in characteristic 0 (every simple of C is a
+    composition factor of the faithful V), holds the image of the
+    trace-zero hyperplane as an isotropic subspace of codimension <= 1:
+    dim C/rad C <= 2.  Q x Q and quadratic fields hold a trace-zero z with
+    tr(z z) != 0, so C/rad C = Q, as when the trace form has rank 1.
+    """
+    p = next((i for i, tr in enumerate(traces) if tr), None)
+    if p is None:
+        return None
+    inv = _inv(traces[p])
+    rad = [{i: 1, p: -tr * inv} if tr else {i: 1} for i, tr in enumerate(traces) if i != p]
+    elements = [element(x) for x in rad]
+    if any(trace_of_product(x, y) for x in elements for y in elements):
+        return None
+    return rad
+
+
 class AlgebraData:
     """Associative unital algebra over Q with chosen primitive idempotents."""
 
     __slots__ = (
         "labels", "dim", "mult", "unit", "idempotents",
-        "grading", "_radical", "_radical_pieces", "_corner_codims", "_opposite", "_split_basic",
+        "grading", "_radical", "_radical_pieces", "_opposite",
         "_simple_cache", "_proj_cache", "_inj_cache", "_gl_dim",
     )
 
@@ -55,7 +81,6 @@ class AlgebraData:
         mult: Sequence[Sequence],
         unit: Sequence,
         idempotents: Sequence[tuple[str, Sequence]],
-        check: bool = True,
     ):
         labels = tuple(labels)
         if len(mult) != len(labels) or any(len(row) != len(labels) for row in mult):
@@ -64,8 +89,7 @@ class AlgebraData:
         idems = tuple((lab, tuple(scalar(x) for x in coords)) for lab, coords in idempotents)
         self._adopt(labels, mult, tuple(scalar(x) for x in unit), idems)
         self.grading = self._compute_grading()
-        if check:
-            self._check_axioms()
+        self._check_axioms()
 
     def _adopt(self, labels, mult, unit, idempotents) -> None:
         """Take normalised data and start with empty caches; the caller sets the grading."""
@@ -76,9 +100,7 @@ class AlgebraData:
         self.idempotents = idempotents
         self._radical: Optional[list[SparseVec]] = None
         self._radical_pieces = None
-        self._corner_codims: Optional[list[int]] = None
         self._opposite = None
-        self._split_basic: Optional[bool] = None
         self._simple_cache = {}
         self._proj_cache = {}
         self._inj_cache = {}
@@ -198,179 +220,69 @@ class AlgebraData:
         return [self.dense(r) for r in self.radical_sparse()]
 
     def radical_sparse(self) -> list[SparseVec]:
-        """The radical basis as sparse vectors; a unit vector is ((i, 1),).
+        """The radical basis as sparse vectors, each in one Peirce block; a
+        unit vector is ((i, 1),).  Raises NonSplitSimple or NotBasic.
 
-        Read off the Peirce blocks when there are several idempotents; one
-        idempotent, or a failed ideal check, takes the trace form.
+        R is spanned by the off-diagonal basis elements (grading (u, v),
+        u != v) and, in each corner C_u = e_u A e_u, the kernel of tau_u,
+        the trace of left multiplication on C_u, which :func:`_local_radical`
+        certifies to be rad C_u with C_u / rad C_u = Q, else NonSplitSimple.
+        Lemma: as products are homogeneous and rad C_u is an ideal of C_u,
+        R is a two-sided ideal once tau_u vanishes on each off-diagonal
+        (u, v) times (v, u) basis product.  Then R lies in rad A: a nonzero
+        image of R in A/rad A holds a central idempotent f with some
+        e_u f e_u = f e_u != 0, yet e_u R e_u = rad C_u = e_u rad(A) e_u maps
+        to 0.  A/R is the product of the corner quotients Q, so rad A lies
+        in R, A is basic and split, and its idempotents are primitive.  In a
+        basic algebra e_u A e_v lies in rad A for u != v, so a product with
+        tau_u != 0 (matrix units in M_2(Q), say) raises NotBasic
+        (Assem-Simson-Skowronski, vol. 1, I.4-5).
         """
         if self._radical is None:
-            if len(self.idempotents) > 1:
-                self._radical = self._structural_radical()
-            if self._radical is None:
-                self._radical = [_sparse_coords(v) for v in self._trace_form_radical()]
-                if len(self.idempotents) == 1:
-                    self._corner_codims = [self.dim - len(self._radical)]
+            blocks: dict[tuple[int, int], list[int]] = {}
+            for b, uv in enumerate(self.grading):
+                blocks.setdefault(uv, []).append(b)
+            mult, rad, taus = self.mult, [], []
+            for u, (lab, _coords) in enumerate(self.idempotents):
+                idx = blocks.get((u, u), [])
+                tau = {b: sum((c for j in idx for k, c in mult[b][j] if k == j), 0) for b in idx}
+                taus.append(tau)
+
+                def element(x, idx=idx):
+                    return tuple(sorted((idx[i], c) for i, c in x.items()))
+
+                hyper = _local_radical([tau[b] for b in idx], element,
+                                       lambda x, y, tau=tau: sum((c * tau[k] for k, c in self.mult_sparse(x, y)), 0))
+                if hyper is None:
+                    raise NonSplitSimple(f"e({lab}) A e({lab}) is not local with residue field Q")
+                rad.extend(map(element, hyper))
+            for i, (u, v) in enumerate(self.grading):
+                if u != v:
+                    for j in blocks.get((v, u), []):
+                        if sum((c * taus[u][k] for k, c in mult[i][j]), 0):
+                            raise NotBasic(f"{self.labels[i]} * {self.labels[j]} is not radical: not basic")
+                    rad.append(((i, 1),))
+            self._radical = rad
         return self._radical
 
     def radical_pieces(self) -> tuple[frozenset[int], list[tuple[int, int, SparseVec]]]:
-        """The radical basis split into Peirce pieces: the basis elements that
-        are radical basis vectors themselves, and (u, v, piece of degree (u, v))
-        for every other vector.  rad A is the sum of its pieces e_u rad(A) e_v,
-        so the pieces span it.
-        """
+        """The radical basis as the basis elements that are radical basis
+        vectors themselves (every one-term vector is one), and
+        (u, v, vector of degree (u, v)) for every other vector."""
         if self._radical_pieces is None:
-            units, rest = set(), []
-            for r in self.radical_sparse():
-                if len(r) == 1 and r[0][1] == 1:
-                    units.add(r[0][0])
-                    continue
-                pieces: dict[tuple[int, int], list] = {}
-                for b, c in r:
-                    pieces.setdefault(self.grading[b], []).append((b, c))
-                rest.extend((u, v, tuple(vec)) for (u, v), vec in pieces.items())
-            self._radical_pieces = (frozenset(units), rest)
+            rad = self.radical_sparse()
+            self._radical_pieces = (frozenset(r[0][0] for r in rad if len(r) == 1),
+                                    [(*self.grading[r[0][0]], r) for r in rad if len(r) > 1])
         return self._radical_pieces
-
-    def _structural_radical(self) -> Optional[list[SparseVec]]:
-        """rad A from the grading, or None if A is not basic for its idempotents.
-
-        R is spanned by the off-diagonal basis elements (grading (u, v),
-        u != v) and each corner's verified trace-form radical.  Lemma: as
-        products are homogeneous and corner radicals are corner ideals, R is
-        a two-sided ideal once each off-diagonal (u, v) times (v, u) basis
-        product lies in the corner radical of u.  Then R lies in rad A: a
-        nonzero image of R in A/rad A holds a central idempotent f with some
-        e_u f e_u != 0, yet e_u R e_u = rad(e_u A e_u) = e_u rad(A) e_u maps
-        to 0.  A/R is the product of the semisimple corner quotients, so rad A
-        lies in R.  A failed check (matrix units in M_2(Q), say) gives None:
-        a basic algebra always passes it.  The corner codimensions are kept
-        for :meth:`ensure_split_basic`.  A one-dimensional corner is Q e_u,
-        with radical 0: no corner algebra is built for it.
-        """
-        blocks: dict[tuple[int, int], list[int]] = {}
-        for b, uv in enumerate(self.grading):
-            blocks.setdefault(uv, []).append(b)
-        corners, codims, rad = [], [], []
-        for u, (lab, coords) in enumerate(self.idempotents):
-            idx = blocks.get((u, u), [])
-            span = EchelonSpace(len(idx))
-            if len(idx) > 1:  # else it is spanned by e_u != 0: Q, with radical 0
-                local = {b: s for s, b in enumerate(idx)}
-                unit = [coords[b] for b in idx]
-                cmult = [[[(local[k], c) for k, c in self.mult[i][j]] for j in idx] for i in idx]
-                corner = AlgebraData([self.labels[b] for b in idx], cmult, unit, [(lab, unit)], check=False)
-                for w in corner.radical_basis():
-                    span.add(w)
-                    rad.append(tuple((b, c) for b, c in zip(idx, w) if c))
-            corners.append((idx, span))
-            codims.append(len(idx) - span.rank)
-        for i, (u, v) in enumerate(self.grading):
-            if u != v:
-                idx, span = corners[u]
-                for j in blocks.get((v, u), []):
-                    prod = self.dense(self.mult[i][j])
-                    if not span.contains([prod[b] for b in idx]):
-                        return None
-                rad.append(((i, 1),))
-        self._corner_codims = codims
-        return rad
-
-    def _trace_form_radical(self) -> list[list[Scalar]]:
-        """{x : trace(L_{x y}) = 0 for all y} (char 0), verified to be the radical."""
-        dim = self.dim
-        # trace of left multiplication by each basis element
-        trL = []
-        for k in range(dim):
-            t = 0
-            row = self.mult[k]
-            for j in range(dim):
-                for l, c in row[j]:
-                    if l == j:
-                        t += c
-            trL.append(t)
-        gram = RatMatrix(dim, dim, [
-            [sum((c * trL[k] for k, c in self.mult[i][j]), 0) for j in range(dim)]
-            for i in range(dim)
-        ])
-        rad = [gram.kernel_basis().column_vec(j) for j in range(dim - gram.rank())]
-        self._verify_radical(rad)
-        return rad
-
-    def _verify_radical(self, rad: list[list[Scalar]]) -> None:
-        dim = self.dim
-        span = EchelonSpace(dim)
-        for v in rad:
-            span.add(v)
-        # two-sided ideal
-        for v in rad:
-            sv = _sparse_coords(v)
-            for j in range(dim):
-                sj: SparseVec = ((j, 1),)
-                if not span.contains(self.dense(self.mult_sparse(sv, sj))):
-                    raise ValueError("radical candidate is not a right ideal")
-                if not span.contains(self.dense(self.mult_sparse(sj, sv))):
-                    raise ValueError("radical candidate is not a left ideal")
-        # nilpotent: powers must vanish within dim steps
-        current = [list(v) for v in rad]
-        for _ in range(dim + 1):
-            if not current:
-                break
-            nxt = EchelonSpace(dim)
-            for v in current:
-                sv = _sparse_coords(v)
-                for w in rad:
-                    prod = self.dense(self.mult_sparse(sv, _sparse_coords(w)))
-                    nxt.add(prod)
-            current = [list(r) for r in nxt.rows]
-        else:
-            raise ValueError("radical candidate is not nilpotent")
-        if current:
-            raise ValueError("radical candidate is not nilpotent")
-        self._verify_semisimple_quotient(span)
-
-    def _verify_semisimple_quotient(self, radspan: EchelonSpace) -> None:
-        """The quotient by the radical must have zero trace-form kernel."""
-        dim = self.dim
-        pivset = set(radspan.pivots)
-        comp = [j for j in range(dim) if j not in pivset]
-        if not comp:
-            return
-        # quotient structure constants in the complement coordinates
-        qdim = len(comp)
-        qmult = [[None] * qdim for _ in range(qdim)]
-        for a, i in enumerate(comp):
-            for b, j in enumerate(comp):
-                prod = radspan._reduce(self.dense(self.mult[i][j]))
-                qmult[a][b] = [prod[c] for c in comp]
-        trL = []
-        for k in range(qdim):
-            trL.append(sum((qmult[k][j][j] for j in range(qdim)), 0))
-        gram = RatMatrix(qdim, qdim, [
-            [sum((qmult[i][j][k] * trL[k] for k in range(qdim)), 0) for j in range(qdim)]
-            for i in range(qdim)
-        ])
-        if gram.rank() != qdim:
-            raise ValueError("quotient by radical candidate is not semisimple")
 
     # -- split-basic certificate ------------------------------------------
 
     def ensure_split_basic(self) -> None:
-        """Check every e_i (A/rad) e_i is one-dimensional; raise NonSplitSimple.
-
-        Over Q this is what makes tops sums of the chosen simples, covers
-        correct, and the idempotents primitive.  An algebra that fails the
-        Peirce ideal check of the radical is not basic: NotBasic.
-        """
-        if self._split_basic:
-            return
+        """Raise NonSplitSimple or NotBasic unless A/rad A is Q for each
+        idempotent: the certificate of :meth:`radical_sparse`.  Over Q this
+        is what makes tops sums of the chosen simples, covers correct, and
+        the idempotents primitive."""
         self.radical_sparse()
-        codims = self._corner_codims
-        if codims is None:
-            raise NotBasic("the off-diagonal Peirce blocks leave the corner radicals: not basic")
-        for (lab, _coords), c in zip(self.idempotents, codims):
-            if c != 1:
-                raise NonSplitSimple(f"e({lab}) (A/rad) e({lab}) has dimension {c}, not 1")
-        self._split_basic = True
 
     # -- opposite ----------------------------------------------------------
 

@@ -35,12 +35,16 @@ class CopyOutOfRange(ReplalgError):
 
 
 class NonSplitSimple(ReplalgError):
-    """Some e_i (A/rad) e_i has dimension > 1 over Q; covers/simples would lie."""
+    """A corner e_i A e_i is not local with residue field Q, so some
+    e_i (A/rad) e_i has dimension > 1 over Q (Q(sqrt 2), or Q x Q with one
+    idempotent): the trace-zero hyperplane of the corner fails its
+    certificate, and covers and simples would lie."""
 
 
 class NotBasic(ReplalgError):
-    """An algebra is not basic for its idempotents: M_2(Q) with matrix units,
-    or End of a module with two isomorphic summands."""
+    """An algebra is not basic for its idempotents: an off-diagonal product
+    e_u A e_v * e_v A e_u leaves the corner radical (M_2(Q) with matrix
+    units), or End of a module has two isomorphic summands."""
 
 
 class NotProjInjective(ReplalgError):

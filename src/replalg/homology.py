@@ -14,12 +14,14 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
+from operator import add
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .algebra import AlgebraData
+from .algebra import AlgebraData, _local_radical as _trace_hyperplane
 from .errors import InternalCheckFailed, NotBasic, NotProjInjective, UndecidableDecomposition
-from .linalg import EchelonSpace, RatMatrix, Scalar, SparseSpan, _inv, hstack, scalar, sparse_kernel
+from .linalg import EchelonSpace, RatMatrix, Scalar, SparseSpan, hstack, scalar, sparse_kernel
 from .modules import (
     ModuleMap,
     ModuleRep,
@@ -464,25 +466,10 @@ def _complement(vecs: Iterable[dict[int, Scalar]], n: int) -> list[int]:
 def _local_radical(basis: Sequence[ModuleMap]) -> Optional[list[dict[int, Scalar]]]:
     """rad End(L), the trace-zero maps, as coordinates {index: coefficient}
     in ``basis``, a basis of End(L); None unless End(L) is local and split.
-
-    End(L) local and split: f = c*1 + nilpotent has trace c*dim L, so some
-    map has nonzero trace and no product of two trace-zero maps has any.
-    Conversely, rad End(L) is trace-zero, so the trace form tr(a o b), which
-    is nondegenerate on End(L)/rad in characteristic 0, holds the image of
-    the trace-zero hyperplane as an isotropic subspace of codimension <= 1:
-    dim End(L)/rad <= 2.  Q x Q and quadratic fields hold a trace-zero z
-    with tr(z o z) != 0, so End(L)/rad = Q, as when the trace form has rank 1.
-    """
-    traces = [_trace(f) for f in basis]
-    p = next((i for i, tr in enumerate(traces) if tr), None)
-    if p is None:
-        return None
-    inv = _inv(traces[p])
-    rad = [{i: 1, p: -tr * inv} if tr else {i: 1} for i, tr in enumerate(traces) if i != p]
-    maps = [basis[i] + basis[p].scaled(-tr * inv) if tr else basis[i] for i, tr in enumerate(traces) if i != p]
-    if any(_trace(a.then(b)) for a in maps for b in maps):
-        return None
-    return rad
+    The certificate is :func:`replalg.algebra._local_radical` on L."""
+    return _trace_hyperplane([_trace(f) for f in basis],
+                             lambda x: reduce(add, (basis[i] if c == 1 else basis[i].scaled(c) for i, c in x.items())),
+                             lambda f, g: _trace(f.then(g)))
 
 
 def _radical(hom: dict) -> dict[tuple[int, int], list[dict[int, Scalar]]]:

@@ -22,6 +22,7 @@ AmbientTooSmall assertion.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -110,7 +111,7 @@ class ReplicatedAlgebra:
                 coords[idx] = 1
                 unit[idx] = 1
                 idems.append((f"{quiver.vertices[v]}@{i}", coords))
-        self.algebra = AlgebraData(labels, mult, unit, idems, check=True)
+        self.algebra = AlgebraData(labels, mult, unit, idems)
         if self.algebra.dim != (2 * m + 1) * self.base.dim:
             raise InternalCheckFailed("replicated algebra has the wrong dimension")
 
@@ -251,6 +252,15 @@ def sigma_layers(quiver: Quiver, m: int, upto: int, seed: int = 0,
     return amb, layers
 
 
+def _sigma_pieces(r: ReplicatedAlgebra, t: int, seed: int) -> list[tuple[int, int, ModuleRep]]:
+    """(k, i, the module i of Sigma_k restricted to A^(m)) for each module of
+    the ladder Sigma_0 .. Sigma_{t-1} of :func:`sigma_layers` that lies in
+    A^(m); the ambient and the layers are dropped."""
+    amb, layers = sigma_layers(r.quiver, r.m, t - 1, seed=seed)
+    return [(layer.k, i, restrict_from_ambient(mod, amb, r))
+            for layer in layers for i, (mod, ok) in enumerate(zip(layer.modules, layer.in_a_m)) if ok]
+
+
 @dataclass
 class Summand:
     label: str
@@ -284,6 +294,11 @@ class GeneratorBundle:
         """:func:`_radical` of the whole table of summand_homs, formed once."""
         n = range(len(self.summands))
         return _memo(self, "rad", lambda: _radical({(i, j): self.summand_homs(i, j) for i in n for j in n}))
+
+    def sigma_ladder(self, seed: int = 0) -> list[tuple[int, int, ModuleRep]]:
+        """:func:`_sigma_pieces` of A^(m), built once per seed;
+        ``auslander_generator`` stores the pieces of the ladder it used."""
+        return _memo(self, ("sigma", seed), lambda: _sigma_pieces(self.replicated, self.t, seed))
 
     def end_summands(self):
         return [
@@ -359,17 +374,17 @@ def auslander_generator(quiver: Quiver, m: int, cap: Optional[int] = None,
     be a generator and a cogenerator.
     """
     r, cap, t, labelled = _minimal_summands(quiver, m, cap)
-    if t >= 2:
-        amb, layers = sigma_layers(quiver, m, t - 1, seed=seed)
-        for layer in layers[1:]:
-            count = 0
-            for mod, ok in zip(layer.modules, layer.in_a_m):
-                if ok:
-                    labelled.append(
-                        (f"U{layer.k}.{count}", restrict_from_ambient(mod, amb, r))
-                    )
-                    count += 1
-    return _assemble_generator(r, labelled, t, cap, seed)
+    if t < 2:
+        return _assemble_generator(r, labelled, t, cap, seed)
+    pieces = _sigma_pieces(r, t, seed)
+    count = Counter()
+    for k, _i, mod in pieces:
+        if k:
+            labelled.append((f"U{k}.{count[k]}", mod))
+            count[k] += 1
+    bundle = _assemble_generator(r, labelled, t, cap, seed)
+    bundle._extras[("sigma", seed)] = pieces
+    return bundle
 
 
 def minimal_cogenerator(quiver: Quiver, m: int, cap: Optional[int] = None,

@@ -25,6 +25,7 @@ from .homology import (
     ext1_dim,
     global_dimension,
     is_isomorphic,
+    stable_hom_dim,
 )
 from .linalg import RatMatrix
 from .modules import (
@@ -36,7 +37,6 @@ from .modules import (
     radical_submodule,
     simple_module,
 )
-from .homology import stable_hom_dim
 from .quiver import Quiver
 from .replicated import (
     GeneratorBundle,
@@ -46,8 +46,6 @@ from .replicated import (
     embed,
     minimal_cogenerator,
     projective_injectives,
-    restrict_from_ambient,
-    sigma_layers,
 )
 
 
@@ -286,17 +284,13 @@ def lemma_2_4_inventory(bundle: GeneratorBundle, seed: int = 0):
     """The sampled targets: Sigma-ladder summands, simples, and radicals of
     the indecomposable projectives, all as A^(m)-modules."""
     r = bundle.replicated
-    q = r.quiver
-    m = r.m
     out: list[tuple[str, ModuleRep]] = []
     if bundle.t >= 2:
-        amb, layers = sigma_layers(q, m, bundle.t - 1, seed=seed)
-        for layer in layers:
-            for idx, (mod, ok) in enumerate(zip(layer.modules, layer.in_a_m)):
-                if ok:
-                    out.append((f"sigma{layer.k}.{idx}", restrict_from_ambient(mod, amb, r)))
+        # a fresh module per call, so that no fact found on a target is kept on a summand of M
+        out.extend((f"sigma{k}.{i}", ModuleRep(r.algebra, x.dim, x.blocks, x.vertex_of))
+                   for k, i, x in bundle.sigma_ladder(seed))
     else:
-        for v in range(len(q.vertices)):
+        for v in range(len(r.quiver.vertices)):
             out.append((f"sigma0.{v}", projective_module(r.algebra, v)))
     for idx, (lab, _) in enumerate(r.algebra.idempotents):
         out.append((f"simple:{lab}", simple_module(r.algebra, idx)))
@@ -319,25 +313,19 @@ def verify_ext_stablehom(q: Quiver, m: int, samples: int = 0, seed: int = 0) -> 
     nv = len(q.vertices)
     base = amb.base
     # cosyzygy chains of embedded projectives and simples, staying below the top copy
-    depth = 2 * m
-    proj_chains = []
-    for v in range(nv):
-        chain = [embed(projective_module(base, v), 0, amb)]
-        for _ in range(depth):
-            nxt = cosyzygy(chain[-1])
-            if nxt.dim == 0:
-                break
-            chain.append(nxt)
-        proj_chains.append(chain)
-    simple_chains = []
-    for v in range(nv):
-        chain = [embed(simple_module(base, v), 0, amb)]
-        for _ in range(depth):
-            nxt = cosyzygy(chain[-1])
-            if nxt.dim == 0:
-                break
-            chain.append(nxt)
-        simple_chains.append(chain)
+    def chains(make):
+        out = []
+        for v in range(nv):
+            chain = [embed(make(base, v), 0, amb)]
+            for _ in range(2 * m):
+                nxt = cosyzygy(chain[-1])
+                if nxt.dim == 0:
+                    break
+                chain.append(nxt)
+            out.append(chain)
+        return out
+
+    proj_chains, simple_chains = chains(projective_module), chains(simple_module)
     inventory: list[ModuleRep] = []
     for chain in proj_chains + simple_chains:
         inventory.extend(chain)

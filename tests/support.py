@@ -18,7 +18,7 @@ from replalg.homology import (
     is_isomorphic,
     projective_dimension,
 )
-from replalg.linalg import RatMatrix
+from replalg.linalg import EchelonSpace, RatMatrix
 from replalg.modules import (
     ModuleMap,
     ModuleRep,
@@ -147,6 +147,26 @@ def image(f: ModuleMap):
 def mult_coords(a, x, y):
     """The product x * y in the algebra a, all three as dense coordinates."""
     return a.dense(a.mult_sparse(_sparse_coords(x), _sparse_coords(y)))
+
+
+def trace_form_radical(a: AlgebraData) -> list[list]:
+    """{x : trace(L_{x y}) = 0 for all y}, the kernel of the trace form of the
+    regular representation, as dense vectors: rad a in characteristic 0, for
+    any algebra.  The oracle of ``AlgebraData.radical_sparse``."""
+    dim = a.dim
+    tr = [sum(c for j in range(dim) for l, c in a.mult[k][j] if l == j) for k in range(dim)]
+    gram = RatMatrix(dim, dim, [[sum((c * tr[k] for k, c in a.mult[i][j]), 0) for j in range(dim)]
+                                for i in range(dim)])
+    kernel_basis = gram.kernel_basis()
+    return [kernel_basis.column_vec(j) for j in range(kernel_basis.cols)]
+
+
+def row_span(dim: int, vecs) -> list:
+    """The reduced rows of the span of ``vecs`` in Q^dim: equal spans give equal rows."""
+    span = EchelonSpace(dim)
+    for v in vecs:
+        span.add(v)
+    return span.rows
 
 
 def vertex_index(r, v: str, copy: int) -> int:
@@ -392,7 +412,7 @@ def end_algebra(x: ModuleRep, summands=None, seed: int = 0) -> AlgebraData:
         coords[index[(i, i, 0)]] = 1
         unit[index[(i, i, 0)]] = 1
         idems.append((summands[i][0], coords))
-    return AlgebraData(labels, mult, unit, idems, check=True)
+    return AlgebraData(labels, mult, unit, idems)
 
 
 def hom_exactness(l, g, x):

@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+import replalg.algebra
 from replalg.algebra import AlgebraData
 from replalg.errors import CyclicQuiver, DuplicateLabel, EmptyQuiver, NonSplitSimple, NotBasic, ReplalgError
 from replalg.homology import global_dimension
-from replalg.linalg import EchelonSpace
 from replalg.modules import projective_cover, projective_module, regular_module, top
 from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import build_replicated
-from support import is_connected, socle
+from support import is_connected, row_span, socle, trace_form_radical
 
 F = Fraction
 
@@ -67,7 +67,7 @@ def test_associativity_check_rejects_bad_table():
         [((2, 1),), (), ()],
     ]
     with pytest.raises(ValueError):
-        AlgebraData(["1", "x", "y"], mult, [1, 0, 0], [("pt", [1, 0, 0])], check=True)
+        AlgebraData(["1", "x", "y"], mult, [1, 0, 0], [("pt", [1, 0, 0])])
 
 
 def test_associativity_failure_behind_a_non_generator_is_found():
@@ -148,6 +148,12 @@ def test_radical_dual_numbers():
     assert rad[0][0] == 0 and rad[0][1] != 0  # span{t}
 
 
+def test_radical_of_local_corners_matches_the_trace_form(local_corner_algebra):
+    for a in (dual_numbers(), local_corner_algebra, build_hereditary(one_vertex())):
+        for b in (a, a.opposite()):
+            assert row_span(b.dim, b.radical_basis()) == row_span(b.dim, trace_form_radical(b))
+
+
 def test_radical_path_algebra_is_arrow_ideal():
     a = build_hereditary(linear_quiver(3))
     rad = a.radical_basis()
@@ -214,12 +220,15 @@ def matrix_units():
 
 
 def test_structural_radical_refuses_non_basic_algebra():
+    """e12 * e21 = e11 has trace 1 on the corner at 1, so the off-diagonal
+    e12 is not radical: M_2(Q) is not basic.  The radical raises NotBasic
+    (a whole-algebra trace form once returned [] here)."""
     a = matrix_units()
-    assert a.grading is not None
-    # e12 * e21 = e11 leaves the (zero) corner radical: the ideal check fails
-    assert a._structural_radical() is None
-    assert a.radical_basis() == []
-    assert a._corner_codims is None
+    with pytest.raises(NotBasic, match=r"e12 \* e21 is not radical"):
+        a.radical_basis()
+    assert a._radical is None
+    with pytest.raises(NotBasic):
+        a.radical_sparse()
 
 
 def test_split_basic_refuses_non_basic_algebra():
@@ -234,8 +243,8 @@ def test_split_basic_refuses_non_basic_algebra():
 
 def test_one_dimensional_corner_with_a_nonzero_cycle_is_not_basic(monkeypatch):
     # M_2(Q) in the basis e11, e12, 2 e21, e22: both corners are
-    # one-dimensional, and e12 * (2 e21) = 2 e11 is nonzero, so the corners
-    # are decided without building a corner algebra, and A is not basic
+    # one-dimensional, and e12 * (2 e21) = 2 e11 has trace 2 on the corner at
+    # 1, so A is not basic; the certificate builds no algebra
     e11, e12, f21, e22 = range(4)
     mult = [[() for _ in range(4)] for _ in range(4)]
     mult[e11][e11], mult[e11][e12], mult[e12][f21], mult[e12][e22] = ((e11, 1),), ((e12, 1),), ((e11, 2),), ((e12, 1),)
@@ -249,25 +258,36 @@ def test_one_dimensional_corner_with_a_nonzero_cycle_is_not_basic(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(AlgebraData, "__init__", counted)
-    assert a._structural_radical() is None
-    assert built == []
-    with pytest.raises(NotBasic):
+    with pytest.raises(NotBasic, match=r"e12 \* 2e21"):
         a.ensure_split_basic()
+    assert built == []
 
 
 def test_one_dimensional_corners_run_no_trace_form(monkeypatch):
-    def refuse(self):
-        raise AssertionError("the trace form ran")
-
-    monkeypatch.setattr(AlgebraData, "_trace_form_radical", refuse)
+    """Every corner of A^(m) is Q e_u: the certificate runs once per
+    idempotent on one trace, no algebra is built, and the radical is the
+    off-diagonal basis elements."""
+    seen = []
+    certificate = replalg.algebra._local_radical
+    monkeypatch.setattr(replalg.algebra, "_local_radical",
+                        lambda traces, *rest: seen.append(list(traces)) or certificate(traces, *rest))
     a = build_replicated(kronecker(), 2).algebra
+    seen.clear()
+
+    def refuse(*args):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(AlgebraData, "__init__", refuse)
     a.ensure_split_basic()
-    assert a._corner_codims == [1] * len(a.idempotents)
+    assert seen == [[1]] * len(a.idempotents)
+    assert a.radical_sparse() == [((i, 1),) for i, (u, v) in enumerate(a.grading) if u != v]
+    assert a.radical_pieces()[1] == []
 
 
 def test_non_split_corner_detected_on_structural_path():
     # [[K, K], [0, Q]] with K = Q(sqrt 2) = span{e1, s}, s^2 = 2 e1, and the
-    # off-diagonal K spanned by a, b = s a
+    # off-diagonal K spanned by a, b = s a: the corner at 1 is not local with
+    # residue field Q, so the radical itself raises (it was once [a, b])
     e1, s, e2, x, y = range(5)
     mult = [[() for _ in range(5)] for _ in range(5)]
     mult[e1][e1], mult[e1][s], mult[s][e1], mult[s][s] = ((e1, 1),), ((s, 1),), ((s, 1),), ((e1, 2),)
@@ -275,8 +295,20 @@ def test_non_split_corner_detected_on_structural_path():
     mult[x][e2], mult[y][e2], mult[e2][e2] = ((x, 1),), ((y, 1),), ((e2, 1),)
     a = AlgebraData(["e1", "s", "e2", "a", "b"], mult, [1, 0, 1, 0, 0],
                     [("1", [1, 0, 0, 0, 0]), ("2", [0, 0, 1, 0, 0])])
-    assert a.radical_sparse() == [((x, 1),), ((y, 1),)]
-    assert a._corner_codims == [2, 1]
+    assert row_span(5, trace_form_radical(a)) == row_span(5, [a.dense(((x, 1),)), a.dense(((y, 1),))])
+    with pytest.raises(NonSplitSimple, match=r"e\(1\) A e\(1\) is not local"):
+        a.radical_sparse()
+    with pytest.raises(NonSplitSimple):
+        a.ensure_split_basic()
+
+
+def test_two_point_algebra_with_one_idempotent_is_not_split():
+    """Q x Q with the one idempotent 1: its radical is 0, but the trace-zero
+    hyperplane is spanned by f - 1/2, whose square 1/4 has trace 1/2."""
+    one, f = range(2)
+    mult = [[((one, 1),), ((f, 1),)], [((f, 1),), ((f, 1),)]]
+    a = AlgebraData(["1", "f"], mult, [1, 0], [("pt", [1, 0])])
+    assert trace_form_radical(a) == []
     with pytest.raises(NonSplitSimple):
         a.ensure_split_basic()
 
@@ -285,16 +317,12 @@ def test_structural_radical_with_a_local_corner(local_corner_algebra):
     # the corner at 1 is span{e1, d} with radical spanned by d - e1 = a*b
     a = local_corner_algebra
     e1, d = 0, 4
-    span, rad = EchelonSpace(5), EchelonSpace(5)
-    for v in a._trace_form_radical():
-        span.add(v)
-    for v in a.radical_basis():
-        rad.add(v)
-    assert span.rows == rad.rows and span.rank == 3
+    assert row_span(5, a.radical_basis()) == row_span(5, trace_form_radical(a))
+    assert len(a.radical_basis()) == 3
     assert ((e1, -1), (d, 1)) in a.radical_sparse()
-    assert a._corner_codims == [1, 1]
+    assert a.radical_pieces()[1] == [(0, 0, ((e1, -1), (d, 1)))]
     a.ensure_split_basic()
-    # the non-unit radical vector acts through the sum of its blocks
+    # the non-unit radical vector acts through its block
     reg = regular_module(a)
     assert top(reg)[0].vertex_dims() == [1, 1]
     assert socle(reg)[0].vertex_dims() == [2, 0]  # span{a*b, b}, both in A e1

@@ -7,6 +7,8 @@ import pytest
 
 import replalg
 import replalg.cli
+import replalg.replicated
+import replalg.verify
 from replalg.cli import main, parse_quiver, serialize_quiver
 from replalg.errors import CapTooSmall, CyclicQuiver, DuplicateLabel, ParseError, ReplalgError
 from replalg.quiver import kronecker, linear_quiver
@@ -192,6 +194,22 @@ def test_lemma24_minimal_generator_fails_somewhere(kronecker_file, tmp_path):
     report = json.loads(out.read_text())
     verdicts = [r["verdict"] for r in report["results"]]
     assert "fail" in verdicts
+
+
+@pytest.mark.parametrize("generator, code", [("auslander", 0), ("minimal", 1)])
+def test_lemma24_builds_one_sigma_ladder(kronecker_file, tmp_path, monkeypatch, generator, code):
+    """One sigma_layers call per lemma24 run on Kronecker m=2: the inventory
+    reads the ladder that built M from the bundle (two calls when it built
+    the ladder again), and a minimal-cogenerator bundle builds it on first use."""
+    calls = []
+    ladder = replalg.replicated.sigma_layers
+    monkeypatch.setattr(replalg.replicated, "sigma_layers", lambda *args, **kw: calls.append(args) or ladder(*args, **kw))
+    assert main([
+        "lemma24", "--quiver", kronecker_file, "--m", "2", "--target", "all-inventory",
+        "--generator", generator, "--report", "json", "--out", str(tmp_path / "l.json"),
+    ]) == code
+    assert calls == [(kronecker(), 2, 4)]
+    assert not hasattr(replalg.verify, "sigma_layers")
 
 
 def test_extcheck_command(kronecker_file, tmp_path):

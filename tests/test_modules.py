@@ -119,6 +119,28 @@ def test_cokernel_of_zero_map(kr):
     assert c.dim == 1 and proj.is_isomorphism()
 
 
+def test_cokernel_of_an_envelope_makes_no_dense_product(monkeypatch):
+    """The cokernel reads each block as the free rows of Y_b minus the
+    reduced pivot entries times its pivot rows, so no RatMatrix product is
+    formed; its projection is still a module map onto a module whose
+    dimension is what the envelope leaves."""
+    a = build_replicated(kronecker(), 1).algebra
+    x = regular_module(a)
+    i, env = injective_envelope(x)
+    matmul = RatMatrix.__matmul__
+
+    def refuse(*args):
+        raise AssertionError("cokernel formed a dense product")
+
+    monkeypatch.setattr(RatMatrix, "__matmul__", refuse)
+    c, proj = cokernel(env)
+    monkeypatch.setattr(RatMatrix, "__matmul__", matmul)
+    assert c.dim == i.dim - x.dim and c.blocks
+    validate_module(c)
+    validate_map(proj)
+    assert all(m.is_zero() for m in env.then(proj).blocks)
+
+
 def test_direct_sum_dims_and_maps(kr):
     s1 = simple_module(kr, 0)
     p2 = projective_module(kr, 1)

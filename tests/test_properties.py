@@ -1,5 +1,7 @@
 """Engine-level invariants, checked exactly on generic instances."""
 
+import glob
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from replalg.homology import (
     stable_hom_dim,
     cosyzygy,
 )
+from replalg.cli import parse_quiver
 from replalg.linalg import EchelonSpace
 from replalg.modules import (
     ModuleMap,
@@ -41,7 +44,9 @@ from support import (
     injective_dimension,
     minimal_projective_resolution,
     mult_coords,
+    row_span,
     socle,
+    trace_form_radical,
     validate_module,
     verify_exact,
 )
@@ -143,17 +148,10 @@ def test_pd_id_duality(a):
 
 
 def assert_radical_matches_trace_form(a):
-    """The radical equals the dense trace-form radical, kept as the oracle."""
-    def span(vecs):
-        sp = EchelonSpace(a.dim)
-        for v in vecs:
-            sp.add(v)
-        return sp.rows
-
-    assert span(a.radical_basis()) == span(a._trace_form_radical())
-    # several idempotents take the structural path, one the trace form; both
-    # keep one corner codimension per idempotent
-    assert len(a._corner_codims) == len(a.idempotents)
+    """The radical spans the kernel of the trace form (``trace_form_radical``,
+    the oracle), and each of its vectors lies in one Peirce block."""
+    assert row_span(a.dim, a.radical_basis()) == row_span(a.dim, trace_form_radical(a))
+    assert all(len({a.grading[b] for b, _c in r}) == 1 for r in a.radical_sparse())
 
 
 @pytest.mark.parametrize("a", ALGEBRAS)
@@ -180,10 +178,22 @@ def test_radical_nilpotent_and_quotient_semisimple(a):
         assert span.contains(v)
 
 
-@pytest.mark.parametrize("q, m", [
-    (linear_quiver(3), 1), (linear_quiver(3), 2), (kronecker(), 1), (kronecker(), 2),
-], ids=["A3-m1", "A3-m2", "kronecker-m1", "kronecker-m2"])
+def _file_quiver(path):
+    with open(path, encoding="utf-8") as f:
+        return parse_quiver(f.read())
+
+
+QUIVER_FILES = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                             "quivers", "*.json")))
+REPLICATED_CASES = [(linear_quiver(3), 1), (linear_quiver(3), 2), (kronecker(), 1), (kronecker(), 2)]
+REPLICATED_CASES += [(_file_quiver(p), m) for p in QUIVER_FILES for m in (1, 2)]
+REPLICATED_IDS = ["A3-m1", "A3-m2", "kronecker-m1", "kronecker-m2"]
+REPLICATED_IDS += [f"file-{os.path.basename(p)[:-5]}-m{m}" for p in QUIVER_FILES for m in (1, 2)]
+
+
+@pytest.mark.parametrize("q, m", REPLICATED_CASES, ids=REPLICATED_IDS)
 def test_structural_radical_matches_trace_form_on_replicated(q, m):
+    """A^(m) of every file in quivers/ at m = 1, 2, and its opposite."""
     a = build_replicated(q, m).algebra
     assert_radical_matches_trace_form(a)
     assert_radical_matches_trace_form(a.opposite())
@@ -193,7 +203,9 @@ def test_structural_radical_matches_trace_form_on_end_algebra():
     bundle = auslander_generator(kronecker(), 1)
     e = end_algebra(bundle.module, summands=bundle.end_summands())
     assert_radical_matches_trace_form(e)
-    assert e._corner_codims == [1] * len(e.idempotents)
+    assert_radical_matches_trace_form(e.opposite())
+    # every corner is End(L) of an indecomposable L: local, with residue field Q
+    assert len(trace_form_radical(e)) == e.dim - len(e.idempotents)
 
 
 @pytest.mark.parametrize("a", ALGEBRAS)

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+import replalg.algebra
 from replalg.cli import parse_quiver
 from replalg.errors import CopyOutOfRange
 from replalg.homology import (
@@ -73,13 +74,18 @@ def test_build_matches_all_pairs_oracle(name):
         assert r.base.mult == all_pairs_path_table(q)
 
 
-def test_split_basic_is_proven_not_assumed():
-    # a fresh A^(m) carries no split-basic verdict until the certificate runs
+def test_split_basic_is_proven_not_assumed(monkeypatch):
+    # a fresh A^(m) carries no split-basic verdict until the certificate
+    # runs, once per corner; the certified radical is the verdict
     a = build_replicated(kronecker(), 2).algebra
-    assert a._split_basic is None
+    assert a._radical is None
+    runs = []
+    certificate = replalg.algebra._local_radical
+    monkeypatch.setattr(replalg.algebra, "_local_radical", lambda *args: runs.append(1) or certificate(*args))
     a.ensure_split_basic()
-    assert a._split_basic is True
-    assert a._corner_codims == [1] * len(a.idempotents)
+    assert len(runs) == len(a.idempotents) and a._radical is not None
+    a.ensure_split_basic()
+    assert len(runs) == len(a.idempotents)
 
 
 def test_regular_module_of_replicated(kr1):

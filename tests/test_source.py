@@ -91,3 +91,25 @@ def test_every_stored_scalar_is_an_int_or_a_fraction(kronecker_m1_bundle):
     entries += [c for f in maps for m in f.blocks for c in _entries(m)]
     assert len(maps) > 100 and len(entries) > 1000
     assert {type(c) for c in entries} <= {int, Fraction}
+
+
+def test_perfbench_tracer_names_exist():
+    """perfbench's tracer wraps methods and functions by name; a name that
+    the package no longer has would fail only the benchmark's own selftest.
+    Every METHODS entry must name a method in its class's vars, and every
+    DISTINCT and FOUND name a function defined in its layer."""
+    import importlib
+    import importlib.util
+    import inspect
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for (layer, cls, meth) in tracer.METHODS:
+        assert meth in vars(getattr(importlib.import_module(f"replalg.{layer}"), cls)), (layer, cls, meth)
+    for name in tracer.DISTINCT | tracer.FOUND:
+        layer, attr = name.split(".")
+        mod = importlib.import_module(f"replalg.{layer}")
+        fn = getattr(mod, attr, None)
+        assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, name
