@@ -26,8 +26,9 @@ from .modules import (
     ModuleMap,
     ModuleRep,
     _cosyzygy_step,
+    _certify_read_off,
     _envelope_is_projective,
-    _memo,
+    _syzygy_step,
     direct_sum,
     hom_basis,
     hom_dim,
@@ -147,36 +148,29 @@ def _span_rank(x: ModuleRep, y: ModuleRep, maps: Iterable[ModuleMap]) -> int:
     return sp.rank
 
 
-def _ext1_prefix(y: ModuleRep):
-    """(p0, d1, p1, p2, d2) of a minimal projective resolution of y; None
-    when y is projective, p2 and d2 None when the first syzygy is."""
-    p0, f0 = projective_cover(y)
-    k0, k0i = kernel(f0)
-    if k0.dim == 0:
-        return None
-    p1, f1 = projective_cover(k0)
-    d1 = f1.then(k0i)
-    k1, k1i = kernel(f1)
-    if k1.dim == 0:
-        return p0, d1, p1, None, None
-    p2, f2 = projective_cover(k1)
-    return p0, d1, p1, p2, f2.then(k1i)
-
-
 def ext1_dim(y: ModuleRep, x: ModuleRep) -> int:
-    """dim Ext^1(y, x) from the start of a minimal projective resolution of y."""
+    """dim Ext^1(y, x) = dim Hom(K, x) - dim Hom(P, x) + dim Hom(y, x), for
+    0 -> K -> P -> y -> 0 the projective cover of y (:func:`_syzygy_step`);
+    0 when y, x or K is 0.
+
+    Ext^1(P, x) = 0, so Hom(-, x) takes the sequence to the exact sequence
+    0 -> Hom(y, x) -> Hom(P, x) -> Hom(K, x) -> Ext^1(y, x) -> 0
+    (Assem-Simson-Skowronski, vol. 1, Appendix A).  Hom(e_v A, x) = x e_v,
+    so dim Hom(P, x) is the sum of dim x e_v over P's stack, certified once
+    per (x, v); each solved Hom dimension is certified by the residual of
+    its sparse kernel.  No map is composed.  A negative value raises
+    InternalCheckFailed.
+    """
     if y.dim == 0 or x.dim == 0:
         return 0
-    prefix = _memo(y, "ext1_prefix", lambda: _ext1_prefix(y))
-    if prefix is None:
+    stack, k = _syzygy_step(y)
+    if k.dim == 0:
         return 0
-    p0, d1, p1, p2, d2 = prefix
-    h1 = hom_basis(p1, x)
-    if not h1:
-        return 0
-    rank_d2 = _span_rank(p2, x, (d2.then(phi) for phi in h1)) if p2 is not None else 0
-    rank_d1 = _span_rank(p1, x, (d1.then(psi) for psi in hom_basis(p0, x)))
-    return len(h1) - rank_d2 - rank_d1
+    _certify_read_off(x, stack)
+    ext = hom_dim(k, x) - sum(x._dims[v] for v in stack) + hom_dim(y, x)
+    if ext < 0:
+        raise InternalCheckFailed("Ext^1 from the long exact Hom sequence is negative")
+    return ext
 
 
 def stable_hom_dim(y: ModuleRep, z: ModuleRep, through: Sequence[ModuleRep]) -> int:
@@ -436,7 +430,7 @@ def _match_decompositions(x: ModuleRep, y: ModuleRep, seed: int,
 
 
 def _basic_modules(summands, seed: int) -> list[ModuleRep]:
-    """The modules of (label, module, ...) summands; NotBasic if two are isomorphic."""
+    """The modules of (label, module) summands; NotBasic if two are isomorphic."""
     for i, si in enumerate(summands):
         for sj in summands[i + 1:]:
             if is_isomorphic(si[1], sj[1], seed=seed) is not None:
@@ -700,7 +694,7 @@ def _resolution_step(mu, hom: dict, rad: dict, slots: Sequence[int], have):
 def end_global_dimension(summands, homs: Callable[[int, int], list[ModuleMap]], cap: int,
                          seed: int = 0) -> tuple[DimBound, int]:
     """(gl.dim End(M), dim End(M)) for the basic module M with the
-    indecomposable summands L_t of the (label, module, ...) tuples
+    indecomposable summands L_t of the (label, module) pairs
     ``summands``, without assembling End(M).
 
     Hom(M, -) takes a minimal add(M)-resolution ... -> M_2 -> M_1 -> L to a

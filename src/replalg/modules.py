@@ -61,8 +61,7 @@ class ModuleRep:
     envelope: the v of each stacked I_v), ``read_off_certified`` (see
     :func:`hom_basis`), ``approximation_summands`` (source of a right
     approximation), ``is_projective``, ``cosyzygy_step`` (see
-    :func:`_cosyzygy_step`) and ``ext1_prefix`` (the resolution start of
-    ``ext1_dim``).
+    :func:`_cosyzygy_step`) and ``syzygy_step`` (see :func:`_syzygy_step`).
     """
 
     __slots__ = ("algebra", "dim", "blocks", "vertex_of", "_coords", "_dims", "_extras")
@@ -745,6 +744,16 @@ def _cosyzygy_step(x: ModuleRep):
         i, env = injective_envelope(x)
         return i.extras["injective_stack"], cokernel(env)[0]
     return _memo(x, "cosyzygy_step", step)
+
+
+def _syzygy_step(x: ModuleRep):
+    """(stack, syzygy) of x != 0: the ``projective_stack`` of its projective
+    cover and the cover's kernel, memoised under ``syzygy_step``.  The cover
+    and the kernel's inclusion are not kept."""
+    def step():
+        p, cover = projective_cover(x)
+        return p.extras["projective_stack"], kernel(cover)[0]
+    return _memo(x, "syzygy_step", step)
 
 
 def _envelope_is_projective(x: ModuleRep) -> bool:

@@ -43,7 +43,6 @@ from .modules import (
     _cosyzygy_step,
     _envelope_is_projective,
     _memo,
-    direct_sum,
     hom_basis,
     injective_module,
     is_injective_module,
@@ -272,13 +271,11 @@ class Summand:
 
 @dataclass
 class GeneratorBundle:
-    """A generator-cogenerator of mod A^(m) with its summand bookkeeping."""
+    """A generator-cogenerator M of mod A^(m), kept as its summands, with
+    their bookkeeping."""
 
     replicated: ReplicatedAlgebra
-    module: ModuleRep
     summands: list[Summand]
-    inclusions: list[ModuleMap]
-    projections: list[ModuleMap]
     t: int                      # gl.dim A^(m)
     _extras: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -300,20 +297,18 @@ class GeneratorBundle:
         ``auslander_generator`` stores the pieces of the ladder it used."""
         return _memo(self, ("sigma", seed), lambda: _sigma_pieces(self.replicated, self.t, seed))
 
-    def end_summands(self):
-        return [
-            (s.label, s.module, inc, prj)
-            for s, inc, prj in zip(self.summands, self.inclusions, self.projections)
-        ]
+    def end_summands(self) -> list[tuple[str, ModuleRep]]:
+        """(label, module) of each summand, as :func:`end_global_dimension` reads them."""
+        return [(s.label, s.module) for s in self.summands]
 
 
 def _assemble_generator(r: ReplicatedAlgebra, labelled, t: int, cap: int, seed: int) -> GeneratorBundle:
-    """De-duplicate labelled modules up to isomorphism and sum them up."""
+    """De-duplicate labelled modules up to isomorphism; the bundle keeps the
+    summands, not their sum."""
     chosen: list[tuple[str, ModuleRep]] = []
     for lab, mod in labelled:
         if all(is_isomorphic(mod, other, seed=seed) is None for _, other in chosen):
             chosen.append((lab, mod))
-    total, incs, prjs = direct_sum([mod for _, mod in chosen])
     summands = [
         Summand(
             lab, mod, mod.vertex_dims(), projective_dimension(mod, cap),
@@ -321,7 +316,7 @@ def _assemble_generator(r: ReplicatedAlgebra, labelled, t: int, cap: int, seed: 
         )
         for lab, mod in chosen
     ]
-    bundle = GeneratorBundle(r, total, summands, incs, prjs, t)
+    bundle = GeneratorBundle(r, summands, t)
     _verify_generator_cogenerator(bundle, seed)
     return bundle
 

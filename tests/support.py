@@ -14,6 +14,7 @@ from replalg.homology import (
     _from_sum,
     _map_space,
     _span_rank,
+    cosyzygy,
     decompose_with_maps,
     is_isomorphic,
     projective_dimension,
@@ -30,12 +31,14 @@ from replalg.modules import (
     injective_envelope,
     kernel,
     projective_cover,
+    projective_module,
     simple_module,
     submodule_from_vertex_bases,
     zero_map,
     zero_module,
 )
 from replalg.quiver import Quiver, compose_paths, enumerate_paths
+from replalg.replicated import build_replicated, embed, projective_injectives
 
 
 def from_rows(rows):
@@ -328,17 +331,16 @@ def greedy_right_approximation(addset, x, homs=None):
     return out, [copies[c][0] for c in active]
 
 
-def end_algebra(x: ModuleRep, summands=None, seed: int = 0) -> AlgebraData:
+def end_algebra(x: Optional[ModuleRep] = None, summands=None, seed: int = 0) -> AlgebraData:
     """End(x) as an AlgebraData with one idempotent per indecomposable summand.
 
     Multiplication is "apply first, then second": f*g = g o f, making x a
     right End(x)-module.  ``summands`` may supply the decomposition as
-    (label, module, inclusion, projection) tuples; otherwise it is computed.
+    (label, module) pairs, in place of x; otherwise x is decomposed.
     Raises NotBasic when two summands are isomorphic.
     """
     if summands is None:
-        pieces = decompose_with_maps(x, seed)
-        summands = [(f"X{i}", m, inc, prj) for i, (m, inc, prj) in enumerate(pieces)]
+        summands = [(f"X{i}", m) for i, (m, _, _) in enumerate(decompose_with_maps(x, seed))]
     n = len(summands)
     mods = _basic_modules(summands, seed)
     # block Hom bases, with identity leading each diagonal block
@@ -422,6 +424,49 @@ def hom_exactness(l, g, x):
     kmod, _ = kernel(g)
     hm = hom_basis(l, g.source)
     return hom_dim(l, kmod), len(hm), _span_rank(l, x, (phi.then(g) for phi in hm)), hom_dim(l, x)
+
+
+def ext1_by_resolution(y: ModuleRep, x: ModuleRep) -> int:
+    """dim Ext^1(y, x) from the start P2 -d2-> P1 -d1-> P0 -> y of a minimal
+    projective resolution of y: the homology at Hom(P1, x) of the complex
+    Hom(P0, x) -> Hom(P1, x) -> Hom(P2, x), that is dim Hom(P1, x) minus
+    the rank of d2* and the rank of d1*, each ranked from composed maps."""
+    if y.dim == 0 or x.dim == 0:
+        return 0
+    p0, f0 = projective_cover(y)
+    k0, k0i = kernel(f0)
+    if k0.dim == 0:
+        return 0
+    p1, f1 = projective_cover(k0)
+    d1 = f1.then(k0i)
+    h1 = hom_basis(p1, x)
+    k1, k1i = kernel(f1)
+    rank_d2 = 0
+    if k1.dim:
+        p2, f2 = projective_cover(k1)
+        d2 = f2.then(k1i)
+        rank_d2 = _span_rank(p2, x, (d2.then(phi) for phi in h1))
+    rank_d1 = _span_rank(p1, x, (d1.then(psi) for psi in hom_basis(p0, x)))
+    return len(h1) - rank_d2 - rank_d1
+
+
+def ext_inventory(q: Quiver, m: int):
+    """(inventory, projective-injectives) of extcheck on q at m, inside the
+    ambient A^(2m+1): the cosyzygy chains of the embedded projectives and
+    simples, up to 2m steps, then the projective-injectives."""
+    amb = build_replicated(q, 2 * m + 1)
+    pis = [mod for _, mod in projective_injectives(amb)]
+    inventory = []
+    for make in (projective_module, simple_module):
+        for v in range(len(q.vertices)):
+            chain = [embed(make(amb.base, v), 0, amb)]
+            for _ in range(2 * m):
+                nxt = cosyzygy(chain[-1])
+                if nxt.dim == 0:
+                    break
+                chain.append(nxt)
+            inventory.extend(chain)
+    return inventory + pis, pis
 
 
 def end_structure(m: ModuleRep):

@@ -75,7 +75,7 @@ def sweep_data():
     for name, q, m in SWEEP:
         cap = 4 * m + 4
         bundle = auslander_generator(q, m, cap=cap)
-        e = end_algebra(bundle.module, summands=bundle.end_summands())
+        e = end_algebra(summands=bundle.end_summands())
         g = global_dimension(e, cap)
         dom = dominant_dimension(bundle.replicated.algebra, cap)
         gl_a = global_dimension(bundle.replicated.base, cap)

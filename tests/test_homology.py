@@ -33,6 +33,7 @@ from replalg.modules import (
     is_injective_module,
     is_projective_module,
     kernel,
+    projective_cover,
     projective_module,
     regular_module,
     simple_module,
@@ -46,6 +47,8 @@ from support import (
     decompose,
     end_algebra,
     end_top_dimension,
+    ext1_by_resolution,
+    ext_inventory,
     from_rows,
     greedy_right_approximation,
     injective_dimension,
@@ -206,6 +209,16 @@ def test_ext1_projective_and_injective_vanish(kr):
     assert ext1_dim(p2, s1) == 0
     assert ext1_dim(s2, injective_module(kr, 0)) == 0
     assert ext1_dim(s2, s1) == 2  # two arrows, two independent extensions
+
+
+def test_ext1_refuses_a_negative_dimension(kr, monkeypatch):
+    # the long exact Hom sequence gives Ext^1(S2, S2) = 0 - 1 + 1; with the
+    # two solved Hom dimensions read as 0 it would be -1
+    s2 = simple_module(kr, 1)
+    assert ext1_dim(s2, s2) == 0
+    monkeypatch.setattr(replalg.homology, "hom_dim", lambda x, y: 0)
+    with pytest.raises(InternalCheckFailed, match="negative"):
+        ext1_dim(s2, s2)
 
 
 def test_stable_hom_errors_on_non_proj_injective(kr):
@@ -573,8 +586,50 @@ def test_memoised_facts_match_fresh_modules(a2_ext_inventory):
             got = ext1_dim(y, x)
             assert got == ext1_dim(_fresh(y), _fresh(x))
             values.add(got)
-        assert "ext1_prefix" in y.extras
+        # one key holds the cover's stack and kernel; the cover is not kept
+        assert "syzygy_step" in y.extras and "ext1_prefix" not in y.extras
+        stack, syz = y.extras["syzygy_step"]
+        p, cover = projective_cover(_fresh(y))
+        assert stack == p.extras["projective_stack"]
+        assert syz.vertex_dims() == kernel(cover)[0].vertex_dims()
+        assert (syz.dim == 0) == is_projective_module(y)
     assert len(values) > 1
+
+
+@pytest.mark.parametrize("quiver", [kronecker, lambda: linear_quiver(3)], ids=["kronecker-m1", "a3-m1"])
+def test_ext1_matches_the_resolution_prefix_on_the_extcheck_inventory(quiver):
+    """Ext^1 from one syzygy step against the oracle that ranks composites
+    with the second and third terms of a minimal projective resolution, on
+    every pair of the extcheck inventory."""
+    inventory, _ = ext_inventory(quiver(), 1)
+    values = [(ext1_dim(y, x), ext1_by_resolution(y, x)) for y in inventory for x in inventory]
+    assert all(got == want for got, want in values)
+    assert {got for got, _ in values} >= {0, 1}
+
+
+@pytest.mark.parametrize("quiver, m", [(kronecker, 2), (kronecker3, 1)], ids=["kronecker-m2", "kronecker3-m1"])
+def test_summand_ext1_matches_the_resolution_prefix(quiver, m):
+    # the Ext^1 table between the summands of M, as lemma24 reads it
+    bundle = auslander_generator(quiver(), m)
+    mods = [s.module for s in bundle.summands]
+    n = range(len(mods))
+    table = {(i, j): bundle.summand_ext1(i, j) for i in n for j in n}
+    assert table == {(i, j): ext1_by_resolution(mods[i], mods[j]) for i in n for j in n}
+    assert sum(table.values()) > len(mods)
+
+
+def test_ext1_composes_no_map_and_ranks_no_span(a2_ext_inventory, monkeypatch):
+    inventory, _ = a2_ext_inventory
+    mods = [_fresh(x) for x in inventory]
+    want = [[ext1_by_resolution(y, x) for x in mods] for y in mods]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ext1_dim composed a map or ranked a span")
+
+    monkeypatch.setattr(replalg.modules.ModuleMap, "then", refuse)
+    monkeypatch.setattr(replalg.homology, "_span_rank", refuse)
+    assert [[ext1_dim(y, x) for x in mods] for y in mods] == want
+    assert any(map(any, want))
 
 
 def test_homological_functions_leave_inputs_unchanged(a2_ext_inventory):
@@ -621,7 +676,7 @@ def test_repeat_stable_hom_builds_no_envelope(a2_ext_inventory, monkeypatch):
 
 def _end_oracle(bundle, cap):
     """gl.dim and dim of End(M) from the assembled algebra."""
-    e = end_algebra(bundle.module, summands=bundle.end_summands())
+    e = end_algebra(summands=bundle.end_summands())
     return global_dimension(e, cap), e.dim
 
 

@@ -649,9 +649,9 @@ def _solved_basis(x, y):
 
 def test_hom_out_of_a_projective_is_read_off_as_solved(monkeypatch):
     """Every Hom out of a stack of projectives that extcheck and the lemma24
-    inventory meet on Kronecker m=1, cover maps included, is read off its
-    target with no system solved, and its basis equals the solved one entry
-    for entry and in order."""
+    inventory meet on Kronecker m=1, and the lemma24 inventory on Kronecker
+    m=2, cover maps included, is read off its target with no system solved,
+    and its basis equals the solved one entry for entry and in order."""
     met = {}
     read_off, equations = replalg.modules._read_off, replalg.modules._hom_equations
 
@@ -666,8 +666,9 @@ def test_hom_out_of_a_projective_is_read_off_as_solved(monkeypatch):
     monkeypatch.setattr(replalg.modules, "_read_off", recorded)
     monkeypatch.setattr(replalg.modules, "_hom_equations", solved)
     assert verify_ext_stablehom(kronecker(), 1).verdict
-    bundle = auslander_generator(kronecker(), 1)
-    assert all(verify_lemma_2_4(bundle, x, lab).verdict for lab, x in lemma_2_4_inventory(bundle))
+    for m in (1, 2):
+        bundle = auslander_generator(kronecker(), m)
+        assert all(verify_lemma_2_4(bundle, x, lab).verdict for lab, x in lemma_2_4_inventory(bundle))
     monkeypatch.undo()
     stacks = [len(p.extras["projective_stack"]) for p, _ in met.values()]
     assert len(met) > 400 and 1 in stacks and max(stacks) > 1

@@ -201,7 +201,7 @@ def test_structural_radical_matches_trace_form_on_replicated(q, m):
 
 def test_structural_radical_matches_trace_form_on_end_algebra():
     bundle = auslander_generator(kronecker(), 1)
-    e = end_algebra(bundle.module, summands=bundle.end_summands())
+    e = end_algebra(summands=bundle.end_summands())
     assert_radical_matches_trace_form(e)
     assert_radical_matches_trace_form(e.opposite())
     # every corner is End(L) of an indecomposable L: local, with residue field Q

@@ -70,22 +70,23 @@ def test_every_stored_scalar_is_an_int_or_a_fraction(kronecker_m1_bundle):
     # no float and no bool in an algebra table, an action block or a map
     # block; the algebra tables hold ints wherever the value is integral
     from support import end_algebra
-    from replalg.modules import hom_basis, injective_envelope, projective_cover
+    from replalg.modules import direct_sum, hom_basis, injective_envelope, projective_cover
 
     bundle = kronecker_m1_bundle
     a = bundle.replicated.algebra
-    end = end_algebra(bundle.module, summands=bundle.end_summands())
+    end = end_algebra(summands=bundle.end_summands())
     table = [c for alg in (a, end) for row in alg.mult for cell in row for _, c in cell]
     table += [c for alg in (a, end) for _, coords in alg.idempotents + (("1", alg.unit),) for c in coords]
     assert {type(c) for c in table} <= {int, Fraction}
     assert all(type(c) is int or c.denominator != 1 for c in table)
     mods = [s.module for s in bundle.summands]
-    maps = bundle.inclusions + bundle.projections
+    total, incs, prjs = direct_sum(mods)
+    maps = incs + prjs
     for x in mods:
         for y in mods:
             maps += hom_basis(x, y)
     covers = [projective_cover(x) for x in mods] + [injective_envelope(x) for x in mods]
-    mods += [bundle.module] + [p for p, _ in covers]
+    mods += [total] + [p for p, _ in covers]
     maps += [f for _, f in covers]
     entries = [c for x in mods for m in x.blocks.values() for c in _entries(m)]
     entries += [c for f in maps for m in f.blocks for c in _entries(m)]

@@ -111,7 +111,10 @@ def test_lemma_2_4_inventory_hom_systems_are_pinned(monkeypatch):
     End once, for its splitting candidates and its locality certificate
     alike (95 systems and 793 rows when the certificate solved it again).
     The inventory reads the sigma ladder that built M from the bundle (91
-    systems and 741 rows when it built the ladder again)."""
+    systems and 741 rows when it built the ladder again).  Ext^1(L, K)
+    comes from the long exact Hom sequence of one syzygy step of L, which
+    solves Hom(syzygy, K) and Hom(L, K) where the resolution prefix read
+    Hom(P_1, K) off K and ranked composites: 87 systems and 689 rows then."""
     bundle = auslander_generator(kronecker(), 1)
     solved, radicals = [], []
     solve, radical = modules.sparse_kernel, homology._radical
@@ -134,7 +137,7 @@ def test_lemma_2_4_inventory_hom_systems_are_pinned(monkeypatch):
     monkeypatch.setattr(verify, "is_isomorphic", refuse)
     certs = [verify_lemma_2_4(bundle, x, lab) for lab, x in lemma_2_4_inventory(bundle)]
     assert len(certs) == 13 and all(c.verdict for c in certs)
-    assert (len(solved), sum(solved), radicals) == (87, 689, [100])
+    assert (len(solved), sum(solved), radicals) == (99, 759, [100])
 
 
 def test_right_approximation_work_is_pinned(monkeypatch):
@@ -182,20 +185,41 @@ def test_right_approximation_work_is_pinned(monkeypatch):
 
 def test_ext_stablehom_hom_systems_are_pinned(monkeypatch):
     """A work gate for the Ext^1 against stable Hom check on Kronecker m=1:
-    the Hom systems solved and their rows.  Hom(P_0, X) and Hom(P_1, X) of
-    ext1_dim, Hom(w, Z) out of each projective-injective w and dim Hom(Y, Z)
-    for a projective-injective Y are read off the target, not solved (917
-    systems and 7,327 rows when they were)."""
+    the Hom systems solved and their rows, the projective covers and
+    kernels built, the Gauss-Jordan eliminations and the composed maps.
+    Hom(w, Z) out of each projective-injective w, dim Hom(Y, Z) for a
+    projective-injective Y and dim Hom(P, X) for the cover P of ext1_dim
+    are read off the target, not solved (917 systems and 7,327 rows when
+    they were).  ext1_dim takes one cover and one kernel per module and
+    reads the long exact Hom sequence, so it solves more but smaller
+    systems, Hom(syzygy, X) and Hom(Y, X), and composes no map.  Its
+    three-cover resolution prefix solved Hom(P_1, X) by read-off and ranked
+    composites with d1 and d2: 310 systems and 1,931 rows, 65 covers, 28
+    kernels, 616 eliminations and 593 composed maps."""
     solved, solve = [], modules.sparse_kernel
+    built = {"cover": 0, "kernel": 0, "_gauss_jordan": 0, "then": 0}
 
     def counted(rows, n):
         solved.append(len(rows))
         return solve(rows, n)
 
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            built[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
     monkeypatch.setattr(modules, "sparse_kernel", counted)
+    for name, fn in (("cover", modules.projective_cover), ("kernel", modules.kernel)):
+        for mod in (modules, homology, verify):
+            if hasattr(mod, fn.__name__):
+                monkeypatch.setattr(mod, fn.__name__, counting(name, fn))
+    monkeypatch.setattr(RatMatrix, "_gauss_jordan", counting("_gauss_jordan", RatMatrix._gauss_jordan))
+    monkeypatch.setattr(ModuleMap, "then", counting("then", ModuleMap.then))
     cert = verify_ext_stablehom(kronecker(), 1)
     assert cert.verdict and cert.values["pairs_checked"] > 0
-    assert (len(solved), sum(solved)) == (310, 1931)
+    assert (len(solved), sum(solved)) == (486, 2881)
+    assert built == {"cover": 51, "kernel": 19, "_gauss_jordan": 524, "then": 365}
 
 
 def test_ext_stablehom_envelopes_are_pinned(monkeypatch):
