@@ -3,8 +3,8 @@ direct-sum decomposition, isomorphism testing, endomorphism algebras and
 minimal right approximations.
 
 Everything is exact; randomness appears only in the seeded search for
-isomorphisms and splitting endomorphisms, and a negative answer is always
-backed by a deterministic certificate.
+splitting endomorphisms, and a negative answer is always backed by a
+deterministic certificate.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from operator import add
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import AlgebraData, _local_radical as _trace_hyperplane
-from .errors import InternalCheckFailed, NotBasic, NotProjInjective, UndecidableDecomposition
+from .errors import CapTooSmall, InternalCheckFailed, NotBasic, NotProjInjective, UndecidableDecomposition
 from .linalg import EchelonSpace, RatMatrix, Scalar, SparseSpan, hstack, scalar, sparse_kernel
 from .modules import (
     ModuleMap,
@@ -67,6 +67,14 @@ class DimBound:
 
     def to_json(self):
         return self.value if self.exact else f">={self.value}"
+
+
+def _decided(g: DimBound, need: float, cap: int, what: str) -> DimBound:
+    """g, or CapTooSmall if g is a lower bound that does not exceed ``need``;
+    ``math.inf`` refuses every lower bound."""
+    if not g.exact and g.value <= need:
+        raise CapTooSmall(f"resolution cap {cap} too small to determine gl.dim {what}")
+    return g
 
 
 def projective_dimension(x: ModuleRep, cap: int) -> DimBound:
@@ -351,18 +359,22 @@ def decompose_with_maps(x: ModuleRep, seed: int = 0, endos: Optional[list[Module
 def is_isomorphic(x: ModuleRep, y: ModuleRep, seed: int = 0) -> Optional[ModuleMap]:
     """An isomorphism x -> y, or None (certified) when there is none.
 
-    Positive answers come from direct inspection of the Hom basis, pairwise
-    composites, or a bounded seeded random search; a None is only returned
-    with a deterministic reason: unequal dimension vectors, a vanishing Hom
-    space, no invertible pairwise composite while End(x) or End(y) is
-    certified local by :func:`_local_radical` (checked before the random
-    search, which then runs only when both are decomposable), or a
-    Krull-Schmidt matching of the two decompositions that fails.
+    Four stages: unequal dimension vectors give None; a zero module gives
+    the zero map; the first basis map of Hom(x, y) that is an isomorphism is
+    returned (None when Hom(x, y) = 0); else None if :func:`_local_radical`
+    certifies End(x) local, and the Krull-Schmidt matching of
+    :func:`_match_decompositions` otherwise.
+
+    The lemma behind the last stage (Assem-Simson-Skowronski, vol. 1, I.4):
+    if End(x) is local and g: x -> y is an isomorphism, then Hom(x, y) =
+    g o End(x), and f = g o (g^-1 f) is an isomorphism iff g^-1 f is a unit.
+    The non-units of End(x) form rad End(x), a proper subspace, so the
+    non-isomorphisms form the proper subspace g o rad End(x), which holds no
+    basis of Hom(x, y): some basis map is an isomorphism.  So with End(x)
+    local and none of them an isomorphism, x and y are not isomorphic.
     """
     if x.algebra is not y.algebra:
         raise ValueError("modules live over different algebras")
-    if x.dim != y.dim:
-        return None
     if x.vertex_dims() != y.vertex_dims():
         return None
     if x.dim == 0:
@@ -370,39 +382,19 @@ def is_isomorphic(x: ModuleRep, y: ModuleRep, seed: int = 0) -> Optional[ModuleM
     hxy = hom_basis(x, y)
     if not hxy:
         return None
-    hyx = hom_basis(y, x)
-    if not hyx:
-        return None
     for f in hxy:
         if f.is_isomorphism():
             return f
-    for f in hxy:
-        for g in hyx:
-            # an invertible composite on either side forces f or g bijective
-            if f.then(g).is_isomorphism():
-                return f
-            if g.then(f).is_isomorphism():
-                return g.inverse()
-    # deterministic negative certificate: with End(x) local its non-units form
-    # a subspace, so as no composite g o f of basis maps above is a unit, no
-    # composite of any two maps is, and x, y are not isomorphic; so for End(y)
-    if _local_radical(ex := hom_basis(x, x)) is not None or _local_radical(ey := hom_basis(y, y)) is not None:
+    if _local_radical(ex := hom_basis(x, x)) is not None:
         return None
-    rng = random.Random(seed)
-    for bound in (1, 2, 5, 9):
-        for _ in range(8):
-            f = _combination([rng.randint(-bound, bound) for _ in hxy], hxy, x, y)
-            if f.is_isomorphism():
-                return f
-    return _match_decompositions(x, y, seed, ex, ey)
+    return _match_decompositions(x, y, seed, ex)
 
 
-def _match_decompositions(x: ModuleRep, y: ModuleRep, seed: int,
-                          ex: list[ModuleMap], ey: list[ModuleMap]) -> Optional[ModuleMap]:
-    """The Krull-Schmidt matching of x and y; ex and ey are bases of End(x)
-    and End(y), handed to the first level of each decomposition."""
+def _match_decompositions(x: ModuleRep, y: ModuleRep, seed: int, ex: list[ModuleMap]) -> Optional[ModuleMap]:
+    """The Krull-Schmidt matching of x and y; ex is a basis of End(x),
+    handed to the first level of x's decomposition (y's solves End(y))."""
     xs = decompose_with_maps(x, seed, ex)
-    ys = decompose_with_maps(y, seed, ey)
+    ys = decompose_with_maps(y, seed)
     if len(xs) != len(ys):
         return None
     used = [False] * len(ys)
@@ -424,18 +416,6 @@ def _match_decompositions(x: ModuleRep, y: ModuleRep, seed: int,
         # matched leafwise, but the assembled map must then be invertible
         raise InternalCheckFailed("Krull-Schmidt matching produced a singular map")
     return total
-
-
-# -- endomorphism algebras -------------------------------------------------------
-
-
-def _basic_modules(summands, seed: int) -> list[ModuleRep]:
-    """The modules of (label, module) summands; NotBasic if two are isomorphic."""
-    for i, si in enumerate(summands):
-        for sj in summands[i + 1:]:
-            if is_isomorphic(si[1], sj[1], seed=seed) is not None:
-                raise NotBasic(f"summands {si[0]} and {sj[0]} are isomorphic")
-    return [s[1] for s in summands]
 
 
 # -- minimal right add(M)-approximations ----------------------------------------------
@@ -468,21 +448,29 @@ def _local_radical(basis: Sequence[ModuleMap]) -> Optional[list[dict[int, Scalar
 
 def _radical(hom: dict) -> dict[tuple[int, int], list[dict[int, Scalar]]]:
     """rad(L_t, L_s) for each key (t, s) of ``hom``, a table of bases of
-    Hom(L_t, L_s) between pairwise non-isomorphic indecomposables, as
-    coordinates {index: coefficient} in hom[t, s]: all of Hom(L_t, L_s) for
-    t != s, and :func:`_local_radical` of End(L_t) for t = s, which must
-    certify End(L_t) local, else InternalCheckFailed.
+    Hom(L_t, L_s) that holds (s, s) beside each (t, s), as coordinates
+    {index: coefficient} in hom[t, s]: :func:`_local_radical` of End(L_t)
+    for t = s, and all of Hom(L_t, L_s) for t != s.
+
+    End(L_t) is certified local for every diagonal key first, else
+    InternalCheckFailed.  Then the L_t are pairwise non-isomorphic, else
+    NotBasic: with End(L_s) local, L_t and L_s are isomorphic iff a basis
+    map of hom[t, s] is an isomorphism (the lemma of :func:`is_isomorphic`),
+    which is tested where the dimension vectors agree.
     """
     rad = {}
     for (t, s), basis in hom.items():
+        if t == s:
+            rad[t, t] = _local_radical(basis)
+            if rad[t, t] is None:
+                if not any(map(_trace, basis)):
+                    raise InternalCheckFailed("End(L) has no map of nonzero trace")
+                raise InternalCheckFailed("a summand has an endomorphism ring that is not local")
+    for (t, s), basis in hom.items():
         if t != s:
+            if basis and basis[0].source._dims == basis[0].target._dims and any(f.is_isomorphism() for f in basis):
+                raise NotBasic(f"summands {t} and {s} are isomorphic")
             rad[t, s] = [{a: 1} for a in range(len(basis))]
-            continue
-        rad[t, t] = _local_radical(basis)
-        if rad[t, t] is None:
-            if not any(map(_trace, basis)):
-                raise InternalCheckFailed("End(L) has no map of nonzero trace")
-            raise InternalCheckFailed("a summand has an endomorphism ring that is not local")
     return rad
 
 
@@ -512,8 +500,8 @@ def right_approximation(addset: Sequence[ModuleRep], x: ModuleRep,
     ``homs(i, j)``, when given, is a basis of Hom(addset[i], addset[j]), so
     that a caller approximating many targets solves each of these systems
     once; by default it is solved here.  An addset with two isomorphic
-    modules, or one that is not indecomposable, never gets a wrong map: a
-    certificate raises InternalCheckFailed.
+    modules, or one that is not indecomposable, never gets a wrong map:
+    :func:`_radical` raises NotBasic or InternalCheckFailed.
     """
     return _approximation(addset, x, homs)[0]
 
@@ -691,8 +679,7 @@ def _resolution_step(mu, hom: dict, rad: dict, slots: Sequence[int], have):
     return gens, out
 
 
-def end_global_dimension(summands, homs: Callable[[int, int], list[ModuleMap]], cap: int,
-                         seed: int = 0) -> tuple[DimBound, int]:
+def end_global_dimension(summands, homs: Callable[[int, int], list[ModuleMap]], cap: int) -> tuple[DimBound, int]:
     """(gl.dim End(M), dim End(M)) for the basic module M with the
     indecomposable summands L_t of the (label, module) pairs
     ``summands``, without assembling End(M).
@@ -712,12 +699,12 @@ def end_global_dimension(summands, homs: Callable[[int, int], list[ModuleMap]], 
     certified by its residual).  Each step is certified onto by
     rank-nullity (:func:`_resolution_step`).  ``homs(i, j)`` is a basis of
     Hom(L_i, L_j) as :func:`hom_basis` gives it, as from
-    :meth:`GeneratorBundle.summand_homs`.  Raises NotBasic when two summands
-    are isomorphic.
+    :meth:`GeneratorBundle.summand_homs`.  :func:`_radical` of that table
+    certifies M basic: NotBasic when two summands are isomorphic.
     """
     if cap < 0 or any(s[1].dim == 0 for s in summands):
         raise ValueError("cap must be nonnegative and every summand nonzero")
-    n = len(_basic_modules(summands, seed))
+    n = len(summands)
     hom = {(t, s): homs(t, s) for t in range(n) for s in range(n)}
     rad = _radical(hom)
     mu = _structure_constants(hom)

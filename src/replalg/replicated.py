@@ -22,14 +22,16 @@ AmbientTooSmall assertion.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import AlgebraData
-from .errors import AmbientTooSmall, CapTooSmall, CopyOutOfRange, InternalCheckFailed
+from .errors import AmbientTooSmall, CopyOutOfRange, InternalCheckFailed
 from .homology import (
     DimBound,
+    _decided,
     _radical,
     decompose_with_maps,
     ext1_dim,
@@ -345,9 +347,7 @@ def _minimal_summands(quiver: Quiver, m: int, cap: Optional[int]):
     """
     cap = cap if cap is not None else default_cap(m)
     r = build_replicated(quiver, m)
-    t_bound = global_dimension(r.algebra, cap)
-    if not t_bound.exact:
-        raise CapTooSmall(f"resolution cap {cap} too small to determine gl.dim A^(m)")
+    t_bound = _decided(global_dimension(r.algebra, cap), math.inf, cap, "A^(m)")
     nv = len(quiver.vertices)
     labelled: list[tuple[str, ModuleRep]] = []
     for v in range(nv):

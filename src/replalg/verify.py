@@ -8,14 +8,15 @@ seeds give identical bytes.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import CapTooSmall, InternalCheckFailed, ReplalgError
+from .errors import InternalCheckFailed, ReplalgError
 from .homology import (
-    DimBound,
     _approximation,
+    _decided,
     _resolution_step,
     _span_rank,
     cosyzygy,
@@ -77,13 +78,6 @@ def _instance(q: Quiver, m: int) -> dict:
     }
 
 
-def _decided(g: DimBound, need: int, cap: int, what: str) -> DimBound:
-    """g, or CapTooSmall if g is a lower bound that does not exceed ``need``."""
-    if not g.exact and g.value <= need:
-        raise CapTooSmall(f"resolution cap {cap} too small to determine gl.dim {what}")
-    return g
-
-
 def verify_theorem_3_3(q: Quiver, m: int, cap: Optional[int] = None, seed: int = 0,
                        bundle: Optional[GeneratorBundle] = None):
     """gl.dim End(M) <= 3 for the canonical generator-cogenerator M;
@@ -91,7 +85,7 @@ def verify_theorem_3_3(q: Quiver, m: int, cap: Optional[int] = None, seed: int =
     cap = cap if cap is not None else default_cap(m)
     if bundle is None:
         bundle = auslander_generator(q, m, cap=cap, seed=seed)
-    g, dim_end = end_global_dimension(bundle.end_summands(), bundle.summand_homs, cap, seed=seed)
+    g, dim_end = end_global_dimension(bundle.end_summands(), bundle.summand_homs, cap)
     g = _decided(g, 3, cap, "End(M)")
     cert = Certificate(
         claim="theorem_3_3_repdim",
@@ -114,9 +108,7 @@ def verify_theorem_3_5(q: Quiver, m: int, cap: Optional[int] = None):
         raise ValueError("the dominant-dimension bound needs m >= 1")
     cap = cap if cap is not None else default_cap(m)
     r = build_replicated(q, m)
-    t = global_dimension(r.algebra, cap)
-    if not t.exact:
-        raise CapTooSmall(f"resolution cap {cap} too small to determine gl.dim A^(m)")
+    t = _decided(global_dimension(r.algebra, cap), math.inf, cap, "A^(m)")
     dom = dominant_dimension(r.algebra, cap)
     theorem = dom.at_least(m)
     proof_bound = dom.at_least(t.value - 1)
@@ -138,12 +130,8 @@ def verify_gl_dim_bounds(q: Quiver, m: int, cap: Optional[int] = None):
     the cap ends before gl.dim A or gl.dim A^(m) is determined."""
     cap = cap if cap is not None else default_cap(m)
     r = build_replicated(q, m)
-    gl_a = global_dimension(r.base, cap)
-    if not gl_a.exact:
-        raise CapTooSmall(f"resolution cap {cap} too small to determine gl.dim A")
-    gl_m = global_dimension(r.algebra, cap)
-    if not gl_m.exact:
-        raise CapTooSmall(f"resolution cap {cap} too small to determine gl.dim A^(m)")
+    gl_a = _decided(global_dimension(r.base, cap), math.inf, cap, "A")
+    gl_m = _decided(global_dimension(r.algebra, cap), math.inf, cap, "A^(m)")
     ok = m + gl_a.value <= gl_m.value <= (m + 1) * gl_a.value + m
     return Certificate(
         claim="gl_dim_sandwich",
@@ -209,9 +197,11 @@ def verify_lemma_2_4(bundle: GeneratorBundle, x: ModuleRep, x_label: str,
 
     K is read in End(M) coordinates: one more step d: M2 -> K is onto, and M
     holds the projectives, so d is an isomorphism iff every Hom(L, ker d) = 0.
-    Only a K outside add M is decomposed, to name its pieces.  The module
-    kernel(g) is certified by its dimension vector: dim M1 - dim x when g is
-    onto, and the sum over d's generators when K lies in add M.
+    g is a module map, so dim K_v is the nullity of its block at v, and g is
+    onto iff each block's rank is dim x_v.  When K lies in add M its
+    dimension vector is certified against the sum over d's generators.  Only
+    a K outside add M is built as the module kernel(g) and decomposed, to
+    name its pieces.
     """
     q = bundle.replicated.quiver
     mods = [s.module for s in bundle.summands]
@@ -222,19 +212,19 @@ def verify_lemma_2_4(bundle: GeneratorBundle, x: ModuleRep, x_label: str,
     parts = _summand_parts(g, slots, mods)
     if not all(_intertwines(p) for p in parts):
         raise InternalCheckFailed("an add(M)-approximation is not a module map")
-    epi = g.is_surjective()
-    kmod, _ = kernel(g)
-    if epi and kmod.vertex_dims() != [a - b for a, b in zip(g.source.vertex_dims(), x.vertex_dims())]:
-        raise InternalCheckFailed("the kernel of an epimorphism has the wrong dimension vector")
+    ranks = [m.rank() if m.rows and m.cols else 0 for m in g.blocks]
+    epi = ranks == x.vertex_dims()
+    kernel_dims = [m.cols - r for m, r in zip(g.blocks, ranks)]
     gens2, ker2 = _resolution_step(mu, hom, rad, slots, ker) if any(ker) else ([], ker)
     in_add = not any(ker2)
     if in_add:
         us = [u for u, _ in gens2]
-        if kmod.vertex_dims() != [sum(bundle.summands[u].dims[v] for u in us) for v in range(len(kmod.vertex_dims()))]:
+        if kernel_dims != [sum(bundle.summands[u].dims[v] for u in us) for v in range(len(kernel_dims))]:
             raise InternalCheckFailed("a kernel in add M has the wrong dimension vector")
         kernel_labels = [labels[u] for u in us]
         ext_values = {s.label: sum(bundle.summand_ext1(i, u) for u in us) for i, s in enumerate(bundle.summands)}
     else:
+        kmod, _ = kernel(g)
         kernel_labels = [next((lab for lab, cand in zip(labels, mods) if is_isomorphic(piece, cand, seed=seed) is not None),
                               "<not in add M>") for piece, _, _ in decompose_with_maps(kmod, seed=seed)]
         if "<not in add M>" not in kernel_labels:
@@ -275,7 +265,7 @@ def verify_lemma_2_4(bundle: GeneratorBundle, x: ModuleRep, x_label: str,
         witnesses={
             "approximation_source": dict(sorted(src_counts.items())),
             "kernel_summands": sorted(kernel_labels),
-            "kernel_dims": kmod.vertex_dims(),
+            "kernel_dims": kernel_dims,
         },
     )
 
@@ -381,10 +371,10 @@ def verify_example_3_4(seed: int = 0, cap: Optional[int] = None):
     q = kronecker()
     cap = cap if cap is not None else 8
     bundle = auslander_generator(q, 1, cap=cap, seed=seed)
-    g, _ = end_global_dimension(bundle.end_summands(), bundle.summand_homs, cap, seed=seed)
+    g, _ = end_global_dimension(bundle.end_summands(), bundle.summand_homs, cap)
     g = _decided(g, 3, cap, "End(M)")
     bundle0 = minimal_cogenerator(q, 1, cap=cap, seed=seed)
-    g0, _ = end_global_dimension(bundle0.end_summands(), bundle0.summand_homs, cap, seed=seed)
+    g0, _ = end_global_dimension(bundle0.end_summands(), bundle0.summand_homs, cap)
     g0 = _decided(g0, 5, cap, "End(M_0)")
     expected = sorted([
         (1, 0, 0, 0), (2, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 2), (1, 2, 1, 0),

@@ -7,10 +7,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from replalg.algebra import AlgebraData, _sparse_coords
-from replalg.errors import InternalCheckFailed
+from replalg.errors import InternalCheckFailed, NotBasic
 from replalg.homology import (
     DimBound,
-    _basic_modules,
     _from_sum,
     _map_space,
     _span_rank,
@@ -118,6 +117,19 @@ def validate_map(f: ModuleMap) -> None:
 
 def is_invertible(m: RatMatrix) -> bool:
     return m.rows == m.cols and m.rank() == m.rows
+
+
+def twist(x: ModuleRep) -> ModuleRep:
+    """x after the base change 1 + E_{01} inside each vertex block of
+    dimension >= 2: an isomorphic module whose covers and envelopes have
+    square blocks that are not symmetric."""
+    c = RatMatrix.identity(x.dim)
+    for v in range(len(x.algebra.idempotents)):
+        at = x.coords_at(v)
+        if len(at) >= 2:
+            c.data[at[0]][at[1]] = 1
+    cinv = c.inverse()
+    return ModuleRep.from_actions(x.algebra, {b: cinv @ x.action(b) @ c for b in x.blocks}, x.vertex_of)
 
 
 def block_diag(mats):
@@ -329,6 +341,15 @@ def greedy_right_approximation(addset, x, homs=None):
         return zero_map(zero_module(x.algebra), x), []
     out, _ = _from_sum([copies[c][1] for c in active], x)
     return out, [copies[c][0] for c in active]
+
+
+def _basic_modules(summands, seed: int) -> list[ModuleRep]:
+    """The modules of (label, module) summands; NotBasic if two are isomorphic."""
+    for i, si in enumerate(summands):
+        for sj in summands[i + 1:]:
+            if is_isomorphic(si[1], sj[1], seed=seed) is not None:
+                raise NotBasic(f"summands {si[0]} and {sj[0]} are isomorphic")
+    return [s[1] for s in summands]
 
 
 def end_algebra(x: Optional[ModuleRep] = None, summands=None, seed: int = 0) -> AlgebraData:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import replalg.homology
 import replalg.linalg
 import replalg.modules
 from replalg.errors import InternalCheckFailed
@@ -32,7 +33,7 @@ from replalg.modules import (
 from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, build_replicated
 from replalg.verify import lemma_2_4_inventory, verify_ext_stablehom, verify_lemma_2_4
-from support import block_diag, image, is_invertible, socle, validate_map, validate_module, vstack
+from support import block_diag, image, is_invertible, socle, twist, validate_map, validate_module, vstack
 
 F = Fraction
 
@@ -484,19 +485,38 @@ def kronecker_m1_summands(kronecker_m1_bundle):
 
 @pytest.fixture(scope="module")
 def twisted_kronecker_m1_summands(kronecker_m1_summands):
-    """The summands after the base change 1 + E_{01} inside each vertex block
-    of dimension >= 2: their covers and envelopes have square blocks that
-    are not symmetric."""
-    out = []
-    for x in kronecker_m1_summands:
-        c = RatMatrix.identity(x.dim)
-        for v in range(len(x.algebra.idempotents)):
-            at = x.coords_at(v)
-            if len(at) >= 2:
-                c.data[at[0]][at[1]] = F(1)
-        cinv = c.inverse()
-        out.append(ModuleRep.from_actions(x.algebra, {b: cinv @ x.action(b) @ c for b in x.blocks}, x.vertex_of))
-    return out
+    """The summands after the base change of :func:`support.twist`."""
+    return [twist(x) for x in kronecker_m1_summands]
+
+
+@pytest.mark.parametrize("inventory", ["a2_ext_inventory", "kronecker_m1_summands", "twisted_kronecker_m1_summands"])
+def test_is_isomorphic_decides_indecomposables_by_a_basis_map(inventory, request, monkeypatch):
+    """The lemma of is_isomorphic: with End(x) local, x and y are
+    isomorphic iff a basis map of Hom(x, y) is an isomorphism, so on
+    indecomposables no pair reaches the matching of decompositions.  x
+    against its twist gives an isomorphism, and every pair that the dense
+    search of _iso_oracle rejects gives None."""
+    from replalg.homology import is_isomorphic
+
+    mods = request.getfixturevalue(inventory)
+    if inventory == "a2_ext_inventory":
+        mods = mods[0]
+
+    def refuse(*args):
+        raise AssertionError("decompositions were matched")
+
+    monkeypatch.setattr(replalg.homology, "_match_decompositions", refuse)
+    rejected = 0
+    for x in mods:
+        iso = is_isomorphic(x, twist(x))
+        assert iso is not None and is_invertible(iso.matrix)
+        validate_map(iso)
+        for y in mods:
+            if _iso_oracle(x, y) is None:
+                rejected += 1
+                assert is_isomorphic(x, y) is None
+    # every pair of distinct modules, but the A2 inventory's three isomorphic pairs
+    assert rejected == len(mods) * (len(mods) - 1) - (6 if inventory == "a2_ext_inventory" else 0)
 
 
 @pytest.mark.parametrize("inventory", ["a2_ext_inventory", "kronecker_m1_summands", "twisted_kronecker_m1_summands"])

@@ -323,6 +323,55 @@ def test_end_path_work_is_pinned(monkeypatch):
     assert (len(solved), sum(solved), len(steps), len(formed), len(composed)) == (45, 369, 20, 269, 300)
 
 
+def test_isomorphism_work_is_pinned(monkeypatch):
+    """A work gate for the isomorphism tests behind verify_theorem_3_3 on
+    Kronecker m=1, the generator build included: the is_isomorphic calls,
+    recursive ones too, and the Hom systems solved with their rows.  A pair
+    is decided by a basis map of Hom(x, y) that is an isomorphism or by a
+    local End(x), and M is certified basic by the Hom table of
+    end_global_dimension.  These read 124 calls and 55 systems of 447 rows
+    when end_global_dimension tested every pair of summands again and an
+    undecided pair also solved Hom(y, x) for a scan of composites."""
+    calls, solved = [], []
+    iso, solve = homology.is_isomorphic, modules.sparse_kernel
+
+    def counted_iso(*args, **kwargs):
+        calls.append(args)
+        return iso(*args, **kwargs)
+
+    def counted_solve(rows, n):
+        solved.append(len(rows))
+        return solve(rows, n)
+
+    for mod in (homology, replicated, verify):
+        monkeypatch.setattr(mod, "is_isomorphic", counted_iso)
+    monkeypatch.setattr(modules, "sparse_kernel", counted_solve)
+    cert, _ = verify_theorem_3_3(kronecker(), 1)
+    assert cert.verdict
+    assert (len(calls), len(solved), sum(solved)) == (79, 53, 443)
+
+
+@pytest.mark.parametrize("make, want", [
+    (auslander_generator, []),
+    (minimal_cogenerator, ["sigma2.0", "sigma2.1", "simple:1@1", "rad_proj:2@1"]),
+], ids=["auslander", "minimal"])
+def test_lemma_2_4_builds_a_kernel_only_outside_add_m(monkeypatch, make, want):
+    """verify_lemma_2_4 reads dim ker g off the nullities of g's blocks, and
+    builds the module kernel(g) exactly for the targets whose kernel lies
+    outside add M, to decompose it: none with M on the Kronecker m=1
+    inventory, and the four failing targets with M_0."""
+    bundle = make(kronecker(), 1)
+    built, outside, failing = [], [], []
+    for lab, x in lemma_2_4_inventory(bundle):
+        monkeypatch.setattr(verify, "kernel", lambda f, lab=lab: built.append(lab) or kernel(f))
+        cert = verify_lemma_2_4(bundle, x, lab)
+        if not cert.values["kernel_in_add_M"]:
+            outside.append(lab)
+        if not cert.verdict:
+            failing.append(lab)
+    assert built == outside == failing == want
+
+
 @pytest.mark.parametrize("check, quiver, m, counts", [
     (verify_gl_dim_bounds, linear_quiver(5), 2, (120, 0)),
     (verify_theorem_3_5, linear_quiver(4), 3, (550, 0)),
