@@ -39,7 +39,6 @@ from .linalg import EchelonSpace, Rational, RatMatrix
 from .modules import (
     ModuleMap,
     ModuleRep,
-    cokernel,
     direct_sum,
     dual_module,
     hom_basis,
@@ -53,7 +52,6 @@ from .modules import (
     radical_submodule,
     regular_module,
     simple_module,
-    top,
     zero_module,
 )
 from .quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex

@@ -71,7 +71,7 @@ class AlgebraData:
 
     __slots__ = (
         "labels", "dim", "mult", "unit", "idempotents",
-        "grading", "_radical", "_radical_pieces", "_opposite",
+        "grading", "_radical", "_radical_pieces", "_corner_traces", "_opposite",
         "_simple_cache", "_proj_cache", "_inj_cache", "_gl_dim",
     )
 
@@ -100,6 +100,7 @@ class AlgebraData:
         self.idempotents = idempotents
         self._radical: Optional[list[SparseVec]] = None
         self._radical_pieces = None
+        self._corner_traces: Optional[list[dict[int, Scalar]]] = None  # tau_u, see radical_sparse
         self._opposite = None
         self._simple_cache = {}
         self._proj_cache = {}
@@ -262,7 +263,7 @@ class AlgebraData:
                         if sum((c * taus[u][k] for k, c in mult[i][j]), 0):
                             raise NotBasic(f"{self.labels[i]} * {self.labels[j]} is not radical: not basic")
                     rad.append(((i, 1),))
-            self._radical = rad
+            self._radical, self._corner_traces = rad, taus
         return self._radical
 
     def radical_pieces(self) -> tuple[frozenset[int], list[tuple[int, int, SparseVec]]]:

@@ -96,7 +96,7 @@ def projective_dimension(x: ModuleRep, cap: int) -> DimBound:
 
 
 def cosyzygy(x: ModuleRep) -> ModuleRep:
-    """Cokernel of the injective envelope; zero for injective modules."""
+    """Cokernel of the injective envelope, D Omega D x; zero for injective modules."""
     return x if x.dim == 0 else _cosyzygy_step(x)[1]
 
 

@@ -227,8 +227,8 @@ class RatMatrix:
     def null_space(self) -> tuple["RatMatrix", list[int]]:
         """(kernel_basis, its free columns): basis vector i has a 1 at the
         i-th free column and 0 at the others, so the basis is the identity on
-        the rows listed."""
-        red, pivots = self._gauss_jordan()
+        the rows listed.  A matrix with no row or no column is not reduced."""
+        red, pivots = self._gauss_jordan() if self.rows and self.cols else ([], [])
         pivset = set(pivots)
         free = [c for c in range(self.cols) if c not in pivset]
         out = [[0] * len(free) for _ in range(self.cols)]

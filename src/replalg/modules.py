@@ -23,7 +23,8 @@ linear combinations are taken block by block; the dense dim Y x dim X
 Every constructor builds blocks directly, and Hom spaces, kernels, covers,
 envelopes and radicals are computed block by block.  Constructors
 trust their own blocks; :meth:`ModuleRep.from_actions` is the checked entry
-for dense action matrices.
+for dense action matrices.  No quotient module is built: a cosyzygy is the
+dual of the syzygy of the dual (:func:`_cosyzygy_step`).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from itertools import compress
 from typing import Optional, Sequence
 
 from .algebra import AlgebraData
-from .errors import InternalCheckFailed, NonSplitSimple
-from .linalg import EchelonSpace, RatMatrix, Scalar, _sparse_rref, sparse_kernel
+from .errors import InternalCheckFailed
+from .linalg import EchelonSpace, RatMatrix, Scalar, _inv, _sparse_rref, scalar, sparse_kernel
 
 
 def _memo(x, key, compute):
@@ -221,7 +222,7 @@ class ModuleMap:
         return self.rank() == self.target.dim
 
     def is_isomorphism(self) -> bool:
-        return all(m.rows == m.cols == m.rank() for m in self.blocks)
+        return all(m.rows == m.cols and (not m.rows or m.rank() == m.rows) for m in self.blocks)
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.blocks)
@@ -300,15 +301,21 @@ def injective_module(a: AlgebraData, v: int) -> ModuleRep:
 
 
 def simple_module(a: AlgebraData, v: int) -> ModuleRep:
-    """The simple top of e_v * A; raises NonSplitSimple if not 1-dimensional."""
-    if v in a._simple_cache:
-        return a._simple_cache[v]
-    a.ensure_split_basic()
-    t, _ = top(projective_module(a, v))
-    if t.dim != 1:
-        raise NonSplitSimple(f"top of projective at {a.idempotents[v][0]} has dimension {t.dim}")
-    a._simple_cache[v] = t
-    return t
+    """The simple top S_v of e_v * A, one coordinate at v; raises
+    NonSplitSimple or NotBasic unless the algebra is split basic.
+
+    The corner C_v = e_v A e_v is Q e_v + rad C_v, and its trace tau_v
+    (see :meth:`AlgebraData.radical_sparse`) vanishes on rad C_v, so b in
+    C_v acts on S_v by its residue tau_v(b) / tau_v(e_v); no other basis
+    element acts.
+    """
+    if v not in a._simple_cache:
+        a.ensure_split_basic()
+        tau = a._corner_traces[v]
+        inv = _inv(sum(c * tau[b] for b, c in enumerate(a.idempotents[v][1]) if c))
+        blocks = {b: RatMatrix._of(1, 1, [[scalar(t * inv)]]) for b, t in tau.items() if t}
+        a._simple_cache[v] = ModuleRep(a, 1, blocks, [v])
+    return a._simple_cache[v]
 
 
 def dual_module(x: ModuleRep) -> ModuleRep:
@@ -561,80 +568,70 @@ def submodule_from_vertex_bases(x: ModuleRep, bases: Sequence[RatMatrix], units:
     ValueError (the spans are not module-closed).
     Returns (K, incl); the blocks of incl are the bases.
     """
+    return _submodule(x, bases, units, None)
+
+
+def kernel(f: ModuleMap):
+    """(kernel module, inclusion) of a module map f: X -> Y.
+
+    f must be a module map, as every map the engine passes here is: a
+    cover, read off a module by :func:`_read_off`; a Hom basis, certified
+    by the residual of :func:`sparse_kernel` or by :func:`_certify_read_off`;
+    lemma24's approximation, by its block residual; a polynomial in a
+    certified endomorphism.  The inclusion's block B_v is the null-space
+    basis of f_v, the identity at its free rows, and f_v B_v = 0 is checked
+    once per vertex, else InternalCheckFailed.  Then for b of degree
+    (u, v), f_v X_b B_u = Y_b f_u B_u = 0, so X_b B_u lies in ker f_v =
+    span B_v and its coordinates there are its free rows: the block of b
+    is read off them with no residual.
+    """
+    return _submodule(f.source, *zip(*(m.null_space() for m in f.blocks)), f)
+
+
+def _submodule(x: ModuleRep, bases: Sequence[RatMatrix], units: Sequence[Sequence[int]], f: Optional[ModuleMap]):
+    """(K, incl) for bases that are the identity at their rows ``units``,
+    else ValueError.  The block of b of degree (u, v) is read off the unit
+    rows of X_b @ bases[u], through the sparse rows of bases[u], and
+    certified by the residual when f is None, else by f_v @ bases[v] = 0 at
+    each vertex (see :func:`kernel`)."""
     a = x.algebra
     kdims = [m.cols for m in bases]
-    for m, rows in zip(bases, units):
-        if len(rows) != m.cols or rows and [m.data[r] for r in rows] != RatMatrix.identity(m.cols).data:
+    sparse = []
+    for v, (m, rows) in enumerate(zip(bases, units)):
+        if len(rows) != m.cols or any(m.data[r][i] != 1 or m.data[r].count(0) != m.cols - 1 for i, r in enumerate(rows)):
             raise ValueError("a basis is not the identity at its unit rows")
+        unit = {r: [(i, 1)] for i, r in enumerate(rows)}
+        sparse.append([unit.get(r) or [(j, c) for j, c in enumerate(row) if c] for r, row in enumerate(m.data)])
+        if f is not None and m.cols and any(map(any, _times_sparse(f.blocks[v].data, sparse[v], m.cols))):
+            raise InternalCheckFailed("a kernel basis is not killed by its map")
     blocks = {}
     for b, xb in x.blocks.items():
         u, v = a.grading[b]
-        if kdims[u] == 0:
-            continue
-        rhs = xb @ bases[u]
-        z = RatMatrix._of(kdims[v], rhs.cols, [rhs.data[r] for r in units[v]])
-        if bases[v] @ z != rhs:
-            raise ValueError("given spans are not module-closed")
-        if not z.is_zero():
-            blocks[b] = z
+        if kdims[u]:
+            z = RatMatrix._of(kdims[v], kdims[u], _times_sparse([xb.data[r] for r in units[v]], sparse[u], kdims[u]))
+            if f is None and bases[v] @ z != xb @ bases[u]:
+                raise ValueError("given spans are not module-closed")
+            if not z.is_zero():
+                blocks[b] = z
     k = ModuleRep(a, sum(kdims), blocks, [v for v, d in enumerate(kdims) for _ in range(d)])
     return k, ModuleMap(k, x, bases)
 
 
-def kernel(f: ModuleMap):
-    """(kernel module, inclusion)."""
-    return submodule_from_vertex_bases(f.source, *zip(*(m.null_space() for m in f.blocks)))
+def _times_sparse(rows: Sequence[Sequence[Scalar]], sparse: Sequence[Sequence[tuple[int, Scalar]]],
+                  width: int) -> list[list[Scalar]]:
+    """The dense rows times the matrix of ``width`` columns whose rows are
+    given as their nonzero (column, value) entries."""
+    out = []
+    for row in rows:
+        acc = [0] * width
+        for k, a in compress(enumerate(row), row):
+            for j, c in sparse[k]:
+                acc[j] += a * c
+        out.append(acc)
+    return out
 
 
-def cokernel(f: ModuleMap):
-    """(cokernel module, projection from target).
-
-    At each vertex the projection q keeps the free coordinates of the rref
-    of f's block, transposed: row l of q is the unit vector at free[l] minus
-    the reduced entries at the pivots.  So the block of b of degree (u, v)
-    is read as the free rows of Y_b minus those entries times its pivot
-    rows, at the free columns of u, with no dense product by q.
-    """
-    y = f.target
-    a = y.algebra
-    projs = []   # local projection rows per vertex, the blocks of the map
-    frees = []   # per vertex, {local coordinate the projection keeps: its index in the cokernel}
-    terms = []   # per vertex, the nonzero entries {coordinate: value} of each row of q
-    for m in f.blocks:
-        red, _, pivots = m.transpose().rref()
-        pivset = set(pivots)
-        free = [c for c in range(m.rows) if c not in pivset]
-        rows = [{fc: 1, **{p: -red.data[i][fc] for i, p in enumerate(pivots) if red.data[i][fc]}} for fc in free]
-        q = RatMatrix.zeros(len(free), m.rows)
-        for qrow, row in zip(q.data, rows):
-            for j, c in row.items():
-                qrow[j] = c
-        projs.append(q)
-        frees.append({c: k for k, c in enumerate(free)})
-        terms.append(rows)
-    qdims = [q.rows for q in projs]
-    blocks = {}
-    for b, yb in y.blocks.items():
-        u, v = a.grading[b]
-        if qdims[u] == 0 or qdims[v] == 0:
-            continue
-        kof = frees[u]
-        nonzero = [[(kof[c], x) for c, x in compress(enumerate(yrow), yrow) if c in kof] for yrow in yb.data]
-        zdata = []
-        for row in terms[v]:
-            acc = [0] * qdims[u]
-            for j, c in row.items():
-                for k, x in nonzero[j]:
-                    acc[k] += c * x
-            zdata.append(acc)
-        z = RatMatrix._of(qdims[v], qdims[u], zdata)
-        if not z.is_zero():
-            blocks[b] = z
-    cok = ModuleRep(a, sum(qdims), blocks, [v for v, d in enumerate(qdims) for _ in range(d)])
-    return cok, ModuleMap(y, cok, projs)
-
-
-# -- radical and top -----------------------------------------------------------
+# -- radical -------------------------------------------------------------------
 
 
 def _radical_blocks(x: ModuleRep) -> list[tuple[int, int, RatMatrix]]:
@@ -667,12 +664,6 @@ def radical_submodule(x: ModuleRep):
     """(x * rad(A), inclusion)."""
     spans = _radical_vertex_spans(x)
     return submodule_from_vertex_bases(x, [sp.basis_matrix() for sp in spans], [sp.pivots for sp in spans])
-
-
-def top(x: ModuleRep):
-    """(x / x*rad, projection); the quotient is semisimple."""
-    _, incl = radical_submodule(x)
-    return cokernel(incl)
 
 
 # -- covers and envelopes ---------------------------------------------------
@@ -737,12 +728,19 @@ def injective_envelope(x: ModuleRep):
 
 
 def _cosyzygy_step(x: ModuleRep):
-    """(stack, cosyzygy) of x != 0: the ``injective_stack`` of its injective
-    envelope and the envelope's cokernel, memoised under ``cosyzygy_step``.
-    The envelope itself is not kept."""
+    """(stack, cosyzygy) of x != 0, memoised under ``cosyzygy_step``: the
+    cosyzygy is D of the syzygy of D x, and the stack is the
+    ``injective_stack`` of the envelope of x, the v of each I_v = D(A e_v).
+
+    Lemma: the minimal injective envelope X -> I(X) dualises to the
+    projective cover D I(X) -> D X over the opposite algebra (see
+    :func:`injective_envelope`), so D(I(X)/X) is the kernel of that cover,
+    the syzygy of D X, and I(X)/X = D Omega(D X) (Assem-Simson-Skowronski,
+    vol. 1, I.5 and III.2).  No envelope or quotient is built.
+    """
     def step():
-        i, env = injective_envelope(x)
-        return i.extras["injective_stack"], cokernel(env)[0]
+        stack, syz = _syzygy_step(dual_module(x))
+        return stack, dual_module(syz)
     return _memo(x, "cosyzygy_step", step)
 
 

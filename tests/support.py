@@ -4,6 +4,7 @@ They read the engine's public objects and never feed back into it.
 """
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional, Sequence
 
 from replalg.algebra import AlgebraData, _sparse_coords
@@ -23,7 +24,6 @@ from replalg.modules import (
     ModuleMap,
     ModuleRep,
     _radical_blocks,
-    cokernel,
     hom_basis,
     hom_dim,
     identity_map,
@@ -31,6 +31,7 @@ from replalg.modules import (
     kernel,
     projective_cover,
     projective_module,
+    radical_submodule,
     simple_module,
     submodule_from_vertex_bases,
     zero_map,
@@ -157,6 +158,61 @@ def image(f: ModuleMap):
         units.append(pivots)
     img, incl = submodule_from_vertex_bases(f.target, bases, units)
     return img, incl, ModuleMap(f.source, img, [c.solve(m) for c, m in zip(bases, f.blocks)])
+
+
+def cokernel(f: ModuleMap):
+    """(cokernel module, projection from target): the oracle of the
+    cosyzygy D Omega D and of ``simple_module``, which build no quotient.
+
+    At each vertex the projection q keeps the free coordinates of the rref
+    of f's block, transposed: row l of q is the unit vector at free[l] minus
+    the reduced entries at the pivots.  So the block of b of degree (u, v)
+    is read as the free rows of Y_b minus those entries times its pivot
+    rows, at the free columns of u, with no dense product by q.
+    """
+    y = f.target
+    a = y.algebra
+    projs = []   # local projection rows per vertex, the blocks of the map
+    frees = []   # per vertex, {local coordinate the projection keeps: its index in the cokernel}
+    terms = []   # per vertex, the nonzero entries {coordinate: value} of each row of q
+    for m in f.blocks:
+        red, _, pivots = m.transpose().rref()
+        pivset = set(pivots)
+        free = [c for c in range(m.rows) if c not in pivset]
+        rows = [{fc: 1, **{p: -red.data[i][fc] for i, p in enumerate(pivots) if red.data[i][fc]}} for fc in free]
+        q = RatMatrix.zeros(len(free), m.rows)
+        for qrow, row in zip(q.data, rows):
+            for j, c in row.items():
+                qrow[j] = c
+        projs.append(q)
+        frees.append({c: k for k, c in enumerate(free)})
+        terms.append(rows)
+    qdims = [q.rows for q in projs]
+    blocks = {}
+    for b, yb in y.blocks.items():
+        u, v = a.grading[b]
+        if qdims[u] == 0 or qdims[v] == 0:
+            continue
+        kof = frees[u]
+        nonzero = [[(kof[c], x) for c, x in compress(enumerate(yrow), yrow) if c in kof] for yrow in yb.data]
+        zdata = []
+        for row in terms[v]:
+            acc = [0] * qdims[u]
+            for j, c in row.items():
+                for k, x in nonzero[j]:
+                    acc[k] += c * x
+            zdata.append(acc)
+        z = RatMatrix._of(qdims[v], qdims[u], zdata)
+        if not z.is_zero():
+            blocks[b] = z
+    cok = ModuleRep(a, sum(qdims), blocks, [v for v, d in enumerate(qdims) for _ in range(d)])
+    return cok, ModuleMap(y, cok, projs)
+
+
+def top(x: ModuleRep):
+    """(x / x*rad, projection); the quotient is semisimple."""
+    _, incl = radical_submodule(x)
+    return cokernel(incl)
 
 
 def mult_coords(a, x, y):

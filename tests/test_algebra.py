@@ -6,10 +6,10 @@ import replalg.algebra
 from replalg.algebra import AlgebraData
 from replalg.errors import CyclicQuiver, DuplicateLabel, EmptyQuiver, NonSplitSimple, NotBasic, ReplalgError
 from replalg.homology import global_dimension
-from replalg.modules import projective_cover, projective_module, regular_module, top
+from replalg.modules import projective_cover, projective_module, regular_module
 from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import build_replicated
-from support import is_connected, row_span, socle, trace_form_radical
+from support import is_connected, row_span, socle, top, trace_form_radical
 
 F = Fraction
 

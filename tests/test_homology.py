@@ -648,26 +648,28 @@ def test_homological_functions_leave_inputs_unchanged(a2_ext_inventory):
 
 
 def test_repeat_stable_hom_builds_no_envelope(a2_ext_inventory, monkeypatch):
+    """The first call proves each listed module projective by one cover and
+    injective by one cosyzygy step, D Omega D: one cover of its dual over
+    the opposite algebra and one kernel; it builds no envelope.  A repeat
+    reads both facts off the modules and builds nothing."""
     inventory, pis = a2_ext_inventory
-    built = {"envelopes": 0, "covers": 0}
+    op = inventory[0].algebra.opposite()
+    built = {"envelopes": 0, "covers": 0, "dual covers": 0, "kernels": 0}
 
     def counting(key, fn):
         def wrapped(x):
-            built[key] += 1
+            built["dual covers" if key == "covers" and x.algebra is op else key] += 1
             return fn(x)
         return wrapped
 
-    envelope = counting("envelopes", replalg.modules.injective_envelope)
-    cover = counting("covers", replalg.modules.projective_cover)
-    # every envelope is built by modules._cosyzygy_step
-    monkeypatch.setattr(replalg.modules, "injective_envelope", envelope)
-    for mod in (replalg.modules, replalg.homology):
-        monkeypatch.setattr(mod, "projective_cover", cover)
-    fresh_pis = [_fresh(w) for w in pis]
     y, z = inventory[0], cosyzygy(inventory[1])
+    # every cover and kernel of a resolution step is built in replalg.modules
+    for key, name in (("envelopes", "injective_envelope"), ("covers", "projective_cover"), ("kernels", "kernel")):
+        monkeypatch.setattr(replalg.modules, name, counting(key, getattr(replalg.modules, name)))
+    fresh_pis = [_fresh(w) for w in pis]
     first = stable_hom_dim(y, z, fresh_pis)
-    # the first call proves each listed module injective and projective
-    assert built["envelopes"] == len(pis) and built["covers"] >= len(pis)
+    n = len(pis)
+    assert built == {"envelopes": 0, "covers": n, "dual covers": n, "kernels": n}
     after_first = dict(built)
     assert stable_hom_dim(y, z, fresh_pis) == first
     assert built == after_first

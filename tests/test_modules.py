@@ -1,3 +1,5 @@
+import glob
+import os
 from fractions import Fraction
 
 import pytest
@@ -5,12 +7,12 @@ import pytest
 import replalg.homology
 import replalg.linalg
 import replalg.modules
+from replalg.cli import parse_quiver
 from replalg.errors import InternalCheckFailed
 from replalg.linalg import RatMatrix
 from replalg.modules import (
     ModuleMap,
     ModuleRep,
-    cokernel,
     direct_sum,
     dual_module,
     hom_basis,
@@ -26,14 +28,25 @@ from replalg.modules import (
     radical_submodule,
     regular_module,
     simple_module,
-    top,
     zero_map,
     zero_module,
 )
 from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
-from replalg.replicated import auslander_generator, build_replicated
+from replalg.replicated import auslander_generator, build_replicated, sigma_layers
 from replalg.verify import lemma_2_4_inventory, verify_ext_stablehom, verify_lemma_2_4
-from support import block_diag, image, is_invertible, socle, twist, validate_map, validate_module, vstack
+from support import (
+    block_diag,
+    cokernel,
+    ext_inventory,
+    image,
+    is_invertible,
+    socle,
+    top,
+    twist,
+    validate_map,
+    validate_module,
+    vstack,
+)
 
 F = Fraction
 
@@ -306,6 +319,80 @@ def test_corrupted_kernel_basis_fails_the_residual(kronecker_m1_bundle):
     corrupted.data[units[1][0]][0] = 2
     with pytest.raises(ValueError, match="not the identity at its unit rows"):
         replalg.modules.submodule_from_vertex_bases(f.source, bases[:1] + [corrupted] + bases[2:], units)
+
+
+def test_corrupted_null_space_fails_the_kernel_certificate(kronecker_m1_bundle, monkeypatch):
+    """kernel reads the action off its null-space bases with no residual,
+    certified once per vertex by f_v B_v = 0: one basis entry corrupted at
+    a pivot row of f_v is refused."""
+    mods = {s.label: s.module for s in kronecker_m1_bundle.summands}
+    f = hom_basis(mods["U1.1"], mods["pi:2@1"])[0]
+    k, incl = kernel(f)
+    validate_module(k)
+    assert incl.then(f).is_zero() and incl.is_injective()
+    null_space = RatMatrix.null_space
+
+    def corrupted(m):
+        basis, free = null_space(m)
+        pivots = [r for r in range(basis.rows) if r not in free]
+        if basis.cols and pivots:
+            data = [row[:] for row in basis.data]
+            data[pivots[0]][0] += 1
+            basis = RatMatrix._of(basis.rows, basis.cols, data)
+        return basis, free
+
+    monkeypatch.setattr(RatMatrix, "null_space", corrupted)
+    with pytest.raises(InternalCheckFailed, match="not killed by its map"):
+        kernel(f)
+
+
+def _cosyzygy_cases(case):
+    if case == "kronecker-m1-extcheck":
+        return ext_inventory(kronecker(), 1)[0]
+    quiver, t = {"kronecker-m2-sigma": (kronecker(), 5), "a3-m2-sigma": (linear_quiver(3), 4)}[case]
+    _, layers = sigma_layers(quiver, 2, t - 1)
+    return [x for layer in layers for x in layer.modules]
+
+
+@pytest.mark.parametrize("case", ["kronecker-m1-extcheck", "kronecker-m2-sigma", "a3-m2-sigma"])
+def test_cosyzygy_matches_the_cokernel_of_the_envelope(case):
+    """The cosyzygy D Omega D against the oracle, the cokernel of the
+    injective envelope: the same stack of I_v, the same dimension vector
+    and an isomorphic module over the same algebra, on every module of the
+    extcheck inventory of Kronecker m=1 and of the sigma ladders of
+    Kronecker and A3 at m=2."""
+    mods = _cosyzygy_cases(case)
+    nonzero = 0
+    for x in mods:
+        stack, c = replalg.modules._cosyzygy_step(x)
+        i, env = injective_envelope(x)
+        want, _ = cokernel(env)
+        assert stack == i.extras["injective_stack"] and c.algebra is x.algebra
+        assert c.vertex_dims() == want.vertex_dims()
+        if c.dim:
+            nonzero += 1
+            assert replalg.homology.is_isomorphic(c, want) is not None
+    assert (len(mods), nonzero) == {"kronecker-m1-extcheck": (18, 12), "kronecker-m2-sigma": (10, 10),
+                                    "a3-m2-sigma": (12, 12)}[case]
+
+
+def test_simple_is_the_top_of_its_projective(local_corner_algebra):
+    """S_v, one coordinate at v acted on by the corner residues, equals the
+    oracle top(e_v A) block for block: every simple of A^(m) for every
+    shipped quiver at m = 1 and 2, and of an algebra whose corner holds a
+    non-idempotent basis vector of nonzero residue."""
+    algebras = [local_corner_algebra]
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                              "quivers", "*.json"))):
+        with open(path, encoding="utf-8") as fh:
+            q = parse_quiver(fh.read())
+        algebras += [build_replicated(q, m).algebra for m in (1, 2)]
+    simples = [(simple_module(a, v), top(projective_module(a, v))[0])
+               for a in algebras for v in range(len(a.idempotents))]
+    assert all((s.dim, s.vertex_of, s.blocks) == (t.dim, t.vertex_of, t.blocks) for s, t in simples)
+    assert len(simples) == 142
+    # e1 + ab acts on S_1 by its residue 1, as e1 does
+    assert {b: m.data for b, m in simples[0][0].blocks.items()} == {0: [[1]], 4: [[1]]}
 
 
 def test_vertex_block_base_change_keeps_invariants(kr):

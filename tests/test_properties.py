@@ -34,7 +34,6 @@ from replalg.modules import (
     radical_submodule,
     regular_module,
     simple_module,
-    top,
 )
 from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, build_replicated, embed, sigma_layers
@@ -46,6 +45,7 @@ from support import (
     mult_coords,
     row_span,
     socle,
+    top,
     trace_form_radical,
     validate_module,
     verify_exact,

@@ -17,7 +17,6 @@ from replalg.modules import (
     projective_module,
     regular_module,
     simple_module,
-    top,
 )
 from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import (
@@ -35,6 +34,7 @@ from support import (
     decompose,
     mult_coords,
     socle,
+    top,
     validate_module,
     vertex_index,
 )
