@@ -145,12 +145,12 @@ def run(args) -> tuple[dict, Optional[list], int]:
     started = time.monotonic()
     loewy = None
     if args.command == "example34":
-        cert, bundle, _ = verify_example_3_4(seed=args.seed, cap=args.cap)
+        cert, bundle, _ = verify_example_3_4(cap=args.cap)
         q, m = kronecker(), 1
         certs, report_bundle = [cert], bundle
     elif args.command == "repdim":
         q, m = _load_quiver(args), args.m
-        cert, bundle = verify_theorem_3_3(q, m, cap=_cap(args, m), seed=args.seed)
+        cert, bundle = verify_theorem_3_3(q, m, cap=_cap(args, m))
         certs, report_bundle = [cert], bundle
     elif args.command == "domdim":
         q, m = _load_quiver(args), args.m
@@ -161,8 +161,8 @@ def run(args) -> tuple[dict, Optional[list], int]:
     elif args.command == "lemma24":
         q, m = _load_quiver(args), args.m
         make = auslander_generator if args.generator == "auslander" else minimal_cogenerator
-        bundle = make(q, m, cap=_cap(args, m), seed=args.seed)
-        targets = lemma_2_4_inventory(bundle, seed=args.seed)
+        bundle = make(q, m, cap=_cap(args, m))
+        targets = lemma_2_4_inventory(bundle)
         if args.target != "all-inventory":
             picked = [(lab, x) for lab, x in targets if lab == args.target]
             if not picked:
@@ -170,7 +170,7 @@ def run(args) -> tuple[dict, Optional[list], int]:
             if not picked:
                 raise ParseError(f"unknown lemma24 target {args.target!r}")
             targets = picked
-        certs = [verify_lemma_2_4(bundle, x, lab, seed=args.seed) for lab, x in targets]
+        certs = [verify_lemma_2_4(bundle, x, lab) for lab, x in targets]
         report_bundle = bundle
     elif args.command == "extcheck":
         q, m = _load_quiver(args), args.m
@@ -178,7 +178,7 @@ def run(args) -> tuple[dict, Optional[list], int]:
         report_bundle = None
     elif args.command == "inventory":
         q, m = _load_quiver(args), args.m
-        bundle = auslander_generator(q, m, cap=_cap(args, m), seed=args.seed)
+        bundle = auslander_generator(q, m, cap=_cap(args, m))
         certs, report_bundle = [], bundle
         loewy = [(s.label, loewy_layers(bundle.replicated, s.module)) for s in bundle.summands]
     else:  # pragma: no cover
@@ -215,7 +215,7 @@ def make_parser() -> argparse.ArgumentParser:
         if name != "extcheck":
             p.add_argument("--cap", type=int, default=None,
                            help="resolution length cap (default 4m+4)")
-        p.add_argument("--seed", type=int, default=0, help="seed for the randomized searches")
+        p.add_argument("--seed", type=int, default=0, help="seed for extcheck --samples (echoed in every report)")
         p.add_argument("--report", choices=["json", "text"], default="text")
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--timing", action="store_true",

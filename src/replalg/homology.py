@@ -2,15 +2,13 @@
 direct-sum decomposition, isomorphism testing, endomorphism algebras and
 minimal right approximations.
 
-Everything is exact; randomness appears only in the seeded search for
-splitting endomorphisms, and a negative answer is always backed by a
-deterministic certificate.
+Everything is exact and deterministic, and a negative answer is always
+backed by a certificate.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -305,33 +303,27 @@ def _from_sum(maps: Sequence[ModuleMap], target: ModuleRep):
     return ModuleMap(src, target, [hstack([f.blocks[v] for f in maps]) for v in range(nv)]), projections
 
 
-def _combination(coeffs: Sequence[int], maps: Sequence[ModuleMap], x: ModuleRep, y: ModuleRep) -> ModuleMap:
-    """The linear combination of maps x -> y with the given coefficients."""
-    out = zero_map(x, y)
-    for c, f in zip(coeffs, maps):
-        if c:
-            out = out + f.scaled(c)
-    return out
-
-
-def _splitting_candidates(endos: list[ModuleMap], rng: random.Random, m: ModuleRep):
+def _splitting_candidates(endos: list[ModuleMap]):
+    """The basis of End, the sums of near pairs, then the n combinations
+    sum_k lam^k endos[k] for lam = 2, ..., n+1 (n = len(endos)).  Their
+    coefficient vectors form a Vandermonde matrix, so they span End: if the
+    maps that do not split lie in a proper subspace, one of these splits."""
     yield from endos
     n = len(endos)
     for i in range(n):
         for j in range(i + 1, min(n, i + 6)):
             yield endos[i] + endos[j]
-    for _ in range(24):
-        yield _combination([rng.randint(-3, 3) for _ in range(n)], endos, m, m)
+    for lam in range(2, n + 2):
+        yield reduce(add, (f.scaled(lam ** k) for k, f in enumerate(endos)))
 
 
-def decompose_with_maps(x: ModuleRep, seed: int = 0, endos: Optional[list[ModuleMap]] = None):
+def decompose_with_maps(x: ModuleRep, endos: Optional[list[ModuleMap]] = None):
     """Split x into certified indecomposables; returns (piece, incl, proj)
     triples.  A piece no endomorphism splits is a leaf once
     :func:`_local_radical` of the same End basis certifies it local.
     ``endos``, if given, is a basis of End(x) already solved."""
     if x.dim == 0:
         return []
-    rng = random.Random(seed)
     work = [(x, identity_map(x), identity_map(x), endos)]
     out = []
     while work:
@@ -339,7 +331,7 @@ def decompose_with_maps(x: ModuleRep, seed: int = 0, endos: Optional[list[Module
         split = None
         endos = hom_basis(m, m) if endos is None else endos
         if len(endos) > 1:
-            for phi in _splitting_candidates(endos, rng, m):
+            for phi in _splitting_candidates(endos):
                 split = _fitting_split(m, phi)
                 if split is not None:
                     break
@@ -356,7 +348,7 @@ def decompose_with_maps(x: ModuleRep, seed: int = 0, endos: Optional[list[Module
 # -- isomorphism testing --------------------------------------------------------
 
 
-def is_isomorphic(x: ModuleRep, y: ModuleRep, seed: int = 0) -> Optional[ModuleMap]:
+def is_isomorphic(x: ModuleRep, y: ModuleRep) -> Optional[ModuleMap]:
     """An isomorphism x -> y, or None (certified) when there is none.
 
     Four stages: unequal dimension vectors give None; a zero module gives
@@ -387,14 +379,14 @@ def is_isomorphic(x: ModuleRep, y: ModuleRep, seed: int = 0) -> Optional[ModuleM
             return f
     if _local_radical(ex := hom_basis(x, x)) is not None:
         return None
-    return _match_decompositions(x, y, seed, ex)
+    return _match_decompositions(x, y, ex)
 
 
-def _match_decompositions(x: ModuleRep, y: ModuleRep, seed: int, ex: list[ModuleMap]) -> Optional[ModuleMap]:
+def _match_decompositions(x: ModuleRep, y: ModuleRep, ex: list[ModuleMap]) -> Optional[ModuleMap]:
     """The Krull-Schmidt matching of x and y; ex is a basis of End(x),
     handed to the first level of x's decomposition (y's solves End(y))."""
-    xs = decompose_with_maps(x, seed, ex)
-    ys = decompose_with_maps(y, seed)
+    xs = decompose_with_maps(x, ex)
+    ys = decompose_with_maps(y)
     if len(xs) != len(ys):
         return None
     used = [False] * len(ys)
@@ -404,7 +396,7 @@ def _match_decompositions(x: ModuleRep, y: ModuleRep, seed: int, ex: list[Module
         for j, (ypiece, yinc, _) in enumerate(ys):
             if used[j]:
                 continue
-            iso = is_isomorphic(piece, ypiece, seed=seed)
+            iso = is_isomorphic(piece, ypiece)
             if iso is not None:
                 used[j] = True
                 total = total + prj.then(iso).then(yinc)

@@ -436,9 +436,6 @@ class EchelonSpace:
                         v[j] = v[j] - a * r
         return v
 
-    def contains(self, vec: Sequence[Scalar]) -> bool:
-        return not any(self._reduce(vec))
-
     def add(self, vec: Sequence[Scalar]) -> bool:
         """Insert vec's span; returns True if the rank grew."""
         v = self._reduce(vec)

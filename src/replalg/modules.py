@@ -215,9 +215,6 @@ class ModuleMap:
     def rank(self) -> int:
         return sum(m.rank() for m in self.blocks if m.rows and m.cols)
 
-    def is_injective(self) -> bool:
-        return self.rank() == self.source.dim
-
     def is_surjective(self) -> bool:
         return self.rank() == self.target.dim
 

@@ -111,40 +111,6 @@ def enumerate_paths(q: Quiver) -> list[Path]:
     return paths
 
 
-def compose_paths(q: Quiver, p: Path, r: Path) -> Path | None:
-    """p then r, or None when the endpoints do not match."""
-    if path_end(q, p) != r.start:
-        return None
-    return Path(p.start, p.arrows + r.arrows)
-
-
-def strip_prefix(q: Quiver, whole: Path, prefix: Path) -> Path | None:
-    """r with whole = prefix * r, or None."""
-    if whole.start != prefix.start:
-        return None
-    k = len(prefix.arrows)
-    if whole.arrows[:k] != prefix.arrows:
-        return None
-    rest = whole.arrows[k:]
-    return Path(path_end(q, prefix), rest)
-
-
-def strip_suffix(q: Quiver, whole: Path, suffix: Path) -> Path | None:
-    """r with whole = r * suffix, or None."""
-    k = len(suffix.arrows)
-    if k == 0:
-        if path_end(q, whole) != suffix.start:
-            return None
-        return whole
-    if len(whole.arrows) < k or whole.arrows[len(whole.arrows) - k:] != suffix.arrows:
-        return None
-    rest = whole.arrows[: len(whole.arrows) - k]
-    r = Path(whole.start, rest)
-    if path_end(q, r) != suffix.start:
-        return None
-    return r
-
-
 def build_hereditary(q: Quiver) -> AlgebraData:
     """The path algebra kQ: basis all paths, product = concatenation or zero."""
     paths = enumerate_paths(q)
@@ -155,9 +121,9 @@ def build_hereditary(q: Quiver) -> AlgebraData:
         by_start.setdefault(r.start, []).append(j)
     mult = [[()] * n for _ in range(n)]
     for i, p in enumerate(paths):
-        # only paths starting where p ends compose with it
+        # only paths starting where p ends compose with it: p then r
         for j in by_start.get(path_end(q, p), ()):
-            mult[i][j] = ((index[compose_paths(q, p, paths[j])], 1),)
+            mult[i][j] = ((index[Path(p.start, p.arrows + paths[j].arrows)], 1),)
     unit = [0] * n
     idems = []
     for v in range(len(q.vertices)):

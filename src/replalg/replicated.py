@@ -51,22 +51,20 @@ from .modules import (
     projective_module,
     radical_submodule,
 )
-from .quiver import (
-    Path,
-    Quiver,
-    build_hereditary,
-    compose_paths,
-    enumerate_paths,
-    path_end,
-    path_label,
-    strip_prefix,
-    strip_suffix,
-)
+from .quiver import Quiver, build_hereditary
 
 
 
 class ReplicatedAlgebra:
-    """A^(m) together with its labelled basis bookkeeping."""
+    """A^(m) together with its labelled basis bookkeeping.
+
+    With n = dim kQ and p the index of a path in kQ's basis, (p, i) has
+    index i*n + p and (p*, i) has index (m+i)*n + p.  The table is read off
+    kQ's: each nonzero product r p = c q gives (r,i)(p,i) = c (q,i) in every
+    copy and, for i >= 1, the dual rules (p,i)(q*,i) = c (r*,i) and
+    (q*,i)(r,i-1) = c (p*,i).  A path factors in one way only, so each cell
+    is written once.
+    """
 
     def __init__(self, quiver: Quiver, m: int):
         if m < 0:
@@ -74,70 +72,30 @@ class ReplicatedAlgebra:
         self.quiver = quiver
         self.m = m
         self.base = build_hereditary(quiver)
-        paths = enumerate_paths(quiver)
-        self.paths = paths
-        nv = len(quiver.vertices)
-        keys: list[tuple] = []
-        labels: list[str] = []
-        for i in range(m + 1):
-            for p in paths:
-                keys.append(("p", p, i))
-                labels.append(f"{path_label(quiver, p)}@{i}")
-        for i in range(1, m + 1):
-            for p in paths:
-                keys.append(("d", p, i))
-                labels.append(f"{path_label(quiver, p)}*@{i}")
-        self.keys = keys
-        self.key_index = {k: n for n, k in enumerate(keys)}
-        n = len(keys)
-        # (p, i) runs from start p@i to end p@i, (p*, i) from end p@i to
-        # start p@(i-1); only keys meeting at a vertex can have a product
-        right, by_left = [], {}
-        for b, (kind, p, i) in enumerate(keys):
-            u, v = (p.start, path_end(quiver, p)) if kind == "p" else (path_end(quiver, p), p.start - nv)
-            right.append(i * nv + v)
-            by_left.setdefault(i * nv + u, []).append(b)
-        mult = [[()] * n for _ in range(n)]
-        for a, ka in enumerate(keys):
-            for b in by_left.get(right[a], ()):
-                prod = self._product(ka, keys[b])
-                if prod is not None:
-                    mult[a][b] = ((self.key_index[prod], 1),)
-        unit = [0] * n
+        n, nv = self.base.dim, len(quiver.vertices)
+        labels = [f"{lab}@{i}" for i in range(m + 1) for lab in self.base.labels]
+        labels += [f"{lab}*@{i}" for i in range(1, m + 1) for lab in self.base.labels]
+        dim = (2 * m + 1) * n
+        mult = [[()] * dim for _ in range(dim)]
+        for r, row in enumerate(self.base.mult):
+            for p, cell in enumerate(row):
+                for q, c in cell:
+                    for i in range(m + 1):
+                        mult[i * n + r][i * n + p] = ((i * n + q, c),)
+                    for i in range(1, m + 1):
+                        mult[i * n + p][(m + i) * n + q] = (((m + i) * n + r, c),)
+                        mult[(m + i) * n + q][(i - 1) * n + r] = (((m + i) * n + p, c),)
+        unit = [0] * dim
         idems = []
         for i in range(m + 1):
             for v in range(nv):
-                coords = [0] * n
-                idx = self.key_index[("p", Path(v, ()), i)]
-                coords[idx] = 1
-                unit[idx] = 1
+                coords = [0] * dim
+                coords[i * n + v] = 1  # trivial paths come first in kQ's basis
+                unit[i * n + v] = 1
                 idems.append((f"{quiver.vertices[v]}@{i}", coords))
         self.algebra = AlgebraData(labels, mult, unit, idems)
         if self.algebra.dim != (2 * m + 1) * self.base.dim:
             raise InternalCheckFailed("replicated algebra has the wrong dimension")
-
-    def _product(self, ka: tuple, kb: tuple) -> Optional[tuple]:
-        q = self.quiver
-        kind_a, pa, ia = ka
-        kind_b, pb, ib = kb
-        if kind_a == "p" and kind_b == "p":
-            if ia != ib:
-                return None
-            c = compose_paths(q, pa, pb)
-            return ("p", c, ia) if c is not None else None
-        if kind_a == "p" and kind_b == "d":
-            # (p, i) * (q*, i) = (r*, i) with q = r p
-            if ia != ib:
-                return None
-            r = strip_suffix(q, pb, pa)
-            return ("d", r, ib) if r is not None else None
-        if kind_a == "d" and kind_b == "p":
-            # (q*, i) * (p, i-1) = (r*, i) with q = p r
-            if ib != ia - 1:
-                return None
-            r = strip_prefix(q, pa, pb)
-            return ("d", r, ia) if r is not None else None
-        return None  # D(A) x D(A) -> 0
 
     # -- vertex bookkeeping -------------------------------------------------
 
@@ -171,8 +129,10 @@ def embed(x: ModuleRep, copy: int, into: ReplicatedAlgebra) -> ModuleRep:
         raise ValueError("module is not over the base path algebra of this instance")
     if not (0 <= copy <= into.m):
         raise CopyOutOfRange(f"copy {copy} outside 0..{into.m}")
-    # the coordinates at vertex v of the copy are those at v of x: same blocks
-    blocks = {into.key_index[("p", into.paths[pi], copy)]: m for pi, m in x.blocks.items()}
+    # the coordinates at vertex v of the copy are those at v of x: same
+    # blocks, with path p of kQ at index copy*n + p
+    n = into.base.dim
+    blocks = {copy * n + p: m for p, m in x.blocks.items()}
     vertex_of = [copy * into.num_vertices + v for v in x.vertex_of]
     return ModuleRep(into.algebra, x.dim, blocks, vertex_of)
 
@@ -190,12 +150,15 @@ def restrict_from_ambient(x: ModuleRep, ambient: ReplicatedAlgebra, target: Repl
     if not ambient.in_a_m(x, target.m):
         raise ValueError("module support leaves copies 0..m; not an A^(m)-module")
     # vertex indices agree between target and ambient for copies <= m, so
-    # the blocks carry over unchanged
+    # the blocks carry over unchanged; the paths of copies 0..m share their
+    # indices, and each dual sits (ambient.m - target.m)*n indices later
+    n = target.base.dim
+    n_paths, shift = (target.m + 1) * n, (ambient.m - target.m) * n
     blocks = {}
-    for n, key in enumerate(target.keys):
-        m = x.blocks.get(ambient.key_index[key])
+    for b in range(target.algebra.dim):
+        m = x.blocks.get(b if b < n_paths else b + shift)
         if m is not None:
-            blocks[n] = m
+            blocks[b] = m
     return ModuleRep(target.algebra, x.dim, blocks, x.vertex_of)
 
 
@@ -218,8 +181,7 @@ class SigmaLayer:
     in_a_m: list[bool] = field(default_factory=list)
 
 
-def sigma_layers(quiver: Quiver, m: int, upto: int, seed: int = 0,
-                 ambient: Optional[ReplicatedAlgebra] = None):
+def sigma_layers(quiver: Quiver, m: int, upto: int, ambient: Optional[ReplicatedAlgebra] = None):
     """Sigma_0 .. Sigma_upto inside the ambient truncation A^(2m+1).
 
     Sigma_0 is the set of copy-0 indecomposable projectives; each next layer
@@ -245,19 +207,19 @@ def sigma_layers(quiver: Quiver, m: int, upto: int, seed: int = 0,
             c = _cosyzygy_step(x)[1]
             if c.dim == 0:
                 continue
-            for piece, _, _ in decompose_with_maps(c, seed=seed):
-                if all(is_isomorphic(piece, other, seed=seed) is None for other in layer.modules):
+            for piece, _, _ in decompose_with_maps(c):
+                if all(is_isomorphic(piece, other) is None for other in layer.modules):
                     layer.modules.append(piece)
                     layer.in_a_m.append(amb.in_a_m(piece, m))
         layers.append(layer)
     return amb, layers
 
 
-def _sigma_pieces(r: ReplicatedAlgebra, t: int, seed: int) -> list[tuple[int, int, ModuleRep]]:
+def _sigma_pieces(r: ReplicatedAlgebra, t: int) -> list[tuple[int, int, ModuleRep]]:
     """(k, i, the module i of Sigma_k restricted to A^(m)) for each module of
     the ladder Sigma_0 .. Sigma_{t-1} of :func:`sigma_layers` that lies in
     A^(m); the ambient and the layers are dropped."""
-    amb, layers = sigma_layers(r.quiver, r.m, t - 1, seed=seed)
+    amb, layers = sigma_layers(r.quiver, r.m, t - 1)
     return [(layer.k, i, restrict_from_ambient(mod, amb, r))
             for layer in layers for i, (mod, ok) in enumerate(zip(layer.modules, layer.in_a_m)) if ok]
 
@@ -294,22 +256,22 @@ class GeneratorBundle:
         n = range(len(self.summands))
         return _memo(self, "rad", lambda: _radical({(i, j): self.summand_homs(i, j) for i in n for j in n}))
 
-    def sigma_ladder(self, seed: int = 0) -> list[tuple[int, int, ModuleRep]]:
-        """:func:`_sigma_pieces` of A^(m), built once per seed;
+    def sigma_ladder(self) -> list[tuple[int, int, ModuleRep]]:
+        """:func:`_sigma_pieces` of A^(m), built once;
         ``auslander_generator`` stores the pieces of the ladder it used."""
-        return _memo(self, ("sigma", seed), lambda: _sigma_pieces(self.replicated, self.t, seed))
+        return _memo(self, "sigma", lambda: _sigma_pieces(self.replicated, self.t))
 
     def end_summands(self) -> list[tuple[str, ModuleRep]]:
         """(label, module) of each summand, as :func:`end_global_dimension` reads them."""
         return [(s.label, s.module) for s in self.summands]
 
 
-def _assemble_generator(r: ReplicatedAlgebra, labelled, t: int, cap: int, seed: int) -> GeneratorBundle:
+def _assemble_generator(r: ReplicatedAlgebra, labelled, t: int, cap: int) -> GeneratorBundle:
     """De-duplicate labelled modules up to isomorphism; the bundle keeps the
     summands, not their sum."""
     chosen: list[tuple[str, ModuleRep]] = []
     for lab, mod in labelled:
-        if all(is_isomorphic(mod, other, seed=seed) is None for _, other in chosen):
+        if all(is_isomorphic(mod, other) is None for _, other in chosen):
             chosen.append((lab, mod))
     summands = [
         Summand(
@@ -319,19 +281,19 @@ def _assemble_generator(r: ReplicatedAlgebra, labelled, t: int, cap: int, seed: 
         for lab, mod in chosen
     ]
     bundle = GeneratorBundle(r, summands, t)
-    _verify_generator_cogenerator(bundle, seed)
+    _verify_generator_cogenerator(bundle)
     return bundle
 
 
-def _verify_generator_cogenerator(bundle: GeneratorBundle, seed: int) -> None:
+def _verify_generator_cogenerator(bundle: GeneratorBundle) -> None:
     r = bundle.replicated
     mods = [s.module for s in bundle.summands]
     for idx, (lab, _) in enumerate(r.algebra.idempotents):
         p = projective_module(r.algebra, idx)
-        if all(is_isomorphic(p, m, seed=seed) is None for m in mods):
+        if all(is_isomorphic(p, m) is None for m in mods):
             raise InternalCheckFailed(f"indecomposable projective at {lab} is not a summand")
         i = injective_module(r.algebra, idx)
-        if all(is_isomorphic(i, m, seed=seed) is None for m in mods):
+        if all(is_isomorphic(i, m) is None for m in mods):
             raise InternalCheckFailed(f"indecomposable injective at {lab} is not a summand")
 
 
@@ -361,8 +323,7 @@ def _minimal_summands(quiver: Quiver, m: int, cap: Optional[int]):
     return r, cap, t_bound.value, labelled
 
 
-def auslander_generator(quiver: Quiver, m: int, cap: Optional[int] = None,
-                        seed: int = 0) -> GeneratorBundle:
+def auslander_generator(quiver: Quiver, m: int, cap: Optional[int] = None) -> GeneratorBundle:
     """M = A + DA_m + P + U_1 + ... + U_{t-1}, de-duplicated up to isomorphism.
 
     t = gl.dim A^(m) is computed, never assumed.  The result is verified to
@@ -370,23 +331,22 @@ def auslander_generator(quiver: Quiver, m: int, cap: Optional[int] = None,
     """
     r, cap, t, labelled = _minimal_summands(quiver, m, cap)
     if t < 2:
-        return _assemble_generator(r, labelled, t, cap, seed)
-    pieces = _sigma_pieces(r, t, seed)
+        return _assemble_generator(r, labelled, t, cap)
+    pieces = _sigma_pieces(r, t)
     count = Counter()
     for k, _i, mod in pieces:
         if k:
             labelled.append((f"U{k}.{count[k]}", mod))
             count[k] += 1
-    bundle = _assemble_generator(r, labelled, t, cap, seed)
-    bundle._extras[("sigma", seed)] = pieces
+    bundle = _assemble_generator(r, labelled, t, cap)
+    bundle._extras["sigma"] = pieces
     return bundle
 
 
-def minimal_cogenerator(quiver: Quiver, m: int, cap: Optional[int] = None,
-                        seed: int = 0) -> GeneratorBundle:
+def minimal_cogenerator(quiver: Quiver, m: int, cap: Optional[int] = None) -> GeneratorBundle:
     """M_0 = A + DA_m + P: the smallest obvious generator-cogenerator."""
     r, cap, t, labelled = _minimal_summands(quiver, m, cap)
-    return _assemble_generator(r, labelled, t, cap, seed)
+    return _assemble_generator(r, labelled, t, cap)
 
 
 def loewy_layers(r: ReplicatedAlgebra, x: ModuleRep) -> list[str]:

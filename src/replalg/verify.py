@@ -78,13 +78,13 @@ def _instance(q: Quiver, m: int) -> dict:
     }
 
 
-def verify_theorem_3_3(q: Quiver, m: int, cap: Optional[int] = None, seed: int = 0,
+def verify_theorem_3_3(q: Quiver, m: int, cap: Optional[int] = None,
                        bundle: Optional[GeneratorBundle] = None):
     """gl.dim End(M) <= 3 for the canonical generator-cogenerator M;
     CapTooSmall when the cap ends with gl.dim End(M) >= k for a k <= 3."""
     cap = cap if cap is not None else default_cap(m)
     if bundle is None:
-        bundle = auslander_generator(q, m, cap=cap, seed=seed)
+        bundle = auslander_generator(q, m, cap=cap)
     g, dim_end = end_global_dimension(bundle.end_summands(), bundle.summand_homs, cap)
     g = _decided(g, 3, cap, "End(M)")
     cert = Certificate(
@@ -175,8 +175,7 @@ def _intertwines(f: ModuleMap) -> bool:
     return True
 
 
-def verify_lemma_2_4(bundle: GeneratorBundle, x: ModuleRep, x_label: str,
-                     seed: int = 0) -> Certificate:
+def verify_lemma_2_4(bundle: GeneratorBundle, x: ModuleRep, x_label: str) -> Certificate:
     """A verified length-<=2 add(M) resolution of x with Hom(L,-)-exactness.
 
     Builds the minimal right add(M)-approximation g: M1 -> x, checks that g
@@ -225,8 +224,8 @@ def verify_lemma_2_4(bundle: GeneratorBundle, x: ModuleRep, x_label: str,
         ext_values = {s.label: sum(bundle.summand_ext1(i, u) for u in us) for i, s in enumerate(bundle.summands)}
     else:
         kmod, _ = kernel(g)
-        kernel_labels = [next((lab for lab, cand in zip(labels, mods) if is_isomorphic(piece, cand, seed=seed) is not None),
-                              "<not in add M>") for piece, _, _ in decompose_with_maps(kmod, seed=seed)]
+        kernel_labels = [next((lab for lab, cand in zip(labels, mods) if is_isomorphic(piece, cand) is not None),
+                              "<not in add M>") for piece, _, _ in decompose_with_maps(kmod)]
         if "<not in add M>" not in kernel_labels:
             raise InternalCheckFailed("a kernel with a nonzero approximation kernel lies in add M")
         ext_values = {s.label: ext1_dim(s.module, kmod) for s in bundle.summands}
@@ -270,7 +269,7 @@ def verify_lemma_2_4(bundle: GeneratorBundle, x: ModuleRep, x_label: str,
     )
 
 
-def lemma_2_4_inventory(bundle: GeneratorBundle, seed: int = 0):
+def lemma_2_4_inventory(bundle: GeneratorBundle):
     """The sampled targets: Sigma-ladder summands, simples, and radicals of
     the indecomposable projectives, all as A^(m)-modules."""
     r = bundle.replicated
@@ -278,7 +277,7 @@ def lemma_2_4_inventory(bundle: GeneratorBundle, seed: int = 0):
     if bundle.t >= 2:
         # a fresh module per call, so that no fact found on a target is kept on a summand of M
         out.extend((f"sigma{k}.{i}", ModuleRep(r.algebra, x.dim, x.blocks, x.vertex_of))
-                   for k, i, x in bundle.sigma_ladder(seed))
+                   for k, i, x in bundle.sigma_ladder())
     else:
         for v in range(len(r.quiver.vertices)):
             out.append((f"sigma0.{v}", projective_module(r.algebra, v)))
@@ -359,7 +358,7 @@ def verify_ext_stablehom(q: Quiver, m: int, samples: int = 0, seed: int = 0) -> 
     )
 
 
-def verify_example_3_4(seed: int = 0, cap: Optional[int] = None):
+def verify_example_3_4(cap: Optional[int] = None):
     """The golden instance: the duplicated Kronecker algebra.
 
     Reproduces gl.dim End(M) = 3 and gl.dim End(M_0) = 5 exactly, and the
@@ -370,10 +369,10 @@ def verify_example_3_4(seed: int = 0, cap: Optional[int] = None):
 
     q = kronecker()
     cap = cap if cap is not None else 8
-    bundle = auslander_generator(q, 1, cap=cap, seed=seed)
+    bundle = auslander_generator(q, 1, cap=cap)
     g, _ = end_global_dimension(bundle.end_summands(), bundle.summand_homs, cap)
     g = _decided(g, 3, cap, "End(M)")
-    bundle0 = minimal_cogenerator(q, 1, cap=cap, seed=seed)
+    bundle0 = minimal_cogenerator(q, 1, cap=cap)
     g0, _ = end_global_dimension(bundle0.end_summands(), bundle0.summand_homs, cap)
     g0 = _decided(g0, 5, cap, "End(M_0)")
     expected = sorted([

@@ -37,7 +37,7 @@ from replalg.modules import (
     zero_map,
     zero_module,
 )
-from replalg.quiver import Quiver, compose_paths, enumerate_paths
+from replalg.quiver import Path, Quiver, enumerate_paths, path_end, path_label
 from replalg.replicated import build_replicated, embed, projective_injectives
 
 
@@ -50,6 +50,34 @@ def from_rows(rows):
 def kronecker3():
     """Three arrows 2 -> 1, as quivers/kronecker3.json: a wild quiver."""
     return Quiver(["1", "2"], [("a", "2", "1"), ("b", "2", "1"), ("c", "2", "1")])
+
+
+def compose_paths(q: Quiver, p: Path, r: Path) -> Optional[Path]:
+    """p then r, or None when the endpoints do not match."""
+    if path_end(q, p) != r.start:
+        return None
+    return Path(p.start, p.arrows + r.arrows)
+
+
+def strip_prefix(q: Quiver, whole: Path, prefix: Path) -> Optional[Path]:
+    """r with whole = prefix * r, or None."""
+    if whole.start != prefix.start:
+        return None
+    k = len(prefix.arrows)
+    if whole.arrows[:k] != prefix.arrows:
+        return None
+    return Path(path_end(q, prefix), whole.arrows[k:])
+
+
+def strip_suffix(q: Quiver, whole: Path, suffix: Path) -> Optional[Path]:
+    """r with whole = r * suffix, or None."""
+    k = len(suffix.arrows)
+    if k == 0:
+        return whole if path_end(q, whole) == suffix.start else None
+    if len(whole.arrows) < k or whole.arrows[len(whole.arrows) - k:] != suffix.arrows:
+        return None
+    r = Path(whole.start, whole.arrows[: len(whole.arrows) - k])
+    return r if path_end(q, r) == suffix.start else None
 
 
 def all_pairs_path_table(q: Quiver):
@@ -65,16 +93,82 @@ def all_pairs_path_table(q: Quiver):
     return mult
 
 
-def all_pairs_replicated_table(r):
-    """The table of A^(m) from ``_product`` on every ordered pair of basis keys."""
-    n = len(r.keys)
-    mult = [[() for _ in range(n)] for _ in range(n)]
-    for a, ka in enumerate(r.keys):
-        for b, kb in enumerate(r.keys):
-            prod = r._product(ka, kb)
+def replicated_keys(q: Quiver, m: int) -> list[tuple]:
+    """The basis keys of A^(m) in index order: ("p", path, i) for a path in
+    copy i, 0 <= i <= m, then ("d", path, i) for its dual in slot i >= 1."""
+    paths = enumerate_paths(q)
+    return [("p", p, i) for i in range(m + 1) for p in paths] + [("d", p, i) for i in range(1, m + 1) for p in paths]
+
+
+def path_rule_product(q: Quiver, ka: tuple, kb: tuple) -> Optional[tuple]:
+    """The key of ka * kb by the path rules of A^(m), or None for zero."""
+    kind_a, pa, ia = ka
+    kind_b, pb, ib = kb
+    if kind_a == "p" and kind_b == "p":
+        c = compose_paths(q, pa, pb) if ia == ib else None
+        return ("p", c, ia) if c is not None else None
+    if kind_a == "p" and kind_b == "d":
+        # (p, i) * (q*, i) = (r*, i) with q = r p
+        r = strip_suffix(q, pb, pa) if ia == ib else None
+        return ("d", r, ib) if r is not None else None
+    if kind_a == "d" and kind_b == "p":
+        # (q*, i) * (p, i-1) = (r*, i) with q = p r
+        r = strip_prefix(q, pa, pb) if ib == ia - 1 else None
+        return ("d", r, ia) if r is not None else None
+    return None  # D(A) x D(A) -> 0
+
+
+@dataclass
+class PathRuleAlgebra:
+    """A^(m) from the path rules on every ordered pair of basis keys: the
+    oracle of ``ReplicatedAlgebra``'s read-off of kQ's table."""
+
+    keys: list
+    labels: tuple
+    mult: list
+    unit: tuple
+    idempotents: tuple
+    grading: list
+
+
+def path_rule_replicated(q: Quiver, m: int) -> PathRuleAlgebra:
+    keys = replicated_keys(q, m)
+    index = {k: n for n, k in enumerate(keys)}
+    nv = len(q.vertices)
+    mult = [[() for _ in keys] for _ in keys]
+    for a, ka in enumerate(keys):
+        for b, kb in enumerate(keys):
+            prod = path_rule_product(q, ka, kb)
             if prod is not None:
-                mult[a][b] = ((r.key_index[prod], 1),)
-    return mult
+                mult[a][b] = ((index[prod], 1),)
+    labels = tuple(f"{path_label(q, p)}{'*' if kind == 'd' else ''}@{i}" for kind, p, i in keys)
+    # (p, i) runs from start p@i to end p@i, (p*, i) from end p@i to start p@(i-1)
+    grading = [(i * nv + p.start, i * nv + path_end(q, p)) if kind == "p"
+               else (i * nv + path_end(q, p), (i - 1) * nv + p.start) for kind, p, i in keys]
+    units = [tuple(int(k == ("p", Path(v, ()), i)) for k in keys) for i in range(m + 1) for v in range(nv)]
+    idempotents = tuple((f"{q.vertices[v]}@{i}", units[i * nv + v]) for i in range(m + 1) for v in range(nv))
+    return PathRuleAlgebra(keys, labels, mult, tuple(map(sum, zip(*units))), idempotents, grading)
+
+
+def embed_by_keys(x: ModuleRep, copy: int, into) -> ModuleRep:
+    """``embed`` through the path keys of ``replicated_keys``."""
+    index = {k: n for n, k in enumerate(replicated_keys(into.quiver, into.m))}
+    paths = enumerate_paths(into.quiver)
+    blocks = {index[("p", paths[pi], copy)]: m for pi, m in x.blocks.items()}
+    vertex_of = [copy * len(into.quiver.vertices) + v for v in x.vertex_of]
+    return ModuleRep(into.algebra, x.dim, blocks, vertex_of)
+
+
+def restrict_by_keys(x: ModuleRep, ambient, target) -> ModuleRep:
+    """``restrict_from_ambient`` through the path keys: the block of each
+    key of A^(m) is the ambient block of the same key."""
+    index = {k: n for n, k in enumerate(replicated_keys(ambient.quiver, ambient.m))}
+    blocks = {}
+    for n, key in enumerate(replicated_keys(target.quiver, target.m)):
+        m = x.blocks.get(index[key])
+        if m is not None:
+            blocks[n] = m
+    return ModuleRep(target.algebra, x.dim, blocks, x.vertex_of)
 
 
 def validate_module(x: ModuleRep) -> None:
@@ -114,6 +208,15 @@ def validate_map(f: ModuleMap) -> None:
     for i in sorted(x.blocks.keys() | y.blocks.keys()):
         if m @ x.action(i) != y.action(i) @ m:
             raise ValueError(f"map does not intertwine basis element {i}")
+
+
+def span_contains(span: EchelonSpace, vec) -> bool:
+    """vec lies in the span: it reduces to zero against the echelon rows."""
+    return not any(span._reduce(vec))
+
+
+def is_injective_map(f: ModuleMap) -> bool:
+    return f.rank() == f.source.dim
 
 
 def is_invertible(m: RatMatrix) -> bool:
@@ -344,10 +447,10 @@ def verify_exact(res) -> None:
                 raise ValueError("resolution differentials do not compose to zero")
             if d.rank() != d_prev.source.dim - d_prev.rank():
                 raise ValueError(f"resolution not exact at term {i - 1}")
-        if res.complete and res.maps and not res.maps[-1].is_injective():
+        if res.complete and res.maps and not is_injective_map(res.maps[-1]):
             raise ValueError("resolution not exact at the last term")
     else:
-        if res.terms and not res.maps[0].is_injective():
+        if res.terms and not is_injective_map(res.maps[0]):
             raise ValueError("coresolution is not exact at the module")
         for i in range(1, len(res.maps)):
             d_prev, d = res.maps[i - 1], res.maps[i]
@@ -399,16 +502,16 @@ def greedy_right_approximation(addset, x, homs=None):
     return out, [copies[c][0] for c in active]
 
 
-def _basic_modules(summands, seed: int) -> list[ModuleRep]:
+def _basic_modules(summands) -> list[ModuleRep]:
     """The modules of (label, module) summands; NotBasic if two are isomorphic."""
     for i, si in enumerate(summands):
         for sj in summands[i + 1:]:
-            if is_isomorphic(si[1], sj[1], seed=seed) is not None:
+            if is_isomorphic(si[1], sj[1]) is not None:
                 raise NotBasic(f"summands {si[0]} and {sj[0]} are isomorphic")
     return [s[1] for s in summands]
 
 
-def end_algebra(x: Optional[ModuleRep] = None, summands=None, seed: int = 0) -> AlgebraData:
+def end_algebra(x: Optional[ModuleRep] = None, summands=None) -> AlgebraData:
     """End(x) as an AlgebraData with one idempotent per indecomposable summand.
 
     Multiplication is "apply first, then second": f*g = g o f, making x a
@@ -417,9 +520,9 @@ def end_algebra(x: Optional[ModuleRep] = None, summands=None, seed: int = 0) -> 
     Raises NotBasic when two summands are isomorphic.
     """
     if summands is None:
-        summands = [(f"X{i}", m) for i, (m, _, _) in enumerate(decompose_with_maps(x, seed))]
+        summands = [(f"X{i}", m) for i, (m, _, _) in enumerate(decompose_with_maps(x))]
     n = len(summands)
-    mods = _basic_modules(summands, seed)
+    mods = _basic_modules(summands)
     # block Hom bases, with identity leading each diagonal block
     blocks: dict[tuple[int, int], list[ModuleMap]] = {}
     for i in range(n):
@@ -527,11 +630,11 @@ def ext1_by_resolution(y: ModuleRep, x: ModuleRep) -> int:
     return len(h1) - rank_d2 - rank_d1
 
 
-def ext_inventory(q: Quiver, m: int):
+def ext_inventory(q: Quiver, m: int, amb=None):
     """(inventory, projective-injectives) of extcheck on q at m, inside the
-    ambient A^(2m+1): the cosyzygy chains of the embedded projectives and
-    simples, up to 2m steps, then the projective-injectives."""
-    amb = build_replicated(q, 2 * m + 1)
+    ambient A^(2m+1) (``amb`` if given): the cosyzygy chains of the embedded
+    projectives and simples, up to 2m steps, then the projective-injectives."""
+    amb = amb if amb is not None else build_replicated(q, 2 * m + 1)
     pis = [mod for _, mod in projective_injectives(amb)]
     inventory = []
     for make in (projective_module, simple_module):
@@ -613,14 +716,14 @@ def injective_dimension(x: ModuleRep, cap: int) -> DimBound:
     return DimBound(cap + 1, exact=False)
 
 
-def decompose(x: ModuleRep, seed: int = 0):
+def decompose(x: ModuleRep):
     """[(indecomposable, multiplicity)] with representatives up to isomorphism."""
-    pieces = decompose_with_maps(x, seed)
+    pieces = decompose_with_maps(x)
     groups: list[tuple[ModuleRep, int]] = []
     for piece, _, _ in pieces:
         for g in range(len(groups)):
             rep, count = groups[g]
-            if is_isomorphic(rep, piece, seed=seed) is not None:
+            if is_isomorphic(rep, piece) is not None:
                 groups[g] = (rep, count + 1)
                 break
         else:

@@ -46,9 +46,11 @@ from replalg.verify import (
 from support import (
     end_algebra,
     injective_dimension,
+    is_injective_map,
     minimal_projective_resolution,
     mult_coords,
     socle,
+    span_contains,
     verify_exact,
 )
 
@@ -212,15 +214,15 @@ def test_criterion_6_engine_property_suite():
         for j in range(rad.dim):
             span.add(rincl.matrix.column_vec(j))
         cover_ok &= f.is_surjective() and all(
-            span.contains(incl.matrix.column_vec(j)) for j in range(k.dim)
+            span_contains(span, incl.matrix.column_vec(j)) for j in range(k.dim)
         )
         i, env = injective_envelope(x)
         soc, sincl = socle(i)
         espan = EchelonSpace(i.dim)
         for j in range(env.matrix.cols):
             espan.add(env.matrix.column_vec(j))
-        env_ok &= env.is_injective() and all(
-            espan.contains(sincl.matrix.column_vec(j)) for j in range(soc.dim)
+        env_ok &= is_injective_map(env) and all(
+            span_contains(espan, sincl.matrix.column_vec(j)) for j in range(soc.dim)
         )
     checks.append(("cover_superfluous", bool(cover_ok)))
     checks.append(("envelope_essential", bool(env_ok)))

@@ -281,8 +281,8 @@ def test_locality_certificate_matches_the_trace_form_rank(q, m, monkeypatch):
     leaves = []
     decompose_with_maps = replalg.replicated.decompose_with_maps
 
-    def recorded(x, seed=0):
-        pieces = decompose_with_maps(x, seed=seed)
+    def recorded(x):
+        pieces = decompose_with_maps(x)
         leaves.extend(piece for piece, _, _ in pieces)
         return pieces
 

@@ -39,6 +39,7 @@ from support import (
     cokernel,
     ext_inventory,
     image,
+    is_injective_map,
     is_invertible,
     socle,
     top,
@@ -292,7 +293,7 @@ def test_envelope_with_a_corrupted_dual_top_count_raises(kr, monkeypatch):
 
     x = regular_module(kr)
     i, env = injective_envelope(x)
-    assert i.vertex_dims() == [3, 6] and env.is_injective()  # soc A = S1^3, so I = I1^3
+    assert i.vertex_dims() == [3, 6] and is_injective_map(env)  # soc A = S1^3, so I = I1^3
     monkeypatch.setattr(replalg.modules, "_radical_vertex_spans", one_pivot_short_on_the_dual)
     assert projective_cover(x)[0].vertex_dims() == x.vertex_dims()  # covers over kr are untouched
     with pytest.raises(ValueError, match="does not match the top"):
@@ -329,7 +330,7 @@ def test_corrupted_null_space_fails_the_kernel_certificate(kronecker_m1_bundle, 
     f = hom_basis(mods["U1.1"], mods["pi:2@1"])[0]
     k, incl = kernel(f)
     validate_module(k)
-    assert incl.then(f).is_zero() and incl.is_injective()
+    assert incl.then(f).is_zero() and is_injective_map(incl)
     null_space = RatMatrix.null_space
 
     def corrupted(m):

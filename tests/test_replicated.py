@@ -26,13 +26,18 @@ from replalg.replicated import (
     loewy_layers,
     minimal_cogenerator,
     projective_injectives,
+    restrict_from_ambient,
     sigma_layers,
 )
 from support import (
     all_pairs_path_table,
-    all_pairs_replicated_table,
     decompose,
+    embed_by_keys,
+    ext_inventory,
     mult_coords,
+    path_rule_replicated,
+    replicated_keys,
+    restrict_by_keys,
     socle,
     top,
     validate_module,
@@ -40,6 +45,7 @@ from support import (
 )
 
 QUIVERS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "quivers")
+SHIPPED = sorted(name[:-len(".json")] for name in os.listdir(QUIVERS) if name.endswith(".json"))
 
 
 def _quiver_file(name):
@@ -62,18 +68,46 @@ def test_dimensions_and_idempotents(kr1):
     assert len(rv.algebra.idempotents) == 3
 
 
-@pytest.mark.parametrize("name", ["one_vertex", "a2", "a3", "kronecker", "kronecker3", "kronecker4",
-                                  "d4", "a3_tilde"])
+@pytest.mark.parametrize("name", SHIPPED)
 def test_build_matches_all_pairs_oracle(name):
-    """A differential oracle for the build from Peirce-composable pairs
-    only: ``_product`` and ``compose_paths`` on every ordered pair give the
-    same tables, for the sweep quivers and the wild and non-linear ones."""
+    """A differential oracle for A^(m) read off kQ's table: the path rules
+    on every ordered pair of basis keys give the same labels, table, unit,
+    idempotents and grading, on every shipped quiver at m <= 8."""
+    assert len(SHIPPED) == 10
     q = _quiver_file(f"{name}.json")
     assert build_hereditary(q).mult == all_pairs_path_table(q)
-    for m in range(4):
+    for m in range(9):
+        a = build_replicated(q, m).algebra
+        want = path_rule_replicated(q, m)
+        assert a.labels == want.labels and a.mult == want.mult and a.unit == want.unit
+        assert a.idempotents == want.idempotents and a.grading == want.grading
+
+
+def _same_module(x, y):
+    assert x.algebra is y.algebra and x.dim == y.dim and x.vertex_of == y.vertex_of
+    assert list(x.blocks.items()) == list(y.blocks.items())
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_embed_and_restrict_match_the_key_oracle(name):
+    """``embed`` and ``restrict_from_ambient`` by index arithmetic equal the
+    path-key versions block for block: the simples and projectives of kQ in
+    every copy of A^(m), and the extcheck inventory of A^(2m+1) that lies
+    in copies 0..m, some of it acted on by duals."""
+    q = _quiver_file(f"{name}.json")
+    for m in (1, 2):
         r = build_replicated(q, m)
-        assert r.algebra.mult == all_pairs_replicated_table(r)
-        assert r.base.mult == all_pairs_path_table(q)
+        for copy in range(m + 1):
+            for make in (simple_module, projective_module):
+                for v in range(len(q.vertices)):
+                    x = make(r.base, v)
+                    _same_module(embed(x, copy, r), embed_by_keys(x, copy, r))
+        amb = build_replicated(q, 2 * m + 1)
+        kept = [x for x in ext_inventory(q, m, amb)[0] if amb.in_a_m(x, m)]
+        duals = range((amb.m + 1) * amb.base.dim, amb.algebra.dim)
+        assert any(b in duals for x in kept for b in x.blocks)
+        for x in kept:
+            _same_module(restrict_from_ambient(x, amb, r), restrict_by_keys(x, amb, r))
 
 
 def test_split_basic_is_proven_not_assumed(monkeypatch):
@@ -121,8 +155,9 @@ def test_gabriel_quiver_arrow_count(kr1):
 
 def test_dual_products_vanish(kr1):
     a = kr1.algebra
-    for i, ki in enumerate(kr1.keys):
-        for j, kj in enumerate(kr1.keys):
+    keys = replicated_keys(kr1.quiver, kr1.m)
+    for i, ki in enumerate(keys):
+        for j, kj in enumerate(keys):
             if ki[0] == "d" and kj[0] == "d":
                 assert a.mult[i][j] == ()
 

@@ -441,22 +441,37 @@ def test_theorem_3_3_reduces_no_empty_block(monkeypatch):
 
 def test_build_work_is_pinned(monkeypatch):
     """A work gate for building A^(m): the products formed to build A5 m=2
-    with its opposite and split-basic certificate.  Only Peirce-composable
-    key pairs are multiplied, the grading verifies one candidate per side,
+    with its opposite and split-basic certificate.  The table is read off
+    the 35 nonzero products of kQ, each writing one cell per copy and two
+    per dual slot (245 cells), the grading verifies one candidate per side,
     the opposite is the transposed table with the swapped grading, and
     associativity is tested on a certified generating set.  These read
     (8,500, 5,625) when every key pair was multiplied and every composable
     triple tested."""
-    counted = {"mult_sparse": 0, "_product": 0}
-    for cls, name in ((AlgebraData, "mult_sparse"), (replicated.ReplicatedAlgebra, "_product")):
-        def wrapped(*args, _fn=getattr(cls, name), _name=name):
-            counted[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(cls, name, wrapped)
+    counted = {"mult_sparse": 0, "kq_products": 0}
+    mult_sparse, build_hereditary = AlgebraData.mult_sparse, replicated.build_hereditary
+
+    class Read(tuple):
+        def __iter__(self):
+            counted["kq_products"] += len(self)
+            return super().__iter__()
+
+    def hereditary(q):
+        kq = build_hereditary(q)
+        kq.mult = [[Read(cell) for cell in row] for row in kq.mult]
+        return kq
+
+    def wrapped(*args):
+        counted["mult_sparse"] += 1
+        return mult_sparse(*args)
+
+    monkeypatch.setattr(AlgebraData, "mult_sparse", wrapped)
+    monkeypatch.setattr(replicated, "build_hereditary", hereditary)
     a = replicated.build_replicated(linear_quiver(5), 2).algebra
     a.opposite()
     a.ensure_split_basic()
-    assert (counted["mult_sparse"], counted["_product"]) == (1238, 360)
+    cells = sum(1 for row in a.mult for cell in row if cell)
+    assert (counted["mult_sparse"], counted["kq_products"], cells) == (1238, 35, 245)
 
 
 def test_example_3_4_does_not_assemble_end(monkeypatch):
