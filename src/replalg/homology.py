@@ -31,8 +31,6 @@ from .modules import (
     hom_basis,
     hom_dim,
     identity_map,
-    is_injective_module,
-    is_projective_module,
     kernel,
     projective_cover,
     radical_submodule,
@@ -180,16 +178,41 @@ def ext1_dim(y: ModuleRep, x: ModuleRep) -> int:
 
 
 def stable_hom_dim(y: ModuleRep, z: ModuleRep, through: Sequence[ModuleRep]) -> int:
-    """dim Hom(y,z) minus the span of the composites through the listed
-    projective-injective modules."""
-    for w in through:
-        if not (is_projective_module(w) and is_injective_module(w)):
-            raise NotProjInjective("a listed module is not projective-injective")
-    dim_hom = hom_dim(y, z)
-    if not dim_hom:
+    """dim StHom(y, z), Hom(y, z) modulo the maps through add W, for W the
+    listed indecomposable projective-injectives: dim Hom(y, z) - sum over
+    v in the stack of P of dim Hom(y, e_v A) + dim Hom(y, Omega z), for
+    0 -> Omega z -> P -> z -> 0 the cover of z (:func:`_syzygy_step`).
+
+    The lemma (Auslander-Reiten-Smalo, ch. IV; Assem-Simson-Skowronski,
+    vol. 1, Appendix A): when P lies in add W, P -> z is a right add
+    W-approximation, so a map y -> z factors through add W iff it factors
+    through P; Hom(y, -) is left exact, so those maps have dimension
+    dim Hom(y, P) - dim Hom(y, Omega z).  A listed w whose cover is one
+    e_v A with kernel 0, and whose cosyzygy is 0 with the envelope's one
+    I_u, is e_v A = D(A e_u), so dim Hom(y, e_v A) = dim y e_u by duality.
+    Else, or when P leaves add W, NotProjInjective; 0 when y lies in add W.
+    Only Hom(y, z) and Hom(y, Omega z) are solved, each certified by its
+    residual; no map is composed.  InternalCheckFailed if the value is < 0.
+    """
+    nu = {}
+    for w in (w for w in through if w.dim):
+        (v, *more), syz = _syzygy_step(w)
+        (u, *_), cosyz = _cosyzygy_step(w)
+        if more or syz.dim or cosyz.dim:
+            raise NotProjInjective("a listed module is not an indecomposable projective-injective")
+        nu[v] = u
+    if y.dim == 0 or z.dim == 0:
         return 0
-    homs = [(hom_basis(y, w), hom_basis(w, z)) for w in through]
-    return dim_hom - _span_rank(y, z, (a.then(b) for into, outof in homs for a in into for b in outof))
+    if not (ys := _syzygy_step(y))[1].dim and nu.keys() >= set(ys[0]):
+        return 0  # y lies in add W, so every map out of it factors
+    stack, k = _syzygy_step(z)
+    if not nu.keys() >= set(stack):
+        raise NotProjInjective("the projective cover of the target leaves add of the listed modules")
+    dim_hom = hom_dim(y, z)
+    st = dim_hom and dim_hom - sum(y._dims[nu[v]] for v in stack) + hom_dim(y, k)
+    if st < 0:
+        raise InternalCheckFailed("a stable Hom from the projective cover is negative")
+    return st
 
 
 # -- decomposition into indecomposables ----------------------------------------

@@ -743,11 +743,12 @@ def _cosyzygy_step(x: ModuleRep):
 
 def _syzygy_step(x: ModuleRep):
     """(stack, syzygy) of x != 0: the ``projective_stack`` of its projective
-    cover and the cover's kernel, memoised under ``syzygy_step``.  The cover
-    and the kernel's inclusion are not kept."""
+    cover and the cover's kernel, memoised under ``syzygy_step``; the cover
+    and the kernel's inclusion are not kept.  A cover is onto, so one of x's
+    dimension is an isomorphism: kernel 0, with no elimination."""
     def step():
         p, cover = projective_cover(x)
-        return p.extras["projective_stack"], kernel(cover)[0]
+        return p.extras["projective_stack"], kernel(cover)[0] if p.dim > x.dim else zero_module(x.algebra)
     return _memo(x, "syzygy_step", step)
 
 

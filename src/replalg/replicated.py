@@ -94,8 +94,10 @@ class ReplicatedAlgebra:
                 unit[i * n + v] = 1
                 idems.append((f"{quiver.vertices[v]}@{i}", coords))
         self.algebra = AlgebraData(labels, mult, unit, idems)
-        if self.algebra.dim != (2 * m + 1) * self.base.dim:
-            raise InternalCheckFailed("replicated algebra has the wrong dimension")
+        for i in range(1, m + 1):
+            for p, (u, v) in enumerate(self.base.grading):
+                if self.algebra.grading[(m + i) * n + p] != (i * nv + v, (i - 1) * nv + u):
+                    raise InternalCheckFailed("a dual basis element of A^(m) has the wrong degree")
 
     # -- vertex bookkeeping -------------------------------------------------
 

@@ -8,7 +8,7 @@ from itertools import compress
 from typing import Optional, Sequence
 
 from replalg.algebra import AlgebraData, _sparse_coords
-from replalg.errors import InternalCheckFailed, NotBasic
+from replalg.errors import InternalCheckFailed, NotBasic, NotProjInjective
 from replalg.homology import (
     DimBound,
     _from_sum,
@@ -23,11 +23,14 @@ from replalg.linalg import EchelonSpace, RatMatrix
 from replalg.modules import (
     ModuleMap,
     ModuleRep,
+    _envelope_is_projective,
     _radical_blocks,
     hom_basis,
     hom_dim,
     identity_map,
     injective_envelope,
+    is_injective_module,
+    is_projective_module,
     kernel,
     projective_cover,
     projective_module,
@@ -630,13 +633,29 @@ def ext1_by_resolution(y: ModuleRep, x: ModuleRep) -> int:
     return len(h1) - rank_d2 - rank_d1
 
 
-def ext_inventory(q: Quiver, m: int, amb=None):
-    """(inventory, projective-injectives) of extcheck on q at m, inside the
-    ambient A^(2m+1) (``amb`` if given): the cosyzygy chains of the embedded
-    projectives and simples, up to 2m steps, then the projective-injectives."""
+def stable_hom_by_composites(y: ModuleRep, z: ModuleRep, through: Sequence[ModuleRep]) -> int:
+    """dim StHom(y, z) by its definition: dim Hom(y, z) less the rank of the
+    span of the composites y -> w -> z through the listed
+    projective-injectives, from Hom(y, w) and Hom(w, z) for each w: the
+    oracle of ``stable_hom_dim``."""
+    for w in through:
+        if not (is_projective_module(w) and is_injective_module(w)):
+            raise NotProjInjective("a listed module is not projective-injective")
+    dim_hom = hom_dim(y, z)
+    if not dim_hom:
+        return 0
+    homs = [(hom_basis(y, w), hom_basis(w, z)) for w in through]
+    return dim_hom - _span_rank(y, z, (a.then(b) for into, outof in homs for a in into for b in outof))
+
+
+def ext_chains(q: Quiver, m: int, amb=None):
+    """(projective chains, simple chains, projective-injectives) of extcheck
+    on q at m, inside the ambient A^(2m+1) (``amb`` if given): the cosyzygy
+    chains of the embedded projectives and of the embedded simples, up to
+    2m steps."""
     amb = amb if amb is not None else build_replicated(q, 2 * m + 1)
     pis = [mod for _, mod in projective_injectives(amb)]
-    inventory = []
+    chains = []
     for make in (projective_module, simple_module):
         for v in range(len(q.vertices)):
             chain = [embed(make(amb.base, v), 0, amb)]
@@ -645,8 +664,31 @@ def ext_inventory(q: Quiver, m: int, amb=None):
                 if nxt.dim == 0:
                     break
                 chain.append(nxt)
-            inventory.extend(chain)
-    return inventory + pis, pis
+            chains.append(chain)
+    nv = len(q.vertices)
+    return chains[:nv], chains[nv:], pis
+
+
+def ext_inventory(q: Quiver, m: int, amb=None):
+    """(inventory, projective-injectives) of extcheck on q at m: the chains
+    of :func:`ext_chains` in order, then the projective-injectives."""
+    proj_chains, simple_chains, pis = ext_chains(q, m, amb)
+    return [x for chain in proj_chains + simple_chains for x in chain] + pis, pis
+
+
+def ext_pairs(q: Quiver, m: int):
+    """(identity pairs, lemma-3.2 pairs, projective-injectives) of extcheck
+    on q at m, as ``verify_ext_stablehom`` forms them: (y, Omega^-1 x) for y
+    in the inventory and x in it with a projective envelope, and (y_i, x_j)
+    for y_i in a projective chain and x_j further along any chain."""
+    proj_chains, simple_chains, pis = ext_chains(q, m)
+    inventory = [x for chain in proj_chains + simple_chains for x in chain] + pis
+    xs = [x for x in inventory if x.dim and _envelope_is_projective(x)]
+    pairs = [(y, cosyzygy(x)) for y in inventory if y.dim for x in xs]
+    lemma32 = [(y, xchain[j]) for chain in proj_chains for i, y in enumerate(chain)
+               for xchain in proj_chains + simple_chains for j in range(i + 1, len(xchain))
+               if y.dim and xchain[j].dim]
+    return pairs, lemma32, pis
 
 
 def end_structure(m: ModuleRep):

@@ -49,6 +49,7 @@ from support import (
     end_top_dimension,
     ext1_by_resolution,
     ext_inventory,
+    ext_pairs,
     from_rows,
     greedy_right_approximation,
     injective_dimension,
@@ -56,6 +57,7 @@ from support import (
     minimal_injective_coresolution,
     minimal_projective_resolution,
     simples_global_dimension,
+    stable_hom_by_composites,
     validate_map,
     verify_exact,
 )
@@ -243,6 +245,28 @@ def test_stable_hom_vanishes_for_listed_source():
     y = pis[0]
     z = simple_module(r.algebra, 0)
     assert stable_hom_dim(y, z, pis) == 0
+
+
+def _shipped(path):
+    with open(path, encoding="utf-8") as f:
+        return parse_quiver(f.read())
+
+
+@pytest.mark.parametrize("path", QUIVER_FILES, ids=[os.path.basename(p)[:-5] for p in QUIVER_FILES])
+def test_stable_hom_matches_the_composite_oracle(path):
+    """The stable Hom read off the projective cover of the target against
+    its definition, the rank of the composites through each listed
+    projective-injective (``stable_hom_by_composites``), on every pair of
+    extcheck and every lemma-3.2 pair of the shipped quiver at m=1."""
+    name = os.path.basename(path)[:-5]
+    pairs, lemma32, pis = ext_pairs(_shipped(path), 1)
+    values = [(stable_hom_dim(y, z, pis), stable_hom_by_composites(y, z, pis)) for y, z in pairs + lemma32]
+    assert [got for got, _ in values] == [want for _, want in values]
+    assert any(got for got, _ in values)
+    # the pair counts of the extcheck report at m=1
+    assert (len(pairs), len(lemma32)) == {"a2": (324, 24), "a3": (729, 54), "a3_source": (729, 54),
+                                          "a3_tilde": (729, 54), "d4": (1296, 96), "e6": (2916, 216),
+                                          "one_vertex": (81, 6)}.get(name, (324, 24))
 
 
 def test_cosyzygy_of_injective_is_zero(kr):
@@ -634,6 +658,42 @@ def test_ext1_composes_no_map_and_ranks_no_span(a2_ext_inventory, monkeypatch):
     assert any(map(any, want))
 
 
+def test_stable_hom_composes_no_map_and_ranks_no_span(a2_ext_inventory, monkeypatch):
+    inventory, pis = a2_ext_inventory
+    mods, fresh_pis = [_fresh(x) for x in inventory], [_fresh(w) for w in pis]
+    want = [[stable_hom_by_composites(y, cosyzygy(x), pis) for x in inventory] for y in inventory]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stable_hom_dim composed a map or ranked a span")
+
+    monkeypatch.setattr(replalg.modules.ModuleMap, "then", refuse)
+    monkeypatch.setattr(replalg.homology, "_span_rank", refuse)
+    assert [[stable_hom_dim(y, cosyzygy(x), fresh_pis) for x in mods] for y in mods] == want
+    assert any(map(any, want))
+
+
+def test_stable_hom_refuses_a_cover_outside_the_listed_modules(a2_ext_inventory):
+    """A listed module must be an indecomposable projective-injective, and
+    the projective cover of the target must lie in add of the listed
+    modules, unless the source does; else NotProjInjective.  Each listed
+    module is known by the vertex of its own cover, not by identity."""
+    inventory, pis = a2_ext_inventory
+    y, z = next((y, z) for y in inventory for z in map(cosyzygy, inventory)
+                if stable_hom_by_composites(y, z, pis) and not is_projective_module(y))
+    stack = replalg.modules._syzygy_step(z)[0]
+    vertex = [replalg.modules._syzygy_step(w)[0] for w in pis]
+    missing = [_fresh(w) for w, vs in zip(pis, vertex) if vs[0] not in stack]
+    assert len(missing) < len(pis)
+    with pytest.raises(NotProjInjective, match="cover"):
+        stable_hom_dim(y, z, missing)
+    # the source in add of the listed modules: every map out of it factors
+    assert stable_hom_dim(pis[0], z, missing + [_fresh(pis[0])]) == 0
+    two, _, _ = direct_sum(pis[:2])
+    with pytest.raises(NotProjInjective, match="indecomposable"):
+        stable_hom_dim(y, z, [two] + pis)
+    assert stable_hom_dim(y, z, [_fresh(w) for w in pis]) == stable_hom_by_composites(y, z, pis)
+
+
 def test_homological_functions_leave_inputs_unchanged(a2_ext_inventory):
     inventory, pis = a2_ext_inventory
     mods = [_fresh(x) for x in inventory]
@@ -650,8 +710,11 @@ def test_homological_functions_leave_inputs_unchanged(a2_ext_inventory):
 def test_repeat_stable_hom_builds_no_envelope(a2_ext_inventory, monkeypatch):
     """The first call proves each listed module projective by one cover and
     injective by one cosyzygy step, D Omega D: one cover of its dual over
-    the opposite algebra and one kernel; it builds no envelope.  A repeat
-    reads both facts off the modules and builds nothing."""
+    the opposite algebra.  Both covers are isomorphisms, so neither takes a
+    kernel.  Then it takes the covers of y and z, and the kernel of z's (y
+    is projective).  It builds no envelope.  A repeat reads every fact off
+    the modules and builds nothing.  These read n covers, n dual covers and
+    n kernels when the composites through each listed module were ranked."""
     inventory, pis = a2_ext_inventory
     op = inventory[0].algebra.opposite()
     built = {"envelopes": 0, "covers": 0, "dual covers": 0, "kernels": 0}
@@ -662,17 +725,19 @@ def test_repeat_stable_hom_builds_no_envelope(a2_ext_inventory, monkeypatch):
             return fn(x)
         return wrapped
 
-    y, z = inventory[0], cosyzygy(inventory[1])
+    y, z = _fresh(inventory[0]), _fresh(cosyzygy(inventory[1]))
     # every cover and kernel of a resolution step is built in replalg.modules
     for key, name in (("envelopes", "injective_envelope"), ("covers", "projective_cover"), ("kernels", "kernel")):
         monkeypatch.setattr(replalg.modules, name, counting(key, getattr(replalg.modules, name)))
     fresh_pis = [_fresh(w) for w in pis]
     first = stable_hom_dim(y, z, fresh_pis)
     n = len(pis)
-    assert built == {"envelopes": 0, "covers": n, "dual covers": n, "kernels": n}
+    assert built == {"envelopes": 0, "covers": n + 2, "dual covers": n, "kernels": 1}
     after_first = dict(built)
     assert stable_hom_dim(y, z, fresh_pis) == first
     assert built == after_first
+    monkeypatch.undo()
+    assert is_projective_module(y) and not is_projective_module(z)
 
 
 # -- gl.dim End(M) from add(M)-resolutions, against End(M) assembled -------------

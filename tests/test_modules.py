@@ -38,10 +38,12 @@ from support import (
     block_diag,
     cokernel,
     ext_inventory,
+    ext_pairs,
     image,
     is_injective_map,
     is_invertible,
     socle,
+    stable_hom_by_composites,
     top,
     twist,
     validate_map,
@@ -756,10 +758,13 @@ def _solved_basis(x, y):
 
 
 def test_hom_out_of_a_projective_is_read_off_as_solved(monkeypatch):
-    """Every Hom out of a stack of projectives that extcheck and the lemma24
-    inventory meet on Kronecker m=1, and the lemma24 inventory on Kronecker
-    m=2, cover maps included, is read off its target with no system solved,
-    and its basis equals the solved one entry for entry and in order."""
+    """Every Hom out of a stack of projectives that extcheck, the stable Hom
+    oracle on the extcheck pairs and the lemma24 inventory meet on
+    Kronecker m=1, and the lemma24 inventory on Kronecker m=2, cover maps
+    included, is read off its target with no system solved, and its basis
+    equals the solved one entry for entry and in order.  The oracle's
+    Hom(w, Z) out of each projective-injective w are the ones extcheck
+    read off before its stable Hom read the cover of Z."""
     met = {}
     read_off, equations = replalg.modules._read_off, replalg.modules._hom_equations
 
@@ -774,6 +779,9 @@ def test_hom_out_of_a_projective_is_read_off_as_solved(monkeypatch):
     monkeypatch.setattr(replalg.modules, "_read_off", recorded)
     monkeypatch.setattr(replalg.modules, "_hom_equations", solved)
     assert verify_ext_stablehom(kronecker(), 1).verdict
+    pairs, lemma32, pis = ext_pairs(kronecker(), 1)
+    values = [stable_hom_by_composites(y, z, pis) for y, z in pairs + lemma32]
+    assert any(values[:len(pairs)]) and not any(values[len(pairs):])
     for m in (1, 2):
         bundle = auslander_generator(kronecker(), m)
         assert all(verify_lemma_2_4(bundle, x, lab).verdict for lab, x in lemma_2_4_inventory(bundle))

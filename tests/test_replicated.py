@@ -6,7 +6,7 @@ import pytest
 import replalg.algebra
 import replalg.replicated
 from replalg.cli import parse_quiver
-from replalg.errors import CopyOutOfRange
+from replalg.errors import CopyOutOfRange, InternalCheckFailed
 from replalg.homology import (
     global_dimension,
     is_isomorphic,
@@ -151,6 +151,32 @@ def test_gabriel_quiver_arrow_count(kr1):
         for y in rad:
             rad2.add(mult_coords(a, x, y))
     assert len(rad) - rad2.rank == 6
+
+
+@pytest.mark.parametrize("name", ["kronecker", "a3_tilde"])
+def test_a_dual_rule_in_the_wrong_copy_is_refused(name, monkeypatch):
+    """The rule (q*, i)(r, i-1) = c (p*, i) written to copy i instead of
+    i - 1 gives a table that AlgebraData accepts, a graded algebra with
+    each dual inside one copy; the degree check on the duals refuses it at
+    construction."""
+    q, m = _quiver_file(f"{name}.json"), 2
+    n = build_hereditary(q).dim
+    algebra_data = replalg.replicated.AlgebraData
+    accepted = []
+
+    def moved(labels, mult, unit, idems):
+        for i in range(1, m + 1):
+            for row in mult[(m + i) * n:(m + i + 1) * n]:
+                row[i * n:(i + 1) * n], row[(i - 1) * n:i * n] = row[(i - 1) * n:i * n], row[i * n:(i + 1) * n]
+        accepted.append(algebra_data(labels, mult, unit, idems))
+        return accepted[-1]
+
+    monkeypatch.setattr(replalg.replicated, "AlgebraData", moved)
+    with pytest.raises(InternalCheckFailed, match="dual basis element"):
+        build_replicated(q, m)
+    assert len(accepted) == 1
+    monkeypatch.undo()
+    build_replicated(q, m)
 
 
 def test_dual_products_vanish(kr1):
