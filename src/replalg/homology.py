@@ -178,22 +178,17 @@ def ext1_dim(y: ModuleRep, x: ModuleRep) -> int:
 
 
 def stable_hom_dim(y: ModuleRep, z: ModuleRep, through: Sequence[ModuleRep]) -> int:
-    """dim StHom(y, z), Hom(y, z) modulo the maps through add W, for W the
-    listed indecomposable projective-injectives: dim Hom(y, z) - sum over
-    v in the stack of P of dim Hom(y, e_v A) + dim Hom(y, Omega z), for
-    0 -> Omega z -> P -> z -> 0 the cover of z (:func:`_syzygy_step`).
-
-    The lemma (Auslander-Reiten-Smalo, ch. IV; Assem-Simson-Skowronski,
-    vol. 1, Appendix A): when P lies in add W, P -> z is a right add
-    W-approximation, so a map y -> z factors through add W iff it factors
-    through P; Hom(y, -) is left exact, so those maps have dimension
-    dim Hom(y, P) - dim Hom(y, Omega z).  A listed w whose cover is one
-    e_v A with kernel 0, and whose cosyzygy is 0 with the envelope's one
-    I_u, is e_v A = D(A e_u), so dim Hom(y, e_v A) = dim y e_u by duality.
-    Else, or when P leaves add W, NotProjInjective; 0 when y lies in add W.
-    Only Hom(y, z) and Hom(y, Omega z) are solved, each certified by its
-    residual; no map is composed.  InternalCheckFailed if the value is < 0.
-    """
+    """dim StHom(y, z), Hom(y, z) modulo the maps through add W for W the
+    listed indecomposable projective-injectives.  Lemma (Auslander-Reiten-
+    Smalo, ch. IV; Assem-Simson-Skowronski, vol. 1, App. A): for
+    0 -> Omega z -> P -> z -> 0 the cover of z (:func:`_syzygy_step`) with
+    P in add W, P -> z is a right add W-approximation and Hom(y, -) is left
+    exact, so dim StHom(y, z) = dim Hom(y, z) - dim Hom(y, P) +
+    dim Hom(y, Omega z).  A listed w with cover e_v A (kernel 0) and
+    cosyzygy 0 in one I_u is e_v A = D(A e_u), so dim Hom(y, e_v A) =
+    dim y e_u by duality.  Else, or when P leaves add W, NotProjInjective;
+    0 when y lies in add W.  Only Hom(y, z) and Hom(y, Omega z) are solved;
+    a negative value is InternalCheckFailed."""
     nu = {}
     for w in (w for w in through if w.dim):
         (v, *more), syz = _syzygy_step(w)

@@ -315,17 +315,23 @@ def verify_ext_stablehom(q: Quiver, m: int, samples: int = 0, seed: int = 0) -> 
         return out
 
     proj_chains, simple_chains = chains(projective_module), chains(simple_module)
-    inventory = [x for chain in proj_chains + simple_chains for x in chain] + pis
+    inventory: list[ModuleRep] = []
+    for chain in proj_chains + simple_chains:
+        inventory.extend(chain)
+    inventory.extend(pis)
 
     xs = [x for x in inventory if x.dim and _envelope_is_projective(x)]
     pairs = [(y, x) for y in inventory if y.dim for x in xs]
     if samples and samples < len(pairs):
         rng = random.Random(seed)
         pairs = rng.sample(pairs, samples)
-    identity_ok, checked = True, 0
+    identity_ok = True
+    checked = 0
     for y, x in pairs:
+        lhs = ext1_dim(y, x)
+        rhs = stable_hom_dim(y, cosyzygy(x), pis)
         checked += 1
-        if ext1_dim(y, x) != stable_hom_dim(y, cosyzygy(x), pis):
+        if lhs != rhs:
             identity_ok = False
             break
     lemma32_ok = True

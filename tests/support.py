@@ -7,6 +7,9 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Optional, Sequence
 
+import pytest
+
+import replalg.verify
 from replalg.algebra import AlgebraData, _sparse_coords
 from replalg.errors import InternalCheckFailed, NotBasic, NotProjInjective
 from replalg.homology import (
@@ -18,12 +21,12 @@ from replalg.homology import (
     decompose_with_maps,
     is_isomorphic,
     projective_dimension,
+    stable_hom_dim,
 )
 from replalg.linalg import EchelonSpace, RatMatrix
 from replalg.modules import (
     ModuleMap,
     ModuleRep,
-    _envelope_is_projective,
     _radical_blocks,
     hom_basis,
     hom_dim,
@@ -42,6 +45,7 @@ from replalg.modules import (
 )
 from replalg.quiver import Path, Quiver, enumerate_paths, path_end, path_label
 from replalg.replicated import build_replicated, embed, projective_injectives
+from replalg.verify import verify_ext_stablehom
 
 
 def from_rows(rows):
@@ -648,14 +652,13 @@ def stable_hom_by_composites(y: ModuleRep, z: ModuleRep, through: Sequence[Modul
     return dim_hom - _span_rank(y, z, (a.then(b) for into, outof in homs for a in into for b in outof))
 
 
-def ext_chains(q: Quiver, m: int, amb=None):
-    """(projective chains, simple chains, projective-injectives) of extcheck
-    on q at m, inside the ambient A^(2m+1) (``amb`` if given): the cosyzygy
-    chains of the embedded projectives and of the embedded simples, up to
-    2m steps."""
+def ext_inventory(q: Quiver, m: int, amb=None):
+    """(inventory, projective-injectives) of extcheck on q at m, inside the
+    ambient A^(2m+1) (``amb`` if given): the cosyzygy chains of the embedded
+    projectives and simples, up to 2m steps, then the projective-injectives."""
     amb = amb if amb is not None else build_replicated(q, 2 * m + 1)
     pis = [mod for _, mod in projective_injectives(amb)]
-    chains = []
+    inventory = []
     for make in (projective_module, simple_module):
         for v in range(len(q.vertices)):
             chain = [embed(make(amb.base, v), 0, amb)]
@@ -664,31 +667,27 @@ def ext_chains(q: Quiver, m: int, amb=None):
                 if nxt.dim == 0:
                     break
                 chain.append(nxt)
-            chains.append(chain)
-    nv = len(q.vertices)
-    return chains[:nv], chains[nv:], pis
+            inventory.extend(chain)
+    return inventory + pis, pis
 
 
-def ext_inventory(q: Quiver, m: int, amb=None):
-    """(inventory, projective-injectives) of extcheck on q at m: the chains
-    of :func:`ext_chains` in order, then the projective-injectives."""
-    proj_chains, simple_chains, pis = ext_chains(q, m, amb)
-    return [x for chain in proj_chains + simple_chains for x in chain] + pis, pis
+def extcheck_stable_homs(q: Quiver, m: int):
+    """(certificate, calls) of ``verify_ext_stablehom(q, m)``: calls holds
+    (y, z, through, value) for each of its ``stable_hom_dim`` calls, in
+    order.  The first ``pairs_checked`` are the identity pairs
+    (y, Omega^-1 x), the rest the lemma-3.2 pairs, so a test reads the
+    pairs that extcheck checks rather than a copy of how it forms them."""
+    calls = []
 
+    def recorded(y, z, through):
+        value = stable_hom_dim(y, z, through)
+        calls.append((y, z, through, value))
+        return value
 
-def ext_pairs(q: Quiver, m: int):
-    """(identity pairs, lemma-3.2 pairs, projective-injectives) of extcheck
-    on q at m, as ``verify_ext_stablehom`` forms them: (y, Omega^-1 x) for y
-    in the inventory and x in it with a projective envelope, and (y_i, x_j)
-    for y_i in a projective chain and x_j further along any chain."""
-    proj_chains, simple_chains, pis = ext_chains(q, m)
-    inventory = [x for chain in proj_chains + simple_chains for x in chain] + pis
-    xs = [x for x in inventory if x.dim and _envelope_is_projective(x)]
-    pairs = [(y, cosyzygy(x)) for y in inventory if y.dim for x in xs]
-    lemma32 = [(y, xchain[j]) for chain in proj_chains for i, y in enumerate(chain)
-               for xchain in proj_chains + simple_chains for j in range(i + 1, len(xchain))
-               if y.dim and xchain[j].dim]
-    return pairs, lemma32, pis
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replalg.verify, "stable_hom_dim", recorded)
+        cert = verify_ext_stablehom(q, m)
+    return cert, calls
 
 
 def end_structure(m: ModuleRep):

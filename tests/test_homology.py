@@ -49,7 +49,7 @@ from support import (
     end_top_dimension,
     ext1_by_resolution,
     ext_inventory,
-    ext_pairs,
+    extcheck_stable_homs,
     from_rows,
     greedy_right_approximation,
     injective_dimension,
@@ -259,14 +259,16 @@ def test_stable_hom_matches_the_composite_oracle(path):
     projective-injective (``stable_hom_by_composites``), on every pair of
     extcheck and every lemma-3.2 pair of the shipped quiver at m=1."""
     name = os.path.basename(path)[:-5]
-    pairs, lemma32, pis = ext_pairs(_shipped(path), 1)
-    values = [(stable_hom_dim(y, z, pis), stable_hom_by_composites(y, z, pis)) for y, z in pairs + lemma32]
+    cert, calls = extcheck_stable_homs(_shipped(path), 1)
+    values = [(got, stable_hom_by_composites(y, z, through)) for y, z, through, got in calls]
     assert [got for got, _ in values] == [want for _, want in values]
-    assert any(got for got, _ in values)
+    assert cert.verdict and any(got for got, _ in values)
     # the pair counts of the extcheck report at m=1
-    assert (len(pairs), len(lemma32)) == {"a2": (324, 24), "a3": (729, 54), "a3_source": (729, 54),
-                                          "a3_tilde": (729, 54), "d4": (1296, 96), "e6": (2916, 216),
-                                          "one_vertex": (81, 6)}.get(name, (324, 24))
+    pairs, lemma32 = cert.values["pairs_checked"], cert.values["lemma_3_2_pairs_checked"]
+    assert pairs + lemma32 == len(calls)
+    assert (pairs, lemma32) == {"a2": (324, 24), "a3": (729, 54), "a3_source": (729, 54),
+                                "a3_tilde": (729, 54), "d4": (1296, 96), "e6": (2916, 216),
+                                "one_vertex": (81, 6)}.get(name, (324, 24))
 
 
 def test_cosyzygy_of_injective_is_zero(kr):

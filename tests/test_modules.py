@@ -33,12 +33,12 @@ from replalg.modules import (
 )
 from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, build_replicated, sigma_layers
-from replalg.verify import lemma_2_4_inventory, verify_ext_stablehom, verify_lemma_2_4
+from replalg.verify import lemma_2_4_inventory, verify_lemma_2_4
 from support import (
     block_diag,
     cokernel,
     ext_inventory,
-    ext_pairs,
+    extcheck_stable_homs,
     image,
     is_injective_map,
     is_invertible,
@@ -778,10 +778,11 @@ def test_hom_out_of_a_projective_is_read_off_as_solved(monkeypatch):
 
     monkeypatch.setattr(replalg.modules, "_read_off", recorded)
     monkeypatch.setattr(replalg.modules, "_hom_equations", solved)
-    assert verify_ext_stablehom(kronecker(), 1).verdict
-    pairs, lemma32, pis = ext_pairs(kronecker(), 1)
-    values = [stable_hom_by_composites(y, z, pis) for y, z in pairs + lemma32]
-    assert any(values[:len(pairs)]) and not any(values[len(pairs):])
+    cert, calls = extcheck_stable_homs(kronecker(), 1)
+    assert cert.verdict
+    pairs = cert.values["pairs_checked"]
+    values = [stable_hom_by_composites(y, z, through) for y, z, through, _ in calls]
+    assert any(values[:pairs]) and not any(values[pairs:])
     for m in (1, 2):
         bundle = auslander_generator(kronecker(), m)
         assert all(verify_lemma_2_4(bundle, x, lab).verdict for lab, x in lemma_2_4_inventory(bundle))
