@@ -50,7 +50,6 @@ from .modules import (
     projective_cover,
     projective_module,
     radical_submodule,
-    regular_module,
     simple_module,
     zero_module,
 )

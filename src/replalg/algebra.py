@@ -72,7 +72,7 @@ class AlgebraData:
     __slots__ = (
         "labels", "dim", "mult", "unit", "idempotents",
         "grading", "_radical", "_radical_pieces", "_corner_traces", "_opposite",
-        "_simple_cache", "_proj_cache", "_inj_cache", "_gl_dim",
+        "_simple_cache", "_proj_cache", "_inj_cache",
     )
 
     def __init__(
@@ -105,7 +105,6 @@ class AlgebraData:
         self._simple_cache = {}
         self._proj_cache = {}
         self._inj_cache = {}
-        self._gl_dim: Optional[int] = None  # exact gl.dim, kept by homology.global_dimension
 
     # -- multiplication -------------------------------------------------
 

@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import accumulate
 from operator import add
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -25,16 +25,15 @@ from .modules import (
     ModuleRep,
     _cosyzygy_step,
     _certify_read_off,
-    _envelope_is_projective,
     _syzygy_step,
     direct_sum,
     hom_basis,
     hom_dim,
     identity_map,
+    injective_module,
+    is_projective_module,
     kernel,
     projective_cover,
-    radical_submodule,
-    regular_module,
     zero_map,
     zero_module,
 )
@@ -97,43 +96,36 @@ def cosyzygy(x: ModuleRep) -> ModuleRep:
 
 
 def global_dimension(a: AlgebraData, cap: int) -> DimBound:
-    """gl.dim a = 1 + pd(rad A_A), or 0 when rad A = 0: one walk, no simple.
-
-    A_A is the sum of the e_v A.  ``ensure_split_basic`` makes each e_v A
-    local with top S_v, so it covers S_v and the syzygy of S_v is rad e_v A
-    (Assem-Simson-Skowronski, vol. 1, I.5): pd S_v = 1 + pd rad e_v A when
-    that is nonzero, else 0.  Minimal resolutions add over sums, so gl.dim a
-    = max_v pd S_v = 1 + pd(sum_v rad e_v A) = 1 + pd(rad A_A).  An exact
-    value is kept on the algebra (``_gl_dim``), and a later call reads it
-    against its own cap as the resolutions would: g if g <= cap, else >= cap + 1.
-    """
-    a.ensure_split_basic()
+    """gl.dim a = 1 + pd(rad A_A), or 0 when rad A = 0, as each e_t A is
+    local with top S_t and minimal resolutions add over sums (Assem-Simson-
+    Skowronski, vol. 1, I.5): all simples at once, in End(A) coordinates
+    (:func:`_peirce_table`) from Hom(e_t A, rad A_A) = rad(e_t A, A)."""
+    hom, rad, mu = _peirce_table(a)
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    if a._gl_dim is None:
-        rad = radical_submodule(regular_module(a))[0]
-        if rad.dim and cap == 0:
-            return DimBound(1, exact=False)
-        pd = projective_dimension(rad, cap - 1)  # rad = 0 reads 0 at any cap
-        if not pd.exact:
-            return DimBound(cap + 1, exact=False)
-        a._gl_dim = 1 + pd.value if rad.dim else 0
-    return DimBound(a._gl_dim) if a._gl_dim <= cap else DimBound(cap + 1, exact=False)
+    slots = range(len(a.idempotents))
+    offs = _offsets(hom, len(slots), slots)
+    have = [[{o[s] + k: c for k, c in r.items()} for s in slots for r in rad[t, s]] for t, o in enumerate(offs)]
+    return _resolve(mu, hom, rad, slots, have, cap)
 
 
 def dominant_dimension(a: AlgebraData, cap: int) -> DimBound:
     """Length of the initial projective-injective stretch of the minimal
-    injective coresolution of the regular module."""
+    injective coresolution of A_A.  D takes it to the minimal projective
+    resolution of D(A_A), slot n of :func:`_peirce_table` of B = a^op.  It
+    ends at the first step with a generator (u, k), D(I_u) in D(I^j), whose
+    I_u = D(A e_u), the one module built, is not projective."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    current = regular_module(a)
-    for count in range(cap):
-        if not _envelope_is_projective(current):
-            return DimBound(count)
-        current = _cosyzygy_step(current)[1]
-        if current.dim == 0:
-            break  # finite all-projective coresolution
-    return DimBound(cap, exact=False)
+    hom, rad, mu = _peirce_table(a.opposite())
+    n = len(a.idempotents)
+    slots, have = [n], [[{k: 1} for k in range(len(hom[t, n]))] for t in range(n)]
+    for j in range(cap):
+        gens, have = _resolution_step(mu, hom, rad, slots, have)
+        if not all(is_projective_module(injective_module(a, u)) for u in {u for u, _ in gens}):
+            return DimBound(j)
+        slots = [u for u, _ in gens]
+    return DimBound(cap, exact=False)  # also when K_j = 0, which has no generator
 
 
 # -- Ext^1 and the stable Hom --------------------------------------------------
@@ -607,6 +599,38 @@ def _structure_constants(hom: dict) -> Callable[[int, int, int, int], list[dict[
     return mu
 
 
+def _peirce_table(a: AlgebraData):
+    """(hom, rad, mu) of the e_t A off the Peirce cells of ``a``: Hom(A, -)
+    is an equivalence from mod A onto the projectives of End(A_A) = A
+    (Auslander-Reiten-Smalo, ch. II).  hom[t, u] lists the basis of
+    e_u A e_t, acting by left multiplication, rad[t, u] its part of
+    ``radical_sparse``, and mu(t, u, s, b)[a] = hom[u, s][b] * hom[t, u][a]
+    in hom[t, s].  Slot n is D(_A A): hom[t, n] lists the basis of e_t A,
+    dual to that of D(e_t A), and y sends phi to d -> phi(y d).  The
+    associativity check of ``a`` certifies mu, and ``ensure_split_basic``
+    the e_t A local and pairwise non-isomorphic."""
+    n = len(a.idempotents)
+    hom: dict[tuple[int, int], list[int]] = {(t, u): [] for t in range(n) for u in range(n + 1)}
+    for b, (u, t) in enumerate(a.grading):
+        hom[t, u].append(b)
+        hom[u, n].append(b)
+    pos = {b: k for (_, u), cell in hom.items() if u < n for k, b in enumerate(cell)}
+    rad: dict = {key: [] for key in hom}
+    for r in a.radical_sparse():
+        u, t = a.grading[r[0][0]]
+        rad[t, u].append({pos[b]: c for b, c in r})
+
+    @cache
+    def mu(t: int, u: int, s: int, b: int) -> list[dict[int, Scalar]]:
+        z = hom[u, s][b]
+        if s < n:
+            return [{pos[k]: c for k, c in a.mult[z][y]} for y in hom[t, u]]
+        # phi dual to z, after y: the coefficient of z in y d at each d
+        return [{j: x for j, d in enumerate(hom[t, n]) for k, x in a.mult[y][d] if k == z} for y in hom[t, u]]
+
+    return hom, rad, mu
+
+
 def _offsets(hom: dict, n: int, slots: Sequence[int]) -> list[list[int]]:
     """For each t, the coordinates of Hom(L_t, M), M the sum of the L_s for s
     in ``slots``: one block per slot g over the basis hom[t, slots[g]], in
@@ -718,14 +742,16 @@ def end_global_dimension(summands, homs: Callable[[int, int], list[ModuleMap]], 
     hom = {(t, s): homs(t, s) for t in range(n) for s in range(n)}
     rad = _radical(hom)
     mu = _structure_constants(hom)
-    best, exact = 0, True
-    for j in range(n):
-        slots, have = [j], [rad[t, j] for t in range(n)]
-        step = 0
-        while any(have) and step < cap:
-            gens, have = _resolution_step(mu, hom, rad, slots, have)
-            slots = [u for u, _ in gens]
-            step += 1
-        best = max(best, step + 1 if any(have) else step)
-        exact = exact and not any(have)
-    return DimBound(best, exact), sum(map(len, hom.values()))
+    gs = [_resolve(mu, hom, rad, [j], [rad[t, j] for t in range(n)], cap) for j in range(n)]
+    return DimBound(max((g.value for g in gs), default=0), all(g.exact for g in gs)), sum(map(len, hom.values()))
+
+
+def _resolve(mu, hom: dict, rad: dict, slots: Sequence[int], have, cap: int) -> DimBound:
+    """1 + pd K for the K that ``have`` names (:func:`_resolution_step`), or
+    0 when K = 0; DimBound(cap + 1, exact=False) when K_cap is not 0."""
+    step = 0
+    while any(have) and step < cap:
+        gens, have = _resolution_step(mu, hom, rad, slots, have)
+        slots = [u for u, _ in gens]
+        step += 1
+    return DimBound(step + 1, exact=False) if any(have) else DimBound(step)

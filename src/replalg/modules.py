@@ -274,11 +274,6 @@ def _right_ideal(a: AlgebraData, basis: list[int]) -> ModuleRep:
     return mod
 
 
-def regular_module(a: AlgebraData) -> ModuleRep:
-    """The algebra as a right module over itself, in its own basis."""
-    return _right_ideal(a, list(range(a.dim)))
-
-
 def projective_module(a: AlgebraData, v: int) -> ModuleRep:
     """The indecomposable projective e_v * A."""
     if v not in a._proj_cache:

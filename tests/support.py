@@ -27,7 +27,10 @@ from replalg.linalg import EchelonSpace, RatMatrix
 from replalg.modules import (
     ModuleMap,
     ModuleRep,
+    _cosyzygy_step,
+    _envelope_is_projective,
     _radical_blocks,
+    _right_ideal,
     hom_basis,
     hom_dim,
     identity_map,
@@ -738,6 +741,28 @@ def minimal_injective_coresolution(x: ModuleRep, cap: int) -> Resolution:
         current, proj_prev = c, cproj
     res.complete = False
     return res
+
+
+def regular_module(a: AlgebraData) -> ModuleRep:
+    """The algebra as a right module over itself, in its own basis."""
+    return _right_ideal(a, list(range(a.dim)))
+
+
+def walk_dominant_dimension(a: AlgebraData, cap: int) -> DimBound:
+    """dom.dim a by walking the cosyzygies of the regular module, the length
+    of the initial stretch whose injective envelopes are projective: the
+    oracle of ``dominant_dimension``.  An all-projective coresolution, or
+    one that outlives ``cap`` envelopes, reads DimBound(cap, exact=False)."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    current = regular_module(a)
+    for count in range(cap):
+        if not _envelope_is_projective(current):
+            return DimBound(count)
+        current = _cosyzygy_step(current)[1]
+        if current.dim == 0:
+            break  # finite all-projective coresolution
+    return DimBound(cap, exact=False)
 
 
 def simples_global_dimension(a: AlgebraData, cap: int) -> DimBound:

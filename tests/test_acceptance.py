@@ -33,7 +33,6 @@ from replalg.modules import (
     projective_cover,
     projective_module,
     radical_submodule,
-    regular_module,
     simple_module,
 )
 from replalg.quiver import kronecker, linear_quiver, one_vertex
@@ -49,6 +48,7 @@ from support import (
     is_injective_map,
     minimal_projective_resolution,
     mult_coords,
+    regular_module,
     socle,
     span_contains,
     verify_exact,

@@ -5,11 +5,11 @@ import pytest
 import replalg.algebra
 from replalg.algebra import AlgebraData
 from replalg.errors import CyclicQuiver, DuplicateLabel, EmptyQuiver, NonSplitSimple, NotBasic, ReplalgError
-from replalg.homology import global_dimension
-from replalg.modules import projective_cover, projective_module, regular_module
+from replalg.homology import dominant_dimension, global_dimension
+from replalg.modules import projective_cover, projective_module
 from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import build_replicated
-from support import is_connected, row_span, socle, top, trace_form_radical
+from support import is_connected, regular_module, row_span, socle, top, trace_form_radical
 
 F = Fraction
 
@@ -200,10 +200,13 @@ def test_non_split_simple_detected():
 
 
 def test_global_dimension_of_a_non_split_algebra_raises():
-    """Q(sqrt 2) is semisimple, so its radical is 0: a walk on rad A that
-    skipped the split-basic check would read gl.dim 0."""
-    with pytest.raises(NonSplitSimple):
-        global_dimension(q_sqrt2(), 3)
+    """Q(sqrt 2) is semisimple, so its radical is 0: a resolution of rad A
+    that skipped the split-basic check would read gl.dim 0, and one of
+    D(A_A) would read dom.dim >= cap, as A is self-injective.  Both read
+    the Peirce table of ``radical_sparse``, which raises, on A and on A^op."""
+    for dimension in (global_dimension, dominant_dimension):
+        with pytest.raises(NonSplitSimple):
+            dimension(q_sqrt2(), 3)
 
 
 def matrix_units():

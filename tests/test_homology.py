@@ -1,4 +1,5 @@
 import glob
+import itertools
 import os
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from replalg.homology import (
 )
 from replalg.modules import (
     ModuleRep,
+    _cosyzygy_step,
     _envelope_is_projective,
     direct_sum,
     dual_module,
@@ -35,12 +37,11 @@ from replalg.modules import (
     kernel,
     projective_cover,
     projective_module,
-    regular_module,
     simple_module,
 )
 from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
-from replalg.replicated import auslander_generator, build_replicated, minimal_cogenerator
-from replalg.algebra import AlgebraData
+from replalg.replicated import auslander_generator, build_replicated, default_cap, minimal_cogenerator
+from replalg.algebra import AlgebraData, _sparse_coords
 from replalg.cli import parse_quiver
 from replalg.verify import lemma_2_4_inventory, verify_gl_dim_bounds
 from support import (
@@ -56,10 +57,12 @@ from support import (
     kronecker3,
     minimal_injective_coresolution,
     minimal_projective_resolution,
+    regular_module,
     simples_global_dimension,
     stable_hom_by_composites,
     validate_map,
     verify_exact,
+    walk_dominant_dimension,
 )
 
 
@@ -94,10 +97,13 @@ def test_global_dimension_kronecker(kr):
     assert global_dimension(build_hereditary(one_vertex()), 2) == DimBound(0)
 
 
-def test_global_dimension_is_kept_and_read_against_each_cap(monkeypatch):
-    """An exact gl.dim is kept on the algebra, and a later call at any cap
-    answers what the resolutions answer on a fresh algebra: g if g <= cap,
-    else >= cap + 1.  A bound that is not exact is not kept."""
+def test_global_dimension_is_stateless_and_read_against_each_cap(monkeypatch):
+    """gl.dim keeps nothing on the algebra: on one algebra, calls at every
+    cap, in either order, answer what each answers on a fresh algebra (g
+    if g <= cap, else >= cap + 1).  The bounds check walks no resolution of
+    modules: no simple, cover, kernel or pd.  When an exact value was kept
+    on the algebra (``_gl_dim``), a later call read it against its own cap,
+    and the bounds check walked rad kQ and rad A^(1) once each."""
     caps = range(6)
     for make, want in ((lambda: build_replicated(kronecker(), 1).algebra, 3),
                        (lambda: build_replicated(linear_quiver(3), 2).algebra, 4),
@@ -105,19 +111,15 @@ def test_global_dimension_is_kept_and_read_against_each_cap(monkeypatch):
         fresh = [global_dimension(make(), cap) for cap in caps]
         a = make()
         assert global_dimension(a, 5) == (DimBound(want) if want is not None else DimBound(6, exact=False))
-        assert a._gl_dim == want
+        assert not hasattr(a, "_gl_dim")
+        assert [global_dimension(a, cap) for cap in reversed(caps)] == fresh[::-1]
         assert [global_dimension(a, cap) for cap in caps] == fresh
         with pytest.raises(ValueError, match="nonnegative"):
             global_dimension(a, -1)
-    # the bounds check walks rad kQ once, at its build, and rad A^(1) once,
-    # with no simple built: [2, 4] walks when each simple was resolved
-    seen = []
-    pd = replalg.homology.projective_dimension
-    monkeypatch.setattr(replalg.homology, "projective_dimension", lambda x, cap: seen.append(id(x.algebra)) or pd(x, cap))
-    monkeypatch.setattr(replalg.modules, "simple_module", _refuse("simple_module"))
-    assert not hasattr(replalg.homology, "simple_module")
+    for name in ("simple_module", "projective_cover", "kernel"):
+        monkeypatch.setattr(replalg.modules, name, _refuse(name))
+    monkeypatch.setattr(replalg.homology, "projective_dimension", _refuse("projective_dimension"))
     assert verify_gl_dim_bounds(kronecker(), 1).verdict
-    assert sorted(seen.count(a) for a in set(seen)) == [1, 1]
 
 
 def _refuse(name):
@@ -134,27 +136,167 @@ def _quiver_algebra(path, m):
 
 QUIVER_FILES = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                              "quivers", "*.json")))
-GL_DIM_CASES = [(f"{os.path.basename(p)[:-5]}-m{m}", _quiver_algebra(p, m)) for p in QUIVER_FILES for m in (1, 2)]
-GL_DIM_CASES += [("dual-numbers", dual_numbers), ("one-vertex-kQ", lambda: build_hereditary(one_vertex()))]
 
 
-@pytest.mark.parametrize("make", [make for _, make in GL_DIM_CASES], ids=[name for name, _ in GL_DIM_CASES])
-def test_global_dimension_matches_the_simples_oracle(monkeypatch, make):
-    """The one walk on rad A_A against the largest pd of the simples
+def _end_case(make, quiver, m, cap):
+    """End(M) as an algebra, assembled once, for the M that ``make`` builds."""
+    algebras = []
+
+    def algebra():
+        if not algebras:
+            algebras.append(end_algebra(summands=make(quiver(), m, cap=cap).end_summands()))
+        return algebras[0]
+    return algebra
+
+
+# every shipped quiver at m <= 3 but the two wild ones at m = 3, where the
+# walks are the slowest (test_dimensions_of_the_wild_quivers_at_m3), and the
+# End(M) algebras of test_end_global_dimension_matches_end_algebra but
+# 3-Kronecker m = 1, whose walk of the 261-dimensional regular module runs
+# out of memory under a 2 GB address-space limit
+DIM_CASES = [(f"{os.path.basename(p)[:-5]}-m{m}", _quiver_algebra(p, m), default_cap(m))
+             for m in (1, 2, 3) for p in QUIVER_FILES
+             if (os.path.basename(p), m) not in (("kronecker3.json", 3), ("kronecker4.json", 3))]
+DIM_CASES += [("dual-numbers", dual_numbers, 8), ("one-vertex-kQ", lambda: build_hereditary(one_vertex()), 8)]
+DIM_CASES += [(f"end-{name}", _end_case(*args), args[3]) for name, args in (
+    ("kronecker-m1", (auslander_generator, kronecker, 1, 8)),
+    ("kronecker-m2", (auslander_generator, kronecker, 2, 12)),
+    ("a2-m2", (auslander_generator, lambda: linear_quiver(2), 2, 12)),
+    ("a3-m1", (auslander_generator, lambda: linear_quiver(3), 1, 8)),
+    ("a3-m2", (auslander_generator, lambda: linear_quiver(3), 2, 12)),
+    ("kronecker-m1-minimal", (minimal_cogenerator, kronecker, 1, 8)))]
+
+
+@pytest.mark.parametrize("make, cap", [case[1:] for case in DIM_CASES], ids=[case[0] for case in DIM_CASES])
+def test_global_dimension_matches_the_simples_oracle(monkeypatch, make, cap):
+    """gl.dim in End(A) coordinates against the largest pd of the simples
     (``simples_global_dimension``), as DimBounds at every cap from 0 to
-    t + 1 on fresh algebras.  At cap c the walk builds min(c, t) covers (c
-    when t is infinite, none when rad A = 0) and keeps only an exact value."""
-    t = simples_global_dimension(make(), 7)
-    covers = []
-    cover = replalg.homology.projective_cover
-    monkeypatch.setattr(replalg.homology, "projective_cover", lambda x: covers.append(x) or cover(x))
-    for cap in range(t.value + 2 if t.exact else 6):
+    ``cap``, the default, with no module built: no cover, no kernel.  The
+    oracle runs at each cap up to t + 1; past it, both read t.  The walk
+    on rad A_A this replaced built min(c, t) covers at cap c (c when t is
+    infinite, none when rad A = 0) and kept an exact value."""
+    t = simples_global_dimension(make(), cap)
+    for c in range(cap + 1):
         a = make()
-        covers.clear()
-        got = global_dimension(a, cap)
-        assert len(covers) == (min(cap, t.value) if t.exact else cap)
-        assert a._gl_dim == (got.value if got.exact else None)
-        assert got == simples_global_dimension(make(), cap)
+        with monkeypatch.context() as mp:
+            mp.setattr(ModuleRep, "__init__", _refuse("ModuleRep"))
+            got = global_dimension(a, c)
+        assert got == (simples_global_dimension(make(), c) if c <= t.value + 1 else t), c
+
+
+@pytest.mark.parametrize("make, cap", [case[1:] for case in DIM_CASES], ids=[case[0] for case in DIM_CASES])
+def test_dominant_dimension_matches_the_walk_oracle(make, cap):
+    """dom.dim in End(A^op) coordinates against the cosyzygy walk of A_A
+    (``walk_dominant_dimension``) at every cap from 1 to ``cap``, the
+    default, on one algebra.  The walk runs once, at ``cap`` (one walk of
+    4-Kronecker m = 2 takes seconds); its answer at a smaller cap c is that
+    walk cut at c: d when exact and d < c, else >= c."""
+    d = walk_dominant_dimension(make(), cap)
+    a = make()
+    for c in range(1, cap + 1):
+        assert dominant_dimension(a, c) == (d if d.exact and d.value < c else DimBound(c, exact=False)), c
+
+
+def test_dimensions_of_the_wild_quivers_at_m3():
+    """3- and 4-Kronecker at m = 3, on the End(A) path alone: the walks ran
+    out of memory under a 2 GB address-space limit (4-Kronecker) or took
+    seconds (3-Kronecker)."""
+    for name in ("kronecker3", "kronecker4"):
+        a = _quiver_algebra(os.path.join(os.path.dirname(QUIVER_FILES[0]), f"{name}.json"), 3)()
+        assert (global_dimension(a, default_cap(3)), dominant_dimension(a, default_cap(3))) == (DimBound(7), DimBound(6))
+
+
+def test_dimensions_build_no_module_but_the_injectives(monkeypatch):
+    """global_dimension builds no module, and dominant_dimension none but
+    in the per-vertex fact is_projective_module(injective_module(a, u))."""
+    a = build_replicated(kronecker(), 2).algebra
+    inside, built = [], []
+    init = ModuleRep.__init__
+
+    def noted(self, *args, **kwargs):
+        built.append(bool(inside))
+        init(self, *args, **kwargs)
+
+    def within(fn):
+        def wrapped(*args):
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return wrapped
+
+    monkeypatch.setattr(ModuleRep, "__init__", noted)
+    assert global_dimension(a, 12) == DimBound(5) and built == []
+    for name in ("injective_module", "is_projective_module"):
+        monkeypatch.setattr(replalg.homology, name, within(getattr(replalg.homology, name)))
+    assert dominant_dimension(a, 12) == DimBound(4)
+    assert built and all(built)
+
+
+@pytest.mark.parametrize("quiver, m, want", [
+    (linear_quiver(3), 1, 1), (kronecker(), 1, 2), (linear_quiver(3), 2, 3), (kronecker3(), 2, 4)],
+    ids=["a3-m1", "kronecker-m1", "a3-m2", "kronecker3-m2"])
+def test_dominant_dimension_ends_at_the_first_non_projective_injective(monkeypatch, quiver, m, want):
+    """Step j of dominant_dimension has the generators e_u B of D(I^j), one
+    for each I_u in the stack of the j-th envelope of the cosyzygy walk,
+    and dom.dim is the first step with an I_u that is not projective, as
+    read here off the walk's stacks."""
+    a = build_replicated(quiver, m).algebra
+    steps = []
+    step = replalg.homology._resolution_step
+    monkeypatch.setattr(replalg.homology, "_resolution_step", lambda *args: steps.append(step(*args)) or steps[-1])
+    got = dominant_dimension(a, default_cap(m))
+    current, stacks = regular_module(a), []
+    while len(stacks) < len(steps):
+        stack, current = _cosyzygy_step(current)
+        stacks.append(sorted(stack))
+    assert [sorted(u for u, _ in gens) for gens, _ in steps] == stacks
+    ends = [j for j, stack in enumerate(stacks) if not all(is_projective_module(injective_module(a, u)) for u in stack)]
+    assert got == DimBound(want) == DimBound(ends[0]) and len(steps) == want + 1
+
+
+def test_a_peirce_step_that_is_not_onto_is_refused(monkeypatch):
+    """A step that misses one of two or more generators at a vertex fails
+    the rank-nullity check of _resolution_step, on the Peirce table of
+    A^(1) as on End(M) (test_end_global_dimension_refuses_a_step_that_is_not_onto):
+    rad e_2 A and the top of D(A_A) have such a vertex for the Kronecker
+    quiver."""
+    a = build_replicated(kronecker(), 1).algebra
+    complement = replalg.homology._complement
+
+    def short(*args):
+        out = complement(*args)
+        return out[:-1] if len(out) > 1 else out
+
+    monkeypatch.setattr(replalg.homology, "_complement", short)
+    with pytest.raises(InternalCheckFailed, match="not onto"):
+        global_dimension(a, 8)
+    with pytest.raises(InternalCheckFailed, match="not onto"):
+        dominant_dimension(a, 8)
+
+
+@pytest.mark.parametrize("make", [lambda: build_replicated(kronecker(), 1).algebra,
+                                  lambda: build_replicated(linear_quiver(3), 2).algebra, dual_numbers],
+                         ids=["kronecker-m1", "a3-m2", "dual-numbers"])
+def test_peirce_structure_constants_compose_left_multiplications(make):
+    """mu(t, u, s, b)[a] names z y, the composite of the left
+    multiplications e_t A -> e_u A -> e_s A by y = hom[t, u][a] and then
+    z = hom[u, s][b], formed here on e_t; at the slot n it names the
+    functional d -> phi(y d) on e_t A, for phi dual to z."""
+    a = make()
+    hom, _, mu = replalg.homology._peirce_table(a)
+    n = len(a.idempotents)
+    for t, u, s in itertools.product(range(n), range(n), range(n + 1)):
+        for b, z in enumerate(hom[u, s]):
+            for coords, y in zip(mu(t, u, s, b), hom[t, u]):
+                if s < n:
+                    e_t = _sparse_coords(a.idempotents[t][1])
+                    want = a.mult_sparse(((z, 1),), a.mult_sparse(((y, 1),), e_t))
+                    assert sorted((hom[t, s][k], c) for k, c in coords.items()) == list(want)
+                else:
+                    for j, d in enumerate(hom[t, n]):
+                        assert coords.get(j, 0) == dict(a.mult_sparse(((y, 1),), ((d, 1),))).get(z, 0)
 
 
 def test_pd_of_a_projective_stack_builds_no_cover(kr, monkeypatch):

@@ -26,7 +26,6 @@ from replalg.modules import (
     projective_cover,
     projective_module,
     radical_submodule,
-    regular_module,
     simple_module,
     zero_map,
     zero_module,
@@ -42,6 +41,7 @@ from support import (
     image,
     is_injective_map,
     is_invertible,
+    regular_module,
     socle,
     stable_hom_by_composites,
     top,

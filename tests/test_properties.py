@@ -32,7 +32,6 @@ from replalg.modules import (
     projective_cover,
     projective_module,
     radical_submodule,
-    regular_module,
     simple_module,
 )
 from replalg.quiver import Quiver, build_hereditary, kronecker, linear_quiver, one_vertex
@@ -44,6 +43,7 @@ from support import (
     is_injective_map,
     minimal_projective_resolution,
     mult_coords,
+    regular_module,
     row_span,
     socle,
     span_contains,

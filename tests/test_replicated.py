@@ -15,7 +15,6 @@ from replalg.homology import (
 from replalg.modules import (
     hom_dim,
     projective_module,
-    regular_module,
     simple_module,
 )
 from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
@@ -36,6 +35,7 @@ from support import (
     ext_inventory,
     mult_coords,
     path_rule_replicated,
+    regular_module,
     replicated_keys,
     restrict_by_keys,
     socle,
