@@ -20,12 +20,13 @@ decompositions used throughout the module layer.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import compress
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .errors import NonSplitSimple, NotBasic
-from .linalg import Scalar, _inv, scalar
+from .linalg import Scalar, _inv, scalar, sparse_kernel
 
 # sparse product: tuple of (basis index, coefficient)
 SparseVec = tuple[tuple[int, Scalar], ...]
@@ -71,7 +72,7 @@ class AlgebraData:
 
     __slots__ = (
         "labels", "dim", "mult", "unit", "idempotents",
-        "grading", "_radical", "_radical_pieces", "_corner_traces", "_opposite",
+        "grading", "_radical", "_radical_pieces", "_corner_traces", "_nakayama", "_opposite",
         "_simple_cache", "_proj_cache", "_inj_cache",
     )
 
@@ -101,6 +102,7 @@ class AlgebraData:
         self._radical: Optional[list[SparseVec]] = None
         self._radical_pieces = None
         self._corner_traces: Optional[list[dict[int, Scalar]]] = None  # tau_u, see radical_sparse
+        self._nakayama: Optional[dict[int, int]] = None
         self._opposite = None
         self._simple_cache = {}
         self._proj_cache = {}
@@ -274,6 +276,31 @@ class AlgebraData:
             self._radical_pieces = (frozenset(r[0][0] for r in rad if len(r) == 1),
                                     [(*self.grading[r[0][0]], r) for r in rad if len(r) > 1])
         return self._radical_pieces
+
+    def nakayama(self) -> dict[int, int]:
+        """{v: u} for each injective e_v A, which is then I_u = D(A e_u): the
+        Nakayama permutation of the projective-injectives (Auslander-Reiten-
+        Smalo, ch. IV), read off the table with no module built.  Lemma:
+        soc e_v A = {x in e_v A : x rad A = 0} is graded, as each radical
+        vector lies in one Peirce cell: x in e_v A e_u lies in it iff x r = 0
+        for each radical vector r of left idempotent u.  e_v A embeds in the
+        injective envelope of its socle, I_u when that is S_u, and dim I_u =
+        dim A e_u.  So e_v A is injective iff its socle is one vector, in some
+        e_v A e_u, and dim e_v A = dim A e_u.  No row of the system for soc A_A
+        spans two cells, so each vector of its sparse kernel lies in one."""
+        if self._nakayama is None:
+            ending: dict[int, list[int]] = {}  # u -> the basis of A e_u
+            for b, (_, u) in enumerate(self.grading):
+                ending.setdefault(u, []).append(b)
+            rows: dict[tuple[int, int], dict[int, Scalar]] = {}
+            for i, r in enumerate(self.radical_sparse()):
+                for b in ending[self.grading[r[0][0]][0]]:
+                    for q, x in self.mult_sparse(((b, 1),), r):
+                        rows.setdefault((i, q), {})[b] = x
+            socle = [self.grading[max(x)] for x in sparse_kernel(list(rows.values()), self.dim)]
+            count, left = Counter(v for v, _ in socle), Counter(v for v, _ in self.grading)
+            self._nakayama = {v: u for v, u in sorted(socle) if count[v] == 1 and left[v] == len(ending[u])}
+        return self._nakayama
 
     # -- split-basic certificate ------------------------------------------
 

@@ -48,7 +48,7 @@ class NotBasic(ReplalgError):
 
 
 class NotProjInjective(ReplalgError):
-    """A module passed as projective-injective is not."""
+    """The projective cover of a stable Hom's target leaves add W, W the projective-injectives."""
 
 
 class UndecidableDecomposition(ReplalgError):

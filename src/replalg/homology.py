@@ -30,8 +30,6 @@ from .modules import (
     hom_basis,
     hom_dim,
     identity_map,
-    injective_module,
-    is_projective_module,
     kernel,
     projective_cover,
     zero_map,
@@ -100,9 +98,9 @@ def global_dimension(a: AlgebraData, cap: int) -> DimBound:
     local with top S_t and minimal resolutions add over sums (Assem-Simson-
     Skowronski, vol. 1, I.5): all simples at once, in End(A) coordinates
     (:func:`_peirce_table`) from Hom(e_t A, rad A_A) = rad(e_t A, A)."""
-    hom, rad, mu = _peirce_table(a)
     if cap < 0:
         raise ValueError("cap must be nonnegative")
+    hom, rad, mu = _peirce_table(a)
     slots = range(len(a.idempotents))
     offs = _offsets(hom, len(slots), slots)
     have = [[{o[s] + k: c for k, c in r.items()} for s in slots for r in rad[t, s]] for t, o in enumerate(offs)]
@@ -114,7 +112,7 @@ def dominant_dimension(a: AlgebraData, cap: int) -> DimBound:
     injective coresolution of A_A.  D takes it to the minimal projective
     resolution of D(A_A), slot n of :func:`_peirce_table` of B = a^op.  It
     ends at the first step with a generator (u, k), D(I_u) in D(I^j), whose
-    I_u = D(A e_u), the one module built, is not projective."""
+    I_u = D(A e_u) is not projective: u is no value of ``a.nakayama()``."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
     hom, rad, mu = _peirce_table(a.opposite())
@@ -122,7 +120,7 @@ def dominant_dimension(a: AlgebraData, cap: int) -> DimBound:
     slots, have = [n], [[{k: 1} for k in range(len(hom[t, n]))] for t in range(n)]
     for j in range(cap):
         gens, have = _resolution_step(mu, hom, rad, slots, have)
-        if not all(is_projective_module(injective_module(a, u)) for u in {u for u, _ in gens}):
+        if not set(a.nakayama().values()).issuperset(u for u, _ in gens):
             return DimBound(j)
         slots = [u for u, _ in gens]
     return DimBound(cap, exact=False)  # also when K_j = 0, which has no generator
@@ -169,32 +167,24 @@ def ext1_dim(y: ModuleRep, x: ModuleRep) -> int:
     return ext
 
 
-def stable_hom_dim(y: ModuleRep, z: ModuleRep, through: Sequence[ModuleRep]) -> int:
-    """dim StHom(y, z), Hom(y, z) modulo the maps through add W for W the
-    listed indecomposable projective-injectives.  Lemma (Auslander-Reiten-
-    Smalo, ch. IV; Assem-Simson-Skowronski, vol. 1, App. A): for
-    0 -> Omega z -> P -> z -> 0 the cover of z (:func:`_syzygy_step`) with
-    P in add W, P -> z is a right add W-approximation and Hom(y, -) is left
-    exact, so dim StHom(y, z) = dim Hom(y, z) - dim Hom(y, P) +
-    dim Hom(y, Omega z).  A listed w with cover e_v A (kernel 0) and
-    cosyzygy 0 in one I_u is e_v A = D(A e_u), so dim Hom(y, e_v A) =
-    dim y e_u by duality.  Else, or when P leaves add W, NotProjInjective;
-    0 when y lies in add W.  Only Hom(y, z) and Hom(y, Omega z) are solved;
-    a negative value is InternalCheckFailed."""
-    nu = {}
-    for w in (w for w in through if w.dim):
-        (v, *more), syz = _syzygy_step(w)
-        (u, *_), cosyz = _cosyzygy_step(w)
-        if more or syz.dim or cosyz.dim:
-            raise NotProjInjective("a listed module is not an indecomposable projective-injective")
-        nu[v] = u
+def stable_hom_dim(y: ModuleRep, z: ModuleRep) -> int:
+    """dim StHom(y, z), Hom(y, z) modulo the maps through add W, W the
+    e_v A = D(A e_u) for {v: u} the algebra's ``nakayama()``.  Lemma
+    (Auslander-Reiten-Smalo, ch. IV; Assem-Simson-Skowronski, vol. 1, App.
+    A): for 0 -> Omega z -> P -> z -> 0 the cover of z (:func:`_syzygy_step`)
+    with P in add W, P -> z is a right add W-approximation and Hom(y, -) is
+    left exact, so dim StHom(y, z) = dim Hom(y, z) - dim Hom(y, P) +
+    dim Hom(y, Omega z), and dim Hom(y, e_v A) = dim y e_u by duality.  P
+    outside add W is NotProjInjective, and y in add W gives 0.  Only Hom(y, z)
+    and Hom(y, Omega z) are solved; a negative value is InternalCheckFailed."""
     if y.dim == 0 or z.dim == 0:
         return 0
+    nu = y.algebra.nakayama()
     if not (ys := _syzygy_step(y))[1].dim and nu.keys() >= set(ys[0]):
         return 0  # y lies in add W, so every map out of it factors
     stack, k = _syzygy_step(z)
     if not nu.keys() >= set(stack):
-        raise NotProjInjective("the projective cover of the target leaves add of the listed modules")
+        raise NotProjInjective("the projective cover of the target leaves add of the projective-injectives")
     dim_hom = hom_dim(y, z)
     st = dim_hom and dim_hom - sum(y._dims[nu[v]] for v in stack) + hom_dim(y, k)
     if st < 0:

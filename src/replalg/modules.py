@@ -749,9 +749,8 @@ def _syzygy_step(x: ModuleRep):
 
 def _envelope_is_projective(x: ModuleRep) -> bool:
     """Whether the injective envelope of x != 0 is projective: it is a sum of
-    I_v, so it is iff each distinct I_v is, which is memoised on the
-    algebra's cached I_v."""
-    return all(is_projective_module(injective_module(x.algebra, v)) for v in set(_cosyzygy_step(x)[0]))
+    I_v, so it is iff each is a value of the algebra's ``nakayama()``."""
+    return set(x.algebra.nakayama().values()).issuperset(_cosyzygy_step(x)[0])
 
 
 def is_projective_module(x: ModuleRep) -> bool:

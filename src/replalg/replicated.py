@@ -47,7 +47,6 @@ from .modules import (
     _memo,
     hom_basis,
     injective_module,
-    is_injective_module,
     projective_module,
     radical_submodule,
 )
@@ -165,13 +164,9 @@ def restrict_from_ambient(x: ModuleRep, ambient: ReplicatedAlgebra, target: Repl
 
 
 def projective_injectives(r: ReplicatedAlgebra) -> list[tuple[str, ModuleRep]]:
-    """The indecomposable projectives that are also injective, with labels."""
-    out = []
-    for idx, (lab, _) in enumerate(r.algebra.idempotents):
-        p = projective_module(r.algebra, idx)
-        if is_injective_module(p):
-            out.append((f"pi:{lab}", p))
-    return out
+    """The indecomposable projective-injectives e_v A, v in ``nakayama()``, with labels."""
+    a = r.algebra
+    return [(f"pi:{a.idempotents[v][0]}", projective_module(a, v)) for v in sorted(a.nakayama())]
 
 
 @dataclass

@@ -28,13 +28,14 @@ from replalg.modules import (
     ModuleMap,
     ModuleRep,
     _cosyzygy_step,
-    _envelope_is_projective,
     _radical_blocks,
     _right_ideal,
+    _syzygy_step,
     hom_basis,
     hom_dim,
     identity_map,
     injective_envelope,
+    injective_module,
     is_injective_module,
     is_projective_module,
     kernel,
@@ -47,7 +48,7 @@ from replalg.modules import (
     zero_module,
 )
 from replalg.quiver import Path, Quiver, enumerate_paths, path_end, path_label
-from replalg.replicated import build_replicated, embed, projective_injectives
+from replalg.replicated import build_replicated, embed
 from replalg.verify import verify_ext_stablehom
 
 
@@ -655,12 +656,33 @@ def stable_hom_by_composites(y: ModuleRep, z: ModuleRep, through: Sequence[Modul
     return dim_hom - _span_rank(y, z, (a.then(b) for into, outof in homs for a in into for b in outof))
 
 
+def nakayama_by_modules(a: AlgebraData) -> dict[int, int]:
+    """{v: u} for each injective e_v A, e_v A = I_u, from modules: the
+    cosyzygy step of each e_v A (injective iff its cosyzygy is 0, and then
+    its envelope is one I_u), checked against the cover of each I_u
+    (projective iff the cover is one e_v A with kernel 0): the oracle of
+    ``AlgebraData.nakayama``."""
+    n = range(len(a.idempotents))
+    steps = {v: _cosyzygy_step(projective_module(a, v)) for v in n}
+    by_cosyzygy = {v: stack[0] for v, (stack, cosyz) in steps.items() if not cosyz.dim}
+    covers = {u: _syzygy_step(injective_module(a, u)) for u in n}
+    by_cover = {stack[0]: u for u, (stack, syz) in covers.items() if len(stack) == 1 and not syz.dim}
+    assert by_cosyzygy == by_cover and all(len(steps[v][0]) == 1 for v in by_cosyzygy)
+    return by_cosyzygy
+
+
+def projective_injectives_by_modules(a: AlgebraData) -> list[ModuleRep]:
+    """The e_v A that ``is_injective_module`` finds injective, in order of v."""
+    return [p for p in (projective_module(a, v) for v in range(len(a.idempotents))) if is_injective_module(p)]
+
+
 def ext_inventory(q: Quiver, m: int, amb=None):
     """(inventory, projective-injectives) of extcheck on q at m, inside the
     ambient A^(2m+1) (``amb`` if given): the cosyzygy chains of the embedded
-    projectives and simples, up to 2m steps, then the projective-injectives."""
+    projectives and simples, up to 2m steps, then the projective-injectives
+    (``projective_injectives_by_modules``)."""
     amb = amb if amb is not None else build_replicated(q, 2 * m + 1)
-    pis = [mod for _, mod in projective_injectives(amb)]
+    pis = projective_injectives_by_modules(amb.algebra)
     inventory = []
     for make in (projective_module, simple_module):
         for v in range(len(q.vertices)):
@@ -676,15 +698,15 @@ def ext_inventory(q: Quiver, m: int, amb=None):
 
 def extcheck_stable_homs(q: Quiver, m: int):
     """(certificate, calls) of ``verify_ext_stablehom(q, m)``: calls holds
-    (y, z, through, value) for each of its ``stable_hom_dim`` calls, in
-    order.  The first ``pairs_checked`` are the identity pairs
-    (y, Omega^-1 x), the rest the lemma-3.2 pairs, so a test reads the
-    pairs that extcheck checks rather than a copy of how it forms them."""
+    (y, z, value) for each of its ``stable_hom_dim`` calls, in order.  The
+    first ``pairs_checked`` are the identity pairs (y, Omega^-1 x), the
+    rest the lemma-3.2 pairs, so a test reads the pairs that extcheck
+    checks rather than a copy of how it forms them."""
     calls = []
 
-    def recorded(y, z, through):
-        value = stable_hom_dim(y, z, through)
-        calls.append((y, z, through, value))
+    def recorded(y, z):
+        value = stable_hom_dim(y, z)
+        calls.append((y, z, value))
         return value
 
     with pytest.MonkeyPatch.context() as mp:
@@ -757,7 +779,7 @@ def walk_dominant_dimension(a: AlgebraData, cap: int) -> DimBound:
         raise ValueError("cap must be at least 1")
     current = regular_module(a)
     for count in range(cap):
-        if not _envelope_is_projective(current):
+        if not all(is_projective_module(injective_module(a, u)) for u in set(_cosyzygy_step(current)[0])):
             return DimBound(count)
         current = _cosyzygy_step(current)[1]
         if current.dim == 0:

@@ -270,7 +270,7 @@ def test_criterion_6_engine_property_suite():
             continue
         ox = cosyzygy(x)
         for y in ambmods + pis:
-            ext_ok &= ext1_dim(y, x) == stable_hom_dim(y, ox, pis)
+            ext_ok &= ext1_dim(y, x) == stable_hom_dim(y, ox)
     checks.append(("ext1_stable_hom", bool(ext_ok)))
     # Wakamatsu vanishing on minimal-approximation kernels, with L scoped to
     # the layers the approximation uses; add M is not extension-closed, so

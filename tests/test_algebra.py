@@ -209,6 +209,15 @@ def test_global_dimension_of_a_non_split_algebra_raises():
             dimension(q_sqrt2(), 3)
 
 
+def test_a_bad_cap_is_refused_before_any_work():
+    """A cap below the least is ValueError before the Peirce table and its
+    radical certificate are built, so even on Q(sqrt 2), which fails that
+    certificate; global_dimension(q_sqrt2(), -1) used to raise NonSplitSimple."""
+    for dimension, cap in ((global_dimension, -1), (dominant_dimension, 0)):
+        with pytest.raises(ValueError, match="cap"):
+            dimension(q_sqrt2(), cap)
+
+
 def matrix_units():
     # M_2(Q) with basis e11, e12, e21, e22: graded by e11, e22 but not basic
     n = 2

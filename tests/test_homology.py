@@ -57,6 +57,8 @@ from support import (
     kronecker3,
     minimal_injective_coresolution,
     minimal_projective_resolution,
+    nakayama_by_modules,
+    projective_injectives_by_modules,
     regular_module,
     simples_global_dimension,
     stable_hom_by_composites,
@@ -165,6 +167,10 @@ DIM_CASES += [(f"end-{name}", _end_case(*args), args[3]) for name, args in (
     ("a3-m1", (auslander_generator, lambda: linear_quiver(3), 1, 8)),
     ("a3-m2", (auslander_generator, lambda: linear_quiver(3), 2, 12)),
     ("kronecker-m1-minimal", (minimal_cogenerator, kronecker, 1, 8)))]
+# the cases of the Nakayama permutation's oracle: DIM_CASES and the two wild
+# quivers at m = 3, so every shipped quiver at m <= 3
+NU_CASES = DIM_CASES + [(f"{os.path.basename(p)[:-5]}-m3", _quiver_algebra(p, 3)) for p in QUIVER_FILES
+                        if os.path.basename(p) in ("kronecker3.json", "kronecker4.json")]
 
 
 @pytest.mark.parametrize("make, cap", [case[1:] for case in DIM_CASES], ids=[case[0] for case in DIM_CASES])
@@ -206,32 +212,25 @@ def test_dimensions_of_the_wild_quivers_at_m3():
         assert (global_dimension(a, default_cap(3)), dominant_dimension(a, default_cap(3))) == (DimBound(7), DimBound(6))
 
 
-def test_dimensions_build_no_module_but_the_injectives(monkeypatch):
-    """global_dimension builds no module, and dominant_dimension none but
-    in the per-vertex fact is_projective_module(injective_module(a, u))."""
-    a = build_replicated(kronecker(), 2).algebra
-    inside, built = [], []
-    init = ModuleRep.__init__
+def test_dimensions_build_no_module(monkeypatch):
+    """Neither dimension builds a module, each on a fresh algebra:
+    ModuleRep.__init__ raises.  dominant_dimension used to build the
+    injectives I_u, and a cover of each, in the per-vertex fact
+    is_projective_module(injective_module(a, u)); it now reads a.nakayama()."""
+    first, second = (build_replicated(kronecker(), 2).algebra for _ in range(2))
+    monkeypatch.setattr(ModuleRep, "__init__", _refuse("ModuleRep"))
+    assert global_dimension(first, 12) == DimBound(5)
+    assert dominant_dimension(second, 12) == DimBound(4)
 
-    def noted(self, *args, **kwargs):
-        built.append(bool(inside))
-        init(self, *args, **kwargs)
 
-    def within(fn):
-        def wrapped(*args):
-            inside.append(fn)
-            try:
-                return fn(*args)
-            finally:
-                inside.pop()
-        return wrapped
-
-    monkeypatch.setattr(ModuleRep, "__init__", noted)
-    assert global_dimension(a, 12) == DimBound(5) and built == []
-    for name in ("injective_module", "is_projective_module"):
-        monkeypatch.setattr(replalg.homology, name, within(getattr(replalg.homology, name)))
-    assert dominant_dimension(a, 12) == DimBound(4)
-    assert built and all(built)
+@pytest.mark.parametrize("make", [case[1] for case in NU_CASES], ids=[case[0] for case in NU_CASES])
+def test_nakayama_matches_the_module_oracle(make):
+    """a.nakayama(), read off the table, against ``nakayama_by_modules``,
+    the cosyzygy step of each e_v A and the cover of each I_u, on a and on
+    its opposite; both are read with no module built."""
+    for a in (make(), make().opposite()):
+        want = nakayama_by_modules(a)
+        assert a.nakayama() == want and sorted(want.values()) == sorted(set(want.values()))
 
 
 @pytest.mark.parametrize("quiver, m, want", [
@@ -366,16 +365,19 @@ def test_ext1_refuses_a_negative_dimension(kr, monkeypatch):
 
 
 def test_stable_hom_errors_on_non_proj_injective(kr):
+    """kQ of the Kronecker quiver has no projective-injective, so the cover
+    of S1 = e_1 A leaves add W.  It was called with the list [P2]."""
     s1 = simple_module(kr, 0)
+    assert kr.nakayama() == {}
     with pytest.raises(NotProjInjective):
-        stable_hom_dim(s1, s1, [projective_module(kr, 1)])
+        stable_hom_dim(s1, s1)
 
 
 def test_stable_hom_zero_target(kr):
     from replalg.modules import zero_module
 
     s1 = simple_module(kr, 0)
-    assert stable_hom_dim(s1, zero_module(kr), []) == 0
+    assert stable_hom_dim(s1, zero_module(kr)) == 0
 
 
 def test_stable_hom_vanishes_for_listed_source():
@@ -386,7 +388,7 @@ def test_stable_hom_vanishes_for_listed_source():
     pis = [m for _, m in projective_injectives(r)]
     y = pis[0]
     z = simple_module(r.algebra, 0)
-    assert stable_hom_dim(y, z, pis) == 0
+    assert stable_hom_dim(y, z) == 0
 
 
 def _shipped(path):
@@ -397,12 +399,14 @@ def _shipped(path):
 @pytest.mark.parametrize("path", QUIVER_FILES, ids=[os.path.basename(p)[:-5] for p in QUIVER_FILES])
 def test_stable_hom_matches_the_composite_oracle(path):
     """The stable Hom read off the projective cover of the target against
-    its definition, the rank of the composites through each listed
-    projective-injective (``stable_hom_by_composites``), on every pair of
-    extcheck and every lemma-3.2 pair of the shipped quiver at m=1."""
+    its definition, the rank of the composites through each
+    projective-injective that the module predicates find
+    (``stable_hom_by_composites``), on every pair of extcheck and every
+    lemma-3.2 pair of the shipped quiver at m=1."""
     name = os.path.basename(path)[:-5]
     cert, calls = extcheck_stable_homs(_shipped(path), 1)
-    values = [(got, stable_hom_by_composites(y, z, through)) for y, z, through, got in calls]
+    pis = projective_injectives_by_modules(calls[0][0].algebra)
+    values = [(got, stable_hom_by_composites(y, z, pis)) for y, z, got in calls]
     assert [got for got, _ in values] == [want for _, want in values]
     assert cert.verdict and any(got for got, _ in values)
     # the pair counts of the extcheck report at m=1
@@ -804,7 +808,7 @@ def test_ext1_composes_no_map_and_ranks_no_span(a2_ext_inventory, monkeypatch):
 
 def test_stable_hom_composes_no_map_and_ranks_no_span(a2_ext_inventory, monkeypatch):
     inventory, pis = a2_ext_inventory
-    mods, fresh_pis = [_fresh(x) for x in inventory], [_fresh(w) for w in pis]
+    mods = [_fresh(x) for x in inventory]
     want = [[stable_hom_by_composites(y, cosyzygy(x), pis) for x in inventory] for y in inventory]
 
     def refuse(*args, **kwargs):
@@ -812,54 +816,49 @@ def test_stable_hom_composes_no_map_and_ranks_no_span(a2_ext_inventory, monkeypa
 
     monkeypatch.setattr(replalg.modules.ModuleMap, "then", refuse)
     monkeypatch.setattr(replalg.homology, "_span_rank", refuse)
-    assert [[stable_hom_dim(y, cosyzygy(x), fresh_pis) for x in mods] for y in mods] == want
+    assert [[stable_hom_dim(y, cosyzygy(x)) for x in mods] for y in mods] == want
     assert any(map(any, want))
 
 
 def test_stable_hom_refuses_a_cover_outside_the_listed_modules(a2_ext_inventory):
-    """A listed module must be an indecomposable projective-injective, and
-    the projective cover of the target must lie in add of the listed
-    modules, unless the source does; else NotProjInjective.  Each listed
-    module is known by the vertex of its own cover, not by identity."""
+    """The projective cover of the target must lie in add W, W the
+    projective-injectives, unless the source does; else NotProjInjective.
+    W was a list passed in, so a list without the cover's vertex stood in
+    for a target outside add W; a listed module that was not an
+    indecomposable projective-injective raised too, and that list is gone."""
     inventory, pis = a2_ext_inventory
+    a = inventory[0].algebra
     y, z = next((y, z) for y in inventory for z in map(cosyzygy, inventory)
                 if stable_hom_by_composites(y, z, pis) and not is_projective_module(y))
-    stack = replalg.modules._syzygy_step(z)[0]
-    vertex = [replalg.modules._syzygy_step(w)[0] for w in pis]
-    missing = [_fresh(w) for w, vs in zip(pis, vertex) if vs[0] not in stack]
-    assert len(missing) < len(pis)
+    out = next(x for x in inventory
+               if not all(is_injective_module(projective_module(a, v)) for v in replalg.modules._syzygy_step(x)[0]))
     with pytest.raises(NotProjInjective, match="cover"):
-        stable_hom_dim(y, z, missing)
-    # the source in add of the listed modules: every map out of it factors
-    assert stable_hom_dim(pis[0], z, missing + [_fresh(pis[0])]) == 0
-    two, _, _ = direct_sum(pis[:2])
-    with pytest.raises(NotProjInjective, match="indecomposable"):
-        stable_hom_dim(y, z, [two] + pis)
-    assert stable_hom_dim(y, z, [_fresh(w) for w in pis]) == stable_hom_by_composites(y, z, pis)
+        stable_hom_dim(y, out)
+    # the source in add W: every map out of it factors
+    assert stable_hom_dim(pis[0], out) == 0
+    assert stable_hom_dim(_fresh(y), _fresh(z)) == stable_hom_by_composites(y, z, pis)
 
 
 def test_homological_functions_leave_inputs_unchanged(a2_ext_inventory):
     inventory, pis = a2_ext_inventory
     mods = [_fresh(x) for x in inventory]
-    fresh_pis = [_fresh(w) for w in pis]
-    before = [_snapshot(x) for x in mods + fresh_pis]
+    before = [_snapshot(x) for x in mods + pis]
     for _ in range(2):
         for y in mods:
             for x in mods:
                 ext1_dim(y, x)
-                stable_hom_dim(y, cosyzygy(x), fresh_pis)
-    assert [_snapshot(x) for x in mods + fresh_pis] == before
+                stable_hom_dim(y, cosyzygy(x))
+    assert [_snapshot(x) for x in mods + pis] == before
 
 
 def test_repeat_stable_hom_builds_no_envelope(a2_ext_inventory, monkeypatch):
-    """The first call proves each listed module projective by one cover and
-    injective by one cosyzygy step, D Omega D: one cover of its dual over
-    the opposite algebra.  Both covers are isomorphisms, so neither takes a
-    kernel.  Then it takes the covers of y and z, and the kernel of z's (y
-    is projective).  It builds no envelope.  A repeat reads every fact off
-    the modules and builds nothing.  These read n covers, n dual covers and
-    n kernels when the composites through each listed module were ranked."""
-    inventory, pis = a2_ext_inventory
+    """The first call takes the covers of y and z, and the kernel of z's (y
+    is projective), and reads W off the algebra's ``nakayama()``.  It
+    builds no envelope.  A repeat reads every fact off the modules and
+    builds nothing.  With W a list passed in, the first call also took one
+    cover and one dual cover (D Omega D) of each of the n listed modules:
+    n + 2 covers and n dual covers."""
+    inventory, _ = a2_ext_inventory
     op = inventory[0].algebra.opposite()
     built = {"envelopes": 0, "covers": 0, "dual covers": 0, "kernels": 0}
 
@@ -873,12 +872,10 @@ def test_repeat_stable_hom_builds_no_envelope(a2_ext_inventory, monkeypatch):
     # every cover and kernel of a resolution step is built in replalg.modules
     for key, name in (("envelopes", "injective_envelope"), ("covers", "projective_cover"), ("kernels", "kernel")):
         monkeypatch.setattr(replalg.modules, name, counting(key, getattr(replalg.modules, name)))
-    fresh_pis = [_fresh(w) for w in pis]
-    first = stable_hom_dim(y, z, fresh_pis)
-    n = len(pis)
-    assert built == {"envelopes": 0, "covers": n + 2, "dual covers": n, "kernels": 1}
+    first = stable_hom_dim(y, z)
+    assert built == {"envelopes": 0, "covers": 2, "dual covers": 0, "kernels": 1}
     after_first = dict(built)
-    assert stable_hom_dim(y, z, fresh_pis) == first
+    assert stable_hom_dim(y, z) == first
     assert built == after_first
     monkeypatch.undo()
     assert is_projective_module(y) and not is_projective_module(z)

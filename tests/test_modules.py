@@ -41,6 +41,7 @@ from support import (
     image,
     is_injective_map,
     is_invertible,
+    projective_injectives_by_modules,
     regular_module,
     socle,
     stable_hom_by_composites,
@@ -764,7 +765,10 @@ def test_hom_out_of_a_projective_is_read_off_as_solved(monkeypatch):
     included, is read off its target with no system solved, and its basis
     equals the solved one entry for entry and in order.  The oracle's
     Hom(w, Z) out of each projective-injective w are the ones extcheck
-    read off before its stable Hom read the cover of Z."""
+    read off before its stable Hom read the cover of Z.  388 pairs are met:
+    40 in extcheck, 70 in the oracle and 278 in lemma24.  The floor was
+    > 400 while the stable Hom and ``projective_injectives`` took covers of
+    the projective-injectives, and 410 were met: 48, 68 and 294."""
     met = {}
     read_off, equations = replalg.modules._read_off, replalg.modules._hom_equations
 
@@ -781,14 +785,15 @@ def test_hom_out_of_a_projective_is_read_off_as_solved(monkeypatch):
     cert, calls = extcheck_stable_homs(kronecker(), 1)
     assert cert.verdict
     pairs = cert.values["pairs_checked"]
-    values = [stable_hom_by_composites(y, z, through) for y, z, through, _ in calls]
+    pis = projective_injectives_by_modules(calls[0][0].algebra)
+    values = [stable_hom_by_composites(y, z, pis) for y, z, _ in calls]
     assert any(values[:pairs]) and not any(values[pairs:])
     for m in (1, 2):
         bundle = auslander_generator(kronecker(), m)
         assert all(verify_lemma_2_4(bundle, x, lab).verdict for lab, x in lemma_2_4_inventory(bundle))
     monkeypatch.undo()
     stacks = [len(p.extras["projective_stack"]) for p, _ in met.values()]
-    assert len(met) > 400 and 1 in stacks and max(stacks) > 1
+    assert len(met) >= 388 and 1 in stacks and max(stacks) > 1
     for p, y in met.values():
         oracle = _solved_basis(p, y)
         assert [f.flat() for f in hom_basis(p, y)] == oracle

@@ -243,7 +243,7 @@ def test_ext1_equals_stable_hom_on_ambient_pairs():
             continue
         ox = cosyzygy(x)
         for y in ys:
-            assert ext1_dim(y, x) == stable_hom_dim(y, ox, pis)
+            assert ext1_dim(y, x) == stable_hom_dim(y, ox)
             checked += 1
     assert checked >= 8
 

@@ -202,7 +202,10 @@ def test_ext_stablehom_hom_systems_are_pinned(monkeypatch):
     resolution prefix; and 19 kernels and 524 eliminations when the
     cosyzygy was the cokernel of an envelope.  49 covers, 28 kernels and
     176 eliminations when the hereditary check of kQ in build_hereditary
-    resolved rad kQ as a module, with covers and kernels."""
+    resolved rad kQ as a module, with covers and kernels; 48 covers, 27
+    kernels and 174 eliminations when the projective-injectives were found
+    by a cosyzygy step of each e_v A and the stable Hom took a cover and a
+    cosyzygy step of each, not the algebra's ``nakayama()``."""
     solved, solve = [], modules.sparse_kernel
     built = {"cover": 0, "kernel": 0, "_gauss_jordan": 0, "then": 0}
 
@@ -226,14 +229,16 @@ def test_ext_stablehom_hom_systems_are_pinned(monkeypatch):
     cert = verify_ext_stablehom(kronecker(), 1)
     assert cert.verdict and cert.values["pairs_checked"] > 0
     assert (len(solved), sum(solved)) == (324, 2064)
-    assert built == {"cover": 48, "kernel": 27, "_gauss_jordan": 174, "then": 0}
+    assert built == {"cover": 40, "kernel": 25, "_gauss_jordan": 132, "then": 0}
 
 
 def test_ext_stablehom_envelopes_are_pinned(monkeypatch):
     """A work gate for the cosyzygy steps of the Ext^1 against stable Hom
     check on Kronecker m=1: one step per module, kept as its stack and
     cosyzygy (44 envelopes of 20 modules when the chains, the envelope test
-    and the stable Hom each took their own).  A step is D of the syzygy of
+    and the stable Hom each took their own; 20 while the projective-
+    injectives were found, and listed to the stable Hom, by a cosyzygy step
+    of each e_v A, not read off the algebra's ``nakayama()``).  A step is D of the syzygy of
     the dual: one cover and one kernel, and no envelope.  The kernel takes
     its certificate from the cover, so outside the cover a step eliminates
     only the null space of each cover block with a row and a column: no
@@ -241,7 +246,8 @@ def test_ext_stablehom_envelopes_are_pinned(monkeypatch):
     null space) and no span of its image (an echelon span), as when the
     envelope's cokernel was taken and the envelope checked both.  The dual
     of an injective module is projective, and its cover, an isomorphism,
-    takes no kernel: 42 null-space eliminations when it took one."""
+    takes no kernel: 42 null-space eliminations when it took one, and 24
+    with the two steps of the projective-injectives above."""
     depth = {"step": 0, "envelope": 0, "cover": 0, "null_space": 0}
     asked, steps, envelopes, own, null_space = [], [], [], [], []
 
@@ -280,8 +286,8 @@ def test_ext_stablehom_envelopes_are_pinned(monkeypatch):
     monkeypatch.setattr(RatMatrix, "_gauss_jordan", noted("_gauss_jordan", RatMatrix._gauss_jordan))
     cert = verify_ext_stablehom(kronecker(), 1)
     assert cert.verdict and cert.values["pairs_checked"] > 0
-    assert (len(steps), len({id(x) for x in asked}), own) == (20, 20, [])
-    assert null_space == ["_gauss_jordan"] * 24 and envelopes == []
+    assert (len(steps), len({id(x) for x in asked}), own) == (18, 18, [])
+    assert null_space == ["_gauss_jordan"] * 21 and envelopes == []
 
 
 def _refuse_end_algebra(monkeypatch):
@@ -394,14 +400,15 @@ def test_lemma_2_4_builds_a_kernel_only_outside_add_m(monkeypatch, make, want):
 
 @pytest.mark.parametrize("check, quiver, m, counts", [
     (verify_gl_dim_bounds, linear_quiver(5), 2, (0, 0)),
-    (verify_theorem_3_5, linear_quiver(4), 3, (124, 0)),
+    (verify_theorem_3_5, linear_quiver(4), 3, (0, 0)),
 ], ids=["gl-dim-bounds-a5-m2", "theorem-3-5-a4-m3"])
 def test_syzygy_eliminations_are_pinned(monkeypatch, check, quiver, m, counts):
     """A work gate for the minimal resolutions behind gl.dim and dom.dim
     A^(m): the dense eliminations and solves.  Both are resolved in End(A)
-    and End(A^op) coordinates with sparse kernels, so gl.dim makes no dense
-    elimination, and all 124 of the dom.dim check are its one module fact,
-    whether each I_u is projective (the cover of I_u).  These read (80, 0)
+    and End(A^op) coordinates with sparse kernels, and whether I_u is
+    projective is read off the Nakayama permutation of the table, so
+    neither makes a dense elimination.  The dom.dim check read (124, 0)
+    while that fact was the cover of each I_u.  These read (80, 0)
     and (298, 0) when gl.dim walked rad A_A and dom.dim the cosyzygies of
     A_A as modules, a cover certified by its top and an envelope
     projective iff its I_v are; (2,646, 496) and (3,580, 408) when the
@@ -422,6 +429,22 @@ def test_syzygy_eliminations_are_pinned(monkeypatch, check, quiver, m, counts):
     cert = check(quiver, m)
     assert cert.verdict
     assert (counted["_gauss_jordan"], counted["solve"]) == counts
+
+
+def test_projective_injectives_are_read_off_the_algebra(monkeypatch):
+    """extcheck and the dom.dim check find the projective-injectives in the
+    algebra's ``nakayama()``, asking no module: they pass with
+    injective_module, is_projective_module and is_injective_module refused
+    in every engine module that imports them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a module was asked whether it is projective or injective")
+
+    for name in ("injective_module", "is_projective_module", "is_injective_module"):
+        for mod in (modules, homology, replicated, verify):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    assert verify_ext_stablehom(kronecker(), 1).verdict
+    assert verify_theorem_3_5(linear_quiver(4), 3).verdict
 
 
 def test_theorem_3_3_reduces_no_empty_block(monkeypatch):
