@@ -59,6 +59,10 @@ class AmbientTooSmall(ReplalgError):
     """A cosyzygy ladder touched the top copy of the ambient truncation."""
 
 
+class BudgetExceeded(ReplalgError):
+    """An algebra would pass the size budget of its dense multiplication table."""
+
+
 class CapTooSmall(ReplalgError):
     """The resolution cap ends before gl.dim A^(m) is determined."""
 

@@ -150,17 +150,15 @@ def ext1_dim(y: ModuleRep, x: ModuleRep) -> int:
     Ext^1(P, x) = 0, so Hom(-, x) takes the sequence to the exact sequence
     0 -> Hom(y, x) -> Hom(P, x) -> Hom(K, x) -> Ext^1(y, x) -> 0
     (Assem-Simson-Skowronski, vol. 1, Appendix A).  Hom(e_v A, x) = x e_v,
-    so dim Hom(P, x) is the sum of dim x e_v over P's stack, certified once
-    per (x, v); each solved Hom dimension is certified by the residual of
-    its sparse kernel.  No map is composed.  A negative value raises
-    InternalCheckFailed.
+    so dim Hom(P, x) is the sum of dim x e_v over P's stack; the call
+    hom_dim(y, x) certifies that read-off.  No map is composed.  A negative
+    value raises InternalCheckFailed.
     """
     if y.dim == 0 or x.dim == 0:
         return 0
     stack, k = _syzygy_step(y)
     if k.dim == 0:
         return 0
-    _certify_read_off(x, stack)
     ext = hom_dim(k, x) - sum(x._dims[v] for v in stack) + hom_dim(y, x)
     if ext < 0:
         raise InternalCheckFailed("Ext^1 from the long exact Hom sequence is negative")

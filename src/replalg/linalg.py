@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -152,17 +153,14 @@ class RatMatrix:
         odata = other.data
         for i, arow in enumerate(self.data):
             orow = out[i]
-            for k, a in enumerate(arow):
-                if a:
-                    brow = odata[k]
-                    if a == 1:
-                        for j, b in enumerate(brow):
-                            if b:
-                                orow[j] = orow[j] + b
-                    else:
-                        for j, b in enumerate(brow):
-                            if b:
-                                orow[j] = orow[j] + a * b
+            for k, a in compress(enumerate(arow), arow):
+                brow = odata[k]
+                if a == 1:
+                    for j, b in compress(enumerate(brow), brow):
+                        orow[j] = orow[j] + b
+                else:
+                    for j, b in compress(enumerate(brow), brow):
+                        orow[j] = orow[j] + a * b
         return RatMatrix._of(self.rows, other.cols, out)
 
     # -- elimination ----------------------------------------------------

@@ -10,15 +10,15 @@ v, so a :class:`ModuleRep` stores only that block of its action:
 ``blocks[b]`` is a len(coords_at(v)) x len(coords_at(u)) matrix, absent
 when it is zero.  Blocks act on column vectors, coords(x * b) =
 blocks[b] @ coords(x) on the coordinates at u, so composing actions reverses
-order: act(a*b) = act(b) @ act(a).  The dense dim x dim ``action(b)`` is a
-read-only view for the checks and the tests.
+order: act(a*b) = act(b) @ act(a).  The dense dim x dim action of b is
+built only by the tests (``dense_action`` in tests/support.py).
 
 A :class:`ModuleMap` f: X -> Y maps the coordinates at v to those at v, so
 it is stored the same way: ``blocks[v]`` is its len(Y.coords_at(v)) x
 len(X.coords_at(v)) matrix, one per vertex, with F_v @ X_b = Y_b @ F_u for
 every basis element b of degree (u, v).  Composites, ranks, kernels and
 linear combinations are taken block by block; the dense dim Y x dim X
-``matrix`` is a read-only view for the checks and the tests.
+matrix is built only by the tests (``dense_matrix``).
 
 Every constructor builds blocks directly, and Hom spaces, kernels, covers,
 envelopes and radicals are computed block by block.  Constructors
@@ -29,7 +29,7 @@ dual of the syzygy of the dual (:func:`_cosyzygy_step`).
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Optional, Sequence
 
 from .algebra import AlgebraData
@@ -61,8 +61,9 @@ class ModuleRep:
     source: the v of each stacked e_v A), ``injective_stack`` (an injective
     envelope: the v of each stacked I_v), ``read_off_certified`` (see
     :func:`hom_basis`), ``approximation_summands`` (source of a right
-    approximation), ``is_projective``, ``cosyzygy_step`` (see
-    :func:`_cosyzygy_step`) and ``syzygy_step`` (see :func:`_syzygy_step`).
+    approximation), ``is_projective``, ``top`` (see :func:`projective_cover`),
+    ``cosyzygy_step``, ``syzygy_step``, ``syzygy_inclusion`` and
+    ``presentation`` (see the functions of those names).
     """
 
     __slots__ = ("algebra", "dim", "blocks", "vertex_of", "_coords", "_dims", "_extras")
@@ -114,15 +115,6 @@ class ModuleRep:
 
     # -- access -----------------------------------------------------------
 
-    def action(self, b: int) -> RatMatrix:
-        """Dense dim x dim view of the action of basis element b (checks and tests only)."""
-        out = RatMatrix.zeros(self.dim, self.dim)
-        m = self.blocks.get(b)
-        if m is not None:
-            u, v = self.algebra.grading[b]
-            _scatter(out, self.coords_at(v), self.coords_at(u), m)
-        return out
-
     def coords_at(self, v: int) -> list[int]:
         return self._coords.get(v, [])
 
@@ -135,14 +127,6 @@ class ModuleRep:
 
     def __repr__(self) -> str:
         return f"ModuleRep(dim={self.dim}, dims={self.vertex_dims()})"
-
-
-def _scatter(out: RatMatrix, rows: Sequence[int], cols: Sequence[int], m: RatMatrix) -> None:
-    """Write block m into the dense matrix out at the given coordinates."""
-    for g, row in zip(rows, m.data):
-        orow = out.data[g]
-        for c, val in zip(cols, row):
-            orow[c] = val
 
 
 def _block_of(x: ModuleRep, vec) -> Optional[RatMatrix]:
@@ -177,14 +161,6 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.blocks = blocks
-
-    @property
-    def matrix(self) -> RatMatrix:
-        """Dense dim target x dim source view (checks and tests only)."""
-        out = RatMatrix.zeros(self.target.dim, self.source.dim)
-        for v, m in enumerate(self.blocks):
-            _scatter(out, self.target.coords_at(v), self.source.coords_at(v), m)
-        return out
 
     def then(self, other: "ModuleMap") -> "ModuleMap":
         """self followed by other."""
@@ -534,16 +510,53 @@ def _hom_equations(x: ModuleRep, y: ModuleRep) -> tuple[list[dict[int, Scalar]],
 
 
 def hom_dim(x: ModuleRep, y: ModuleRep) -> int:
-    """dim Hom(x, y): the nullity of the equations, with no maps assembled;
-    out of a stack of projectives, the certified sum of dim y e_v."""
+    """dim Hom(x, y) off the presentation of x (:func:`_presentation`): Hom(-, y)
+    is left exact, so Hom(x, y) is the kernel of Hom(P_0, y) -> Hom(Omega x, y),
+    and a map out of Omega x is 0 iff it is 0 on its generators (Auslander-
+    Reiten-Smalo, ch. I).  As Hom(e_v A, y) = y e_v (:func:`_certify_read_off`),
+    the unknowns are the images y_i of the generators of P_0, and a relation
+    (i, j, c) at w asks sum c Y_j y_i = 0, solved by :func:`sparse_kernel`."""
     _same_algebra(x, y)
     if not any(p and q for p, q in zip(x._dims, y._dims)):
         return 0
-    stack = x._extras.get("projective_stack")
-    if stack is None:
-        return len(sparse_kernel(*_hom_equations(x, y)))
+    stack, relations = _presentation(x)
     _certify_read_off(y, stack)
-    return sum(y._dims[v] for v in stack)
+    offs = list(accumulate((y._dims[v] for v in stack), initial=0))
+    rows, sparse = [], {}  # sparse[j]: the nonzero (column, value) of each row of Y_j
+    for w, rel in relations:
+        acc = [{} for _ in range(y._dims[w])]
+        for i, j, c in rel:
+            if j not in sparse:
+                sparse[j] = [list(compress(enumerate(row), row)) for row in y.blocks[j].data] if j in y.blocks else ()
+            o = offs[i]
+            for ents, out in zip(sparse[j], acc):
+                for l, val in ents:
+                    out[o + l] = out.get(o + l, 0) + c * val
+        rows += filter(None, ({l: c for l, c in out.items() if c} for out in acc))
+    return len(sparse_kernel(rows, offs[-1])) if rows else offs[-1]
+
+
+def _presentation(x: ModuleRep):
+    """(stack, relations) of x != 0, memoised: the ``projective_stack`` of
+    the cover P_0 of :func:`_syzygy_step`, and the generators of Omega x
+    that its own cover picks (``top``; certified onto, so they generate
+    Omega x), each as its vertex w and its (summand i, basis element j of
+    e_v A, coefficient) triples in P_0.  A stack of projectives has none."""
+    def present():
+        if "projective_stack" in x._extras:
+            return x._extras["projective_stack"], []
+        stack, k = _syzygy_step(x)
+        if not k.dim:
+            return stack, []
+        _syzygy_step(k)
+        a, at = x.algebra, [[] for _ in x._dims]  # the (i, j) of each coordinate of P_0 at w
+        for i, v in enumerate(stack):
+            for j in projective_module(a, v).extras["algebra_basis"]:
+                at[a.grading[j][1]].append((i, j))
+        incl = x._extras.pop("syzygy_inclusion").blocks
+        return stack, [(w, [(*at[w][r], row[l]) for r, row in enumerate(incl[w].data) if row[l]])
+                       for w, l in k._extras["top"]]
+    return _memo(x, "presentation", present)
 
 
 # -- sub/quotient machinery --------------------------------------------------
@@ -672,7 +685,7 @@ def projective_cover(x: ModuleRep):
     top x, onto as f is.  ``ensure_split_basic`` makes top(e_v A) = S_v, so
     top P and top x have equal dimension at each v.  Then top f is an
     isomorphism, and ker f lies in P * rad (Assem-Simson-Skowronski, vol. 1,
-    I.5).
+    I.5).  The (v, l) it picks are kept on x as ``top``.
     """
     if x.dim == 0:
         raise ValueError("projective cover of the zero module is not defined here")
@@ -693,6 +706,7 @@ def projective_cover(x: ModuleRep):
     cover, = _maps_of(p, x, [{k: c for vec in vecs for k, c in vec.items()}], n)
     if not cover.is_surjective():
         raise ValueError("projective cover construction failed to be surjective")
+    x._extras["top"] = tops
     return p, cover
 
 
@@ -739,11 +753,13 @@ def _cosyzygy_step(x: ModuleRep):
 def _syzygy_step(x: ModuleRep):
     """(stack, syzygy) of x != 0: the ``projective_stack`` of its projective
     cover and the cover's kernel, memoised under ``syzygy_step``; the cover
-    and the kernel's inclusion are not kept.  A cover is onto, so one of x's
-    dimension is an isomorphism: kernel 0, with no elimination."""
+    is not kept, and the kernel's inclusion waits under ``syzygy_inclusion``
+    for :func:`_presentation`.  A cover is onto, so one of x's dimension is
+    an isomorphism: kernel 0, with no elimination."""
     def step():
         p, cover = projective_cover(x)
-        return p.extras["projective_stack"], kernel(cover)[0] if p.dim > x.dim else zero_module(x.algebra)
+        k, x._extras["syzygy_inclusion"] = kernel(cover) if p.dim > x.dim else (zero_module(x.algebra), None)
+        return p.extras["projective_stack"], k
     return _memo(x, "syzygy_step", step)
 
 

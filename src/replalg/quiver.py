@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .algebra import AlgebraData
-from .errors import CyclicQuiver, DuplicateLabel, EmptyQuiver, InternalCheckFailed
+from .errors import BudgetExceeded, CyclicQuiver, DuplicateLabel, EmptyQuiver, InternalCheckFailed
 
 
 class Arrow(NamedTuple):
@@ -111,11 +111,16 @@ def enumerate_paths(q: Quiver) -> list[Path]:
     return paths
 
 
+MAX_ALGEBRA_DIM = 2000  # the largest kQ or A^(m) whose dense multiplication table is built
+
+
 def build_hereditary(q: Quiver) -> AlgebraData:
     """The path algebra kQ: basis all paths, product = concatenation or zero."""
     paths = enumerate_paths(q)
     index = {p: i for i, p in enumerate(paths)}
     n = len(paths)
+    if n > MAX_ALGEBRA_DIM:
+        raise BudgetExceeded(f"kQ has dimension {n}, over the budget of {MAX_ALGEBRA_DIM}")
     by_start: dict[int, list[int]] = {}
     for j, r in enumerate(paths):
         by_start.setdefault(r.start, []).append(j)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import AlgebraData
-from .errors import AmbientTooSmall, CopyOutOfRange, InternalCheckFailed
+from .errors import AmbientTooSmall, BudgetExceeded, CopyOutOfRange, InternalCheckFailed
 from .homology import (
     DimBound,
     _decided,
@@ -50,7 +50,7 @@ from .modules import (
     projective_module,
     radical_submodule,
 )
-from .quiver import Quiver, build_hereditary
+from .quiver import MAX_ALGEBRA_DIM, Quiver, build_hereditary
 
 
 
@@ -72,9 +72,11 @@ class ReplicatedAlgebra:
         self.m = m
         self.base = build_hereditary(quiver)
         n, nv = self.base.dim, len(quiver.vertices)
+        dim = (2 * m + 1) * n
+        if dim > MAX_ALGEBRA_DIM:
+            raise BudgetExceeded(f"A^({m}) has dimension {dim}, over the budget of {MAX_ALGEBRA_DIM}")
         labels = [f"{lab}@{i}" for i in range(m + 1) for lab in self.base.labels]
         labels += [f"{lab}*@{i}" for i in range(1, m + 1) for lab in self.base.labels]
-        dim = (2 * m + 1) * n
         mult = [[()] * dim for _ in range(dim)]
         for r, row in enumerate(self.base.mult):
             for p, cell in enumerate(row):

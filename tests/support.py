@@ -3,6 +3,7 @@
 They read the engine's public objects and never feed back into it.
 """
 
+import os
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Optional, Sequence
@@ -11,6 +12,7 @@ import pytest
 
 import replalg.verify
 from replalg.algebra import AlgebraData, _sparse_coords
+from replalg.cli import parse_quiver
 from replalg.errors import InternalCheckFailed, NotBasic, NotProjInjective
 from replalg.homology import (
     DimBound,
@@ -50,6 +52,37 @@ from replalg.modules import (
 from replalg.quiver import Path, Quiver, enumerate_paths, path_end, path_label
 from replalg.replicated import build_replicated, embed
 from replalg.verify import verify_ext_stablehom
+
+
+def shipped_quiver(name: str) -> Quiver:
+    """The quiver of quivers/<name>.json at the root of the checkout."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "quivers", f"{name}.json"), encoding="utf-8") as fh:
+        return parse_quiver(fh.read())
+
+
+def _scatter(out: RatMatrix, rows: Sequence[int], cols: Sequence[int], m: RatMatrix) -> None:
+    """Write block m into the dense matrix out at the given coordinates."""
+    for g, row in zip(rows, m.data):
+        for c, val in zip(cols, row):
+            out.data[g][c] = val
+
+
+def dense_action(x: ModuleRep, b: int) -> RatMatrix:
+    """The dense dim x dim matrix of the action of basis element b on x."""
+    out = RatMatrix.zeros(x.dim, x.dim)
+    if b in x.blocks:
+        u, v = x.algebra.grading[b]
+        _scatter(out, x.coords_at(v), x.coords_at(u), x.blocks[b])
+    return out
+
+
+def dense_matrix(f: ModuleMap) -> RatMatrix:
+    """The dense dim target x dim source matrix of f."""
+    out = RatMatrix.zeros(f.target.dim, f.source.dim)
+    for v, m in enumerate(f.blocks):
+        _scatter(out, f.target.coords_at(v), f.source.coords_at(v), m)
+    return out
 
 
 def from_rows(rows):
@@ -186,7 +219,7 @@ def validate_module(x: ModuleRep) -> None:
     """Check the module axioms of x exactly on the dense view; ValueError
     names the first that fails."""
     a = x.algebra
-    acts = {b: x.action(b) for b in x.blocks}
+    acts = {b: dense_action(x, b) for b in x.blocks}
     zero = RatMatrix.zeros(x.dim, x.dim)
 
     def act(pairs) -> RatMatrix:
@@ -215,9 +248,9 @@ def validate_map(f: ModuleMap) -> None:
     """Check on the dense view that f intertwines the actions; ValueError
     names the first basis element where it does not."""
     x, y = f.source, f.target
-    m = f.matrix
+    m = dense_matrix(f)
     for i in sorted(x.blocks.keys() | y.blocks.keys()):
-        if m @ x.action(i) != y.action(i) @ m:
+        if m @ dense_action(x, i) != dense_action(y, i) @ m:
             raise ValueError(f"map does not intertwine basis element {i}")
 
 
@@ -244,7 +277,7 @@ def twist(x: ModuleRep) -> ModuleRep:
         if len(at) >= 2:
             c.data[at[0]][at[1]] = 1
     cinv = c.inverse()
-    return ModuleRep.from_actions(x.algebra, {b: cinv @ x.action(b) @ c for b in x.blocks}, x.vertex_of)
+    return ModuleRep.from_actions(x.algebra, {b: cinv @ dense_action(x, b) @ c for b in x.blocks}, x.vertex_of)
 
 
 def block_diag(mats):
@@ -696,12 +729,17 @@ def ext_inventory(q: Quiver, m: int, amb=None):
     return inventory + pis, pis
 
 
-def extcheck_stable_homs(q: Quiver, m: int):
+def extcheck_stable_homs(q: Quiver, m: int, labels: Optional[dict] = None):
     """(certificate, calls) of ``verify_ext_stablehom(q, m)``: calls holds
     (y, z, value) for each of its ``stable_hom_dim`` calls, in order.  The
     first ``pairs_checked`` are the identity pairs (y, Omega^-1 x), the
     rest the lemma-3.2 pairs, so a test reads the pairs that extcheck
-    checks rather than a copy of how it forms them."""
+    checks rather than a copy of how it forms them.
+
+    A dict ``labels`` receives id(x): (x, i, (kind, v)) for each module x
+    = Omega^{-i} of the copy-0 e_v kQ (kind "P") or its top (kind "S")
+    that the run builds, read off its own ``embed`` and ``cosyzygy`` calls;
+    the projective-injectives carry no label."""
     calls = []
 
     def recorded(y, z):
@@ -709,10 +747,59 @@ def extcheck_stable_homs(q: Quiver, m: int):
         calls.append((y, z, value))
         return value
 
+    def embedded(x, copy, amb):
+        out = embed(x, copy, amb)
+        stack = x.extras.get("projective_stack")
+        labels[id(out)] = (out, copy, ("P", stack[0]) if stack else ("S", x.vertex_of[0]))
+        return out
+
+    def shifted(x):
+        out = cosyzygy(x)
+        if id(x) in labels:
+            _, i, start = labels[id(x)]
+            labels[id(out)] = (out, i + 1, start)
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(replalg.verify, "stable_hom_dim", recorded)
+        if labels is not None:
+            mp.setattr(replalg.verify, "embed", embedded)
+            mp.setattr(replalg.verify, "cosyzygy", shifted)
         cert = verify_ext_stablehom(q, m)
     return cert, calls
+
+
+def happel_ext(q: Quiver, d: int, y0: tuple[str, int], x0: tuple[str, int]) -> int:
+    """dim Ext^d over kQ of Y0 and X0, each ("P", v), the right module e_v kQ,
+    or ("S", v), its top, from path counts and the Euler form: the oracle
+    of every ``extcheck`` value.  Happel's equivalence of the stable category
+    of the repetitive algebra with D^b(mod kQ), Omega^{-1} the shift, gives
+    dim StHom(Omega^{-i} Y0, Omega^{-k} X0) = dim Ext^{k-i}(Y0, X0) (Happel,
+    LMS Lecture Notes 119, 1988, ch. II).  Over kQ: Hom(P_u, Z) = (dim Z)_u,
+    Hom(S_u, S_v) = delta_uv, Hom(S_u, P_v) = the paths v -> u when u is a
+    sink, else 0; Ext^1 = Hom - <dim Y0, dim X0>, with <x, y> = sum x_i y_i -
+    sum over arrows s -> t of x_s y_t (Ringel, LNM 1099, 1984); Ext^d = 0
+    for d < 0 and d >= 2, kQ being hereditary."""
+    n = len(q.vertices)
+    paths = [[0] * n for _ in range(n)]  # paths[v][u]: the paths v -> u, so (dim e_v kQ)_u
+    for p in enumerate_paths(q):
+        paths[p.start][path_end(q, p)] += 1
+
+    def dims(kind, v):
+        return paths[v] if kind == "P" else [int(u == v) for u in range(n)]
+
+    (ky, vy), (kx, vx) = y0, x0
+    if ky == "P":
+        hom = dims(kx, vx)[vy]
+    elif kx == "S":
+        hom = int(vy == vx)
+    else:
+        hom = paths[vx][vy] if all(q.vindex[a.source] != vy for a in q.arrows) else 0
+    if d != 1:
+        return hom if d == 0 else 0
+    y, x = dims(*y0), dims(*x0)
+    euler = sum(a * b for a, b in zip(y, x)) - sum(y[q.vindex[a.source]] * x[q.vindex[a.target]] for a in q.arrows)
+    return hom - euler
 
 
 def end_structure(m: ModuleRep):

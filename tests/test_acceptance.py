@@ -43,6 +43,7 @@ from replalg.verify import (
     verify_lemma_2_4,
 )
 from support import (
+    dense_matrix,
     end_algebra,
     injective_dimension,
     is_injective_map,
@@ -212,17 +213,17 @@ def test_criterion_6_engine_property_suite():
         rad, rincl = radical_submodule(p)
         span = EchelonSpace(p.dim)
         for j in range(rad.dim):
-            span.add(rincl.matrix.column_vec(j))
+            span.add(dense_matrix(rincl).column_vec(j))
         cover_ok &= f.is_surjective() and all(
-            span_contains(span, incl.matrix.column_vec(j)) for j in range(k.dim)
+            span_contains(span, dense_matrix(incl).column_vec(j)) for j in range(k.dim)
         )
         i, env = injective_envelope(x)
         soc, sincl = socle(i)
         espan = EchelonSpace(i.dim)
-        for j in range(env.matrix.cols):
-            espan.add(env.matrix.column_vec(j))
+        for j in range(dense_matrix(env).cols):
+            espan.add(dense_matrix(env).column_vec(j))
         env_ok &= is_injective_map(env) and all(
-            span_contains(espan, sincl.matrix.column_vec(j)) for j in range(soc.dim)
+            span_contains(espan, dense_matrix(sincl).column_vec(j)) for j in range(soc.dim)
         )
     checks.append(("cover_superfluous", bool(cover_ok)))
     checks.append(("envelope_essential", bool(env_ok)))

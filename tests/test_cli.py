@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -10,8 +11,8 @@ import replalg.cli
 import replalg.replicated
 import replalg.verify
 from replalg.cli import main, parse_quiver, serialize_quiver
-from replalg.errors import CapTooSmall, CyclicQuiver, DuplicateLabel, ParseError, ReplalgError
-from replalg.quiver import kronecker, linear_quiver
+from replalg.errors import BudgetExceeded, CapTooSmall, CyclicQuiver, DuplicateLabel, ParseError, ReplalgError
+from replalg.quiver import MAX_ALGEBRA_DIM, Quiver, build_hereditary, kronecker, linear_quiver
 from replalg.replicated import minimal_cogenerator
 from replalg.verify import verify_ext_stablehom
 
@@ -224,12 +225,32 @@ def test_extcheck_command(kronecker_file, tmp_path):
     assert values["identity_holds"] and values["lemma_3_2_vanishing"]
 
 
-def _run_cli(*argv):
-    """Run the CLI in a fresh interpreter, as a user would."""
+def _run_cli(*argv, address_space=None):
+    """Run the CLI in a fresh interpreter, as a user would; ``address_space``
+    bytes, when given, bound the child's RLIMIT_AS (and no other process's)."""
     src = os.path.dirname(os.path.dirname(replalg.__file__))
     env = {**os.environ, "PYTHONPATH": src}
+    limit = None if address_space is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
     return subprocess.run([sys.executable, "-m", "replalg", *argv],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=env, timeout=300, preexec_fn=limit)
+
+
+def test_the_budget_is_checked_before_the_multiplication_table():
+    """bounds on the Kronecker quiver at m = 100000 asks for A^(m) of
+    dimension 800,004, whose dense multiplication table would not fit in
+    memory: BudgetExceeded, exit 2 and one error: line, before the table is
+    allocated.  The child runs under its own 1 GB address-space limit, so
+    a check placed after the allocation ends in "out of memory" at once
+    instead of swapping."""
+    quiver = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "quivers", "kronecker.json")
+    proc = _run_cli("bounds", "--quiver", quiver, "--m", "100000", address_space=1 << 30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: A^(100000) has dimension 800004, over the budget of {MAX_ALGEBRA_DIM}\n"
+    # ten vertices in a line, joined by two arrows each, give 2,036 paths
+    q = Quiver([str(i) for i in range(10)], [(f"{c}{i}", str(i + 1), str(i)) for i in range(9) for c in "ab"])
+    with pytest.raises(BudgetExceeded, match=f"kQ has dimension 2036, over the budget of {MAX_ALGEBRA_DIM}"):
+        build_hereditary(q)
 
 
 def test_cap_too_small_is_a_typed_error(kronecker_file):

@@ -32,10 +32,12 @@ from replalg.modules import (
 )
 from replalg.quiver import build_hereditary, kronecker, linear_quiver, one_vertex
 from replalg.replicated import auslander_generator, build_replicated, sigma_layers
-from replalg.verify import lemma_2_4_inventory, verify_lemma_2_4
+from replalg.verify import lemma_2_4_inventory, verify_ext_stablehom, verify_lemma_2_4
 from support import (
     block_diag,
     cokernel,
+    dense_action,
+    dense_matrix,
     ext_inventory,
     extcheck_stable_homs,
     image,
@@ -43,6 +45,7 @@ from support import (
     is_invertible,
     projective_injectives_by_modules,
     regular_module,
+    shipped_quiver,
     socle,
     stable_hom_by_composites,
     top,
@@ -409,7 +412,7 @@ def test_vertex_block_base_change_keeps_invariants(kr):
     c.data[at0[1]][at0[0]] = F(-2)
     c.data[at1[0]][at1[0]] = F(3)
     cinv = c.inverse()
-    acts = {i: cinv @ (p2.action(i) @ c) for i in range(kr.dim) if i in p2.blocks}
+    acts = {i: cinv @ (dense_action(p2, i) @ c) for i in range(kr.dim) if i in p2.blocks}
     twisted = ModuleRep.from_actions(kr, acts, p2.vertex_of)
     validate_module(twisted)
     assert twisted.vertex_dims() == p2.vertex_dims() == [2, 1]
@@ -461,7 +464,7 @@ def test_image_factorisation(kr):
     assert img.dim == 1
     validate_map(incl)
     validate_map(fac)
-    assert fac.then(incl).matrix == f.matrix
+    assert dense_matrix(fac.then(incl)) == dense_matrix(f)
 
 
 # -- the sparse Hom solve ----------------------------------------------------
@@ -493,7 +496,7 @@ def _dense_hom_oracle(x, y):
 def _kernel_oracle(f):
     """Dense kernel basis of the whole matrix, ordered by vertex."""
     x = f.source
-    cols = sorted(f.matrix.kernel_basis().columns(), key=lambda col: x.vertex_of[next(i for i, c in enumerate(col) if c)])
+    cols = sorted(dense_matrix(f).kernel_basis().columns(), key=lambda col: x.vertex_of[next(i for i, c in enumerate(col) if c)])
     return RatMatrix.from_columns(cols, nrows=x.dim)
 
 
@@ -501,7 +504,7 @@ def _cokernel_oracle(f):
     """Projection onto the coordinates that are no pivot of the dense rref of
     f^T, ordered by vertex."""
     y = f.target
-    red, _, pivots = f.matrix.transpose().rref()
+    red, _, pivots = dense_matrix(f).transpose().rref()
     rows = []
     for fc in sorted((c for c in range(y.dim) if c not in pivots), key=lambda c: y.vertex_of[c]):
         row = [F(0)] * y.dim
@@ -516,10 +519,10 @@ def _cokernel_oracle(f):
 def _image_oracle(f):
     """The rows of the dense rref of f^T as columns, ordered by vertex, and
     the factorisation."""
-    red, rank, pivots = f.matrix.transpose().rref()
+    red, rank, pivots = dense_matrix(f).transpose().rref()
     order = sorted(range(rank), key=lambda i: f.target.vertex_of[pivots[i]])
     incl = RatMatrix.from_columns([red.data[i] for i in order], nrows=f.target.dim)
-    return incl, incl.solve(f.matrix)
+    return incl, incl.solve(dense_matrix(f))
 
 
 def _cover_oracle(x):
@@ -537,7 +540,7 @@ def _cover_oracle(x):
         basis = projective_module(x.algebra, v).extras["algebra_basis"]
         for l in range(len(x.coords_at(v))):
             if l not in sp.pivots:
-                cols.extend(x.action(j).column_vec(x.coords_at(v)[l]) for j in basis)
+                cols.extend(dense_action(x, j).column_vec(x.coords_at(v)[l]) for j in basis)
     return RatMatrix.from_columns(cols, nrows=x.dim)
 
 
@@ -600,7 +603,7 @@ def test_is_isomorphic_decides_indecomposables_by_a_basis_map(inventory, request
     rejected = 0
     for x in mods:
         iso = is_isomorphic(x, twist(x))
-        assert iso is not None and is_invertible(iso.matrix)
+        assert iso is not None and is_invertible(dense_matrix(iso))
         validate_map(iso)
         for y in mods:
             if _iso_oracle(x, y) is None:
@@ -624,12 +627,12 @@ def test_sparse_hom_basis_matches_dense_oracle(inventory, request):
 
     def check(f, want):
         validate_map(f)
-        assert f.matrix == want
+        assert dense_matrix(f) == want
 
     for x in mods:
         for y in mods:
             basis = hom_basis(x, y)
-            assert [f.matrix for f in basis] == _dense_hom_oracle(x, y)
+            assert [dense_matrix(f) for f in basis] == _dense_hom_oracle(x, y)
             assert hom_dim(x, y) == len(basis)
             dims.add(len(basis))
             for f in basis:
@@ -642,19 +645,19 @@ def test_sparse_hom_basis_matches_dense_oracle(inventory, request):
             total, injs, prjs = direct_sum([x, y])
             for g, want in zip(injs + prjs, sum(_sum_oracle([x, y]), [])):
                 check(g, want)
-            assert all(total.action(b) == block_diag([x.action(b), y.action(b)]) for b in range(x.algebra.dim))
+            assert all(dense_action(total, b) == block_diag([dense_action(x, b), dense_action(y, b)]) for b in range(x.algebra.dim))
             iso, want = is_isomorphic(x, y), _iso_oracle(x, y)
             if want is not None:
                 check(iso, want)
             elif iso is not None:
                 validate_map(iso)
-                assert is_invertible(iso.matrix)
+                assert is_invertible(dense_matrix(iso))
         check(projective_cover(x)[1], _cover_oracle(x))
         check(injective_envelope(x)[1], _cover_oracle(dual_module(x)).transpose())
         pieces = decompose_with_maps(x)
         incs = [inc for _, inc, _ in pieces]
         # the projections are the rows of the inverse of the inclusions side by side
-        inv = replalg.linalg.hstack([inc.matrix for inc in incs]).inverse()
+        inv = replalg.linalg.hstack([dense_matrix(inc) for inc in incs]).inverse()
         off = 0
         for piece, inc, prj in pieces:
             validate_map(inc)
@@ -669,9 +672,9 @@ def test_sparse_hom_basis_matches_dense_oracle(inventory, request):
         # each summand of the source maps to x by a Hom basis element
         types = g.source.extras["approximation_summands"]
         _, injs, _ = direct_sum([addset[t] for t in types])
-        parts = [g.matrix @ inj.matrix for inj in injs]
+        parts = [dense_matrix(g) @ dense_matrix(inj) for inj in injs]
         assert all(part in _dense_hom_oracle(addset[t], x) for part, t in zip(parts, types))
-        assert g.matrix == replalg.linalg.hstack(parts)
+        assert dense_matrix(g) == replalg.linalg.hstack(parts)
 
 
 def test_module_map_blocks_are_checked(kr):
@@ -706,20 +709,27 @@ def test_block_rank_and_composite_on_modules_with_empty_vertices():
         fs += [fs[0] + fs[-1], zero_map(x, y)]
         gs += [zero_map(y, z)]
         for f in fs + gs + [identity_map(x)]:
-            assert f.rank() == f.matrix.rank()
+            assert f.rank() == dense_matrix(f).rank()
             ranks.add(f.rank())
         for f in fs:
             for g in gs:
                 h = f.then(g)
                 assert [(m.rows, m.cols) for m in h.blocks] == list(zip(z.vertex_dims(), x.vertex_dims()))
-                assert h.matrix == g.matrix @ f.matrix
+                assert dense_matrix(h) == dense_matrix(g) @ dense_matrix(f)
     assert ranks >= {0, 1, 2}
 
 
 def test_corrupted_hom_solve_is_caught(kr, monkeypatch):
+    """A corrupted elimination is caught by the residual of the sparse
+    kernel: in the Hom equations of hom_basis, and in the rows that hom_dim
+    reads off the presentation of a source with relations (the regular
+    module, whose cover is an isomorphism, has none, so hom_dim(reg, reg)
+    solves nothing and the injective I_1 is the source there)."""
     x = y = regular_module(kr)
     rows, _ = replalg.modules._hom_equations(x, y)
     assert len(hom_basis(x, y)) == 4 and all(rows)
+    i1 = injective_module(kr, 0)
+    assert replalg.modules._presentation(i1)[1] and hom_dim(i1, i1) == 1
     solve = replalg.linalg._sparse_rref
 
     def dropped(rows):
@@ -737,7 +747,7 @@ def test_corrupted_hom_solve_is_caught(kr, monkeypatch):
         with pytest.raises(ValueError, match="does not solve"):
             hom_basis(x, y)
         with pytest.raises(ValueError, match="does not solve"):
-            hom_dim(x, y)
+            hom_dim(i1, i1)
 
 
 # -- Hom out of a projective, read off its target ---------------------------
@@ -846,12 +856,83 @@ def test_read_off_refuses_a_target_that_is_not_a_module():
         hom_dim(projective_module(a, 0), y)
 
 
+# -- Hom dimensions from projective presentations ---------------------------
+
+
+def _hom_dims_met(q, m, lemma24):
+    """(x, y, hom_dim(x, y)) for every hom_dim call of extcheck on q at m,
+    or of the lemma24 inventory run when ``lemma24``."""
+    calls = []
+
+    def recorded(x, y):
+        value = hom_dim(x, y)
+        calls.append((x, y, value))
+        return value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replalg.homology, "hom_dim", recorded)
+        if lemma24:
+            bundle = auslander_generator(q, m)
+            assert all(verify_lemma_2_4(bundle, x, lab).verdict for lab, x in lemma_2_4_inventory(bundle))
+        else:
+            assert verify_ext_stablehom(q, m).verdict
+    return calls
+
+
+def _check_presentation(x):
+    """The relations of x's presentation, written back into a fresh cover
+    P_0 -> x: each lies in the kernel, and together they generate it, so
+    their span under A has dimension dim P_0 - dim x.  Returns their number."""
+    stack, relations = replalg.modules._presentation(x)
+    p, cover = projective_cover(x)
+    assert p.extras["projective_stack"] == stack
+    a = x.algebra
+    at = [[] for _ in x.vertex_dims()]
+    for i, v in enumerate(stack):
+        for j in projective_module(a, v).extras["algebra_basis"]:
+            at[a.grading[j][1]].append((i, j))
+    spans = [[] for _ in x.vertex_dims()]
+    for w, rel in relations:
+        vec = [0] * len(at[w])
+        for i, j, c in rel:
+            vec[at[w].index((i, j))] += c
+        col = RatMatrix(len(vec), 1, [[c] for c in vec])
+        assert (cover.blocks[w] @ col).is_zero(), "a relation is not in the kernel"
+        for b, (u, t) in enumerate(a.grading):
+            if u == w and b in p.blocks:
+                spans[t].append([row[0] for row in (p.blocks[b] @ col).data])
+    ranks = sum(RatMatrix(len(rows), len(rows[0]), rows).rank() for rows in spans if rows)
+    assert ranks == p.dim - x.dim, "the relations do not generate the syzygy"
+    return len(relations)
+
+
+@pytest.mark.parametrize("name,m,lemma24", [(q, m, False) for q in ("a3", "d4", "kronecker", "a3_tilde") for m in (1, 2)]
+                         + [("kronecker", m, True) for m in (1, 2)])
+def test_hom_dim_from_presentations_matches_the_equations(name, m, lemma24):
+    """Every hom_dim that extcheck meets at m = 1, 2 on A3, D4, Kronecker and
+    A3-tilde, and the lemma24 inventory run meets on Kronecker m = 1, 2,
+    equals the nullity of the Hom equations F_v X_b = Y_b F_u, the oracle
+    of the presentation; and the presentation of every source is checked
+    against a fresh cover of it: its relations lie in the kernel and
+    generate it."""
+    q = shipped_quiver(name)
+    calls = _hom_dims_met(q, m, lemma24)
+    assert calls and any(v for _, _, v in calls)
+    for x, y, value in calls:
+        if any(p and q for p, q in zip(x.vertex_dims(), y.vertex_dims())):
+            assert value == len(replalg.linalg.sparse_kernel(*replalg.modules._hom_equations(x, y)))
+        else:
+            assert value == 0
+    sources = {id(x): x for x, y, _ in calls if "presentation" in x.extras}
+    assert sum(_check_presentation(x) for x in sources.values()) > 0
+
+
 # -- block storage against the dense view -----------------------------------
 
 
 def test_from_actions_checks_vertex_labels(kr):
     p2 = projective_module(kr, 1)
-    acts = {i: p2.action(i) for i in p2.blocks}
+    acts = {i: dense_action(p2, i) for i in p2.blocks}
     assert ModuleRep.from_actions(kr, acts, p2.vertex_of).blocks == p2.blocks
     # the same matrices with the labels swapped: a arrow's block would hold
     # entries outside it, and the idempotents would not act as the identity
@@ -881,7 +962,7 @@ def _dense_radical_actions(x):
     for r in x.algebra.radical_sparse():
         m = RatMatrix.zeros(x.dim, x.dim)
         for b, c in r:
-            m = m + x.action(b).scaled(c)
+            m = m + dense_action(x, b).scaled(c)
         acts.append(m)
     return acts
 
@@ -926,9 +1007,9 @@ def test_block_socle_radical_and_dual_match_dense_oracle(inventory, request):
     for x in mods:
         validate_module(x)
         soc, sincl = socle(x)
-        assert (soc.vertex_dims(), sincl.matrix) == _socle_oracle(x)
+        assert (soc.vertex_dims(), dense_matrix(sincl)) == _socle_oracle(x)
         rad, rincl = radical_submodule(x)
-        assert (rad.vertex_dims(), rincl.matrix) == _radical_oracle(x)
+        assert (rad.vertex_dims(), dense_matrix(rincl)) == _radical_oracle(x)
         d = dual_module(x)
         validate_module(d)
         dd = dual_module(d)

@@ -21,7 +21,7 @@ from replalg.verify import (
     verify_theorem_3_3,
     verify_theorem_3_5,
 )
-from support import hom_exactness, kronecker3, validate_map
+from support import extcheck_stable_homs, happel_ext, hom_exactness, kronecker3, shipped_quiver, validate_map
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,10 @@ def test_lemma_2_4_inventory_hom_systems_are_pinned(monkeypatch):
     systems and 741 rows when it built the ladder again).  Ext^1(L, K)
     comes from the long exact Hom sequence of one syzygy step of L, which
     solves Hom(syzygy, K) and Hom(L, K) where the resolution prefix read
-    Hom(P_1, K) off K and ranked composites: 87 systems and 689 rows then."""
+    Hom(P_1, K) off K and ranked composites: 87 systems and 689 rows then.
+    Each Hom dimension is read off the projective presentation of its
+    source, so a projective source solves no system: 99 systems and 759
+    rows when hom_dim solved the Hom equations of every other source."""
     bundle = auslander_generator(kronecker(), 1)
     solved, radicals = [], []
     solve, radical = modules.sparse_kernel, homology._radical
@@ -137,7 +140,7 @@ def test_lemma_2_4_inventory_hom_systems_are_pinned(monkeypatch):
     monkeypatch.setattr(verify, "is_isomorphic", refuse)
     certs = [verify_lemma_2_4(bundle, x, lab) for lab, x in lemma_2_4_inventory(bundle)]
     assert len(certs) == 13 and all(c.verdict for c in certs)
-    assert (len(solved), sum(solved), radicals) == (99, 759, [100])
+    assert (len(solved), sum(solved), radicals) == (91, 703, [100])
 
 
 def test_right_approximation_work_is_pinned(monkeypatch):
@@ -205,7 +208,12 @@ def test_ext_stablehom_hom_systems_are_pinned(monkeypatch):
     resolved rad kQ as a module, with covers and kernels; 48 covers, 27
     kernels and 174 eliminations when the projective-injectives were found
     by a cosyzygy step of each e_v A and the stable Hom took a cover and a
-    cosyzygy step of each, not the algebra's ``nakayama()``."""
+    cosyzygy step of each, not the algebra's ``nakayama()``.  Each Hom
+    dimension is now read off the projective presentation of its source,
+    Sum dim Y_v unknowns over the top of X, one row block per generator of
+    Omega X; the presentations of the syzygies take a cover and a kernel of
+    their own.  324 systems and 2,064 rows, 40 covers, 25 kernels and 132
+    eliminations when hom_dim solved the Hom equations F_v X_b = Y_b F_u."""
     solved, solve = [], modules.sparse_kernel
     built = {"cover": 0, "kernel": 0, "_gauss_jordan": 0, "then": 0}
 
@@ -228,8 +236,8 @@ def test_ext_stablehom_hom_systems_are_pinned(monkeypatch):
     monkeypatch.setattr(ModuleMap, "then", counting("then", ModuleMap.then))
     cert = verify_ext_stablehom(kronecker(), 1)
     assert cert.verdict and cert.values["pairs_checked"] > 0
-    assert (len(solved), sum(solved)) == (324, 2064)
-    assert built == {"cover": 40, "kernel": 25, "_gauss_jordan": 132, "then": 0}
+    assert (len(solved), sum(solved)) == (80, 238)
+    assert built == {"cover": 54, "kernel": 31, "_gauss_jordan": 162, "then": 0}
 
 
 def test_ext_stablehom_envelopes_are_pinned(monkeypatch):
@@ -247,13 +255,17 @@ def test_ext_stablehom_envelopes_are_pinned(monkeypatch):
     envelope's cokernel was taken and the envelope checked both.  The dual
     of an injective module is projective, and its cover, an isomorphism,
     takes no kernel: 42 null-space eliminations when it took one, and 24
-    with the two steps of the projective-injectives above."""
+    with the two steps of the projective-injectives above.  The
+    presentations of hom_dim take 14 steps more, on syzygies, and mostly
+    read the step's memo: a step is counted when it is taken (18 steps and
+    21 eliminations before hom_dim read Hom off presentations; 51 calls of
+    the step when memo reads were counted too)."""
     depth = {"step": 0, "envelope": 0, "cover": 0, "null_space": 0}
     asked, steps, envelopes, own, null_space = [], [], [], [], []
 
-    def within(name, fn, seen=None):
+    def within(name, fn, seen=None, memo=None):
         def wrapped(*args):
-            if seen is not None:
+            if seen is not None and memo not in args[0].extras:
                 seen.append(args[0])
             depth[name] += 1
             try:
@@ -277,8 +289,9 @@ def test_ext_stablehom_envelopes_are_pinned(monkeypatch):
 
     for mod in (modules, homology, replicated):
         monkeypatch.setattr(mod, "_cosyzygy_step", asking)
-    # modules._syzygy_step is called by the cosyzygy only; ext1_dim calls homology's
-    monkeypatch.setattr(modules, "_syzygy_step", within("step", modules._syzygy_step, steps))
+    # modules._syzygy_step is called by the cosyzygy and by the presentations of hom_dim, which
+    # mostly read its memo: a step is counted when it is taken; ext1_dim calls homology's
+    monkeypatch.setattr(modules, "_syzygy_step", within("step", modules._syzygy_step, steps, "syzygy_step"))
     monkeypatch.setattr(modules, "injective_envelope", within("envelope", modules.injective_envelope, envelopes))
     monkeypatch.setattr(modules, "projective_cover", within("cover", modules.projective_cover))
     monkeypatch.setattr(RatMatrix, "null_space", within("null_space", RatMatrix.null_space))
@@ -286,8 +299,8 @@ def test_ext_stablehom_envelopes_are_pinned(monkeypatch):
     monkeypatch.setattr(RatMatrix, "_gauss_jordan", noted("_gauss_jordan", RatMatrix._gauss_jordan))
     cert = verify_ext_stablehom(kronecker(), 1)
     assert cert.verdict and cert.values["pairs_checked"] > 0
-    assert (len(steps), len({id(x) for x in asked}), own) == (18, 18, [])
-    assert null_space == ["_gauss_jordan"] * 21 and envelopes == []
+    assert (len(steps), len({id(x) for x in asked}), own) == (32, 18, [])
+    assert null_space == ["_gauss_jordan"] * 31 and envelopes == []
 
 
 def _refuse_end_algebra(monkeypatch):
@@ -681,3 +694,29 @@ def test_certificates_serialize_deterministically(kr_bundle):
     c1, _ = verify_theorem_3_3(kronecker(), 1, bundle=kr_bundle)
     c2, _ = verify_theorem_3_3(kronecker(), 1, bundle=kr_bundle)
     assert json.dumps(c1.to_dict(), sort_keys=True) == json.dumps(c2.to_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("name,m", [(q, m) for q in ("a2", "a3", "a3_source", "a3_tilde", "d4", "e6", "kronecker",
+                                                      "kronecker3", "one_vertex") for m in (1, 2)]
+                         + [("kronecker4", 1)] + [(q, 3) for q in ("a2", "a3", "kronecker")])
+def test_extcheck_matches_happels_closed_form(name, m):
+    """Every value of extcheck, both sides of the identity and the lemma-3.2
+    pairs, equals Happel's closed form ``happel_ext`` read off the labels of
+    the run's own chains: StHom(Omega^{-i} Y0, Omega^{-k} X0) is Ext^{k-i}
+    over kQ of the copy-0 Y0 and X0, and a pair with a projective-injective
+    reads 0.  The identity holds, so Ext^1 meets the closed form too.
+    Every shipped quiver runs at m = 1, 2 but the 4-Kronecker quiver at
+    m = 2, which takes about half a minute."""
+    q = shipped_quiver(name)
+    labels = {}
+    cert, calls = extcheck_stable_homs(q, m, labels)
+    assert cert.verdict and len(calls) == cert.values["pairs_checked"] + cert.values["lemma_3_2_pairs_checked"]
+    got, want = [], []
+    for y, z, value in calls:
+        got.append(value)
+        if id(y) in labels and id(z) in labels:
+            (_, i, y0), (_, k, x0) = labels[id(y)], labels[id(z)]
+            want.append(happel_ext(q, k - i, y0, x0))
+        else:
+            want.append(0)
+    assert got == want and any(want)
